@@ -1,4 +1,4 @@
-"""Shared value types, tolerances, and error classes."""
+"""Shared value types, tolerances, parameter validators, and error classes."""
 
 from __future__ import annotations
 
@@ -7,6 +7,24 @@ from dataclasses import dataclass
 
 #: Conditional readings are undefined below this postselection probability.
 PROB_FLOOR = 1e-12
+
+
+def _check_coupling(g: float) -> float:
+    if not (math.isfinite(g) and g >= 0.0):
+        raise ValueError(f"coupling must be finite and non-negative, got {g!r}")
+    return float(g)
+
+
+def _check_kappa(kappa: float) -> float:
+    if not (math.isfinite(kappa) and 0.0 <= kappa <= 1.0):
+        raise ValueError(f"kappa must lie in [0, 1], got {kappa!r}")
+    return float(kappa)
+
+
+def _check_gamma(gamma: float) -> float:
+    if not (math.isfinite(gamma) and 0.0 <= gamma <= 1.0):
+        raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
+    return float(gamma)
 
 
 class VanishingPostselectionError(ValueError):

@@ -16,6 +16,8 @@ import math
 
 from .common import (
     PROB_FLOOR,
+    _check_coupling,
+    _check_kappa,
     GaussianMeter,
     MaxResult,
     ShiftResult,
@@ -23,12 +25,6 @@ from .common import (
     VanishingPostselectionError,
 )
 from .qubit import PureQubit, QubitDensity
-
-
-def _check_coupling(g: float) -> float:
-    if not (math.isfinite(g) and g >= 0.0):
-        raise ValueError(f"coupling must be finite and non-negative, got {g!r}")
-    return float(g)
 
 
 def gaussian_shifts(rho_s: QubitDensity, psi_f: PureQubit, g: float,
@@ -68,8 +64,7 @@ def gaussian_max_shifts(kappa: float, g: float,
     theta2 -> pi - theta2 negates the shift), the position branch at
     theta1 = theta2 = pi/2, cos(phi0) = -kappa E.
     """
-    if not (math.isfinite(kappa) and 0.0 <= kappa <= 1.0):
-        raise ValueError(f"kappa must lie in [0, 1], got {kappa!r}")
+    kappa = _check_kappa(kappa)
     g = _check_coupling(g)
     att = meter.coherence_factor(g)
     ke = kappa * att

@@ -13,9 +13,14 @@ rest.  Everything is derivative-free and deterministic: identical inputs
 give identical outputs.
 
 Objective builders for the standard preselection families live here too.
-They inline the same formulas as the meter modules (cross-checked by tests)
-so a single probe costs a few trig calls, which keeps the default
-64^3-sample coarse grid fast.  Probes where the postselection probability
+Every family is a channel applied to pure_state(theta1, phi0), and one
+builder, ``_pure_entries``, turns any channel's entry map into the density
+entries along (theta1, phi0): the modulus-kappa family is depolarizing at
+strength 1 - kappa, the damped family is amplitude damping.  The meter
+formulas, by contrast, are inlined here rather than shared with the meter
+modules (tests cross-check the two): one more Python call per probe adds a
+fifth to a third of its cost, and the default 64^3-sample coarse grid makes
+over 262k probes per search.  Probes where the postselection probability
 falls below the usable floor evaluate to 0, letting the search traverse
 near-orthogonal regions where the conditional shift is only defined in the
 limit.
@@ -25,10 +30,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Literal
 
-from .common import PROB_FLOOR, GaussianMeter
+from .channels import KrausChannel, amplitude_damping, depolarizing
+from .common import PROB_FLOOR, GaussianMeter, _check_gamma, _check_kappa
 
 Objective = Callable[[float, float, float], float]
 
@@ -273,41 +279,40 @@ def maximize(objective: Objective, grid_n: int = 64,
 # ---------------------------------------------------------------------------
 
 
-def _mixed_entries(kappa: float):
-    """Density entries of a modulus-kappa state along (theta1, phi0).
+def _pure_entries(channel: KrausChannel):
+    """Density entries of ``channel`` applied to pure_state(theta1, phi0).
 
-    Half-angle products keep the small entries accurate near the poles,
+    The channel's entry map acts on the pure state's half-angle products
+    cos^2, sin^2 and sin cos.  Populations come out as sums of non-negative
+    terms, never as 1 - x, so the small entries stay accurate near the poles,
     where the conditional shifts live right above the probability floor.
     """
-    half_mix = 0.5 * (1.0 - kappa)
+    (t00, t01), (t10, t11) = channel.transfer
+    coherence = channel.coherence
 
     def entries(t1: float, p0: float):
         ch, sh = math.cos(0.5 * t1), math.sin(0.5 * t1)
-        rho00 = half_mix + kappa * ch * ch
-        rho11 = half_mix + kappa * sh * sh
-        half_perp = kappa * sh * ch
-        return rho00, rho11, half_perp * math.cos(p0), half_perp * math.sin(p0)
+        c2, s2 = ch * ch, sh * sh
+        half_perp = coherence * sh * ch
+        return (t00 * c2 + t01 * s2, t10 * c2 + t11 * s2,
+                half_perp * math.cos(p0), half_perp * math.sin(p0))
 
     return entries
 
 
-def _damped_entries(gamma: float):
-    """Density entries of an amplitude-damped pure state along (theta1, phi0)."""
-    survive = 1.0 - gamma
-    root = math.sqrt(survive)
+def _modulus_channel(kappa: float) -> KrausChannel:
+    """Depolarizing at strength 1 - kappa, which leaves Bloch modulus kappa.
 
-    def entries(t1: float, p0: float):
-        ch, sh = math.cos(0.5 * t1), math.sin(0.5 * t1)
-        rho00 = ch * ch + gamma * sh * sh
-        rho11 = survive * sh * sh
-        half_perp = root * sh * ch
-        return rho00, rho11, half_perp * math.cos(p0), half_perp * math.sin(p0)
-
-    return entries
+    The coherence factor is kappa itself rather than 1 - (1 - kappa).
+    """
+    kappa = _check_kappa(kappa)
+    return replace(depolarizing(1.0 - kappa), coherence=kappa)
 
 
 def _shift_objective(entries, g: float, meter: GaussianMeter,
                      which: str) -> Objective:
+    if which not in ("dp", "dq"):
+        raise ValueError(f"which must be 'dp' or 'dq', got {which!r}")
     att = meter.coherence_factor(g)
     dq_scale = 4.0 * g * meter.delta ** 2 * att
     want_dp = which == "dp"
@@ -348,27 +353,23 @@ def _reading_objective(entries, g: float) -> Objective:
 def kappa_shift_objective(kappa: float, g: float, meter: GaussianMeter,
                           which: Literal["dp", "dq"]) -> Objective:
     """|dp'| or |dq'| objective for the modulus-kappa preselection family."""
-    if which not in ("dp", "dq"):
-        raise ValueError(f"which must be 'dp' or 'dq', got {which!r}")
-    return _shift_objective(_mixed_entries(kappa), g, meter, which)
+    return _shift_objective(_pure_entries(_modulus_channel(kappa)), g, meter, which)
 
 
 def kappa_reading_objective(kappa: float, g: float) -> Objective:
     """Qubit-meter reading objective for the modulus-kappa family."""
-    return _reading_objective(_mixed_entries(kappa), g)
+    return _reading_objective(_pure_entries(_modulus_channel(kappa)), g)
 
 
 def damped_shift_objective(gamma: float, g: float, meter: GaussianMeter,
                            which: Literal["dp", "dq"]) -> Objective:
     """Pointer-shift objective with an amplitude-damped pure preselection."""
-    if which not in ("dp", "dq"):
-        raise ValueError(f"which must be 'dp' or 'dq', got {which!r}")
-    return _shift_objective(_damped_entries(gamma), g, meter, which)
+    return _shift_objective(_pure_entries(amplitude_damping(gamma)), g, meter, which)
 
 
 def damped_reading_objective(gamma: float, g: float) -> Objective:
     """Qubit-meter reading objective with an amplitude-damped pure preselection."""
-    return _reading_objective(_damped_entries(gamma), g)
+    return _reading_objective(_pure_entries(amplitude_damping(gamma)), g)
 
 
 def amplitude_damping_max(meter: GaussianMeter | Literal["qubit"], gamma: float,
@@ -382,8 +383,7 @@ def amplitude_damping_max(meter: GaussianMeter | Literal["qubit"], gamma: float,
     manifold approaches a pure state near the decay fixed point); gamma = 1
     is accepted but degenerate, hence the warning.
     """
-    if not (math.isfinite(gamma) and 0.0 <= gamma <= 1.0):
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
+    gamma = _check_gamma(gamma)
     if gamma == 1.0:
         warnings.warn("amplitude damping at gamma = 1 maps every state to |0>; "
                       "the amplification maxima collapse", stacklevel=2)

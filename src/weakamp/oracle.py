@@ -24,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .channels import phase_damping
 from .common import (
     PROB_FLOOR,
     GaussianMeter,
@@ -31,20 +32,15 @@ from .common import (
     QubitMeterReading,
     ShiftResult,
     VanishingPostselectionError,
+    _check_coupling,
 )
-from .optimize import maximize
+from .optimize import _modulus_channel, _pure_entries, maximize
 from .qubit import PAULI_X, PAULI_Z, BlochVector, PureQubit, QubitDensity, density_from_bloch, pure_state
 
 
 # ---------------------------------------------------------------------------
 # Exact qubit-meter oracle
 # ---------------------------------------------------------------------------
-
-
-def _check_coupling(g: float) -> float:
-    if not (math.isfinite(g) and g >= 0.0):
-        raise ValueError(f"coupling must be finite and non-negative, got {g!r}")
-    return float(g)
 
 
 def _joint_evolved(rho_s: QubitDensity, g: float) -> np.ndarray:
@@ -117,7 +113,13 @@ def default_grid(meter: GaussianMeter, g: float) -> PositionGrid:
     return PositionGrid(10.0 * meter.delta + 4.0 * g * meter.delta ** 2, 4096)
 
 
-@lru_cache(maxsize=None)
+#: Branch-moment sets kept per process.  Callers that evaluate many states at
+#: a few couplings hit the cache; seeded batteries draw a fresh coupling per
+#: sample, so an unbounded cache would grow by one entry per sample.
+_BRANCH_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_BRANCH_CACHE_SIZE)
 def _branch_moments(g: float, delta: float, half_width: float, points: int):
     """Norm, position, and momentum moments between the two meter branches.
 
@@ -267,26 +269,6 @@ def _random_pure(rng: np.random.Generator) -> PureQubit:
                       2.0 * math.pi * rng.random())
 
 
-def _mixed_entries(kappa: float):
-    half_mix = 0.5 * (1.0 - kappa)
-
-    def entries(t1: float, p0: float):
-        ch, sh = math.cos(0.5 * t1), math.sin(0.5 * t1)
-        half_perp = kappa * sh * ch
-        return (half_mix + kappa * ch * ch, half_mix + kappa * sh * sh,
-                half_perp * math.cos(p0), half_perp * math.sin(p0))
-    return entries
-
-
-def _dephased_entries(gamma: float):
-    def entries(t1: float, p0: float):
-        ch, sh = math.cos(0.5 * t1), math.sin(0.5 * t1)
-        half_perp = (1.0 - gamma) * sh * ch
-        return (ch * ch, sh * sh,
-                half_perp * math.cos(p0), half_perp * math.sin(p0))
-    return entries
-
-
 def _oracle_shift_objective(entries, g: float, meter: GaussianMeter, which: str):
     """Shift objective whose moments come from the grid, not a closed form."""
     grid = default_grid(meter, g)
@@ -377,7 +359,8 @@ def adjudicate_variants(seed: int = 7, pointwise_samples: int = 40,
     max_inputs = [(1.0, 0.3)] + [(rng.uniform(0.5, 1.0), rng.uniform(0.15, 0.45))
                                  for _ in range(2)]
     for i, (kappa, g) in enumerate(max_inputs):
-        objective = _oracle_shift_objective(_mixed_entries(kappa), g, meter, "dq")
+        objective = _oracle_shift_objective(
+            _pure_entries(_modulus_channel(kappa)), g, meter, "dq")
         oracle_max = abs(maximize(objective, grid_n=optimizer_grid_n).value)
         att = meter.coherence_factor(g)
         root = math.sqrt(1.0 - (kappa * att) ** 2)
@@ -392,7 +375,8 @@ def adjudicate_variants(seed: int = 7, pointwise_samples: int = 40,
     max_inputs = [(0.5, 0.3)] + [(rng.uniform(0.2, 0.8), rng.uniform(0.15, 0.45))
                                  for _ in range(2)]
     for i, (gamma, g) in enumerate(max_inputs):
-        objective = _oracle_shift_objective(_dephased_entries(gamma), g, meter, "dp")
+        objective = _oracle_shift_objective(
+            _pure_entries(phase_damping(gamma)), g, meter, "dp")
         oracle_max = abs(maximize(objective, grid_n=optimizer_grid_n).value)
         coh = (1.0 - gamma) * meter.coherence_factor(g)
         squared = g / math.sqrt(1.0 - coh * coh)
@@ -403,8 +387,6 @@ def adjudicate_variants(seed: int = 7, pointwise_samples: int = 40,
 
     # -- dispute 3: dephased qubit-meter reading numerator -------------------
     dispute = "dephased-reading-numerator"
-    from .channels import phase_damping  # local import keeps module deps one-way
-
     pinned = (2.0, 0.5, 1.2, 4.0, 0.4, 0.3)
     cases = [pinned]
     while len(cases) < pointwise_samples:

@@ -17,6 +17,8 @@ import math
 
 from .common import (
     PROB_FLOOR,
+    _check_coupling,
+    _check_kappa,
     MaxResult,
     QubitMeterReading,
     SingularLimitError,
@@ -27,16 +29,14 @@ from .qubit import PureQubit, QubitDensity
 
 def ordinary_reading(g: float) -> float:
     """Reading without postselection: sin^2(g), independent of the system state."""
-    if not (math.isfinite(g) and g >= 0.0):
-        raise ValueError(f"coupling must be finite and non-negative, got {g!r}")
+    g = _check_coupling(g)
     return math.sin(g) ** 2
 
 
 def postselected_reading(rho_s: QubitDensity, psi_f: PureQubit,
                          g: float) -> QubitMeterReading:
     """Reading conditioned on postselecting the system onto ``psi_f``."""
-    if not (math.isfinite(g) and g >= 0.0):
-        raise ValueError(f"coupling must be finite and non-negative, got {g!r}")
+    g = _check_coupling(g)
     u2 = abs(psi_f.alpha) ** 2
     v2 = 1.0 - u2
     w = psi_f.alpha * psi_f.beta.conjugate()
@@ -60,10 +60,8 @@ def qubit_max_reading(kappa: float, g: float) -> MaxResult:
     attained at orthogonal equatorial states: theta1 = theta2 = pi/2,
     phi0 = pi.  At kappa = 1 the maximum is 1 for any g > 0.
     """
-    if not (math.isfinite(kappa) and 0.0 <= kappa <= 1.0):
-        raise ValueError(f"kappa must lie in [0, 1], got {kappa!r}")
-    if not (math.isfinite(g) and g >= 0.0):
-        raise ValueError(f"coupling must be finite and non-negative, got {g!r}")
+    kappa = _check_kappa(kappa)
+    g = _check_coupling(g)
     s2 = math.sin(g) ** 2
     denom = (1.0 - kappa) + 2.0 * kappa * s2
     if denom == 0.0:

@@ -30,11 +30,12 @@ from .oracle import (
     ADJUDICATION_TOLERANCE,
     REJECTION_FACTOR,
     AdjudicationReport,
+    _random_density,
+    _random_pure,
     adjudicate_variants,
     gaussian_grid_evolve,
     qubit_joint_evolve,
 )
-from .qubit import BlochVector, PureQubit, QubitDensity, density_from_bloch, pure_state
 from .qubitmeter import postselected_reading, qubit_max_reading
 
 FAULT_NAMES = ("dp-max", "dq-max", "reading-max")
@@ -100,18 +101,6 @@ class VerifyReport:
         lines.append(self.adjudication.to_text())
         lines.append("overall: " + ("PASS" if self.ok else "FAIL"))
         return "\n".join(lines)
-
-
-def _random_density(rng: np.random.Generator) -> QubitDensity:
-    direction = rng.normal(size=3)
-    direction /= np.linalg.norm(direction)
-    radius = rng.random() ** (1.0 / 3.0)
-    return density_from_bloch(BlochVector(*(radius * direction)))
-
-
-def _random_pure(rng: np.random.Generator) -> PureQubit:
-    return pure_state(math.acos(1.0 - 2.0 * rng.random()),
-                      2.0 * math.pi * rng.random())
 
 
 def qubit_oracle_battery(rng: np.random.Generator, samples: int) -> list[CheckRecord]:

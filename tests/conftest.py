@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 from hypothesis import strategies as st
 
 from weakamp import BlochVector, PureQubit, QubitDensity, density_from_bloch, pure_state
@@ -35,15 +34,3 @@ def densities() -> st.SearchStrategy[QubitDensity]:
 
 def gammas():
     return st.floats(min_value=0.0, max_value=1.0)
-
-
-def random_density(rng: np.random.Generator) -> QubitDensity:
-    direction = rng.normal(size=3)
-    direction /= np.linalg.norm(direction)
-    radius = rng.random() ** (1.0 / 3.0)
-    return density_from_bloch(BlochVector(*(radius * direction)))
-
-
-def random_pure(rng: np.random.Generator) -> PureQubit:
-    return pure_state(math.acos(1.0 - 2.0 * rng.random()),
-                      2.0 * math.pi * rng.random())

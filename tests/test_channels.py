@@ -47,6 +47,17 @@ def test_identity_at_zero_strength(ctor, rho):
 
 @pytest.mark.parametrize("ctor", ALL_CHANNELS)
 @given(rho=densities(), gamma=gammas())
+@settings(max_examples=100)
+def test_convex_form_equals_kraus_sum(ctor, rho, gamma):
+    # The direct entry map against the Kraus-sum reference.
+    channel = ctor(gamma)
+    direct = channel.apply(rho).matrix
+    summed = channel.apply_kraus(rho).matrix
+    assert np.max(np.abs(direct - summed)) < 1e-12
+
+
+@pytest.mark.parametrize("ctor", ALL_CHANNELS)
+@given(rho=densities(), gamma=gammas())
 @settings(max_examples=150)
 def test_trace_and_positivity_preserved(ctor, rho, gamma):
     out = ctor(gamma).apply(rho)
@@ -76,14 +87,6 @@ class TestDepolarizing:
         out = depolarizing(gamma).apply(psi.density())
         assert abs(bloch_from_density(out).modulus - (1.0 - gamma)) < 1e-12
 
-    @given(rho=densities(), gamma=gammas())
-    @settings(max_examples=100)
-    def test_convex_form_equals_kraus_sum(self, rho, gamma):
-        channel = depolarizing(gamma)
-        direct = channel.apply(rho).matrix
-        summed = channel.apply_kraus(rho).matrix
-        assert np.max(np.abs(direct - summed)) < 1e-12
-
 
 class TestPhaseDamping:
     def test_balanced_superposition(self):
@@ -108,6 +111,15 @@ class TestPhaseDamping:
         assert abs(out.rho00 - rho.rho00) < 1e-12
         assert abs(out.rho11 - rho.rho11) < 1e-12
         assert abs(out.rho01 - (1.0 - gamma) * rho.rho01) < 1e-12
+
+    def test_coherence_accurate_near_full_strength(self):
+        # 1 - gamma is tiny here; the factor must not be recovered from
+        # 1 - (1 - gamma)^2, which cancels.
+        rho = pure_state(math.pi / 2, 0.3).density()
+        for gamma in (1.0 - 1e-9, 0.9999999910036526):
+            out = phase_damping(gamma).apply(rho)
+            want = (1.0 - gamma) * rho.rho01
+            assert abs(out.rho01 - want) <= 1e-12 * abs(want)
 
     def test_diagonal_states_are_fixed(self):
         rho = density_from_bloch(BlochVector(0, 0, 0))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -173,6 +174,47 @@ class TestFig:
     def test_unwritable_output(self):
         assert main(["fig", "1", "--steps", "3",
                      "--output", "/nonexistent-dir/fig.csv"]) == 4
+
+
+#: SHA-256 of ``weakamp fig N --output F`` on the default sweep.  These CSVs
+#: are specified output and must stay byte-identical.
+FIG_DIGESTS = {
+    1: "e60d90d3ab5bf176cc2da3a638d412b495be5d53fe61992e4d664eeb4c3cce4f",
+    2: "e0f1a7e2899ba0fdbde8f42b897e487323a7e2067f812da0edf59ff8b2df3163",
+    3: "b3afe297e9760840fd2a61d517f7010d8da9bacf64d68356f5398c6476982af0",
+    4: "0380c457763560985d3dad75c175adac3f2ba716dc0388265e9e14b31d16ffe8",
+}
+#: ``weakamp shift`` invocations and the SHA-256 of their stdout.
+SHIFT_DIGESTS = (
+    (("shift", "--meter", "gaussian", "--r", "1", "--theta1", "1.5707963",
+      "--theta2", "1.5707963", "--phi0", "0", "--g-over-dp", "0.1", "--delta", "1"),
+     "58649c9a87908f3c2390876db50a28c83060cc2f44ad5fb6d5abbabcdacaebe4"),
+    (("shift", "--meter", "qubit", "--channel", "phase-damping", "--gamma", "0.3",
+      "--theta1", "1.2", "--theta2", "0.4", "--g", "0.1"),
+     "14af54928e6e9b98156983f30d13f7ee614e8d0a6e31a2d60b4911fc1919d700"),
+    (("shift", "--meter", "gaussian", "--channel", "amplitude-damping", "--gamma", "0.5",
+      "--theta1", "2.0", "--theta2", "1.0", "--phi0", "3.0", "--g-over-dp", "0.05",
+      "--delta", "1.5"),
+     "ee22f706f90eadc17b9cfb4920aa9f0a35c3eb13b5bb19f4485ab87edbadbb87"),
+    (("shift", "--meter", "qubit", "--channel", "depolarizing", "--gamma", "0.2",
+      "--r", "0.9", "--theta1", "0.7", "--theta2", "2.5", "--phi0", "1.0", "--g", "0.03"),
+     "d412afcaad91b62b029d8c859d699d6dbcfbf6c9a15414e7af0b5c5e5007572b"),
+)
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("n", sorted(FIG_DIGESTS))
+    def test_fig_csv_digest(self, tmp_path, n):
+        out = tmp_path / f"fig{n}.csv"
+        assert main(["fig", str(n), "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FIG_DIGESTS[n]
+
+    @pytest.mark.parametrize("argv,digest", SHIFT_DIGESTS,
+                             ids=[argv[2] + "-" + argv[4] for argv, _ in SHIFT_DIGESTS])
+    def test_shift_digest(self, capsys, argv, digest):
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestVerify:

@@ -12,17 +12,37 @@ from weakamp import (
     damped_reading_objective,
     damped_shift_objective,
     density_from_bloch,
+    depolarizing,
     gaussian_max_shifts,
     gaussian_shifts,
     kappa_reading_objective,
     kappa_shift_objective,
     maximize,
+    phase_damping,
     postselected_reading,
     pure_state,
     qubit_max_reading,
 )
+from weakamp.optimize import _pure_entries, _reading_objective, _shift_objective
 
 METER = GaussianMeter(1.0)
+
+
+def _dephased_shift_objective(gamma, g, meter, which):
+    return _shift_objective(_pure_entries(phase_damping(gamma)), g, meter, which)
+
+
+def _dephased_reading_objective(gamma, g):
+    return _reading_objective(_pure_entries(phase_damping(gamma)), g)
+
+
+#: Preselection family -> (channel on a pure state, shift and reading builders).
+FAMILIES = {
+    "kappa": (lambda kappa: depolarizing(1.0 - kappa),
+              kappa_shift_objective, kappa_reading_objective),
+    "dephased": (phase_damping, _dephased_shift_objective, _dephased_reading_objective),
+    "damped": (amplitude_damping, damped_shift_objective, damped_reading_objective),
+}
 
 
 def _modulus_state(kappa, theta, phi):
@@ -112,25 +132,27 @@ class TestObjectiveBuilders:
                 continue
             assert abs(objective(t1, t2, p0) - res.reading) < 1e-13
 
-    def test_damped_builders_match_channel_composition(self):
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_damped_builders_match_channel_composition(self, family):
+        channel, shift_objective, reading_objective = FAMILIES[family]
         rng = np.random.default_rng(33)
         for _ in range(200):
-            gamma = rng.uniform(0, 1)
+            strength = rng.uniform(0, 1)
             g = rng.uniform(0, 0.5)
             t1, t2 = rng.uniform(0, math.pi, size=2)
             p0 = rng.uniform(0, 2 * math.pi)
-            rho = amplitude_damping(gamma).apply(pure_state(t1, p0).density())
+            rho = channel(strength).apply(pure_state(t1, p0).density())
             psi_f = pure_state(t2, 0.0)
             try:
                 shifts = gaussian_shifts(rho, psi_f, g, METER)
                 reading = postselected_reading(rho, psi_f, g)
             except Exception:
                 continue
-            assert abs(damped_shift_objective(gamma, g, METER, "dp")(t1, t2, p0)
+            assert abs(shift_objective(strength, g, METER, "dp")(t1, t2, p0)
                        - shifts.dp_shift) < 1e-13
-            assert abs(damped_shift_objective(gamma, g, METER, "dq")(t1, t2, p0)
+            assert abs(shift_objective(strength, g, METER, "dq")(t1, t2, p0)
                        - shifts.dq_shift) < 1e-13
-            assert abs(damped_reading_objective(gamma, g)(t1, t2, p0)
+            assert abs(reading_objective(strength, g)(t1, t2, p0)
                        - reading.reading) < 1e-13
 
     def test_vanishing_postselection_evaluates_to_zero(self):

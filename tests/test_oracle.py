@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import weakamp.oracle
-from conftest import random_density, random_pure
 from weakamp import (
     GaussianMeter,
     GridTooSmallError,
@@ -19,6 +18,8 @@ from weakamp import (
     qubit_meter_marginal,
 )
 from weakamp.oracle import _joint_evolved
+from weakamp.oracle import _random_density as random_density
+from weakamp.oracle import _random_pure as random_pure
 
 METER = GaussianMeter(1.0)
 
@@ -89,6 +90,13 @@ class TestGrid:
             grid = default_grid(GaussianMeter(delta), 0.1)
             n_mat, _, _ = _branch_moments(0.1, delta, grid.half_width, grid.points)
             assert abs(n_mat[0, 0].real - 1.0) < 1e-8
+
+    def test_branch_moment_cache_is_bounded(self):
+        # Batteries draw a fresh coupling per sample; the cache must not grow
+        # with the sample count.
+        from weakamp.oracle import _branch_moments
+
+        assert _branch_moments.cache_info().maxsize is not None
 
     def test_too_small_grid_rejected(self):
         rho = pure_state(1.0, 0.0).density()
