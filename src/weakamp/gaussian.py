@@ -8,6 +8,9 @@ and w = alpha2 * conj(beta2):
     Pro  = rho00 |alpha2|^2 + rho11 |beta2|^2 + 2 E Re(rho10 w)
     dp'  = g (rho00 |alpha2|^2 - rho11 |beta2|^2) / Pro
     dq'  = 4 g delta^2 E Im(rho10 w) / Pro
+
+This formula exists once, as ``_shift_kernel``, shared by ``gaussian_shifts``
+and the optimizer's objectives (``optimize._Objective``).
 """
 
 from __future__ import annotations
@@ -27,6 +30,16 @@ from .common import (
 from .qubit import PureQubit, QubitDensity
 
 
+def _shift_kernel(g, att, dq_scale, rho00, rho11, cross_re, cross_im, u2, v2):
+    """dp' and dq' numerators and Pro, for att = E, dq_scale = 4 g delta^2 E,
+    cross = rho10 w, u2 = |alpha2|^2 and v2 = |beta2|^2.
+
+    Arithmetic only, so it runs on floats and on numpy arrays alike.
+    """
+    prob = rho00 * u2 + rho11 * v2 + 2.0 * att * cross_re
+    return g * (rho00 * u2 - rho11 * v2), dq_scale * cross_im, prob
+
+
 def gaussian_shifts(rho_s: QubitDensity, psi_f: PureQubit, g: float,
                     meter: GaussianMeter) -> ShiftResult:
     """Momentum and position shifts of the pointer conditioned on postselection.
@@ -37,15 +50,13 @@ def gaussian_shifts(rho_s: QubitDensity, psi_f: PureQubit, g: float,
     g = _check_coupling(g)
     att = meter.coherence_factor(g)
     u2 = abs(psi_f.alpha) ** 2
-    v2 = 1.0 - u2
-    w = psi_f.alpha * psi_f.beta.conjugate()
-    cross = rho_s.rho10 * w
-    prob = rho_s.rho00.real * u2 + rho_s.rho11.real * v2 + 2.0 * att * cross.real
+    cross = rho_s.rho10 * (psi_f.alpha * psi_f.beta.conjugate())
+    dp_num, dq_num, prob = _shift_kernel(
+        g, att, 4.0 * g * meter.delta ** 2 * att,
+        rho_s.rho00.real, rho_s.rho11.real, cross.real, cross.imag, u2, 1.0 - u2)
     if prob <= PROB_FLOOR:
         raise VanishingPostselectionError(prob)
-    dp = g * (rho_s.rho00.real * u2 - rho_s.rho11.real * v2) / prob
-    dq = 4.0 * g * meter.delta ** 2 * att * cross.imag / prob
-    return ShiftResult(dp, dq, prob)
+    return ShiftResult(dp_num / prob, dq_num / prob, prob)
 
 
 def gaussian_max_shifts(kappa: float, g: float,

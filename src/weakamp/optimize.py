@@ -15,26 +15,35 @@ give identical outputs.
 Objective builders for the standard preselection families live here too.
 Every family is a channel applied to pure_state(theta1, phi0), and one
 builder, ``_pure_entries``, turns any channel's entry map into the density
-entries along (theta1, phi0): the modulus-kappa family is depolarizing at
-strength 1 - kappa, the damped family is amplitude damping.  The meter
-formulas, by contrast, are inlined here rather than shared with the meter
-modules (tests cross-check the two): one more Python call per probe adds a
-fifth to a third of its cost, and the default 64^3-sample coarse grid makes
-over 262k probes per search.  Probes where the postselection probability
-falls below the usable floor evaluate to 0, letting the search traverse
-near-orthogonal regions where the conditional shift is only defined in the
-limit.
+entries: the modulus-kappa family is depolarizing at strength 1 - kappa, the
+damped family is amplitude damping.  An ``_Objective`` joins such a family to
+a meter kernel, ``gaussian._shift_kernel`` or ``qubitmeter._reading_kernel``,
+the only copy of each meter formula.  Calling it probes one point on Python
+floats with ``math`` trigonometry, about ten times faster than a one-point
+numpy evaluation; the refinement and every reported value use this face.
+Its ``slab`` runs the same arithmetic on numpy arrays over one theta1 slab of
+the coarse grid, so the default 64^3-point grid is 64 slab calls instead of
+262k probes, with bit-identical values.  Probes where the postselection
+probability falls below the usable floor evaluate to 0, letting the search
+traverse near-orthogonal regions where the conditional shift is only defined
+in the limit.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Literal
+
+import numpy as np
 
 from .channels import KrausChannel, amplitude_damping, depolarizing
 from .common import PROB_FLOOR, GaussianMeter, _check_gamma, _check_kappa
+from .gaussian import _shift_kernel
+from .qubitmeter import _reading_kernel
 
 Objective = Callable[[float, float, float], float]
 
@@ -234,18 +243,45 @@ def _home_boundaries(search: _Search, grid_n: int, tol: float) -> None:
                 current = point
 
 
+#: Coarse-grid axes plus the ``math`` trigonometry that every slab shares, so
+#: slabs and single probes see the same floats.  theta2 factors are columns
+#: and phi0 factors rows: a slab is indexed [theta2, phi0].
+_Grid = namedtuple("_Grid", "theta phi u2 v2 w cos_phi sin_phi")
+
+
+def _coarse_grid(grid_n: int) -> _Grid:
+    theta_step = math.pi / (grid_n - 1)
+    phi_step = 2.0 * math.pi / grid_n
+    theta = [i * theta_step for i in range(grid_n)]
+    phi = [i * phi_step for i in range(grid_n)]
+    ch = np.array([[math.cos(0.5 * t)] for t in theta])
+    sh = np.array([[math.sin(0.5 * t)] for t in theta])
+    return _Grid(theta, phi, ch * ch, sh * sh, sh * ch,
+                 np.array([math.cos(p) for p in phi]),
+                 np.array([math.sin(p) for p in phi]))
+
+
+def _loop_slab(objective: Objective, t1: float, grid: _Grid) -> np.ndarray:
+    """A theta1 slab of any callable objective, one probe per point."""
+    return np.array([[objective(t1, t2, p0) for p0 in grid.phi]
+                     for t2 in grid.theta])
+
+
 def maximize(objective: Objective, grid_n: int = 64,
              tol: float = 1e-12, max_cycles: int = 200) -> OptimizationResult:
     """Maximize |objective| over the angle domain.
 
     A coarse grid of grid_n^3 samples locates the basin of the global
-    maximum.  Cyclic refinement (dense rescan plus golden-section line
-    search along each coordinate and the polar diagonals, then a pattern
-    move along the cycle's net displacement) polishes it until a full cycle
+    maximum; it only picks the refinement start (the first grid point with
+    the largest |value|), and every value reported comes from single
+    probes.  Cyclic refinement (dense rescan plus golden-section line search
+    along each coordinate and the polar diagonals, then a pattern move
+    along the cycle's net displacement) polishes it until a full cycle
     improves the best |value| by less than ``tol``; a final boundary-homing
     stage follows ridges whose supremum sits at a polar-angle boundary.
     The objective must accept any theta in [0, pi] and be 2 pi-periodic in
-    phi0.
+    phi0.  An objective with a ``slab`` face has the grid evaluated a theta1
+    slab at a time; any other callable is probed point by point.
 
     Returns the signed objective value at the best point found.
     """
@@ -255,16 +291,25 @@ def maximize(objective: Objective, grid_n: int = 64,
         raise ValueError(f"tol must be positive, got {tol!r}")
 
     search = _Search(objective)
-    theta_step = math.pi / (grid_n - 1)
-    phi_step = 2.0 * math.pi / grid_n
-    theta_axis = [i * theta_step for i in range(grid_n)]
-    phi_axis = [i * phi_step for i in range(grid_n)]
-    for t1 in theta_axis:
-        for t2 in theta_axis:
-            for p0 in phi_axis:
-                search.probe(t1, t2, p0)
+    grid = _coarse_grid(grid_n)
+    slab = getattr(objective, "slab", None) or partial(_loop_slab, objective)
+    start, start_abs = None, -1.0
+    for t1 in grid.theta:
+        values = slab(t1, grid)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise OptimizationError(PPSPoint(t1, grid.theta[i], grid.phi[j]),
+                                    float(values[i, j]))
+        magnitude = np.abs(values)
+        k = int(magnitude.argmax())
+        if magnitude.flat[k] > start_abs:
+            start_abs = magnitude.flat[k]
+            i, j = divmod(k, grid_n)
+            start = (t1, grid.theta[i], grid.phi[j])
+    search.evaluations = grid_n ** 3
 
-    _, _, converged = _refine_from(search, search.best_point, _DIRECTIONS,
+    _, _, converged = _refine_from(search, start, _DIRECTIONS,
                                    grid_n, tol, max_cycles)
     _home_boundaries(search, grid_n, tol)
 
@@ -282,20 +327,21 @@ def maximize(objective: Objective, grid_n: int = 64,
 def _pure_entries(channel: KrausChannel):
     """Density entries of ``channel`` applied to pure_state(theta1, phi0).
 
-    The channel's entry map acts on the pure state's half-angle products
-    cos^2, sin^2 and sin cos.  Populations come out as sums of non-negative
-    terms, never as 1 - x, so the small entries stay accurate near the poles,
-    where the conditional shifts live right above the probability floor.
+    ``entries(cos(theta1/2), sin(theta1/2), cos(phi0), sin(phi0))`` returns
+    (rho00, rho11, Re rho10, Im rho10): the channel's entry map on the pure
+    state's half-angle products.  Populations come out as sums of
+    non-negative terms, never as 1 - x, so the small entries stay accurate
+    near the poles, where the conditional shifts live right above the
+    probability floor.
     """
     (t00, t01), (t10, t11) = channel.transfer
     coherence = channel.coherence
 
-    def entries(t1: float, p0: float):
-        ch, sh = math.cos(0.5 * t1), math.sin(0.5 * t1)
+    def entries(ch, sh, cos_p0, sin_p0):
         c2, s2 = ch * ch, sh * sh
         half_perp = coherence * sh * ch
         return (t00 * c2 + t01 * s2, t10 * c2 + t11 * s2,
-                half_perp * math.cos(p0), half_perp * math.sin(p0))
+                half_perp * cos_p0, half_perp * sin_p0)
 
     return entries
 
@@ -309,67 +355,80 @@ def _modulus_channel(kappa: float) -> KrausChannel:
     return replace(depolarizing(1.0 - kappa), coherence=kappa)
 
 
-def _shift_objective(entries, g: float, meter: GaussianMeter,
-                     which: str) -> Objective:
+class _Objective:
+    """Meter value over a family's ``entries``, postselected on pure_state(theta2, 0).
+
+    ``kernel(rho00, rho11, cross_re, cross_im, u2, v2)`` is a meter kernel
+    with its constants bound; ``pick`` selects which of its numerators to
+    divide by the postselection probability it returns last.
+    """
+
+    __slots__ = ("entries", "kernel", "pick")
+
+    def __init__(self, entries, kernel, pick: int = 0):
+        self.entries = entries
+        self.kernel = kernel
+        self.pick = pick
+
+    def __call__(self, t1: float, t2: float, p0: float) -> float:
+        rho00, rho11, re10, im10 = self.entries(
+            math.cos(0.5 * t1), math.sin(0.5 * t1), math.cos(p0), math.sin(p0))
+        ch, sh = math.cos(0.5 * t2), math.sin(0.5 * t2)
+        w = sh * ch
+        out = self.kernel(rho00, rho11, re10 * w, im10 * w, ch * ch, sh * sh)
+        prob = out[-1]
+        if prob <= PROB_FLOOR:
+            return 0.0
+        return out[self.pick] / prob
+
+    def slab(self, t1: float, grid: _Grid) -> np.ndarray:
+        """Values on grid.theta x grid.phi at this theta1, as one array."""
+        rho00, rho11, re10, im10 = self.entries(
+            math.cos(0.5 * t1), math.sin(0.5 * t1), grid.cos_phi, grid.sin_phi)
+        out = self.kernel(rho00, rho11, re10 * grid.w, im10 * grid.w,
+                          grid.u2, grid.v2)
+        prob = out[-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(prob <= PROB_FLOOR, 0.0, out[self.pick] / prob)
+
+
+def _family_objective(entries, g: float, meter: GaussianMeter | Literal["qubit"],
+                      which: Literal["dp", "dq", "reading"]) -> _Objective:
+    """The ``which`` objective of ``meter`` over the family ``entries``."""
+    if which == "reading":
+        if meter != "qubit":
+            raise ValueError("'reading' requires the qubit meter")
+        return _Objective(entries, partial(_reading_kernel, math.sin(g) ** 2,
+                                           math.cos(2.0 * g)))
+    if not isinstance(meter, GaussianMeter):
+        raise ValueError(f"'{which}' requires a GaussianMeter")
     if which not in ("dp", "dq"):
         raise ValueError(f"which must be 'dp' or 'dq', got {which!r}")
     att = meter.coherence_factor(g)
-    dq_scale = 4.0 * g * meter.delta ** 2 * att
-    want_dp = which == "dp"
-
-    def f(t1: float, t2: float, p0: float) -> float:
-        rho00, rho11, re10, im10 = entries(t1, p0)
-        ch, sh = math.cos(0.5 * t2), math.sin(0.5 * t2)
-        u2 = ch * ch
-        v2 = sh * sh
-        wre = sh * ch
-        prob = rho00 * u2 + rho11 * v2 + 2.0 * att * re10 * wre
-        if prob <= PROB_FLOOR:
-            return 0.0
-        if want_dp:
-            return g * (rho00 * u2 - rho11 * v2) / prob
-        return dq_scale * im10 * wre / prob
-
-    return f
-
-
-def _reading_objective(entries, g: float) -> Objective:
-    s2 = math.sin(g) ** 2
-    c2g = math.cos(2.0 * g)
-
-    def f(t1: float, t2: float, p0: float) -> float:
-        rho00, rho11, re10, _ = entries(t1, p0)
-        ch, sh = math.cos(0.5 * t2), math.sin(0.5 * t2)
-        base = rho00 * ch * ch + rho11 * sh * sh
-        cross = re10 * sh * ch
-        prob = base + 2.0 * c2g * cross
-        if prob <= PROB_FLOOR:
-            return 0.0
-        return s2 * (base - 2.0 * cross) / prob
-
-    return f
+    kernel = partial(_shift_kernel, g, att, 4.0 * g * meter.delta ** 2 * att)
+    return _Objective(entries, kernel, ("dp", "dq").index(which))
 
 
 def kappa_shift_objective(kappa: float, g: float, meter: GaussianMeter,
                           which: Literal["dp", "dq"]) -> Objective:
     """|dp'| or |dq'| objective for the modulus-kappa preselection family."""
-    return _shift_objective(_pure_entries(_modulus_channel(kappa)), g, meter, which)
+    return _family_objective(_pure_entries(_modulus_channel(kappa)), g, meter, which)
 
 
 def kappa_reading_objective(kappa: float, g: float) -> Objective:
     """Qubit-meter reading objective for the modulus-kappa family."""
-    return _reading_objective(_pure_entries(_modulus_channel(kappa)), g)
+    return _family_objective(_pure_entries(_modulus_channel(kappa)), g, "qubit", "reading")
 
 
 def damped_shift_objective(gamma: float, g: float, meter: GaussianMeter,
                            which: Literal["dp", "dq"]) -> Objective:
     """Pointer-shift objective with an amplitude-damped pure preselection."""
-    return _shift_objective(_pure_entries(amplitude_damping(gamma)), g, meter, which)
+    return _family_objective(_pure_entries(amplitude_damping(gamma)), g, meter, which)
 
 
 def damped_reading_objective(gamma: float, g: float) -> Objective:
     """Qubit-meter reading objective with an amplitude-damped pure preselection."""
-    return _reading_objective(_pure_entries(amplitude_damping(gamma)), g)
+    return _family_objective(_pure_entries(amplitude_damping(gamma)), g, "qubit", "reading")
 
 
 def amplitude_damping_max(meter: GaussianMeter | Literal["qubit"], gamma: float,
@@ -387,12 +446,5 @@ def amplitude_damping_max(meter: GaussianMeter | Literal["qubit"], gamma: float,
     if gamma == 1.0:
         warnings.warn("amplitude damping at gamma = 1 maps every state to |0>; "
                       "the amplification maxima collapse", stacklevel=2)
-    if which == "reading":
-        if meter != "qubit":
-            raise ValueError("'reading' requires the qubit meter")
-        objective = damped_reading_objective(gamma, g)
-    else:
-        if not isinstance(meter, GaussianMeter):
-            raise ValueError(f"'{which}' requires a GaussianMeter")
-        objective = damped_shift_objective(gamma, g, meter, which)
+    objective = _family_objective(_pure_entries(amplitude_damping(gamma)), g, meter, which)
     return maximize(objective, grid_n=grid_n, tol=tol)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .common import (
     VanishingPostselectionError,
     _check_coupling,
 )
-from .optimize import _modulus_channel, _pure_entries, maximize
+from .optimize import _modulus_channel, _Objective, _pure_entries, maximize
 from .qubit import PAULI_X, PAULI_Z, BlochVector, PureQubit, QubitDensity, density_from_bloch, pure_state
 
 
@@ -76,7 +76,7 @@ def qubit_joint_evolve(rho_s: QubitDensity, psi_f: PureQubit | None,
         amps = psi_f.amplitudes()
         meter = np.einsum("s,smtn,t->mn", amps.conj(), evolved, amps)
         prob = float(np.trace(meter).real)
-        if prob <= 1e-300:
+        if prob <= PROB_FLOOR:
             raise VanishingPostselectionError(prob)
         meter = meter / prob
     return QubitMeterReading(float(meter[1, 1].real), prob)
@@ -189,6 +189,9 @@ def gaussian_grid_evolve(rho_s: QubitDensity, psi_f: PureQubit, g: float,
 # Variant adjudication
 # ---------------------------------------------------------------------------
 
+#: Rejection-sampling attempts allowed per requested sample; a sampler that
+#: runs out of attempts reports a shortfall instead of looping forever.
+_ATTEMPTS_PER_SAMPLE = 100
 #: A variant agreeing with the oracle must stay within this deviation.
 ADJUDICATION_TOLERANCE = 1e-6
 #: ...and the rejected variant must exceed tolerance by this factor somewhere.
@@ -269,29 +272,30 @@ def _random_pure(rng: np.random.Generator) -> PureQubit:
                       2.0 * math.pi * rng.random())
 
 
+def _moment_kernel(n10_re, n10_im, m00, m11, m10_re, m10_im, m01_re, m01_im,
+                   rho00, rho11, cross_re, cross_im, u2, v2):
+    """Branch-moment numerator and postselection probability.
+
+    With the cross term c = rho10 w, the branch overlap N10 and the moment
+    matrix M of the grid: prob = rho00 u2 + rho11 v2 + 2 Re(c N10) and the
+    numerator is rho00 u2 M00 + rho11 v2 M11 + Re(c M10 + conj(c) M01).
+    Arithmetic only, so the arguments may be floats or numpy arrays.
+    """
+    prob = rho00 * u2 + rho11 * v2 + 2.0 * (cross_re * n10_re - cross_im * n10_im)
+    value = rho00 * u2 * m00 + rho11 * v2 * m11 \
+        + ((cross_re * m10_re - cross_im * m10_im) + (cross_re * m01_re + cross_im * m01_im))
+    return value, prob
+
+
 def _oracle_shift_objective(entries, g: float, meter: GaussianMeter, which: str):
     """Shift objective whose moments come from the grid, not a closed form."""
     grid = default_grid(meter, g)
     n_mat, q_mat, p_mat = _branch_moments(g, meter.delta, grid.half_width, grid.points)
     moment = q_mat if which == "dq" else p_mat
-    n10 = n_mat[1, 0]
-    m00, m11 = moment[0, 0].real, moment[1, 1].real
-    m10, m01 = moment[1, 0], moment[0, 1]
-
-    def f(t1: float, t2: float, p0: float) -> float:
-        rho00, rho11, re10, im10 = entries(t1, p0)
-        ch, sh = math.cos(0.5 * t2), math.sin(0.5 * t2)
-        u2 = ch * ch
-        v2 = sh * sh
-        c10 = complex(re10, im10) * (sh * ch)
-        prob = rho00 * u2 + rho11 * v2 + 2.0 * (c10 * n10).real
-        if prob <= PROB_FLOOR:
-            return 0.0
-        value = rho00 * u2 * m00 + rho11 * v2 * m11 \
-            + (c10 * m10 + c10.conjugate() * m01).real
-        return value / prob
-
-    return f
+    n10, m10, m01 = n_mat[1, 0], moment[1, 0], moment[0, 1]
+    constants = (n10.real, n10.imag, moment[0, 0].real, moment[1, 1].real,
+                 m10.real, m10.imag, m01.real, m01.imag)
+    return _Objective(entries, partial(_moment_kernel, *map(float, constants)))
 
 
 def adjudicate_variants(seed: int = 7, pointwise_samples: int = 40,
@@ -331,7 +335,7 @@ def adjudicate_variants(seed: int = 7, pointwise_samples: int = 40,
     dispute = "position-shift-attenuation"
     produced = 0
     attempts = 0
-    while produced < pointwise_samples and attempts < 100 * pointwise_samples:
+    while produced < pointwise_samples and attempts < _ATTEMPTS_PER_SAMPLE * pointwise_samples:
         attempts += 1
         rho = _random_density(rng)
         psi_f = _random_pure(rng)

@@ -5,9 +5,12 @@ Three batteries, all seeded and deterministic:
 * oracle equivalence: the closed-form qubit reading against the exact 4x4
   joint evolution (tolerance 1e-12) and the closed-form Gaussian shifts
   against the grid evolution (tolerance 1e-6 absolute, g * delta <= 0.5);
+  each record carries the samples compared, and a sampler that runs out of
+  attempts before producing the requested samples fails its battery;
 * optimizer recovery: the numerical maximizer against the closed-form
   maxima on a (kappa, g) battery (tolerance 1e-6 relative), including the
-  dominance check that the optimizer never exceeds a closed form;
+  dominance check that the optimizer never exceeds a closed form; a search
+  that stops without converging fails on its own record;
 * variant adjudication, plus the consistency check that the shipped
   formulas equal the adjudicated normative variants.
 
@@ -30,6 +33,7 @@ from .oracle import (
     ADJUDICATION_TOLERANCE,
     REJECTION_FACTOR,
     AdjudicationReport,
+    _ATTEMPTS_PER_SAMPLE,
     _random_density,
     _random_pure,
     adjudicate_variants,
@@ -50,6 +54,8 @@ class CheckRecord:
     case: str
     deviation: float
     tolerance: float
+    #: Random inputs compared, for the oracle batteries; None elsewhere.
+    samples: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -103,36 +109,56 @@ class VerifyReport:
         return "\n".join(lines)
 
 
+def _oracle_battery(section: str, samples: int, tolerance: float,
+                    keys: tuple[str, ...], compare) -> list[CheckRecord]:
+    """Worst deviations per key over ``samples`` accepted random inputs.
+
+    ``compare()`` draws one input and returns its deviations in ``keys``
+    order, or None to reject it.  After ``_ATTEMPTS_PER_SAMPLE * samples``
+    draws the battery stops, and a shortfall fails it.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    worst = dict.fromkeys(keys, 0.0)
+    produced = 0
+    for _ in range(_ATTEMPTS_PER_SAMPLE * samples):
+        if produced == samples:
+            break
+        deviations = compare()
+        if deviations is None:
+            continue
+        for key, dev in zip(keys, deviations):
+            worst[key] = max(worst[key], dev)
+        produced += 1
+    records = [CheckRecord(section, key, dev, tolerance, produced)
+               for key, dev in worst.items()]
+    if produced < samples:
+        records.append(CheckRecord(section, "samples", float(samples - produced),
+                                   0.0, produced))
+    return records
+
+
 def qubit_oracle_battery(rng: np.random.Generator, samples: int) -> list[CheckRecord]:
     """Closed-form qubit readings against the exact joint evolution."""
-    worst_reading = 0.0
-    worst_prob = 0.0
-    produced = 0
-    while produced < samples:
+    def compare():
         rho = _random_density(rng)
         psi_f = _random_pure(rng)
         g = rng.uniform(0.01, 1.5)
         try:
             closed = postselected_reading(rho, psi_f, g)
         except VanishingPostselectionError:
-            continue
+            return None
         if closed.prob < 1e-4:
-            continue  # division noise would swamp the 1e-12 comparison
+            return None  # division noise would swamp the 1e-12 comparison
         exact = qubit_joint_evolve(rho, psi_f, g)
-        worst_reading = max(worst_reading, abs(closed.reading - exact.reading))
-        worst_prob = max(worst_prob, abs(closed.prob - exact.prob))
-        produced += 1
-    return [
-        CheckRecord("qubit-oracle", "reading", worst_reading, 1e-12),
-        CheckRecord("qubit-oracle", "prob", worst_prob, 1e-12),
-    ]
+        return abs(closed.reading - exact.reading), abs(closed.prob - exact.prob)
+
+    return _oracle_battery("qubit-oracle", samples, 1e-12, ("reading", "prob"), compare)
 
 
 def gaussian_oracle_battery(rng: np.random.Generator, samples: int) -> list[CheckRecord]:
     """Closed-form Gaussian shifts against the grid evolution."""
-    worst = {"dp": 0.0, "dq": 0.0, "prob": 0.0}
-    produced = 0
-    while produced < samples:
+    def compare():
         delta = rng.uniform(0.5, 2.0)
         meter = GaussianMeter(delta)
         g = rng.uniform(0.02, 0.5) / delta
@@ -141,16 +167,14 @@ def gaussian_oracle_battery(rng: np.random.Generator, samples: int) -> list[Chec
         try:
             closed = gaussian_shifts(rho, psi_f, g, meter)
         except VanishingPostselectionError:
-            continue
+            return None
         if closed.prob < 1e-3:
-            continue
+            return None
         grid = gaussian_grid_evolve(rho, psi_f, g, meter)
-        worst["dp"] = max(worst["dp"], abs(closed.dp_shift - grid.dp_shift))
-        worst["dq"] = max(worst["dq"], abs(closed.dq_shift - grid.dq_shift))
-        worst["prob"] = max(worst["prob"], abs(closed.prob - grid.prob))
-        produced += 1
-    return [CheckRecord("gaussian-oracle", key, dev, 1e-6)
-            for key, dev in worst.items()]
+        return (abs(closed.dp_shift - grid.dp_shift), abs(closed.dq_shift - grid.dq_shift),
+                abs(closed.prob - grid.prob))
+
+    return _oracle_battery("gaussian-oracle", samples, 1e-6, ("dp", "dq", "prob"), compare)
 
 
 def optimizer_battery(inject_fault: str | None = None) -> list[CheckRecord]:
@@ -176,8 +200,12 @@ def optimizer_battery(inject_fault: str | None = None) -> list[CheckRecord]:
             for name, (closed, objective) in targets.items():
                 if inject_fault == name:
                     closed *= bump
-                numeric = abs(maximize(objective).value)
+                result = maximize(objective)
+                numeric = abs(result.value)
                 case = f"{name} kappa={kappa:g} g={g_over_dp:g}"
+                if not result.converged:
+                    records.append(CheckRecord(
+                        "optimizer", f"converged {case}", 1.0, 0.0))
                 if closed == 0.0:
                     records.append(CheckRecord("optimizer", case, numeric, 1e-12))
                     continue
@@ -218,7 +246,11 @@ def adjudication_battery(seed: int) -> tuple[list[CheckRecord], AdjudicationRepo
 
 def run_verify(seed: int = 7, samples: int = 1000,
                inject_fault: str | None = None) -> VerifyReport:
-    """Run every battery and collect a deterministic report."""
+    """Run every battery and collect a deterministic report.
+
+    Raises ValueError when ``samples`` is below 1; the first battery rejects
+    it before drawing any input.
+    """
     rng = np.random.default_rng(seed)
     records: list[CheckRecord] = []
     records.extend(qubit_oracle_battery(rng, samples))

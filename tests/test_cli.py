@@ -235,6 +235,13 @@ class TestVerify:
         assert "dq-max" in out
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nonpositive_samples_is_usage_error(self, capsys, tmp_path, samples):
+        code = main(["verify", "--samples", samples,
+                     "--adjudication-csv", str(tmp_path / "adj.csv")])
+        assert code == 2
+        assert "overall" not in capsys.readouterr().out
+
     def test_deterministic_report(self):
         first = run_verify(seed=11, samples=20)
         second = run_verify(seed=11, samples=20)

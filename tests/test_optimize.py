@@ -23,17 +23,18 @@ from weakamp import (
     pure_state,
     qubit_max_reading,
 )
-from weakamp.optimize import _pure_entries, _reading_objective, _shift_objective
+from weakamp.optimize import _coarse_grid, _family_objective, _loop_slab, _pure_entries
+from weakamp.oracle import _oracle_shift_objective
 
 METER = GaussianMeter(1.0)
 
 
 def _dephased_shift_objective(gamma, g, meter, which):
-    return _shift_objective(_pure_entries(phase_damping(gamma)), g, meter, which)
+    return _family_objective(_pure_entries(phase_damping(gamma)), g, meter, which)
 
 
 def _dephased_reading_objective(gamma, g):
-    return _reading_objective(_pure_entries(phase_damping(gamma)), g)
+    return _family_objective(_pure_entries(phase_damping(gamma)), g, "qubit", "reading")
 
 
 #: Preselection family -> (channel on a pure state, shift and reading builders).
@@ -158,6 +159,55 @@ class TestObjectiveBuilders:
     def test_vanishing_postselection_evaluates_to_zero(self):
         objective = kappa_shift_objective(1.0, 0.1, METER, "dp")
         assert objective(0.0, math.pi, 0.0) == 0.0
+
+
+def _targets():
+    """Every family x target objective, plus the grid oracle's, by name."""
+    out = {}
+    for family, (_, shift_objective, reading_objective) in FAMILIES.items():
+        for which in ("dp", "dq"):
+            out[f"{family}-{which}"] = lambda f=shift_objective, w=which: f(0.6, 0.05, METER, w)
+        out[f"{family}-reading"] = lambda f=reading_objective: f(0.6, 0.1)
+    out["oracle-dq"] = lambda: _oracle_shift_objective(
+        _pure_entries(depolarizing(0.4)), 0.3, METER, "dq")
+    return out
+
+
+TARGETS = _targets()
+
+
+class TestSlabFace:
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_slab_equals_scalar_probes_on_default_grid(self, target):
+        objective = TARGETS[target]()
+        grid = _coarse_grid(64)
+        for t1 in grid.theta:
+            slab = objective.slab(t1, grid)
+            probes = _loop_slab(objective, t1, grid)
+            assert slab.shape == (64, 64)
+            assert np.array_equal(slab, probes)
+
+    def test_floor_masks_slab_to_zero(self):
+        objective = kappa_shift_objective(1.0, 0.1, METER, "dp")
+        grid = _coarse_grid(16)
+        assert objective.slab(0.0, grid)[-1, 0] == 0.0
+
+    @pytest.mark.parametrize("target", ["kappa-dq", "damped-reading", "oracle-dq"])
+    def test_plain_callable_takes_the_same_search(self, target):
+        objective = TARGETS[target]()
+        wrapped = lambda t1, t2, p0: objective(t1, t2, p0)  # noqa: E731
+        assert maximize(objective, grid_n=24) == maximize(wrapped, grid_n=24)
+
+    def test_grid_start_is_the_first_largest_point(self):
+        probes = []
+
+        def objective(t1, t2, p0):
+            probes.append((t1, t2, p0))
+            return -1.0 if t2 > 1.0 else 0.5
+
+        maximize(objective, grid_n=16, max_cycles=1)
+        first_tie = next(i * math.pi / 15 for i in range(16) if i * math.pi / 15 > 1.0)
+        assert probes[16 ** 3] == (0.0, first_tie, 0.0)
 
 
 def test_phase_reduction_is_sound():

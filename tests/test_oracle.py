@@ -70,6 +70,13 @@ class TestQubitOracle:
             expected = 0.5 * np.array([[1.0, x], [np.conj(x), 1.0]])
             assert np.max(np.abs(in_pm - expected)) < 1e-14
 
+    def test_postselection_floor_matches_closed_forms(self):
+        # prob ~ 2.5e-19 here: defined for the oracle's arithmetic, but below
+        # the floor where postselected_reading stops giving readings.
+        rho = pure_state(0.0, 0.0).density()
+        with pytest.raises(VanishingPostselectionError):
+            qubit_joint_evolve(rho, pure_state(math.pi - 1e-9, 0.0), 0.1)
+
 
 class TestGrid:
     def test_points_must_be_power_of_two(self):
