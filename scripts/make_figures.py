@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Regenerate all six figure CSVs into results/.
 
-Figs 1-4 are closed forms and take well under a second each.  The
-optimizer-backed amplitude-damping sweeps take about 8 s (fig 5) and 1.3 s
-(fig 6) on a 2-vCPU Xeon with Python 3.11; nearly all of fig 5 is its
-position-shift searches, 20 of 21 of which end at the cycle limit without
-converging.
+All six are closed forms: figs 1-4 the noisy maxima, figs 5-6 the
+amplitude-damping suprema (``amplitude_damping_max``).  Each table takes
+about 1 ms in-process; a fresh ``weakamp fig N`` takes about 0.3 s, nearly
+all interpreter start-up and imports, on a 2-vCPU Xeon with Python 3.11.
 """
 
 import pathlib

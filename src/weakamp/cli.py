@@ -223,10 +223,11 @@ def cmd_shift(v: dict) -> int:
 # fig
 # ---------------------------------------------------------------------------
 
-#: Couplings of the closed-form sweeps, in meter-spread units (Gaussian) or
-#: absolute (qubit meter).
+#: Couplings of the figure sweeps, in meter-spread units (Gaussian) or
+#: absolute (qubit meter): three per noise sweep in figs 1-4, one in the
+#: amplitude-damping figs 5-6.
 SWEEP_COUPLINGS = (0.1, 0.05, 0.03)
-OPTIMIZER_COUPLING = 0.1
+DAMPED_COUPLING = 0.1
 
 
 def fig_table(n: int, start: float, stop: float, steps: int,
@@ -264,20 +265,18 @@ def fig_table(n: int, start: float, stop: float, steps: int,
             rows.append([x] + [qubit_max_reading(kappa, c).value
                                for c in SWEEP_COUPLINGS])
     elif n == 5:
-        pairs.append(("g-over-dp", OPTIMIZER_COUPLING))
+        pairs.append(("g-over-dp", DAMPED_COUPLING))
         header = [parameter, "dp_max", "dq_max"]
-        g = OPTIMIZER_COUPLING * meter.dp
+        g = DAMPED_COUPLING * meter.dp
         for x in xs:
-            dp = abs(amplitude_damping_max(meter, x, g, "dp").value)
-            dq = abs(amplitude_damping_max(meter, x, g, "dq").value)
-            rows.append([x, dp, dq])
+            rows.append([x] + [amplitude_damping_max(meter, x, g, which).value
+                               for which in ("dp", "dq")])
     else:
-        pairs.append(("g", OPTIMIZER_COUPLING))
+        pairs.append(("g", DAMPED_COUPLING))
         header = [parameter, "reading_max"]
         for x in xs:
-            reading = abs(amplitude_damping_max("qubit", x, OPTIMIZER_COUPLING,
-                                                "reading").value)
-            rows.append([x, reading])
+            rows.append([x, amplitude_damping_max("qubit", x, DAMPED_COUPLING,
+                                                  "reading").value])
     return pairs, header, rows
 
 

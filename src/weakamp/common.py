@@ -91,11 +91,14 @@ class QubitMeterReading:
 
 @dataclass(frozen=True)
 class MaxResult:
-    """A maximal |shift| or reading and preselection/postselection angles attaining it.
+    """A maximal |shift| or reading and preselection/postselection angles for it.
 
     ``theta1``/``phi0`` describe the preselection direction, ``theta2`` the
     postselection state (its azimuth is absorbed into the relative phase
-    ``phi0``).
+    ``phi0``).  The closed-form maxima attain ``value`` at these angles.
+    ``amplitude_damping_max`` returns a supremum that is not attained for
+    0 < gamma < 1: its angles are a point on a path that approaches it,
+    within a small relative gap.
     """
 
     value: float

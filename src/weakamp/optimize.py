@@ -9,8 +9,10 @@ amplitude-damping objectives, whose supremum is approached along a narrow
 oblique valley into a domain corner where the objective is discontinuous:
 a pattern move along each cycle's net displacement, and a boundary-homing
 stage that halves a polar angle toward its boundary while re-optimizing the
-rest.  Everything is derivative-free and deterministic: identical inputs
-give identical outputs.
+rest.  Those suprema are known in closed form (``amplitude_damping_max``),
+so these stages serve the independent numerical cross-check in the
+tests and the acceptance gate.  Everything is derivative-free and
+deterministic: identical inputs give identical outputs.
 
 Objective builders for the standard preselection families live here too.
 Every family is a channel applied to pure_state(theta1, phi0), and one
@@ -41,9 +43,10 @@ from typing import Callable, Literal
 import numpy as np
 
 from .channels import KrausChannel, amplitude_damping, depolarizing
-from .common import PROB_FLOOR, GaussianMeter, _check_gamma, _check_kappa
-from .gaussian import _shift_kernel
-from .qubitmeter import _reading_kernel
+from .common import (PROB_FLOOR, GaussianMeter, MaxResult, _check_coupling,
+                     _check_gamma, _check_kappa)
+from .gaussian import _shift_kernel, gaussian_max_shifts
+from .qubitmeter import _reading_kernel, qubit_max_reading
 
 Objective = Callable[[float, float, float], float]
 
@@ -392,18 +395,26 @@ class _Objective:
             return np.where(prob <= PROB_FLOOR, 0.0, out[self.pick] / prob)
 
 
-def _family_objective(entries, g: float, meter: GaussianMeter | Literal["qubit"],
-                      which: Literal["dp", "dq", "reading"]) -> _Objective:
-    """The ``which`` objective of ``meter`` over the family ``entries``."""
+def _check_target(meter: GaussianMeter | Literal["qubit"],
+                  which: Literal["dp", "dq", "reading"]) -> None:
+    """Reject a ``which`` target that ``meter`` does not read out."""
     if which == "reading":
         if meter != "qubit":
             raise ValueError("'reading' requires the qubit meter")
-        return _Objective(entries, partial(_reading_kernel, math.sin(g) ** 2,
-                                           math.cos(2.0 * g)))
+        return
     if not isinstance(meter, GaussianMeter):
         raise ValueError(f"'{which}' requires a GaussianMeter")
     if which not in ("dp", "dq"):
         raise ValueError(f"which must be 'dp' or 'dq', got {which!r}")
+
+
+def _family_objective(entries, g: float, meter: GaussianMeter | Literal["qubit"],
+                      which: Literal["dp", "dq", "reading"]) -> _Objective:
+    """The ``which`` objective of ``meter`` over the family ``entries``."""
+    _check_target(meter, which)
+    if which == "reading":
+        return _Objective(entries, partial(_reading_kernel, math.sin(g) ** 2,
+                                           math.cos(2.0 * g)))
     att = meter.coherence_factor(g)
     kernel = partial(_shift_kernel, g, att, 4.0 * g * meter.delta ** 2 * att)
     return _Objective(entries, kernel, ("dp", "dq").index(which))
@@ -431,20 +442,68 @@ def damped_reading_objective(gamma: float, g: float) -> Objective:
     return _family_objective(_pure_entries(amplitude_damping(gamma)), g, "qubit", "reading")
 
 
-def amplitude_damping_max(meter: GaussianMeter | Literal["qubit"], gamma: float,
-                          g: float, which: Literal["dp", "dq", "reading"],
-                          grid_n: int = 64, tol: float = 1e-12) -> OptimizationResult:
-    """Numerical maximum shift/reading when the preselection suffers amplitude damping.
+#: Half-angle theta1 / 2 of the point ``amplitude_damping_max`` returns: the
+#: relative gap grows as gamma eps^2 and the postselection probability
+#: shrinks as (1 - gamma) eps^2, so eps trades closeness against the floor.
+_APPROACH_HALF_ANGLE = 1e-3
 
-    There is no closed form for these maxima; this composes the damped
-    preselection family with the requested objective and runs ``maximize``.
-    For gamma < 1 the result reproduces the noiseless maxima (the damped
-    manifold approaches a pure state near the decay fixed point); gamma = 1
-    is accepted but degenerate, hence the warning.
+
+def _approach_point(gamma: float, closed: MaxResult,
+                    eps: float = _APPROACH_HALF_ANGLE) -> tuple[float, float, float]:
+    """(theta1, theta2, phi0) at half-angle ``eps`` on the path to the noiseless
+    maximum ``closed`` under amplitude damping at ``gamma`` < 1.
+
+    Amplitude damping maps pure_state(2 eps, phi0) to a nearly pure state
+    whose populations have ratio rho11 / rho00 = tan(a)^2; the postselection
+    angle puts tan(a) tan(theta2 / 2) on the noiseless optimum's
+    x* = tan(theta1* / 2) tan(theta2* / 2).
+    """
+    x = math.tan(0.5 * closed.theta1) * math.tan(0.5 * closed.theta2)
+    s, c = math.sin(eps), math.cos(eps)
+    tan_a = math.sqrt(1.0 - gamma) * s / math.sqrt(c * c + gamma * s * s)
+    return 2.0 * eps, 2.0 * math.atan2(x, tan_a), closed.phi0
+
+
+def amplitude_damping_max(meter: GaussianMeter | Literal["qubit"], gamma: float,
+                          g: float, which: Literal["dp", "dq", "reading"]) -> MaxResult:
+    """Supremum of |dp'|, |dq'| or the qubit reading over amplitude-damped
+    pure preselections and pure postselections, in closed form.
+
+    For gamma < 1 it is the noiseless maximum, ``gaussian_max_shifts(1, g,
+    meter)`` or ``qubit_max_reading(1, g)``: the amplification is immune to
+    amplitude damping.  This is the mathematical supremum, not attained for
+    0 < gamma < 1; the returned angles lie on an explicit path that
+    approaches it (``_approach_point``), with a relative gap of at most
+    about 5e-5 gamma at the figures' coupling.  For gamma within about 5e-5
+    of 1 that point's postselection probability falls below ``PROB_FLOOR``.
+    At gamma = 1 every state decays to |0>, so the values are g, 0 and
+    sin^2(g), attained at theta1 = theta2 = phi0 = 0; this degenerate case
+    warns.
+
+    Proof.  Upper bound: every qubit state is kappa |psi><psi| + (1 - kappa)
+    I / 2 with Bloch length kappa <= 1, so no damped state beats the
+    modulus-kappa maximum, and each of those closed forms increases with
+    kappa (for the reading, d/dkappa = 2 sin^2 g cos^2 g / den^2 >= 0).
+    Lower bound: for pure states each meter value depends on (theta1,
+    theta2) only through x = tan(theta1 / 2) tan(theta2 / 2), so the
+    noiseless maximum holds on the whole curve x = x*, phi0 = phi0*, which
+    runs into the corner (0, pi).  Damping pure_state(2 eps, phi0) gives
+    populations with rho11 / rho00 = tan(a)^2 and a coherence |rho10| =
+    lambda sqrt(rho00 rho11), lambda = cos(eps) / sqrt(cos^2 eps + gamma
+    sin^2 eps).  Postselecting at tan(theta2 / 2) = x* / tan(a) gives the
+    noiseless formula at (x*, phi0*) with every coherence term scaled by
+    lambda = 1 - gamma eps^2 / 2 + O(eps^4): the gap is O(eps^2).
     """
     gamma = _check_gamma(gamma)
+    _check_target(meter, which)
     if gamma == 1.0:
         warnings.warn("amplitude damping at gamma = 1 maps every state to |0>; "
                       "the amplification maxima collapse", stacklevel=2)
-    objective = _family_objective(_pure_entries(amplitude_damping(gamma)), g, meter, which)
-    return maximize(objective, grid_n=grid_n, tol=tol)
+        g = _check_coupling(g)
+        value = {"dp": g, "dq": 0.0, "reading": math.sin(g) ** 2}[which]
+        return MaxResult(value, 0.0, 0.0, 0.0)
+    if which == "reading":
+        closed = qubit_max_reading(1.0, g)
+    else:
+        closed = gaussian_max_shifts(1.0, g, meter)[("dp", "dq").index(which)]
+    return MaxResult(closed.value, *_approach_point(gamma, closed))

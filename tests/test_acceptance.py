@@ -11,9 +11,12 @@ from weakamp import (
     GaussianMeter,
     adjudicate_variants,
     amplitude_damping_max,
+    damped_reading_objective,
+    damped_shift_objective,
     decompose,
     depolarizing,
     gaussian_max_shifts,
+    maximize,
     ordinary_reading,
     phase_damping,
     postselected_reading,
@@ -105,24 +108,37 @@ def test_criterion_5_optimizer_recovers_closed_forms():
 
 
 def test_criterion_6_amplitude_damping_immunity():
+    # The closed-form suprema against independent optimizer searches over
+    # the damped families; the dq searches creep into the corner until the
+    # probability floor stops them, so their convergence is only reported.
     g = 0.1 * METER.dp
-    base_dp, base_dq = (r.value for r in gaussian_max_shifts(1.0, g, METER))
     worst = 0.0
+    unconverged = []
+    dq_searches = []
     for gamma in (0.1, 0.5, 0.9):
-        dp = abs(amplitude_damping_max(METER, gamma, g, "dp").value)
-        dq = abs(amplitude_damping_max(METER, gamma, g, "dq").value)
-        reading = abs(amplitude_damping_max("qubit", gamma, 0.1, "reading").value)
-        worst = max(worst,
-                    abs(dp - base_dp) / base_dp,
-                    abs(dq - base_dq) / base_dq,
-                    abs(reading - 1.0))
+        for which, meter, coupling, objective in (
+                ("dp", METER, g, damped_shift_objective(gamma, g, METER, "dp")),
+                ("dq", METER, g, damped_shift_objective(gamma, g, METER, "dq")),
+                ("reading", "qubit", 0.1, damped_reading_objective(gamma, 0.1))):
+            found = maximize(objective)
+            sup = amplitude_damping_max(meter, gamma, coupling, which).value
+            worst = max(worst, abs(abs(found.value) - sup) / sup)
+            if which == "dq":
+                dq_searches.append(f"gamma={gamma:g} converged={found.converged} "
+                                   f"probes={found.evaluations}")
+            elif not found.converged:
+                unconverged.append(f"{which} gamma={gamma:g}")
+    collapsed = abs(maximize(damped_shift_objective(1.0, g, METER, "dq")).value)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        collapsed = abs(amplitude_damping_max(METER, 1.0, g, "dq").value)
-    ok = worst <= 1e-4 and collapsed <= 1e-8
+        collapsed_sup = amplitude_damping_max(METER, 1.0, g, "dq").value
+    ok = (worst <= 1e-4 and not unconverged
+          and collapsed <= 1e-8 and collapsed_sup == 0.0)
     _report("6 amplitude-damping immunity", ok,
-            f"worst rel deviation {worst:.2e} (tol 1e-4), "
-            f"full-damping position max {collapsed:.1e} (tol 1e-8)")
+            f"worst optimizer/closed-form rel deviation {worst:.2e} (tol 1e-4), "
+            f"unconverged dp/reading searches {unconverged or 'none'}, "
+            f"full-damping position max {collapsed:.1e} (tol 1e-8), "
+            f"dq searches: {'; '.join(dq_searches)}")
 
 
 def test_criterion_7_depolarizing_dephasing_coincidence():

@@ -3,8 +3,10 @@ import math
 
 import pytest
 
-from weakamp import run_verify
+from weakamp import GaussianMeter, gaussian_max_shifts, qubit_max_reading, run_verify
 from weakamp.cli import main
+
+METER = GaussianMeter(1.0)
 
 
 def _data_rows(text):
@@ -151,19 +153,19 @@ class TestFig:
                    for v in data_lines[1].split(","))
 
     def test_fig5_and_fig6_flat_under_damping(self, tmp_path):
-        # default range [0, 0.95] at reduced resolution: rows constant to 1e-4
+        # default range [0, 0.95] at reduced resolution: every row is the
+        # noiseless closed-form maximum
         out5 = tmp_path / "fig5.csv"
         assert main(["fig", "5", "--output", str(out5), "--steps", "5"]) == 0
         _, rows = _data_rows(out5.read_text())
         assert rows[0][0] == 0.0 and rows[-1][0] == 0.95
-        for column in (1, 2):
-            values = [row[column] for row in rows]
-            assert (max(values) - min(values)) / max(values) < 1e-4
+        dp_max, dq_max = gaussian_max_shifts(1.0, 0.1 * METER.dp, METER)
+        assert all(row[1:] == [dp_max.value, dq_max.value] for row in rows)
 
         out6 = tmp_path / "fig6.csv"
         assert main(["fig", "6", "--output", str(out6), "--steps", "3"]) == 0
         _, rows = _data_rows(out6.read_text())
-        assert all(abs(row[1] - 1.0) < 1e-4 for row in rows)
+        assert all(row[1] == qubit_max_reading(1.0, 0.1).value for row in rows)
 
     def test_bad_range_rejected(self, tmp_path):
         out = tmp_path / "fig.csv"
@@ -177,12 +179,15 @@ class TestFig:
 
 
 #: SHA-256 of ``weakamp fig N --output F`` on the default sweep.  These CSVs
-#: are specified output and must stay byte-identical.
+#: are specified output and must stay byte-identical; figs 5-6 are the
+#: closed-form amplitude-damping suprema.
 FIG_DIGESTS = {
     1: "e60d90d3ab5bf176cc2da3a638d412b495be5d53fe61992e4d664eeb4c3cce4f",
     2: "e0f1a7e2899ba0fdbde8f42b897e487323a7e2067f812da0edf59ff8b2df3163",
     3: "b3afe297e9760840fd2a61d517f7010d8da9bacf64d68356f5398c6476982af0",
     4: "0380c457763560985d3dad75c175adac3f2ba716dc0388265e9e14b31d16ffe8",
+    5: "362326d03b01e75e1c256933860d87c8809136e9b8b09542cd375af7c95bd788",
+    6: "3b927c7239d37278628e41ddf28d71ff30ee217ab4a11032fa2f2b2b7b7a613d",
 }
 #: ``weakamp shift`` invocations and the SHA-256 of their stdout.
 SHIFT_DIGESTS = (

@@ -1,12 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import gammas, pure_states
 from weakamp import (
     BlochVector,
     GaussianMeter,
     OptimizationError,
+    VanishingPostselectionError,
     amplitude_damping,
     amplitude_damping_max,
     damped_reading_objective,
@@ -23,7 +28,13 @@ from weakamp import (
     pure_state,
     qubit_max_reading,
 )
-from weakamp.optimize import _coarse_grid, _family_objective, _loop_slab, _pure_entries
+from weakamp.optimize import (
+    _approach_point,
+    _coarse_grid,
+    _family_objective,
+    _loop_slab,
+    _pure_entries,
+)
 from weakamp.oracle import _oracle_shift_objective
 
 METER = GaussianMeter(1.0)
@@ -255,3 +266,81 @@ class TestAmplitudeDampingMax:
         with pytest.warns(UserWarning):
             res = amplitude_damping_max(METER, 1.0, 0.05, "dq")
         assert res.value == 0.0
+
+    @pytest.mark.parametrize("which,meter,g,objective", [
+        ("dp", METER, 0.05, damped_shift_objective(1.0, 0.05, METER, "dp")),
+        ("dq", METER, 0.05, damped_shift_objective(1.0, 0.05, METER, "dq")),
+        ("reading", "qubit", 0.1, damped_reading_objective(1.0, 0.1)),
+    ], ids=["dp", "dq", "reading"])
+    def test_full_damping_values_match_the_optimizer(self, which, meter, g, objective):
+        with pytest.warns(UserWarning):
+            res = amplitude_damping_max(meter, 1.0, g, which)
+        found = maximize(objective)
+        assert found.converged
+        assert res.value == pytest.approx(abs(found.value), rel=1e-15, abs=0.0)
+
+
+#: amplitude_damping_max targets at the figures' couplings, by ``which``:
+#: (meter, g, damped objective builder taking gamma).
+DAMPED_TARGETS = {
+    "dp": (METER, 0.05, lambda gamma: damped_shift_objective(gamma, 0.05, METER, "dp")),
+    "dq": (METER, 0.05, lambda gamma: damped_shift_objective(gamma, 0.05, METER, "dq")),
+    "reading": ("qubit", 0.1, lambda gamma: damped_reading_objective(gamma, 0.1)),
+}
+
+
+def _noiseless_max(which, meter, g):
+    if which == "reading":
+        return qubit_max_reading(1.0, g)
+    return gaussian_max_shifts(1.0, g, meter)[("dp", "dq").index(which)]
+
+
+class TestAmplitudeDampingSupremum:
+    @pytest.mark.parametrize("which", DAMPED_TARGETS)
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.5, 0.9, 0.95])
+    def test_value_is_the_noiseless_closed_form(self, which, gamma):
+        meter, g, _ = DAMPED_TARGETS[which]
+        res = amplitude_damping_max(meter, gamma, g, which)
+        assert res.value == _noiseless_max(which, meter, g).value
+
+    @pytest.mark.parametrize("which", DAMPED_TARGETS)
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9, 0.95])
+    def test_approach_path_gap_is_second_order(self, which, gamma):
+        meter, g, objective = DAMPED_TARGETS[which]
+        closed = _noiseless_max(which, meter, g)
+        f = objective(gamma)
+        gaps = [(closed.value - abs(f(*_approach_point(gamma, closed, eps)))) / closed.value
+                for eps in (1e-2, 1e-3, 1e-4)]
+        assert all(gap >= -1e-12 for gap in gaps)
+        assert gaps[0] >= 50.0 * gaps[1] and gaps[1] >= 50.0 * gaps[2]
+        assert gaps[2] > 0.0
+
+    @pytest.mark.parametrize("which", DAMPED_TARGETS)
+    def test_returned_angles_reach_the_value(self, which):
+        meter, g, objective = DAMPED_TARGETS[which]
+        for gamma in np.linspace(0.0, 0.95, 20):
+            res = amplitude_damping_max(meter, gamma, g, which)
+            reached = abs(objective(gamma)(res.theta1, res.theta2, res.phi0))
+            assert abs(reached - res.value) / res.value <= 1e-4
+
+    @given(psi=pure_states(), post=pure_states(), gamma=gammas(),
+           g=st.floats(min_value=0.01, max_value=1.5))
+    @settings(max_examples=200)
+    def test_no_damped_state_beats_the_supremum(self, psi, post, gamma, g):
+        rho = amplitude_damping(gamma).apply(psi.density())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sups = {which: amplitude_damping_max(meter, gamma, g, which).value
+                    for which, meter in (("dp", METER), ("dq", METER), ("reading", "qubit"))}
+        values = {}
+        try:
+            shifts = gaussian_shifts(rho, post, g, METER)
+            values.update(dp=shifts.dp_shift, dq=shifts.dq_shift)
+        except VanishingPostselectionError:
+            pass
+        try:
+            values["reading"] = postselected_reading(rho, post, g).reading
+        except VanishingPostselectionError:
+            pass
+        for which, value in values.items():
+            assert abs(value) <= sups[which] * (1.0 + 1e-9)
