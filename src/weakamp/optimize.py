@@ -411,6 +411,7 @@ def _check_target(meter: GaussianMeter | Literal["qubit"],
 def _family_objective(entries, g: float, meter: GaussianMeter | Literal["qubit"],
                       which: Literal["dp", "dq", "reading"]) -> _Objective:
     """The ``which`` objective of ``meter`` over the family ``entries``."""
+    g = _check_coupling(g)
     _check_target(meter, which)
     if which == "reading":
         return _Objective(entries, partial(_reading_kernel, math.sin(g) ** 2,

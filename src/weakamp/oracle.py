@@ -8,12 +8,16 @@ Two oracles, both built from the impulse interaction only:
 * ``gaussian_grid_evolve``: the Gaussian pointer on a position grid.  The
   interaction is diagonal in the system basis, so the meter splits into two
   branches Phi(q) exp(+-i g q); position moments come from quadrature and
-  momentum moments from a spectral (FFT) derivative.
+  momentum moments from a spectral (FFT) derivative.  The envelope Phi is
+  real, so the second branch is the complex conjugate of the first: one
+  complex exponential and one FFT per coupling give both branches and both
+  spectra, and Parseval's theorem gives the momentum moments from the
+  spectra without inverse transforms.
 
-Nothing here calls the closed-form meter modules; agreement between the two
-routes is what the verification batteries check.  ``adjudicate_variants``
-additionally pits disputed formula variants (transcribed locally) against
-these oracles to decide which variant is normative.
+Nothing here calls the closed-form meter modules or uses their formulas;
+agreement between the two routes is what the verification batteries check.
+``adjudicate_variants`` additionally pits disputed formula variants
+(transcribed locally) against these oracles to decide which is normative.
 """
 
 from __future__ import annotations
@@ -43,12 +47,16 @@ from .qubit import PAULI_X, PAULI_Z, BlochVector, PureQubit, QubitDensity, densi
 # ---------------------------------------------------------------------------
 
 
+#: The coupling generator sigma_z x sigma_x.
+_GENERATOR = np.kron(PAULI_Z, PAULI_X)
+
+
 def _joint_evolved(rho_s: QubitDensity, g: float) -> np.ndarray:
     """Evolved system x meter density matrix, meter starting in |0>."""
-    propagator = math.cos(g) * np.eye(4, dtype=complex) \
-        + 1j * math.sin(g) * np.kron(PAULI_Z, PAULI_X)
-    meter0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    joint = np.kron(rho_s.matrix, meter0)
+    propagator = math.cos(g) * np.eye(4, dtype=complex) + 1j * math.sin(g) * _GENERATOR
+    # rho_s x |0><0|: the system entries sit at the even (meter |0>) indices.
+    joint = np.zeros((4, 4), dtype=complex)
+    joint[::2, ::2] = rho_s.matrix
     return propagator @ joint @ propagator.conj().T
 
 
@@ -67,19 +75,16 @@ def qubit_joint_evolve(rho_s: QubitDensity, psi_f: PureQubit | None,
     conditional; without it the plain marginal reading is returned with
     probability 1.
     """
+    if psi_f is None:
+        return QubitMeterReading(float(qubit_meter_marginal(rho_s, g)[1, 1].real), 1.0)
     g = _check_coupling(g)
     evolved = _joint_evolved(rho_s, g).reshape(2, 2, 2, 2)
-    if psi_f is None:
-        meter = np.einsum("smsn->mn", evolved)
-        prob = 1.0
-    else:
-        amps = psi_f.amplitudes()
-        meter = np.einsum("s,smtn,t->mn", amps.conj(), evolved, amps)
-        prob = float(np.trace(meter).real)
-        if prob <= PROB_FLOOR:
-            raise VanishingPostselectionError(prob)
-        meter = meter / prob
-    return QubitMeterReading(float(meter[1, 1].real), prob)
+    amps = psi_f.amplitudes()
+    meter = np.einsum("s,smtn,t->mn", amps.conj(), evolved, amps)
+    prob = float(np.trace(meter).real)
+    if prob <= PROB_FLOOR:
+        raise VanishingPostselectionError(prob)
+    return QubitMeterReading(float((meter / prob)[1, 1].real), prob)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +131,11 @@ def _branch_moments(g: float, delta: float, half_width: float, points: int):
     Returns three 2x2 complex arrays N, Q, P with
     N[j, l] = <Phi_l|Phi_j>, Q[j, l] = <Phi_l|q|Phi_j>, P[j, l] = <Phi_l|p|Phi_j>
     where Phi_0/Phi_1 are the envelope times exp(+igq)/exp(-igq).
+
+    Grid quadrature plus a spectral derivative, independent of the closed
+    forms.  The envelope is real, so Phi_1 = conj(Phi_0) with spectrum
+    F_1[k] = conj(F_0[-k]), and N00 = N11, Q00 = Q11.  P follows by Parseval:
+    P[j, l] = (dx / points) sum_k conj(F_l[k]) k F_j[k].
     """
     grid = PositionGrid(half_width, points)
     q = grid.positions()
@@ -136,17 +146,19 @@ def _branch_moments(g: float, delta: float, half_width: float, points: int):
         raise GridTooSmallError(
             f"grid loses {abs(norm - 1.0):.2e} of the wavefunction norm"
         )
-    branches = (envelope * np.exp(1j * g * q), envelope * np.exp(-1j * g * q))
+    b0 = envelope * np.exp(1j * g * q)
+    spectrum = np.fft.fft(b0)
+    mirrored = np.conj(np.roll(spectrum[::-1], 1))
     wavenumbers = 2.0 * math.pi * np.fft.fftfreq(points, d=dx)
-    momentum = tuple(np.fft.ifft(wavenumbers * np.fft.fft(b)) for b in branches)
-    n_mat = np.empty((2, 2), dtype=complex)
-    q_mat = np.empty((2, 2), dtype=complex)
-    p_mat = np.empty((2, 2), dtype=complex)
-    for j in range(2):
-        for l in range(2):
-            n_mat[j, l] = dx * np.vdot(branches[l], branches[j])
-            q_mat[j, l] = dx * np.vdot(branches[l], q * branches[j])
-            p_mat[j, l] = dx * np.vdot(branches[l], momentum[j])
+    qb0 = q * b0
+    # conj(b0) b0 rather than envelope**2: rounds like the two-branch quadrature.
+    n_diag, q_diag = dx * np.vdot(b0, b0).real, dx * np.vdot(b0, qb0).real
+    p_diag = [dx / points * float(np.dot(wavenumbers, np.abs(f) ** 2))
+              for f in (spectrum, mirrored)]
+    n_cross, q_cross = dx * np.dot(b0, b0), dx * np.dot(b0, qb0)
+    p_cross = dx / points * np.vdot(mirrored, wavenumbers * spectrum)
+    n_mat, q_mat, p_mat = (np.array([[a, c], [np.conj(c), b]]) for a, c, b in (
+        (n_diag, n_cross, n_diag), (q_diag, q_cross, q_diag), (p_diag[0], p_cross, p_diag[1])))
     return n_mat, q_mat, p_mat
 
 

@@ -171,6 +171,18 @@ class TestObjectiveBuilders:
         objective = kappa_shift_objective(1.0, 0.1, METER, "dp")
         assert objective(0.0, math.pi, 0.0) == 0.0
 
+    @pytest.mark.parametrize("builder", [
+        lambda g: kappa_shift_objective(0.5, g, METER, "dp"),
+        lambda g: kappa_reading_objective(0.5, g),
+        lambda g: damped_shift_objective(0.5, g, METER, "dq"),
+        lambda g: damped_reading_objective(0.5, g),
+    ], ids=["kappa-shift", "kappa-reading", "damped-shift", "damped-reading"])
+    def test_coupling_validated(self, builder):
+        for g in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="coupling must be finite and non-negative"):
+                builder(g)
+        assert builder(0.0)(1.0, 2.0, 0.5) == 0.0
+
 
 def _targets():
     """Every family x target objective, plus the grid oracle's, by name."""

@@ -17,7 +17,7 @@ from weakamp import (
     qubit_joint_evolve,
     qubit_meter_marginal,
 )
-from weakamp.oracle import _joint_evolved
+from weakamp.oracle import _GENERATOR, _branch_moments, _joint_evolved
 from weakamp.oracle import _random_density as random_density
 from weakamp.oracle import _random_pure as random_pure
 
@@ -55,6 +55,19 @@ class TestQubitOracle:
             assert abs(np.trace(evolved).real - 1.0) < 1e-15
             assert np.max(np.abs(evolved - evolved.conj().T)) < 1e-15
 
+    def test_joint_evolution_matches_kron_reference(self):
+        rng = np.random.default_rng(17)
+        meter0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+        for _ in range(20):
+            rho = random_density(rng)
+            g = rng.uniform(0.0, 1.5)
+            propagator = math.cos(g) * np.eye(4) \
+                + 1j * math.sin(g) * np.kron(np.diag([1.0, -1.0]), np.array([[0, 1], [1, 0]]))
+            joint = np.kron(rho.matrix, meter0)
+            expected = propagator @ joint @ propagator.conj().T
+            assert np.max(np.abs(_joint_evolved(rho, g) - expected)) < 1e-15
+        assert np.array_equal(_GENERATOR @ _GENERATOR, np.eye(4))
+
     def test_marginal_matches_phase_structure(self):
         # the reduced meter state in the +/- basis carries e^{+-2ig} phases
         # weighted by the preselection populations
@@ -91,8 +104,6 @@ class TestGrid:
         assert grid.points == 4096
 
     def test_default_grid_norm(self):
-        from weakamp.oracle import _branch_moments
-
         for delta in (0.5, 1.0, 2.0):
             grid = default_grid(GaussianMeter(delta), 0.1)
             n_mat, _, _ = _branch_moments(0.1, delta, grid.half_width, grid.points)
@@ -101,8 +112,6 @@ class TestGrid:
     def test_branch_moment_cache_is_bounded(self):
         # Batteries draw a fresh coupling per sample; the cache must not grow
         # with the sample count.
-        from weakamp.oracle import _branch_moments
-
         assert _branch_moments.cache_info().maxsize is not None
 
     def test_too_small_grid_rejected(self):
@@ -115,6 +124,50 @@ class TestGrid:
         rho = pure_state(1.0, 0.0).density()
         with pytest.raises(ValueError):
             gaussian_grid_evolve(rho, pure_state(0.5, 0), 1.5, METER)
+
+
+def _two_branch_moments(g, delta, half_width, points):
+    """Reference: both branches built explicitly, an FFT pair per branch for
+    the momentum, and one quadrature per matrix entry."""
+    grid = PositionGrid(half_width, points)
+    q = grid.positions()
+    dx = grid.spacing
+    envelope = (2.0 * math.pi * delta ** 2) ** -0.25 * np.exp(-q ** 2 / (4.0 * delta ** 2))
+    branches = (envelope * np.exp(1j * g * q), envelope * np.exp(-1j * g * q))
+    wavenumbers = 2.0 * math.pi * np.fft.fftfreq(points, d=dx)
+    momentum = tuple(np.fft.ifft(wavenumbers * np.fft.fft(b)) for b in branches)
+    n_mat, q_mat, p_mat = (np.empty((2, 2), dtype=complex) for _ in range(3))
+    for j in range(2):
+        for l in range(2):
+            n_mat[j, l] = dx * np.vdot(branches[l], branches[j])
+            q_mat[j, l] = dx * np.vdot(branches[l], q * branches[j])
+            p_mat[j, l] = dx * np.vdot(branches[l], momentum[j])
+    return n_mat, q_mat, p_mat
+
+
+def _battery_couplings():
+    """(g, delta) drawn from the Gaussian oracle battery's ranges, plus g = 0."""
+    rng = np.random.default_rng(18)
+    pairs = [(0.0, 1.0)]
+    for _ in range(50):
+        delta = rng.uniform(0.5, 2.0)
+        pairs.append((rng.uniform(0.02, 0.5) / delta, delta))
+    return pairs
+
+
+class TestBranchMoments:
+    @pytest.mark.parametrize("g, delta", _battery_couplings())
+    def test_matches_two_branch_reference(self, g, delta):
+        grid = default_grid(GaussianMeter(delta), g)
+        args = (g, delta, grid.half_width, grid.points)
+        for got, want in zip(_branch_moments(*args), _two_branch_moments(*args)):
+            assert np.max(np.abs(got - want)) < 1e-14
+
+    @pytest.mark.parametrize("g, delta", _battery_couplings())
+    def test_moment_matrices_are_hermitian(self, g, delta):
+        grid = default_grid(GaussianMeter(delta), g)
+        for mat in _branch_moments(g, delta, grid.half_width, grid.points):
+            assert np.array_equal(mat, mat.conj().T)
 
 
 class TestGridOracle:
@@ -180,7 +233,9 @@ class TestAdjudication:
 
     def test_all_disputes_confirmed(self, report):
         assert report.all_confirmed
+        assert len(report.verdicts) == 3
         for verdict in report.verdicts:
+            assert verdict.confirmed
             assert verdict.normative_worst < 1e-6
             assert verdict.rejected_worst >= 1e-5
 
