@@ -22,13 +22,17 @@ damped family is amplitude damping.  An ``_Objective`` joins such a family to
 a meter kernel, ``gaussian._shift_kernel`` or ``qubitmeter._reading_kernel``,
 the only copy of each meter formula.  Calling it probes one point on Python
 floats with ``math`` trigonometry, about ten times faster than a one-point
-numpy evaluation; the refinement and every reported value use this face.
-Its ``slab`` runs the same arithmetic on numpy arrays over one theta1 slab of
-the coarse grid, so the default 64^3-point grid is 64 slab calls instead of
-262k probes, with bit-identical values.  Probes where the postselection
-probability falls below the usable floor evaluate to 0, letting the search
-traverse near-orthogonal regions where the conditional shift is only defined
-in the limit.
+numpy evaluation; golden-section steps and every reported value use this
+face.  Its ``slab`` runs the same arithmetic on numpy arrays over one theta1
+slab of the coarse grid, so the default 64^3-point grid is 64 slab calls
+instead of 262k probes, with bit-identical values.  Its ``line`` face runs
+it over the grid_n points that open each line search, with the per-point
+trigonometry taken from ``math`` so the values stay bit-identical to single
+probes; the search then probes only the first largest of them.  Plain
+callables get both faces point by point (``_loop_slab``, ``_loop_line``).
+Probes where the postselection probability falls below the usable floor
+evaluate to 0, letting the search traverse near-orthogonal regions where
+the conditional shift is only defined in the limit.
 """
 
 from __future__ import annotations
@@ -86,6 +90,7 @@ class _Search:
 
     def __init__(self, objective: Objective):
         self.objective = objective
+        self.line = getattr(objective, "line", None) or partial(_loop_line, objective)
         self.evaluations = 0
         self.best_abs = -1.0
         self.best_value = 0.0
@@ -105,6 +110,28 @@ class _Search:
 
 
 _Point = tuple[float, float, float]
+
+
+def _along(origin: _Point, direction: _Point, t: float) -> _Point:
+    return (origin[0] + t * direction[0],
+            origin[1] + t * direction[1],
+            origin[2] + t * direction[2])
+
+
+def _loop_line(objective: Objective, origin: _Point, direction: _Point,
+               ts) -> np.ndarray:
+    """Any callable objective at origin + t direction, one probe per t."""
+    return np.array([objective(*_along(origin, direction, t)) for t in ts])
+
+
+def _check_finite(values: np.ndarray, point) -> None:
+    """Raise OptimizationError at the first non-finite entry of ``values``;
+    ``point(*index)`` gives its PPSPoint."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        index = tuple(np.argwhere(bad)[0])
+        raise OptimizationError(point(*index), float(values[index]))
+
 
 #: Line-search directions per refinement cycle: the three coordinates plus
 #: the (theta1, theta2) diagonals, which keep progress alive on valleys that
@@ -143,9 +170,7 @@ def _line_search(search: _Search, origin: _Point,
 
     def at(t: float) -> float:
         nonlocal local_best
-        point = (origin[0] + t * direction[0],
-                 origin[1] + t * direction[1],
-                 origin[2] + t * direction[2])
+        point = _along(origin, direction, t)
         a = search.probe(*point)
         if a > local_best[0]:
             local_best = (a, point)
@@ -153,8 +178,12 @@ def _line_search(search: _Search, origin: _Point,
 
     step = (t_hi - t_lo) / (n - 1)
     ts = [t_lo + i * step for i in range(n)]
-    vals = [at(t) for t in ts]
-    i_best = max(range(n), key=lambda i: vals[i])
+    values = search.line(origin, direction, ts)
+    _check_finite(values, lambda i: PPSPoint(*_along(origin, direction, ts[i])))
+    # Only the first largest scan point can change a best: probe it alone.
+    i_best = int(np.abs(values).argmax())
+    search.evaluations += n - 1
+    at(ts[i_best])
     a = max(t_lo, ts[i_best] - step)
     b = min(t_hi, ts[i_best] + step)
 
@@ -283,8 +312,10 @@ def maximize(objective: Objective, grid_n: int = 64,
     improves the best |value| by less than ``tol``; a final boundary-homing
     stage follows ridges whose supremum sits at a polar-angle boundary.
     The objective must accept any theta in [0, pi] and be 2 pi-periodic in
-    phi0.  An objective with a ``slab`` face has the grid evaluated a theta1
-    slab at a time; any other callable is probed point by point.
+    phi0.  An objective with ``slab`` and ``line`` faces has the grid
+    evaluated a theta1 slab at a time and each line-search scan in one
+    call; any other callable is probed point by point.  ``max_cycles``
+    (at least 1) caps the refinement cycles.
 
     Returns the signed objective value at the best point found.
     """
@@ -292,6 +323,8 @@ def maximize(objective: Objective, grid_n: int = 64,
         raise ValueError(f"grid_n must be at least 16, got {grid_n}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
+    if max_cycles < 1:
+        raise ValueError(f"max_cycles must be at least 1, got {max_cycles}")
 
     search = _Search(objective)
     grid = _coarse_grid(grid_n)
@@ -299,11 +332,7 @@ def maximize(objective: Objective, grid_n: int = 64,
     start, start_abs = None, -1.0
     for t1 in grid.theta:
         values = slab(t1, grid)
-        bad = ~np.isfinite(values)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise OptimizationError(PPSPoint(t1, grid.theta[i], grid.phi[j]),
-                                    float(values[i, j]))
+        _check_finite(values, lambda i, j: PPSPoint(t1, grid.theta[i], grid.phi[j]))
         magnitude = np.abs(values)
         k = int(magnitude.argmax())
         if magnitude.flat[k] > start_abs:
@@ -386,13 +415,32 @@ class _Objective:
 
     def slab(self, t1: float, grid: _Grid) -> np.ndarray:
         """Values on grid.theta x grid.phi at this theta1, as one array."""
-        rho00, rho11, re10, im10 = self.entries(
-            math.cos(0.5 * t1), math.sin(0.5 * t1), grid.cos_phi, grid.sin_phi)
-        out = self.kernel(rho00, rho11, re10 * grid.w, im10 * grid.w,
-                          grid.u2, grid.v2)
+        return self._array(math.cos(0.5 * t1), math.sin(0.5 * t1),
+                           grid.cos_phi, grid.sin_phi, grid.w, grid.u2, grid.v2)
+
+    def line(self, origin: _Point, direction: _Point, ts) -> np.ndarray:
+        """Values at origin + t direction for each t in ts, as one array."""
+        ch1, sh1 = _line_trig(origin[0], direction[0], ts, 0.5)
+        ch2, sh2 = _line_trig(origin[1], direction[1], ts, 0.5)
+        cos_p0, sin_p0 = _line_trig(origin[2], direction[2], ts, 1.0)
+        return self._array(ch1, sh1, cos_p0, sin_p0, sh2 * ch2, ch2 * ch2, sh2 * sh2)
+
+    def _array(self, ch1, sh1, cos_p0, sin_p0, w, u2, v2) -> np.ndarray:
+        """The call face's arithmetic on arrays, with the floor as a mask."""
+        rho00, rho11, re10, im10 = self.entries(ch1, sh1, cos_p0, sin_p0)
+        out = self.kernel(rho00, rho11, re10 * w, im10 * w, u2, v2)
         prob = out[-1]
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(prob <= PROB_FLOOR, 0.0, out[self.pick] / prob)
+
+
+def _line_trig(origin: float, step: float, ts, scale: float):
+    """cos and sin of scale * (origin + t step) for t in ts, from ``math`` as
+    the call face takes them; a coordinate the line keeps fixed gives floats."""
+    if step == 0.0:
+        return math.cos(scale * origin), math.sin(scale * origin)
+    angles = [scale * (origin + t * step) for t in ts]
+    return np.array(list(map(math.cos, angles))), np.array(list(map(math.sin, angles)))
 
 
 def _check_target(meter: GaussianMeter | Literal["qubit"],

@@ -14,6 +14,15 @@ Two oracles, both built from the impulse interaction only:
   spectra, and Parseval's theorem gives the momentum moments from the
   spectra without inverse transforms.
 
+The default grid has 256 points on a half-width of 10-14 pointer widths.
+The integrands are Gaussians of width delta (times phases), on which the
+trapezoid rule converges exponentially: its error is about
+exp(-2 pi^2 delta^2 / dx^2), far below double rounding at that spacing.
+The branch spectra are Gaussians of width 1 / delta centred on +-g, so the
+spacing must also keep them inside the Nyquist band:
+``_branch_moments`` raises GridTooSmallError unless
+delta (pi / dx - g) >= 6, where the spectral tail is e^-36, about 2e-16.
+
 Nothing here calls the closed-form meter modules or uses their formulas;
 agreement between the two routes is what the verification batteries check.
 ``adjudicate_variants`` additionally pits disputed formula variants
@@ -114,8 +123,15 @@ class PositionGrid:
 
 
 def default_grid(meter: GaussianMeter, g: float) -> PositionGrid:
-    """Grid covering the envelope tails and the phase oscillations."""
-    return PositionGrid(10.0 * meter.delta + 4.0 * g * meter.delta ** 2, 4096)
+    """Grid covering the envelope tails and the phase oscillations.
+
+    The half-width 10 delta + 4 g delta^2 keeps the envelope's tail below
+    e^-25 of its peak.  256 points are enough at g delta <= 1: the spacing
+    dx <= 14 delta / 128 puts the trapezoid error, about
+    exp(-2 pi^2 delta^2 / dx^2), below e^-1600, and the branch spectra's
+    tail at the Nyquist wavenumber pi / dx below exp(-(28.7 - 1)^2).
+    """
+    return PositionGrid(10.0 * meter.delta + 4.0 * g * meter.delta ** 2, 256)
 
 
 #: Branch-moment sets kept per process.  Callers that evaluate many states at
@@ -136,15 +152,26 @@ def _branch_moments(g: float, delta: float, half_width: float, points: int):
     forms.  The envelope is real, so Phi_1 = conj(Phi_0) with spectrum
     F_1[k] = conj(F_0[-k]), and N00 = N11, Q00 = Q11.  P follows by Parseval:
     P[j, l] = (dx / points) sum_k conj(F_l[k]) k F_j[k].
+
+    Raises GridTooSmallError when the spectrum exp(-delta^2 (k -+ g)^2)
+    reaches above e^-36 at the Nyquist wavenumber, or when the norm is off
+    by more than 1e-6 (a grid too short loses norm, one too coarse can
+    over-count it).
     """
     grid = PositionGrid(half_width, points)
     q = grid.positions()
     dx = grid.spacing
+    margin = delta * (math.pi / dx - g)
+    if margin < 6.0:
+        raise GridTooSmallError(
+            f"spacing {dx:.3g} does not resolve the branch spectra: "
+            f"delta (pi / dx - g) = {margin:.3g} < 6"
+        )
     envelope = (2.0 * math.pi * delta ** 2) ** -0.25 * np.exp(-q ** 2 / (4.0 * delta ** 2))
     norm = dx * float(np.sum(envelope ** 2))
     if abs(norm - 1.0) > 1e-6:
         raise GridTooSmallError(
-            f"grid loses {abs(norm - 1.0):.2e} of the wavefunction norm"
+            f"grid norm differs from 1 by {abs(norm - 1.0):.2e}"
         )
     b0 = envelope * np.exp(1j * g * q)
     spectrum = np.fft.fft(b0)
@@ -174,7 +201,8 @@ def gaussian_grid_evolve(rho_s: QubitDensity, psi_f: PureQubit, g: float,
     """Pointer shifts from the gridded branch evolution.
 
     Valid in the resolved-coupling regime g * delta <= 1.  Raises
-    GridTooSmallError when the envelope does not fit on the grid and
+    GridTooSmallError when the envelope does not fit on the grid or its
+    spacing does not resolve the branch spectra, and
     VanishingPostselectionError below the probability floor.
     """
     g = _check_coupling(g)

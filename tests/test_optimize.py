@@ -11,6 +11,7 @@ from weakamp import (
     BlochVector,
     GaussianMeter,
     OptimizationError,
+    PPSPoint,
     VanishingPostselectionError,
     amplitude_damping,
     amplitude_damping_max,
@@ -29,13 +30,19 @@ from weakamp import (
     qubit_max_reading,
 )
 from weakamp.optimize import (
+    _DIRECTIONS,
     _approach_point,
     _coarse_grid,
     _family_objective,
+    _line_search,
+    _loop_line,
     _loop_slab,
+    _Objective,
     _pure_entries,
+    _Search,
 )
 from weakamp.oracle import _oracle_shift_objective
+from weakamp.verification import COUPLING_BATTERY, KAPPA_BATTERY
 
 METER = GaussianMeter(1.0)
 
@@ -108,6 +115,8 @@ class TestMaximize:
             maximize(lambda *a: 0.0, grid_n=8)
         with pytest.raises(ValueError):
             maximize(lambda *a: 0.0, tol=0.0)
+        with pytest.raises(ValueError, match="max_cycles"):
+            maximize(lambda *a: 0.0, max_cycles=0)
 
 
 class TestObjectiveBuilders:
@@ -231,6 +240,73 @@ class TestSlabFace:
         maximize(objective, grid_n=16, max_cycles=1)
         first_tie = next(i * math.pi / 15 for i in range(16) if i * math.pi / 15 > 1.0)
         assert probes[16 ** 3] == (0.0, first_tie, 0.0)
+
+
+class TestLineFace:
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_line_equals_scalar_probes(self, target):
+        objective = TARGETS[target]()
+        rng = np.random.default_rng(21)
+        ts = [-1.5 + i * 3.0 / 63 for i in range(64)]
+        for _ in range(4):
+            origin = (math.pi * rng.random(), math.pi * rng.random(), 2.0 * math.pi * rng.random())
+            for direction in _DIRECTIONS:
+                line = objective.line(origin, direction, ts)
+                assert line.shape == (64,)
+                assert np.array_equal(line, _loop_line(objective, origin, direction, ts))
+
+    def test_floor_masks_line_to_zero(self):
+        # From |0> toward postselection on |1>: the scan ends below the floor.
+        objective = kappa_shift_objective(1.0, 0.1, METER, "dp")
+        ts = [i * math.pi / 63 for i in range(64)]
+        line = objective.line((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), ts)
+        assert line[0] != 0.0 and line[-1] == 0.0
+        assert np.array_equal(line, _loop_line(objective, (0.0, 0.0, 0.0), (0.0, 1.0, 0.0), ts))
+
+    def test_nonfinite_scan_value_raises_where_the_scalar_route_does(self):
+        # v2 * 4e308 overflows once v2 passes 0.45, mid-way along theta2.
+        objective = _Objective(_pure_entries(depolarizing(0.2)),
+                               lambda rho00, rho11, re, im, u2, v2: (v2 * 1e308 * 4.0, u2 + v2))
+        origin, direction = (1.0, 0.0, 0.3), (0.0, 1.0, 0.0)
+        points = [(1.0, i * (math.pi / 63), 0.3) for i in range(64)]
+        first_bad = next(p for p in points if not math.isfinite(objective(*p)))
+        assert 0.0 < first_bad[1] < math.pi
+        for face in (objective, lambda *p: objective(*p)):
+            with np.errstate(over="ignore"), pytest.raises(OptimizationError) as err:
+                _line_search(_Search(face), origin, direction, 64)
+            assert err.value.point == PPSPoint(*first_bad)
+            assert err.value.value == math.inf
+
+    def test_scan_probes_only_its_first_largest_point(self):
+        # Every scan value ties, so a scalar scan would keep the first point.
+        objective = _Objective(_pure_entries(depolarizing(0.2)),
+                               lambda rho00, rho11, re, im, u2, v2: (0.0 * u2 + 1.0, 1.0))
+        probes = []
+
+        def counted(*point):
+            probes.append(point)
+            return objective(*point)
+
+        counted.line = objective.line
+        search = _Search(counted)
+        point, value = _line_search(search, (1.0, 0.5, 0.3), (0.0, 1.0, 0.0), 64)
+        assert (point, value) == ((1.0, 0.0, 0.3), 1.0)
+        assert probes[0] == point
+        # 64 scan points count as evaluations, as if each had been probed.
+        assert search.evaluations == 64 + len(probes) - 1
+
+    def test_line_face_leaves_the_battery_searches_unchanged(self):
+        meter = GaussianMeter(1.0)
+        for kappa in KAPPA_BATTERY:
+            for c in COUPLING_BATTERY:
+                g = c * meter.dp
+                for objective in (kappa_shift_objective(kappa, g, meter, "dp"),
+                                  kappa_shift_objective(kappa, g, meter, "dq"),
+                                  kappa_reading_objective(kappa, c)):
+                    # Same coarse grid, line scans probed point by point.
+                    scalar_lines = lambda t1, t2, p0, f=objective: f(t1, t2, p0)  # noqa: E731
+                    scalar_lines.slab = objective.slab
+                    assert maximize(objective) == maximize(scalar_lines)
 
 
 def test_phase_reduction_is_sound():

@@ -13,6 +13,7 @@ from weakamp import (
     adjudicate_variants,
     default_grid,
     gaussian_grid_evolve,
+    gaussian_shifts,
     pure_state,
     qubit_joint_evolve,
     qubit_meter_marginal,
@@ -91,6 +92,16 @@ class TestQubitOracle:
             qubit_joint_evolve(rho, pure_state(math.pi - 1e-9, 0.0), 0.1)
 
 
+def _battery_couplings():
+    """(g, delta) drawn from the Gaussian oracle battery's ranges, plus g = 0."""
+    rng = np.random.default_rng(18)
+    pairs = [(0.0, 1.0)]
+    for _ in range(50):
+        delta = rng.uniform(0.5, 2.0)
+        pairs.append((rng.uniform(0.02, 0.5) / delta, delta))
+    return pairs
+
+
 class TestGrid:
     def test_points_must_be_power_of_two(self):
         with pytest.raises(ValueError):
@@ -101,7 +112,14 @@ class TestGrid:
     def test_default_covers_envelope(self):
         grid = default_grid(METER, 0.2)
         assert grid.half_width == pytest.approx(10.8)
-        assert grid.points == 4096
+
+    @pytest.mark.parametrize("g, delta", _battery_couplings()
+                             + [(1.0 / delta, delta) for delta in (0.5, 1.0, 2.0)])
+    def test_default_resolution_matches_a_fine_grid(self, g, delta):
+        grid = default_grid(GaussianMeter(delta), g)
+        fine = _branch_moments(g, delta, grid.half_width, 8192)
+        for got, want in zip(_branch_moments(g, delta, grid.half_width, grid.points), fine):
+            assert np.max(np.abs(got - want)) < 1e-13
 
     def test_default_grid_norm(self):
         for delta in (0.5, 1.0, 2.0):
@@ -119,6 +137,17 @@ class TestGrid:
         with pytest.raises(GridTooSmallError):
             gaussian_grid_evolve(rho, pure_state(0.5, 0), 0.1, METER,
                                  PositionGrid(3.0, 4096))
+
+    def test_unresolved_spectrum_rejected(self):
+        # The norm of a 32-point grid is fine, but its Nyquist wavenumber
+        # cuts the branch spectra: dq would be 4e-6 off the closed form.
+        rho, psi_f, meter = pure_state(1.2, 0.4).density(), pure_state(2.0, 1.0), METER
+        with pytest.raises(GridTooSmallError, match="branch spectra"):
+            gaussian_grid_evolve(rho, psi_f, 1.0, meter, PositionGrid(14.0, 32))
+        gridded = gaussian_grid_evolve(rho, psi_f, 1.0, meter, PositionGrid(14.0, 64))
+        closed = gaussian_shifts(rho, psi_f, 1.0, meter)
+        for field in ("dp_shift", "dq_shift", "prob"):
+            assert abs(getattr(gridded, field) - getattr(closed, field)) < 1e-14
 
     def test_coupling_regime_enforced(self):
         rho = pure_state(1.0, 0.0).density()
@@ -143,16 +172,6 @@ def _two_branch_moments(g, delta, half_width, points):
             q_mat[j, l] = dx * np.vdot(branches[l], q * branches[j])
             p_mat[j, l] = dx * np.vdot(branches[l], momentum[j])
     return n_mat, q_mat, p_mat
-
-
-def _battery_couplings():
-    """(g, delta) drawn from the Gaussian oracle battery's ranges, plus g = 0."""
-    rng = np.random.default_rng(18)
-    pairs = [(0.0, 1.0)]
-    for _ in range(50):
-        delta = rng.uniform(0.5, 2.0)
-        pairs.append((rng.uniform(0.02, 0.5) / delta, delta))
-    return pairs
 
 
 class TestBranchMoments:
