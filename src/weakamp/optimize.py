@@ -3,13 +3,13 @@
 The search domain is (theta1, theta2, phi0) in [0, pi]^2 x [0, 2 pi): the two
 polar angles plus the single relative phase the conditional shifts depend on.
 ``maximize`` runs a dense coarse grid followed by cyclic line-search
-refinement (scan + golden section along the coordinates and polar diagonals),
-maximizing |objective|.  Two extra stages handle the hard geometry of the
-amplitude-damping objectives, whose supremum is approached along a narrow
-oblique valley into a domain corner where the objective is discontinuous:
-a pattern move along each cycle's net displacement, and a boundary-homing
-stage that halves a polar angle toward its boundary while re-optimizing the
-rest.  Those suprema are known in closed form (``amplitude_damping_max``),
+refinement (a scan, then Brent's method, along the coordinates and polar
+diagonals), maximizing |objective|.  Two extra stages handle the hard
+geometry of the amplitude-damping objectives, whose supremum is approached
+along a narrow oblique valley into a domain corner where the objective is
+discontinuous: a pattern move along each cycle's net displacement, and a
+boundary-homing stage that halves a polar angle toward its boundary while
+re-optimizing the rest.  Those suprema are known in closed form (``amplitude_damping_max``),
 so these stages serve the independent numerical cross-check in the
 tests and the acceptance gate.  Everything is derivative-free and
 deterministic: identical inputs give identical outputs.
@@ -22,14 +22,15 @@ damped family is amplitude damping.  An ``_Objective`` joins such a family to
 a meter kernel, ``gaussian._shift_kernel`` or ``qubitmeter._reading_kernel``,
 the only copy of each meter formula.  Calling it probes one point on Python
 floats with ``math`` trigonometry, about ten times faster than a one-point
-numpy evaluation; golden-section steps and every reported value use this
-face.  Its ``slab`` runs the same arithmetic on numpy arrays over one theta1
-slab of the coarse grid, so the default 64^3-point grid is 64 slab calls
-instead of 262k probes, with bit-identical values.  Its ``line`` face runs
-it over the grid_n points that open each line search, with the per-point
+numpy evaluation; Brent steps and every reported value use this face.
+Its ``slab`` runs the same arithmetic on numpy arrays over one theta1 slab
+of the coarse grid, so the default 64^3-point grid is 64 slab calls instead
+of 262k probes, with bit-identical values.  Its ``line`` face runs it over
+the grid_n points that open each line search, with the per-point
 trigonometry taken from ``math`` so the values stay bit-identical to single
-probes; the search then probes only the first largest of them.  Plain
-callables get both faces point by point (``_loop_slab``, ``_loop_line``).
+probes; the search records the first largest of them as it stands and
+starts Brent's method there.  Plain callables get both faces point by point
+(``_loop_slab``, ``_loop_line``).
 Probes where the postselection probability falls below the usable floor
 evaluate to 0, letting the search traverse near-orthogonal regions where
 the conditional shift is only defined in the limit.
@@ -54,9 +55,13 @@ from .qubitmeter import _reading_kernel, qubit_max_reading
 
 Objective = Callable[[float, float, float], float]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-#: Bracket width at which golden-section refinement of a coordinate stops.
-_GOLDEN_WIDTH = 1e-11
+#: Golden-section fraction of Brent's fallback step, (3 - sqrt(5)) / 2.
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
+#: Bracket width at which a line search stops.
+_LINE_WIDTH = 1e-11
+#: Brent's smallest step: the search stops once the best point lies within
+#: two of these of both bracket ends, so the bracket is at most _LINE_WIDTH.
+_STEP_TOL = _LINE_WIDTH / 4.0
 
 
 class OptimizationError(RuntimeError):
@@ -79,10 +84,20 @@ class PPSPoint:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """Best signed value and where it was found.
+
+    ``evaluations`` counts every objective value the search used, and splits
+    into the probes of the coarse grid, the cyclic refinement and the
+    boundary homing (``grid_probes + refine_probes + home_probes``).
+    """
+
     value: float
     argmax: PPSPoint
     evaluations: int
     converged: bool
+    grid_probes: int
+    refine_probes: int
+    home_probes: int
 
 
 class _Search:
@@ -101,11 +116,15 @@ class _Search:
         v = self.objective(t1, t2, p0)
         if not math.isfinite(v):
             raise OptimizationError(PPSPoint(t1, t2, p0), v)
+        return self.record((t1, t2, p0), v)
+
+    def record(self, point: _Point, v: float) -> float:
+        """Keep (point, v) if |v| beats the best so far; return |v|."""
         a = abs(v)
         if a > self.best_abs:
             self.best_abs = a
             self.best_value = v
-            self.best_point = (t1, t2, p0)
+            self.best_point = point
         return a
 
 
@@ -147,10 +166,20 @@ _DIRECTIONS = (
 
 def _line_search(search: _Search, origin: _Point,
                  direction: _Point, n: int) -> tuple[_Point, float]:
-    """Scan the feasible segment through ``origin``, then golden-section it.
+    """Scan the feasible segment through ``origin``, then refine its first
+    largest point by Brent's method.
 
-    Returns the best point probed in this call and its |value|; the global
-    best inside ``search`` updates as a side effect.
+    Brent's method (Brent 1973, ch. 5) keeps the best point x, the second
+    best w and the previous w as v; it steps to the vertex of the parabola
+    through them when that vertex lies inside the bracket and the step is
+    less than half the one before last, and takes a golden-section step into
+    the larger part of the bracket otherwise.  The bracket is the scan step
+    on either side of x; the scan's neighbours of x are the first w and v,
+    so the first parabola costs no probe.  A scan maximum at a segment end
+    has no neighbour beyond it and starts with a golden-section step.
+
+    Returns the best point of this call and its |value|; the global best
+    inside ``search`` updates as a side effect.
     """
     t_lo, t_hi = -math.inf, math.inf
     for i in (0, 1):
@@ -166,40 +195,64 @@ def _line_search(search: _Search, origin: _Point,
         half = math.pi / abs(direction[2])
         t_lo, t_hi = -half, half
 
-    local_best = (-1.0, origin)
-
-    def at(t: float) -> float:
-        nonlocal local_best
-        point = _along(origin, direction, t)
-        a = search.probe(*point)
-        if a > local_best[0]:
-            local_best = (a, point)
-        return a
-
     step = (t_hi - t_lo) / (n - 1)
     ts = [t_lo + i * step for i in range(n)]
     values = search.line(origin, direction, ts)
     _check_finite(values, lambda i: PPSPoint(*_along(origin, direction, ts[i])))
-    # Only the first largest scan point can change a best: probe it alone.
-    i_best = int(np.abs(values).argmax())
-    search.evaluations += n - 1
-    at(ts[i_best])
-    a = max(t_lo, ts[i_best] - step)
-    b = min(t_hi, ts[i_best] + step)
+    search.evaluations += n
+    # Scan values equal scalar probes, so the first largest is recorded as is.
+    scan = np.abs(values).tolist()
+    i = scan.index(max(scan))
+    x = ts[i]
+    fx = search.record(_along(origin, direction, x), values[i].item())
+    a, b = max(t_lo, x - step), min(t_hi, x + step)
+    if 0 < i < n - 1:
+        (fw, w), (fv, v) = sorted([(scan[i - 1], ts[i - 1]),
+                                   (scan[i + 1], ts[i + 1])], reverse=True)
+        # As if the last two steps had spanned the bracket: the first
+        # parabolic step is held only to the bracket.
+        d = e = b - a
+    else:
+        w, fw, v, fv, d, e = x, fx, x, fx, 0.0, 0.0
 
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = at(c), at(d)
-    while b - a > _GOLDEN_WIDTH:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = at(c)
+    while max(x - a, b - x) > 2.0 * _STEP_TOL:
+        xm = 0.5 * (a + b)
+        golden = True
+        if abs(e) > _STEP_TOL:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # The parabola's vertex is x + p / q; q = 0 has none.
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                golden = False
+                if min(x + d - a, b - x - d) < 2.0 * _STEP_TOL:
+                    d = math.copysign(_STEP_TOL, xm - x)
+        if golden:
+            e = (a if x >= xm else b) - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= _STEP_TOL else math.copysign(_STEP_TOL, d))
+        fu = search.probe(*_along(origin, direction, u))
+        if fu > fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = at(d)
-    return local_best[1], local_best[0]
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return _along(origin, direction, x), fx
 
 
 def _clamp_point(t1: float, t2: float, p0: float) -> _Point:
@@ -306,7 +359,7 @@ def maximize(objective: Objective, grid_n: int = 64,
     A coarse grid of grid_n^3 samples locates the basin of the global
     maximum; it only picks the refinement start (the first grid point with
     the largest |value|), and every value reported comes from single
-    probes.  Cyclic refinement (dense rescan plus golden-section line search
+    probes.  Cyclic refinement (dense rescan plus Brent line search
     along each coordinate and the polar diagonals, then a pattern move
     along the cycle's net displacement) polishes it until a full cycle
     improves the best |value| by less than ``tol``; a final boundary-homing
@@ -339,16 +392,18 @@ def maximize(objective: Objective, grid_n: int = 64,
             start_abs = magnitude.flat[k]
             i, j = divmod(k, grid_n)
             start = (t1, grid.theta[i], grid.phi[j])
-    search.evaluations = grid_n ** 3
+    grid_probes = search.evaluations = grid_n ** 3
 
     _, _, converged = _refine_from(search, start, _DIRECTIONS,
                                    grid_n, tol, max_cycles)
+    refined = search.evaluations
     _home_boundaries(search, grid_n, tol)
 
     t1, t2, p0 = search.best_point
     argmax = PPSPoint(t1, t2, p0 % (2.0 * math.pi))
-    return OptimizationResult(search.best_value, argmax,
-                              search.evaluations, converged)
+    return OptimizationResult(search.best_value, argmax, search.evaluations,
+                              converged, grid_probes, refined - grid_probes,
+                              search.evaluations - refined)
 
 
 # ---------------------------------------------------------------------------

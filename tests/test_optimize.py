@@ -29,8 +29,10 @@ from weakamp import (
     pure_state,
     qubit_max_reading,
 )
+from weakamp import optimize
 from weakamp.optimize import (
     _DIRECTIONS,
+    _LINE_WIDTH,
     _approach_point,
     _coarse_grid,
     _family_objective,
@@ -277,23 +279,24 @@ class TestLineFace:
             assert err.value.point == PPSPoint(*first_bad)
             assert err.value.value == math.inf
 
-    def test_scan_probes_only_its_first_largest_point(self):
-        # Every scan value ties, so a scalar scan would keep the first point.
+    def test_first_largest_scan_point_wins_without_a_reprobe(self):
+        # Every scan value ties, so the first scan point is kept.
         objective = _Objective(_pure_entries(depolarizing(0.2)),
                                lambda rho00, rho11, re, im, u2, v2: (0.0 * u2 + 1.0, 1.0))
-        probes = []
+        calls = []
 
         def counted(*point):
-            probes.append(point)
+            calls.append(point)
             return objective(*point)
 
-        counted.line = objective.line
-        search = _Search(counted)
-        point, value = _line_search(search, (1.0, 0.5, 0.3), (0.0, 1.0, 0.0), 64)
-        assert (point, value) == ((1.0, 0.0, 0.3), 1.0)
-        assert probes[0] == point
-        # 64 scan points count as evaluations, as if each had been probed.
-        assert search.evaluations == 64 + len(probes) - 1
+        for face in (objective, counted):
+            search = _Search(face)
+            point, value = _line_search(search, (1.0, 0.5, 0.3), (0.0, 1.0, 0.0), 64)
+            assert (point, value) == ((1.0, 0.0, 0.3), 1.0)
+            assert (search.best_point, search.best_value) == (point, 1.0)
+        # A plain callable is called once per evaluation, the scan included.
+        assert calls[0] == point
+        assert search.evaluations == len(calls)
 
     def test_line_face_leaves_the_battery_searches_unchanged(self):
         meter = GaussianMeter(1.0)
@@ -307,6 +310,109 @@ class TestLineFace:
                     scalar_lines = lambda t1, t2, p0, f=objective: f(t1, t2, p0)  # noqa: E731
                     scalar_lines.slab = objective.slab
                     assert maximize(objective) == maximize(scalar_lines)
+
+
+def _capped(f, cap=500):
+    """Plain callable f that records its probes and fails past ``cap`` of them."""
+    calls = []
+
+    def objective(*point):
+        calls.append(point)
+        assert len(calls) <= cap, "line search does not terminate"
+        return f(*point)
+
+    return objective, calls
+
+
+class TestLineSearch:
+    ORIGIN, THETA2 = (1.0, 0.5, 0.3), (0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("peak", [0.3, 0.7, 1.2345678, 1.9, 2.95])
+    def test_one_peak_line_lands_on_its_argmax_in_few_probes(self, peak):
+        objective, calls = _capped(lambda t1, t2, p0: 1.0 + math.cos(t2 - peak))
+        search = _Search(objective)
+        point, value = _line_search(search, self.ORIGIN, self.THETA2, 64)
+        assert abs(point[1] - peak) < 1e-9
+        assert value == search.best_abs == 1.0 + math.cos(point[1] - peak)
+        # Golden section alone takes about 50 probes after the scan.
+        assert len(calls) - 64 <= 25
+
+    @pytest.mark.parametrize("peak", [0.7, 1.2345678, 2.2])
+    def test_kinked_peak_falls_back_to_golden_steps(self, peak):
+        # Parabolas fit a kink badly; golden steps must still close in on it.
+        objective, calls = _capped(lambda t1, t2, p0: 2.0 - abs(t2 - peak))
+        point, _ = _line_search(_Search(objective), self.ORIGIN, self.THETA2, 64)
+        assert abs(point[1] - peak) < 1e-9
+        assert len(calls) - 64 <= 50
+
+    @pytest.mark.parametrize("direction, sign, axis, end", [
+        ((0.0, 1.0, 0.0), 1.0, 1, math.pi), ((0.0, 1.0, 0.0), -1.0, 1, 0.0),
+        (_DIRECTIONS[3], 1.0, 1, 0.0), (_DIRECTIONS[3], -1.0, 0, 0.0),
+        (_DIRECTIONS[4], 1.0, 1, math.pi), (_DIRECTIONS[4], -1.0, 0, 0.0),
+    ])
+    def test_monotone_segment_converges_to_its_end(self, direction, sign, axis, end):
+        # f stays positive and moves by sign * t along origin + t direction,
+        # so |f| peaks at the end where polar angle ``axis`` reaches ``end``.
+        def f(*point):
+            return 10.0 + sign * sum(p * d for p, d in zip(point, direction))
+
+        objective, _ = _capped(f)
+        point, value = _line_search(_Search(objective), (1.3, 1.7, 0.3), direction, 64)
+        assert abs(point[axis] - end) <= _LINE_WIDTH
+        assert value == f(*point)
+
+    def test_constant_line_keeps_the_first_scan_point(self):
+        objective, calls = _capped(lambda t1, t2, p0: 0.7)
+        search = _Search(objective)
+        point, value = _line_search(search, self.ORIGIN, self.THETA2, 64)
+        assert (point, value) == ((1.0, 0.0, 0.3), 0.7) == (calls[0], 0.7)
+        assert search.best_point == point
+
+    @pytest.mark.parametrize("f", [
+        lambda t1, t2, p0: t1 + t2,
+        lambda t1, t2, p0: -t1 - t2 - p0,
+        lambda t1, t2, p0: math.exp(-1e6 * t2 ** 2),
+        lambda t1, t2, p0: math.exp(-1e6 * (math.pi - t1) ** 2),
+        lambda t1, t2, p0: math.cos(t1 - 1e-12) * math.cos(p0 - 3.0),
+        kappa_shift_objective(0.8, 0.03, METER, "dq"),
+    ])
+    def test_no_probe_leaves_the_segment(self, f, monkeypatch):
+        ts = []
+
+        def along(origin, direction, t):
+            ts.append(t)
+            return real_along(origin, direction, t)
+
+        real_along = optimize._along
+        monkeypatch.setattr(optimize, "_along", along)
+        for origin in [(0.0, math.pi, 0.0), (1e-13, 3.0, 6.2), (2.0, 0.4, 1.0)]:
+            for direction in _DIRECTIONS:
+                # f is wrapped, so its scan goes point by point through _along too.
+                objective, _ = _capped(lambda *point: f(*point))
+                ts.clear()
+                _line_search(_Search(objective), origin, direction, 64)
+                assert len(ts) > 64
+                assert all(ts[0] <= t <= ts[63] for t in ts[64:])
+
+    def test_battery_probe_counts(self):
+        # Probe counts are deterministic: a slide back to wasteful line
+        # searches shows here without any timing.  These 36 searches make
+        # 90939 probes after the grid, against 128543 with golden section.
+        meter = GaussianMeter(1.0)
+        after_grid = 0
+        for kappa in KAPPA_BATTERY:
+            for c in COUPLING_BATTERY:
+                g = c * meter.dp
+                for objective in (kappa_shift_objective(kappa, g, meter, "dp"),
+                                  kappa_shift_objective(kappa, g, meter, "dq"),
+                                  kappa_reading_objective(kappa, c)):
+                    result = maximize(objective)
+                    assert result.converged
+                    assert result.grid_probes == 64 ** 3
+                    assert (result.grid_probes + result.refine_probes
+                            + result.home_probes == result.evaluations)
+                    after_grid += result.evaluations - 64 ** 3
+        assert after_grid < 95_000
 
 
 def test_phase_reduction_is_sound():
