@@ -2,17 +2,19 @@
 
 The search domain is (theta1, theta2, phi0) in [0, pi]^2 x [0, 2 pi): the two
 polar angles plus the single relative phase the conditional shifts depend on.
-``maximize`` runs a dense coarse grid followed by cyclic line-search
-refinement (a scan, then Brent's method, along the coordinates and polar
-diagonals), maximizing |objective|.  Two extra stages handle the hard
-geometry of the amplitude-damping objectives, whose supremum is approached
-along a narrow oblique valley into a domain corner where the objective is
-discontinuous: a pattern move along each cycle's net displacement, and a
-boundary-homing stage that halves a polar angle toward its boundary while
-re-optimizing the rest.  Those suprema are known in closed form (``amplitude_damping_max``),
-so these stages serve the independent numerical cross-check in the
-tests and the acceptance gate.  Everything is derivative-free and
-deterministic: identical inputs give identical outputs.
+``maximize`` runs a dense coarse grid over the angles, then cyclic
+line-search refinement (a scan, then Brent's method, along the coordinates
+and the polar diagonals), maximizing |objective|.  The refinement moves the
+polar angles in u = log tan(theta / 2) on the box |u| <= ``_U_MAX``, so
+theta = 2 atan(exp(u)) approaches the poles without reaching them.  In u
+the amplitude-damping objectives, whose supremum lies along the valley
+tan(theta1 / 2) tan(theta2 / 2) = x* running into a domain corner where the
+objective is discontinuous, have a straight valley u1 + u2 = log x* that
+the (1, -1) diagonal follows to the box edge.  Those suprema are known in
+closed form (``amplitude_damping_max``), so such searches serve the
+independent numerical cross-check in the tests and the acceptance gate.
+Everything is derivative-free and deterministic: identical inputs give
+identical outputs.
 
 Objective builders for the standard preselection families live here too.
 Every family is a channel applied to pure_state(theta1, phi0), and one
@@ -26,7 +28,7 @@ numpy evaluation; Brent steps and every reported value use this face.
 Its ``slab`` runs the same arithmetic on numpy arrays over one theta1 slab
 of the coarse grid, so the default 64^3-point grid is 64 slab calls instead
 of 262k probes, with bit-identical values.  Its ``line`` face runs it over
-the grid_n points that open each line search, with the per-point
+the grid_n points that open each line search, with each point's angles and
 trigonometry taken from ``math`` so the values stay bit-identical to single
 probes; the search records the first largest of them as it stands and
 starts Brent's method there.  Plain callables get both faces point by point
@@ -62,6 +64,13 @@ _LINE_WIDTH = 1e-11
 #: Brent's smallest step: the search stops once the best point lies within
 #: two of these of both bracket ends, so the bracket is at most _LINE_WIDTH.
 _STEP_TOL = _LINE_WIDTH / 4.0
+#: Half-width of the refinement box in u = log tan(theta / 2).  Its edge
+#: keeps each polar angle about 2 exp(-_U_MAX) = 9e-5 from its pole, which
+#: leaves a relative gap of order exp(-2 _U_MAX) on a supremum approached
+#: along a pole: at most 9.3e-7 on the damped families at gamma <= 0.9,
+#: where a box of 8 leaves 5e-5.  A box of 18 lets the damped dq searches
+#: run onto the probability floor and stall short of the supremum.
+_U_MAX = 10.0
 
 
 class OptimizationError(RuntimeError):
@@ -87,8 +96,8 @@ class OptimizationResult:
     """Best signed value and where it was found.
 
     ``evaluations`` counts every objective value the search used, and splits
-    into the probes of the coarse grid, the cyclic refinement and the
-    boundary homing (``grid_probes + refine_probes + home_probes``).
+    into the probes of the coarse grid and of the cyclic refinement
+    (``grid_probes + refine_probes``).
     """
 
     value: float
@@ -97,11 +106,34 @@ class OptimizationResult:
     converged: bool
     grid_probes: int
     refine_probes: int
-    home_probes: int
+
+
+_Point = tuple[float, float, float]
+
+
+def _theta(u: float) -> float:
+    """The polar angle at u = log tan(theta / 2)."""
+    return 2.0 * math.atan(math.exp(u))
+
+
+def _u(theta: float) -> float:
+    """u = log tan(theta / 2) of a polar angle, clamped into the box."""
+    if theta <= 0.0:
+        return -_U_MAX
+    return min(_U_MAX, max(-_U_MAX, math.log(math.tan(0.5 * theta))))
+
+
+def _angles(point: _Point) -> _Point:
+    """(theta1, theta2, phi0) of a refinement point (u1, u2, phi0)."""
+    return _theta(point[0]), _theta(point[1]), point[2]
 
 
 class _Search:
-    """Bookkeeping shared by the coarse scan and the refinement loop."""
+    """Bookkeeping shared by the coarse scan and the refinement loop.
+
+    Refinement points are (u1, u2, phi0); the best point is kept in the
+    angles the objective was called with.
+    """
 
     def __init__(self, objective: Objective):
         self.objective = objective
@@ -111,24 +143,22 @@ class _Search:
         self.best_value = 0.0
         self.best_point = (0.0, 0.0, 0.0)
 
-    def probe(self, t1: float, t2: float, p0: float) -> float:
+    def probe(self, u1: float, u2: float, p0: float) -> float:
         self.evaluations += 1
-        v = self.objective(t1, t2, p0)
+        point = _angles((u1, u2, p0))
+        v = self.objective(*point)
         if not math.isfinite(v):
-            raise OptimizationError(PPSPoint(t1, t2, p0), v)
-        return self.record((t1, t2, p0), v)
+            raise OptimizationError(PPSPoint(*point), v)
+        return self.record(point, v)
 
     def record(self, point: _Point, v: float) -> float:
-        """Keep (point, v) if |v| beats the best so far; return |v|."""
+        """Keep (angles, v) if |v| beats the best so far; return |v|."""
         a = abs(v)
         if a > self.best_abs:
             self.best_abs = a
             self.best_value = v
             self.best_point = point
         return a
-
-
-_Point = tuple[float, float, float]
 
 
 def _along(origin: _Point, direction: _Point, t: float) -> _Point:
@@ -139,8 +169,9 @@ def _along(origin: _Point, direction: _Point, t: float) -> _Point:
 
 def _loop_line(objective: Objective, origin: _Point, direction: _Point,
                ts) -> np.ndarray:
-    """Any callable objective at origin + t direction, one probe per t."""
-    return np.array([objective(*_along(origin, direction, t)) for t in ts])
+    """Any callable objective on the u-line origin + t direction, one probe
+    per t."""
+    return np.array([objective(*_angles(_along(origin, direction, t))) for t in ts])
 
 
 def _check_finite(values: np.ndarray, point) -> None:
@@ -152,9 +183,9 @@ def _check_finite(values: np.ndarray, point) -> None:
         raise OptimizationError(point(*index), float(values[index]))
 
 
-#: Line-search directions per refinement cycle: the three coordinates plus
-#: the (theta1, theta2) diagonals, which keep progress alive on valleys that
-#: run obliquely into the domain corners.
+#: Line-search directions per refinement cycle, in (u1, u2, phi0): the three
+#: coordinates plus the (u1, u2) diagonals.  (1, -1) runs along the damped
+#: valleys u1 + u2 = const; (1, 1) shortens the searches on the kappa family.
 _DIRECTIONS = (
     (1.0, 0.0, 0.0),
     (0.0, 1.0, 0.0),
@@ -166,8 +197,8 @@ _DIRECTIONS = (
 
 def _line_search(search: _Search, origin: _Point,
                  direction: _Point, n: int) -> tuple[_Point, float]:
-    """Scan the feasible segment through ``origin``, then refine its first
-    largest point by Brent's method.
+    """Scan the segment of the u-line through ``origin`` inside the box, then
+    refine its first largest point by Brent's method.
 
     Brent's method (Brent 1973, ch. 5) keeps the best point x, the second
     best w and the previous w as v; it steps to the vertex of the parabola
@@ -178,15 +209,15 @@ def _line_search(search: _Search, origin: _Point,
     so the first parabola costs no probe.  A scan maximum at a segment end
     has no neighbour beyond it and starts with a golden-section step.
 
-    Returns the best point of this call and its |value|; the global best
-    inside ``search`` updates as a side effect.
+    Returns the best point of this call, in u, and its |value|; the global
+    best inside ``search`` updates as a side effect.
     """
     t_lo, t_hi = -math.inf, math.inf
     for i in (0, 1):
         d = direction[i]
         if d == 0.0:
             continue
-        lo, hi = -origin[i] / d, (math.pi - origin[i]) / d
+        lo, hi = (-_U_MAX - origin[i]) / d, (_U_MAX - origin[i]) / d
         if lo > hi:
             lo, hi = hi, lo
         t_lo, t_hi = max(t_lo, lo), min(t_hi, hi)
@@ -198,13 +229,13 @@ def _line_search(search: _Search, origin: _Point,
     step = (t_hi - t_lo) / (n - 1)
     ts = [t_lo + i * step for i in range(n)]
     values = search.line(origin, direction, ts)
-    _check_finite(values, lambda i: PPSPoint(*_along(origin, direction, ts[i])))
+    _check_finite(values, lambda i: PPSPoint(*_angles(_along(origin, direction, ts[i]))))
     search.evaluations += n
     # Scan values equal scalar probes, so the first largest is recorded as is.
     scan = np.abs(values).tolist()
     i = scan.index(max(scan))
     x = ts[i]
-    fx = search.record(_along(origin, direction, x), values[i].item())
+    fx = search.record(_angles(_along(origin, direction, x)), values[i].item())
     a, b = max(t_lo, x - step), min(t_hi, x + step)
     if 0 < i < n - 1:
         (fw, w), (fv, v) = sorted([(scan[i - 1], ts[i - 1]),
@@ -255,79 +286,6 @@ def _line_search(search: _Search, origin: _Point,
     return _along(origin, direction, x), fx
 
 
-def _clamp_point(t1: float, t2: float, p0: float) -> _Point:
-    return (min(math.pi, max(0.0, t1)),
-            min(math.pi, max(0.0, t2)),
-            p0 % (2.0 * math.pi))
-
-
-def _pattern_accelerate(search: _Search, origin: _Point,
-                        direction: _Point) -> None:
-    """Probe expanding steps along the last cycle's displacement."""
-    if max(abs(d) for d in direction) < 1e-10:
-        return
-    step = 1.0
-    reference = search.best_abs
-    for _ in range(60):
-        candidate = _clamp_point(*(o + step * d
-                                   for o, d in zip(origin, direction)))
-        if search.probe(*candidate) <= reference:
-            break
-        reference = search.best_abs
-        step *= 2.0
-
-
-def _refine_from(search: _Search, start: _Point, directions, n: int,
-                 tol: float, max_cycles: int) -> tuple[_Point, float, bool]:
-    """Cyclic line searches plus a pattern move until a cycle stalls."""
-    current = start
-    current_abs = search.probe(*start)
-    for _ in range(max_cycles):
-        before_abs = current_abs
-        before_point = current
-        for direction in directions:
-            point, value = _line_search(search, current, direction, n)
-            if value > current_abs:
-                current, current_abs = point, value
-        displacement = tuple(b - a for a, b in zip(before_point, current))
-        _pattern_accelerate(search, current, displacement)
-        if search.best_abs > current_abs and search.best_point != current:
-            current, current_abs = search.best_point, search.best_abs
-        if current_abs - before_abs < tol:
-            return current, current_abs, True
-    return current, current_abs, False
-
-
-def _home_boundaries(search: _Search, grid_n: int, tol: float) -> None:
-    """Chase suprema that sit on a polar-angle boundary.
-
-    The conditional-shift objectives can increase all the way into a domain
-    corner (vanishing postselection overlap) while being discontinuous at the
-    corner itself.  Halve the distance of one polar angle to its boundary,
-    re-optimize the remaining two coordinates, and keep going while the value
-    improves; a failed halving ends that direction immediately.
-    """
-    inner = {
-        0: ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
-        1: ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
-    }
-    for axis in (0, 1):
-        for boundary in (0.0, math.pi):
-            current = search.best_point
-            for _ in range(60):
-                gap = current[axis] - boundary
-                if abs(gap) < 1e-13:
-                    break
-                pinned = list(current)
-                pinned[axis] = boundary + 0.5 * gap
-                reference = search.best_abs
-                point, value, _ = _refine_from(search, tuple(pinned),
-                                               inner[axis], grid_n, tol, 8)
-                if value <= reference + tol:
-                    break
-                current = point
-
-
 #: Coarse-grid axes plus the ``math`` trigonometry that every slab shares, so
 #: slabs and single probes see the same floats.  theta2 factors are columns
 #: and phi0 factors rows: a slab is indexed [theta2, phi0].
@@ -356,19 +314,21 @@ def maximize(objective: Objective, grid_n: int = 64,
              tol: float = 1e-12, max_cycles: int = 200) -> OptimizationResult:
     """Maximize |objective| over the angle domain.
 
-    A coarse grid of grid_n^3 samples locates the basin of the global
-    maximum; it only picks the refinement start (the first grid point with
-    the largest |value|), and every value reported comes from single
-    probes.  Cyclic refinement (dense rescan plus Brent line search
-    along each coordinate and the polar diagonals, then a pattern move
-    along the cycle's net displacement) polishes it until a full cycle
-    improves the best |value| by less than ``tol``; a final boundary-homing
-    stage follows ridges whose supremum sits at a polar-angle boundary.
-    The objective must accept any theta in [0, pi] and be 2 pi-periodic in
-    phi0.  An objective with ``slab`` and ``line`` faces has the grid
-    evaluated a theta1 slab at a time and each line-search scan in one
-    call; any other callable is probed point by point.  ``max_cycles``
-    (at least 1) caps the refinement cycles.
+    A coarse grid of grid_n^3 samples over the angles locates the basin of
+    the global maximum; it only picks the refinement start (the first grid
+    point with the largest |value|, its polar angles moved into the u box),
+    and every value reported comes from single probes.  Cyclic refinement
+    (dense rescan plus Brent line search along each coordinate and the
+    polar diagonals, in u = log tan(theta / 2) on |u| <= ``_U_MAX``)
+    polishes it until a full cycle improves the best |value| by less than
+    ``tol``.  The refinement approaches the poles theta = 0 and pi but never
+    probes them: a supremum that only a pole approaches is found within a
+    relative gap of order exp(-2 _U_MAX).  The objective must accept any
+    theta in [0, pi] and be 2 pi-periodic in phi0.  An objective with
+    ``slab`` and ``line`` faces has the grid evaluated a theta1 slab at a
+    time and each line-search scan in one call; any other callable is
+    probed point by point.  ``max_cycles`` (at least 1) caps the refinement
+    cycles.
 
     Returns the signed objective value at the best point found.
     """
@@ -394,16 +354,23 @@ def maximize(objective: Objective, grid_n: int = 64,
             start = (t1, grid.theta[i], grid.phi[j])
     grid_probes = search.evaluations = grid_n ** 3
 
-    _, _, converged = _refine_from(search, start, _DIRECTIONS,
-                                   grid_n, tol, max_cycles)
-    refined = search.evaluations
-    _home_boundaries(search, grid_n, tol)
+    current = (_u(start[0]), _u(start[1]), start[2])
+    current_abs = search.probe(*current)
+    converged = False
+    for _ in range(max_cycles):
+        before_abs = current_abs
+        for direction in _DIRECTIONS:
+            point, value = _line_search(search, current, direction, grid_n)
+            if value > current_abs:
+                current, current_abs = point, value
+        if current_abs - before_abs < tol:
+            converged = True
+            break
 
     t1, t2, p0 = search.best_point
     argmax = PPSPoint(t1, t2, p0 % (2.0 * math.pi))
     return OptimizationResult(search.best_value, argmax, search.evaluations,
-                              converged, grid_probes, refined - grid_probes,
-                              search.evaluations - refined)
+                              converged, grid_probes, search.evaluations - grid_probes)
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +441,11 @@ class _Objective:
                            grid.cos_phi, grid.sin_phi, grid.w, grid.u2, grid.v2)
 
     def line(self, origin: _Point, direction: _Point, ts) -> np.ndarray:
-        """Values at origin + t direction for each t in ts, as one array."""
-        ch1, sh1 = _line_trig(origin[0], direction[0], ts, 0.5)
-        ch2, sh2 = _line_trig(origin[1], direction[1], ts, 0.5)
-        cos_p0, sin_p0 = _line_trig(origin[2], direction[2], ts, 1.0)
+        """Values on the u-line origin + t direction for each t in ts, as one
+        array."""
+        ch1, sh1 = _line_trig(origin[0], direction[0], ts, _half_theta)
+        ch2, sh2 = _line_trig(origin[1], direction[1], ts, _half_theta)
+        cos_p0, sin_p0 = _line_trig(origin[2], direction[2], ts, float)
         return self._array(ch1, sh1, cos_p0, sin_p0, sh2 * ch2, ch2 * ch2, sh2 * sh2)
 
     def _array(self, ch1, sh1, cos_p0, sin_p0, w, u2, v2) -> np.ndarray:
@@ -489,12 +457,16 @@ class _Objective:
             return np.where(prob <= PROB_FLOOR, 0.0, out[self.pick] / prob)
 
 
-def _line_trig(origin: float, step: float, ts, scale: float):
-    """cos and sin of scale * (origin + t step) for t in ts, from ``math`` as
-    the call face takes them; a coordinate the line keeps fixed gives floats."""
+def _half_theta(u: float) -> float:
+    return 0.5 * _theta(u)
+
+
+def _line_trig(origin: float, step: float, ts, angle):
+    """cos and sin of angle(origin + t step) for t in ts, from ``math`` as the
+    call face takes them; a coordinate the line keeps fixed gives floats."""
     if step == 0.0:
-        return math.cos(scale * origin), math.sin(scale * origin)
-    angles = [scale * (origin + t * step) for t in ts]
+        return math.cos(angle(origin)), math.sin(angle(origin))
+    angles = [angle(origin + t * step) for t in ts]
     return np.array(list(map(math.cos, angles))), np.array(list(map(math.sin, angles)))
 
 

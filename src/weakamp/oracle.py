@@ -270,6 +270,8 @@ class AdjudicationReport:
     seed: int
     entries: tuple[AdjudicationEntry, ...]
     verdicts: tuple[DisputeVerdict, ...]
+    #: "dispute/input_id" of each oracle maximum whose search did not converge.
+    unconverged: tuple[str, ...] = ()
 
     @property
     def all_confirmed(self) -> bool:
@@ -353,15 +355,24 @@ def adjudicate_variants(seed: int = 7, pointwise_samples: int = 40,
 
     Deviations of both variants from the oracle are recorded per input; a
     dispute is confirmed when the normative variant stays within tolerance
-    while the rejected one exceeds ten times the tolerance somewhere.
+    while the rejected one exceeds ten times the tolerance somewhere.  An
+    oracle maximum whose search did not converge is named in the report's
+    ``unconverged``.
     """
     rng = np.random.default_rng(seed)
     meter = GaussianMeter(1.0)
     entries: list[AdjudicationEntry] = []
     verdicts: list[DisputeVerdict] = []
+    unconverged: list[str] = []
 
     def record(dispute, variant, input_id, deviation):
         entries.append(AdjudicationEntry(dispute, variant, input_id, float(deviation)))
+
+    def oracle_max(objective, dispute, input_id):
+        result = maximize(objective, grid_n=optimizer_grid_n)
+        if not result.converged:
+            unconverged.append(f"{dispute}/{input_id}")
+        return abs(result.value)
 
     def verdict(dispute, normative, rejected):
         devs = {}
@@ -405,13 +416,13 @@ def adjudicate_variants(seed: int = 7, pointwise_samples: int = 40,
     for i, (kappa, g) in enumerate(max_inputs):
         objective = _oracle_shift_objective(
             _pure_entries(_modulus_channel(kappa)), g, meter, "dq")
-        oracle_max = abs(maximize(objective, grid_n=optimizer_grid_n).value)
+        found = oracle_max(objective, dispute, f"max-{i:03d}")
         att = meter.coherence_factor(g)
         root = math.sqrt(1.0 - (kappa * att) ** 2)
         record(dispute, "attenuated", f"max-{i:03d}",
-               abs(2.0 * kappa * g * att / root - oracle_max))
+               abs(2.0 * kappa * g * att / root - found))
         record(dispute, "unattenuated", f"max-{i:03d}",
-               abs(2.0 * kappa * g / root - oracle_max))
+               abs(2.0 * kappa * g / root - found))
     verdict(dispute, "attenuated", "unattenuated")
 
     # -- dispute 2: coherence power in the dephased momentum maximum --------
@@ -421,12 +432,12 @@ def adjudicate_variants(seed: int = 7, pointwise_samples: int = 40,
     for i, (gamma, g) in enumerate(max_inputs):
         objective = _oracle_shift_objective(
             _pure_entries(phase_damping(gamma)), g, meter, "dp")
-        oracle_max = abs(maximize(objective, grid_n=optimizer_grid_n).value)
+        found = oracle_max(objective, dispute, f"max-{i:03d}")
         coh = (1.0 - gamma) * meter.coherence_factor(g)
         squared = g / math.sqrt(1.0 - coh * coh)
         unsquared = g / math.sqrt(1.0 - (1.0 - gamma) * meter.coherence_factor(g) ** 2)
-        record(dispute, "squared-coherence", f"max-{i:03d}", abs(squared - oracle_max))
-        record(dispute, "unsquared-coherence", f"max-{i:03d}", abs(unsquared - oracle_max))
+        record(dispute, "squared-coherence", f"max-{i:03d}", abs(squared - found))
+        record(dispute, "unsquared-coherence", f"max-{i:03d}", abs(unsquared - found))
     verdict(dispute, "squared-coherence", "unsquared-coherence")
 
     # -- dispute 3: dephased qubit-meter reading numerator -------------------
@@ -466,4 +477,4 @@ def adjudicate_variants(seed: int = 7, pointwise_samples: int = 40,
         produced += 1
     verdict(dispute, "ground-weighted", "printed")
 
-    return AdjudicationReport(seed, tuple(entries), tuple(verdicts))
+    return AdjudicationReport(seed, tuple(entries), tuple(verdicts), tuple(unconverged))

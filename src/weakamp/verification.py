@@ -228,6 +228,8 @@ def adjudication_battery(seed: int) -> tuple[list[CheckRecord], AdjudicationRepo
                         - v.rejected_worst)
         records.append(CheckRecord("adjudication", f"{v.dispute}/separation",
                                    shortfall, 0.0))
+    for search in report.unconverged:
+        records.append(CheckRecord("adjudication", f"converged {search}", 1.0, 0.0))
 
     # The shipped closed forms must equal the adjudicated normative variants.
     meter = GaussianMeter(1.0)

@@ -109,12 +109,12 @@ def test_criterion_5_optimizer_recovers_closed_forms():
 
 def test_criterion_6_amplitude_damping_immunity():
     # The closed-form suprema against independent optimizer searches over
-    # the damped families; the dq searches creep into the corner until the
-    # probability floor stops them, so their convergence is only reported.
+    # the damped families.  Every search must converge; each supremum is
+    # approached along a valley into a pole, so the searches stop at the
+    # edge of the optimizer's u box, a small relative gap below it.
     g = 0.1 * METER.dp
-    worst = 0.0
+    worst, worst_case = 0.0, None
     unconverged = []
-    dq_searches = []
     for gamma in (0.1, 0.5, 0.9):
         for which, meter, coupling, objective in (
                 ("dp", METER, g, damped_shift_objective(gamma, g, METER, "dp")),
@@ -122,11 +122,10 @@ def test_criterion_6_amplitude_damping_immunity():
                 ("reading", "qubit", 0.1, damped_reading_objective(gamma, 0.1))):
             found = maximize(objective)
             sup = amplitude_damping_max(meter, gamma, coupling, which).value
-            worst = max(worst, abs(abs(found.value) - sup) / sup)
-            if which == "dq":
-                dq_searches.append(f"gamma={gamma:g} converged={found.converged} "
-                                   f"probes={found.evaluations}")
-            elif not found.converged:
+            gap = abs(abs(found.value) - sup) / sup
+            if gap >= worst:
+                worst, worst_case = gap, f"{which} gamma={gamma:g}"
+            if not found.converged:
                 unconverged.append(f"{which} gamma={gamma:g}")
     collapsed = abs(maximize(damped_shift_objective(1.0, g, METER, "dq")).value)
     with warnings.catch_warnings():
@@ -135,10 +134,9 @@ def test_criterion_6_amplitude_damping_immunity():
     ok = (worst <= 1e-4 and not unconverged
           and collapsed <= 1e-8 and collapsed_sup == 0.0)
     _report("6 amplitude-damping immunity", ok,
-            f"worst optimizer/closed-form rel deviation {worst:.2e} (tol 1e-4), "
-            f"unconverged dp/reading searches {unconverged or 'none'}, "
-            f"full-damping position max {collapsed:.1e} (tol 1e-8), "
-            f"dq searches: {'; '.join(dq_searches)}")
+            f"worst optimizer/closed-form rel gap {worst:.2e} at {worst_case} "
+            f"(tol 1e-4), unconverged searches {unconverged or 'none'}, "
+            f"full-damping position max {collapsed:.1e} (tol 1e-8)")
 
 
 def test_criterion_7_depolarizing_dephasing_coincidence():

@@ -33,6 +33,8 @@ from weakamp import optimize
 from weakamp.optimize import (
     _DIRECTIONS,
     _LINE_WIDTH,
+    _U_MAX,
+    _angles,
     _approach_point,
     _coarse_grid,
     _family_objective,
@@ -42,6 +44,8 @@ from weakamp.optimize import (
     _Objective,
     _pure_entries,
     _Search,
+    _theta,
+    _u,
 )
 from weakamp.oracle import _oracle_shift_objective
 from weakamp.verification import COUPLING_BATTERY, KAPPA_BATTERY
@@ -111,6 +115,29 @@ class TestMaximize:
         with pytest.raises(OptimizationError) as err:
             maximize(bad, grid_n=16)
         assert err.value.point.theta1 > 2.0
+
+    def test_argmax_reproduces_the_value_inside_the_box(self):
+        # The 36 verify battery searches and the 9 damped searches of
+        # acceptance criterion 6: the reported point, probed again, gives the
+        # reported value exactly, and its polar angles lie in the u box.
+        objectives = []
+        for kappa in KAPPA_BATTERY:
+            for c in COUPLING_BATTERY:
+                g = c * METER.dp
+                objectives += [kappa_shift_objective(kappa, g, METER, "dp"),
+                               kappa_shift_objective(kappa, g, METER, "dq"),
+                               kappa_reading_objective(kappa, c)]
+        g = 0.1 * METER.dp
+        for gamma in (0.1, 0.5, 0.9):
+            objectives += [damped_shift_objective(gamma, g, METER, "dp"),
+                           damped_shift_objective(gamma, g, METER, "dq"),
+                           damped_reading_objective(gamma, 0.1)]
+        lo, hi = _theta(-_U_MAX), _theta(_U_MAX)
+        for objective in objectives:
+            result = maximize(objective)
+            point = result.argmax
+            assert objective(point.theta1, point.theta2, point.phi0) == result.value
+            assert lo <= point.theta1 <= hi and lo <= point.theta2 <= hi
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -241,7 +268,10 @@ class TestSlabFace:
 
         maximize(objective, grid_n=16, max_cycles=1)
         first_tie = next(i * math.pi / 15 for i in range(16) if i * math.pi / 15 > 1.0)
-        assert probes[16 ** 3] == (0.0, first_tie, 0.0)
+        # The refinement starts there, its polar angles moved into the u box:
+        # theta1 = 0 to the box edge, theta2 round-tripped through u.
+        assert probes[16 ** 3] == _angles((-_U_MAX, _u(first_tie), 0.0))
+        assert probes[16 ** 3][1] == pytest.approx(first_tie, rel=1e-15)
 
 
 class TestLineFace:
@@ -251,26 +281,30 @@ class TestLineFace:
         rng = np.random.default_rng(21)
         ts = [-1.5 + i * 3.0 / 63 for i in range(64)]
         for _ in range(4):
-            origin = (math.pi * rng.random(), math.pi * rng.random(), 2.0 * math.pi * rng.random())
+            origin = (*rng.uniform(-_U_MAX, _U_MAX, size=2), 2.0 * math.pi * rng.random())
             for direction in _DIRECTIONS:
                 line = objective.line(origin, direction, ts)
                 assert line.shape == (64,)
                 assert np.array_equal(line, _loop_line(objective, origin, direction, ts))
 
     def test_floor_masks_line_to_zero(self):
-        # From |0> toward postselection on |1>: the scan ends below the floor.
-        objective = kappa_shift_objective(1.0, 0.1, METER, "dp")
-        ts = [i * math.pi / 63 for i in range(64)]
-        line = objective.line((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), ts)
+        # From near |0> toward postselection on the state orthogonal to the
+        # preselection, reached at u2 = -u1 with relative phase pi: the scan
+        # ends below the floor.
+        objective = kappa_shift_objective(1.0, 1e-3, METER, "dp")
+        origin, direction = (-_U_MAX, -_U_MAX, math.pi), (0.0, 1.0, 0.0)
+        ts = [i * (2.0 * _U_MAX) / 63 for i in range(64)]
+        line = objective.line(origin, direction, ts)
         assert line[0] != 0.0 and line[-1] == 0.0
-        assert np.array_equal(line, _loop_line(objective, (0.0, 0.0, 0.0), (0.0, 1.0, 0.0), ts))
+        assert np.array_equal(line, _loop_line(objective, origin, direction, ts))
 
     def test_nonfinite_scan_value_raises_where_the_scalar_route_does(self):
         # v2 * 4e308 overflows once v2 passes 0.45, mid-way along theta2.
         objective = _Objective(_pure_entries(depolarizing(0.2)),
                                lambda rho00, rho11, re, im, u2, v2: (v2 * 1e308 * 4.0, u2 + v2))
-        origin, direction = (1.0, 0.0, 0.3), (0.0, 1.0, 0.0)
-        points = [(1.0, i * (math.pi / 63), 0.3) for i in range(64)]
+        origin, direction = (_u(1.0), -_U_MAX, 0.3), (0.0, 1.0, 0.0)
+        points = [_angles((origin[0], -_U_MAX + i * (2.0 * _U_MAX / 63), 0.3))
+                  for i in range(64)]
         first_bad = next(p for p in points if not math.isfinite(objective(*p)))
         assert 0.0 < first_bad[1] < math.pi
         for face in (objective, lambda *p: objective(*p)):
@@ -289,13 +323,14 @@ class TestLineFace:
             calls.append(point)
             return objective(*point)
 
+        origin = (_u(1.0), _u(0.5), 0.3)
         for face in (objective, counted):
             search = _Search(face)
-            point, value = _line_search(search, (1.0, 0.5, 0.3), (0.0, 1.0, 0.0), 64)
-            assert (point, value) == ((1.0, 0.0, 0.3), 1.0)
-            assert (search.best_point, search.best_value) == (point, 1.0)
+            point, value = _line_search(search, origin, (0.0, 1.0, 0.0), 64)
+            assert (point, value) == ((origin[0], -_U_MAX, 0.3), 1.0)
+            assert (search.best_point, search.best_value) == (_angles(point), 1.0)
         # A plain callable is called once per evaluation, the scan included.
-        assert calls[0] == point
+        assert calls[0] == _angles(point)
         assert search.evaluations == len(calls)
 
     def test_line_face_leaves_the_battery_searches_unchanged(self):
@@ -325,15 +360,23 @@ def _capped(f, cap=500):
 
 
 class TestLineSearch:
-    ORIGIN, THETA2 = (1.0, 0.5, 0.3), (0.0, 1.0, 0.0)
+    # Line searches run in u = log tan(theta / 2); the objectives see theta.
+    ORIGIN, U2 = (_u(1.0), _u(0.5), 0.3), (0.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("peak", [0.3, 0.7, 1.2345678, 1.9, 2.95])
     def test_one_peak_line_lands_on_its_argmax_in_few_probes(self, peak):
-        objective, calls = _capped(lambda t1, t2, p0: 1.0 + math.cos(t2 - peak))
+        # The peak 1 + cos(s - peak) over s in [0, pi], stretched onto the
+        # box: s = pi / 2 + k u2 runs over [0, pi] as u2 runs across it.
+        k = math.pi / (2.0 * _U_MAX)
+
+        def s(theta2):
+            return 0.5 * math.pi + k * _u(theta2)
+
+        objective, calls = _capped(lambda t1, t2, p0: 1.0 + math.cos(s(t2) - peak))
         search = _Search(objective)
-        point, value = _line_search(search, self.ORIGIN, self.THETA2, 64)
-        assert abs(point[1] - peak) < 1e-9
-        assert value == search.best_abs == 1.0 + math.cos(point[1] - peak)
+        point, value = _line_search(search, self.ORIGIN, self.U2, 64)
+        assert abs(0.5 * math.pi + k * point[1] - peak) < 1e-9
+        assert value == search.best_abs == 1.0 + math.cos(s(_theta(point[1])) - peak)
         # Golden section alone takes about 50 probes after the scan.
         assert len(calls) - 64 <= 25
 
@@ -341,8 +384,8 @@ class TestLineSearch:
     def test_kinked_peak_falls_back_to_golden_steps(self, peak):
         # Parabolas fit a kink badly; golden steps must still close in on it.
         objective, calls = _capped(lambda t1, t2, p0: 2.0 - abs(t2 - peak))
-        point, _ = _line_search(_Search(objective), self.ORIGIN, self.THETA2, 64)
-        assert abs(point[1] - peak) < 1e-9
+        point, _ = _line_search(_Search(objective), self.ORIGIN, self.U2, 64)
+        assert abs(point[1] - _u(peak)) < 1e-9
         assert len(calls) - 64 <= 50
 
     @pytest.mark.parametrize("direction, sign, axis, end", [
@@ -351,22 +394,24 @@ class TestLineSearch:
         (_DIRECTIONS[4], 1.0, 1, math.pi), (_DIRECTIONS[4], -1.0, 0, 0.0),
     ])
     def test_monotone_segment_converges_to_its_end(self, direction, sign, axis, end):
-        # f stays positive and moves by sign * t along origin + t direction,
-        # so |f| peaks at the end where polar angle ``axis`` reaches ``end``.
-        def f(*point):
-            return 10.0 + sign * sum(p * d for p, d in zip(point, direction))
+        # f stays positive and moves with sign * t along the u-line origin +
+        # t direction (each theta is increasing in its u), so |f| peaks at the
+        # box edge where polar angle ``axis`` approaches the pole ``end``.
+        def f(*angles):
+            return 10.0 + sign * sum(a * d for a, d in zip(angles, direction))
 
         objective, _ = _capped(f)
-        point, value = _line_search(_Search(objective), (1.3, 1.7, 0.3), direction, 64)
-        assert abs(point[axis] - end) <= _LINE_WIDTH
-        assert value == f(*point)
+        origin = (_u(1.3), _u(1.7), 0.3)
+        point, value = _line_search(_Search(objective), origin, direction, 64)
+        assert abs(point[axis] - _u(end)) <= _LINE_WIDTH
+        assert value == f(*_angles(point))
 
     def test_constant_line_keeps_the_first_scan_point(self):
         objective, calls = _capped(lambda t1, t2, p0: 0.7)
         search = _Search(objective)
-        point, value = _line_search(search, self.ORIGIN, self.THETA2, 64)
-        assert (point, value) == ((1.0, 0.0, 0.3), 0.7) == (calls[0], 0.7)
-        assert search.best_point == point
+        point, value = _line_search(search, self.ORIGIN, self.U2, 64)
+        assert (point, value) == ((self.ORIGIN[0], -_U_MAX, 0.3), 0.7)
+        assert search.best_point == _angles(point) == calls[0]
 
     @pytest.mark.parametrize("f", [
         lambda t1, t2, p0: t1 + t2,
@@ -385,7 +430,7 @@ class TestLineSearch:
 
         real_along = optimize._along
         monkeypatch.setattr(optimize, "_along", along)
-        for origin in [(0.0, math.pi, 0.0), (1e-13, 3.0, 6.2), (2.0, 0.4, 1.0)]:
+        for origin in [(-_U_MAX, _U_MAX, 0.0), (1e-13 - _U_MAX, 3.0, 6.2), (2.0, 0.4, 1.0)]:
             for direction in _DIRECTIONS:
                 # f is wrapped, so its scan goes point by point through _along too.
                 objective, _ = _capped(lambda *point: f(*point))
@@ -397,7 +442,8 @@ class TestLineSearch:
     def test_battery_probe_counts(self):
         # Probe counts are deterministic: a slide back to wasteful line
         # searches shows here without any timing.  These 36 searches make
-        # 90939 probes after the grid, against 128543 with golden section.
+        # 33180 probes after the grid, against 90939 when the refinement ran
+        # in theta with boundary homing.
         meter = GaussianMeter(1.0)
         after_grid = 0
         for kappa in KAPPA_BATTERY:
@@ -409,10 +455,9 @@ class TestLineSearch:
                     result = maximize(objective)
                     assert result.converged
                     assert result.grid_probes == 64 ** 3
-                    assert (result.grid_probes + result.refine_probes
-                            + result.home_probes == result.evaluations)
-                    after_grid += result.evaluations - 64 ** 3
-        assert after_grid < 95_000
+                    assert result.grid_probes + result.refine_probes == result.evaluations
+                    after_grid += result.refine_probes
+        assert after_grid < 40_000
 
 
 def test_phase_reduction_is_sound():

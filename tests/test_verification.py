@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import weakamp.oracle as oracle
 import weakamp.verification as verification
 from weakamp import VanishingPostselectionError, run_verify
 from weakamp.verification import (
@@ -69,6 +70,23 @@ def test_unconverged_search_is_its_own_failure(monkeypatch):
     assert all(r.case.startswith("converged ") for r in failures)
     assert len(failures) == 36
     assert all(math.isinf(r.severity) for r in failures)
+
+
+def test_unconverged_adjudication_search_fails_verify(monkeypatch):
+    real = oracle.maximize
+
+    def unconverged(objective, **kwargs):
+        return replace(real(objective, **kwargs), converged=False)
+
+    monkeypatch.setattr(oracle, "maximize", unconverged)
+    report = run_verify(seed=7, samples=5)
+    assert not report.ok
+    failures = [r for r in report.records if not r.ok]
+    assert [r.case for r in failures] == [
+        f"converged {dispute}/max-{i:03d}"
+        for dispute in ("position-shift-attenuation", "dephased-momentum-max")
+        for i in range(3)]
+    assert all(r.section == "adjudication" for r in failures)
 
 
 def test_run_verify_rejects_empty_batteries():
