@@ -9,8 +9,9 @@ and w = alpha2 * conj(beta2):
     dp'  = g (rho00 |alpha2|^2 - rho11 |beta2|^2) / Pro
     dq'  = 4 g delta^2 E Im(rho10 w) / Pro
 
-This formula exists once, as ``_shift_kernel``, shared by ``gaussian_shifts``
-and the optimizer's objectives (``optimize._Objective``).
+This formula exists once, as the pieces ``_shift_prob``, ``_dp_numerator``
+and ``_dq_numerator``, shared by ``gaussian_shifts`` and the optimizer's
+objectives (``optimize._Objective``), which compute only the pieces they read.
 """
 
 from __future__ import annotations
@@ -30,14 +31,19 @@ from .common import (
 from .qubit import PureQubit, QubitDensity
 
 
-def _shift_kernel(g, att, dq_scale, rho00, rho11, cross_re, cross_im, u2, v2):
-    """dp' and dq' numerators and Pro, for att = E, dq_scale = 4 g delta^2 E,
-    cross = rho10 w, u2 = |alpha2|^2 and v2 = |beta2|^2.
+def _shift_prob(att, rho00, rho11, cross_re, cross_im, u2, v2):
+    """Pro for att = E, cross = rho10 w, u2 = |alpha2|^2 and v2 = |beta2|^2.
+    Each piece is arithmetic only, so it runs on floats and numpy arrays."""
+    return rho00 * u2 + rho11 * v2 + 2.0 * att * cross_re
 
-    Arithmetic only, so it runs on floats and on numpy arrays alike.
-    """
-    prob = rho00 * u2 + rho11 * v2 + 2.0 * att * cross_re
-    return g * (rho00 * u2 - rho11 * v2), dq_scale * cross_im, prob
+
+def _dp_numerator(g, rho00, rho11, cross_re, cross_im, u2, v2):
+    return g * (rho00 * u2 - rho11 * v2)
+
+
+def _dq_numerator(dq_scale, rho00, rho11, cross_re, cross_im, u2, v2):
+    """dq' numerator for dq_scale = 4 g delta^2 E."""
+    return dq_scale * cross_im
 
 
 def gaussian_shifts(rho_s: QubitDensity, psi_f: PureQubit, g: float,
@@ -49,14 +55,20 @@ def gaussian_shifts(rho_s: QubitDensity, psi_f: PureQubit, g: float,
     """
     g = _check_coupling(g)
     att = meter.coherence_factor(g)
-    u2 = abs(psi_f.alpha) ** 2
-    cross = rho_s.rho10 * (psi_f.alpha * psi_f.beta.conjugate())
-    dp_num, dq_num, prob = _shift_kernel(
-        g, att, 4.0 * g * meter.delta ** 2 * att,
-        rho_s.rho00.real, rho_s.rho11.real, cross.real, cross.imag, u2, 1.0 - u2)
+    # Positional calls: unpacking an argument tuple costs the scalar API more.
+    alpha = psi_f.alpha
+    u2 = abs(alpha) ** 2
+    v2 = 1.0 - u2
+    rho00, rho11 = rho_s.rho00.real, rho_s.rho11.real
+    cross = rho_s.rho10 * (alpha * psi_f.beta.conjugate())
+    cross_re, cross_im = cross.real, cross.imag
+    prob = _shift_prob(att, rho00, rho11, cross_re, cross_im, u2, v2)
     if prob <= PROB_FLOOR:
         raise VanishingPostselectionError(prob)
-    return ShiftResult(dp_num / prob, dq_num / prob, prob)
+    dq_scale = 4.0 * g * meter.delta ** 2 * att
+    return ShiftResult(_dp_numerator(g, rho00, rho11, cross_re, cross_im, u2, v2) / prob,
+                       _dq_numerator(dq_scale, rho00, rho11, cross_re, cross_im, u2, v2) / prob,
+                       prob)
 
 
 def gaussian_max_shifts(kappa: float, g: float,

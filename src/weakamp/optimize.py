@@ -21,17 +21,20 @@ Every family is a channel applied to pure_state(theta1, phi0), and one
 builder, ``_pure_entries``, turns any channel's entry map into the density
 entries: the modulus-kappa family is depolarizing at strength 1 - kappa, the
 damped family is amplitude damping.  An ``_Objective`` joins such a family to
-a meter kernel, ``gaussian._shift_kernel`` or ``qubitmeter._reading_kernel``,
-the only copy of each meter formula.  Calling it probes one point on Python
-floats with ``math`` trigonometry, about ten times faster than a one-point
-numpy evaluation; Brent steps and every reported value use this face.
-Its ``slab`` runs the same arithmetic on numpy arrays over one theta1 slab
-of the coarse grid, so the default 64^3-point grid is 64 slab calls instead
-of 262k probes, with bit-identical values.  Its ``line`` face runs it over
-the grid_n points that open each line search, with each point's angles and
-trigonometry taken from ``math`` so the values stay bit-identical to single
-probes; the search records the first largest of them as it stands and
-starts Brent's method there.  Plain callables get both faces point by point
+a meter's probability piece and the one numerator piece it divides by it
+(``gaussian._shift_prob`` with ``_dp_numerator`` or ``_dq_numerator``,
+``qubitmeter._reading_prob`` with ``_reading_numerator``), the only copy of
+each meter formula; every face computes the probability and that numerator
+only.  Calling it probes one point on Python floats with ``math``
+trigonometry, about ten times faster than a one-point numpy evaluation;
+Brent steps and every reported value use this face.  Its ``slab`` runs the
+same arithmetic on numpy arrays over one theta1 slab of the coarse grid, so
+the default 64^3-point grid is 64 slab calls instead of 262k probes, with
+bit-identical values.  Its ``line`` face runs it over the grid_n points
+that open each line search, with each point's angles and trigonometry
+taken from ``math`` so the values stay bit-identical to single probes; the
+search records the first largest of them as it stands and starts Brent's
+method there.  Plain callables get both faces point by point
 (``_loop_slab``, ``_loop_line``).
 Probes where the postselection probability falls below the usable floor
 evaluate to 0, letting the search traverse near-orthogonal regions where
@@ -52,8 +55,8 @@ import numpy as np
 from .channels import KrausChannel, amplitude_damping, depolarizing
 from .common import (PROB_FLOOR, GaussianMeter, MaxResult, _check_coupling,
                      _check_gamma, _check_kappa)
-from .gaussian import _shift_kernel, gaussian_max_shifts
-from .qubitmeter import _reading_kernel, qubit_max_reading
+from .gaussian import _dp_numerator, _dq_numerator, _shift_prob, gaussian_max_shifts
+from .qubitmeter import _reading_numerator, _reading_prob, qubit_max_reading
 
 Objective = Callable[[float, float, float], float]
 
@@ -326,7 +329,8 @@ def maximize(objective: Objective, grid_n: int = 64,
     relative gap of order exp(-2 _U_MAX).  The objective must accept any
     theta in [0, pi] and be 2 pi-periodic in phi0.  An objective with
     ``slab`` and ``line`` faces has the grid evaluated a theta1 slab at a
-    time and each line-search scan in one call; any other callable is
+    time, each slab a new array that the search overwrites with its
+    |values|, and each line-search scan in one call; any other callable is
     probed point by point.  ``max_cycles`` (at least 1) caps the refinement
     cycles.
 
@@ -345,9 +349,13 @@ def maximize(objective: Objective, grid_n: int = 64,
     start, start_abs = None, -1.0
     for t1 in grid.theta:
         values = slab(t1, grid)
-        _check_finite(values, lambda i, j: PPSPoint(t1, grid.theta[i], grid.phi[j]))
-        magnitude = np.abs(values)
+        magnitude = np.abs(values, out=values)
         k = int(magnitude.argmax())
+        if not math.isfinite(magnitude.flat[k]):
+            # argmax stops at the first NaN, else at the first inf.  The error
+            # names the first non-finite point of the signed slab, so the slab
+            # is evaluated again: the abs above overwrote its signs.
+            _check_finite(slab(t1, grid), lambda i, j: PPSPoint(t1, grid.theta[i], grid.phi[j]))
         if magnitude.flat[k] > start_abs:
             start_abs = magnitude.flat[k]
             i, j = divmod(k, grid_n)
@@ -412,28 +420,31 @@ def _modulus_channel(kappa: float) -> KrausChannel:
 class _Objective:
     """Meter value over a family's ``entries``, postselected on pure_state(theta2, 0).
 
-    ``kernel(rho00, rho11, cross_re, cross_im, u2, v2)`` is a meter kernel
-    with its constants bound; ``pick`` selects which of its numerators to
-    divide by the postselection probability it returns last.
+    ``prob`` and ``numerator`` are a meter's probability piece and one of its
+    numerator pieces, each ``(rho00, rho11, cross_re, cross_im, u2, v2)``
+    with the constants bound; the value is numerator / prob.  Every face
+    computes the probability and this one numerator only, and the array
+    faces build ``cross_im`` only if a piece reads it (``reads_imag``).
     """
 
-    __slots__ = ("entries", "kernel", "pick")
+    __slots__ = ("entries", "prob", "numerator", "reads_imag")
 
-    def __init__(self, entries, kernel, pick: int = 0):
+    def __init__(self, entries, prob, numerator, reads_imag: bool = True):
         self.entries = entries
-        self.kernel = kernel
-        self.pick = pick
+        self.prob = prob
+        self.numerator = numerator
+        self.reads_imag = reads_imag
 
     def __call__(self, t1: float, t2: float, p0: float) -> float:
         rho00, rho11, re10, im10 = self.entries(
             math.cos(0.5 * t1), math.sin(0.5 * t1), math.cos(p0), math.sin(p0))
         ch, sh = math.cos(0.5 * t2), math.sin(0.5 * t2)
         w = sh * ch
-        out = self.kernel(rho00, rho11, re10 * w, im10 * w, ch * ch, sh * sh)
-        prob = out[-1]
+        args = (rho00, rho11, re10 * w, im10 * w, ch * ch, sh * sh)
+        prob = self.prob(*args)
         if prob <= PROB_FLOOR:
             return 0.0
-        return out[self.pick] / prob
+        return self.numerator(*args) / prob
 
     def slab(self, t1: float, grid: _Grid) -> np.ndarray:
         """Values on grid.theta x grid.phi at this theta1, as one array."""
@@ -449,12 +460,17 @@ class _Objective:
         return self._array(ch1, sh1, cos_p0, sin_p0, sh2 * ch2, ch2 * ch2, sh2 * sh2)
 
     def _array(self, ch1, sh1, cos_p0, sin_p0, w, u2, v2) -> np.ndarray:
-        """The call face's arithmetic on arrays, with the floor as a mask."""
+        """The call face's arithmetic on arrays, with the floor as a mask
+        where some probability is at or below it (or NaN)."""
         rho00, rho11, re10, im10 = self.entries(ch1, sh1, cos_p0, sin_p0)
-        out = self.kernel(rho00, rho11, re10 * w, im10 * w, u2, v2)
-        prob = out[-1]
+        args = (rho00, rho11, re10 * w, im10 * w if self.reads_imag else None, u2, v2)
+        prob = self.prob(*args)
+        numerator = self.numerator(*args)
+        # A ufunc reduce, unlike ndarray.min, also takes a float prob.
+        if np.minimum.reduce(prob, axis=None) > PROB_FLOOR:
+            return numerator / prob
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(prob <= PROB_FLOOR, 0.0, out[self.pick] / prob)
+            return np.where(prob <= PROB_FLOOR, 0.0, numerator / prob)
 
 
 def _half_theta(u: float) -> float:
@@ -489,11 +505,14 @@ def _family_objective(entries, g: float, meter: GaussianMeter | Literal["qubit"]
     g = _check_coupling(g)
     _check_target(meter, which)
     if which == "reading":
-        return _Objective(entries, partial(_reading_kernel, math.sin(g) ** 2,
-                                           math.cos(2.0 * g)))
+        return _Objective(entries, partial(_reading_prob, math.cos(2.0 * g)),
+                          partial(_reading_numerator, math.sin(g) ** 2), reads_imag=False)
     att = meter.coherence_factor(g)
-    kernel = partial(_shift_kernel, g, att, 4.0 * g * meter.delta ** 2 * att)
-    return _Objective(entries, kernel, ("dp", "dq").index(which))
+    if which == "dp":
+        return _Objective(entries, partial(_shift_prob, att), partial(_dp_numerator, g),
+                          reads_imag=False)
+    return _Objective(entries, partial(_shift_prob, att),
+                      partial(_dq_numerator, 4.0 * g * meter.delta ** 2 * att))
 
 
 def kappa_shift_objective(kappa: float, g: float, meter: GaussianMeter,

@@ -314,19 +314,18 @@ def _random_pure(rng: np.random.Generator) -> PureQubit:
                       2.0 * math.pi * rng.random())
 
 
-def _moment_kernel(n10_re, n10_im, m00, m11, m10_re, m10_im, m01_re, m01_im,
-                   rho00, rho11, cross_re, cross_im, u2, v2):
-    """Branch-moment numerator and postselection probability.
+def _moment_prob(n10_re, n10_im, rho00, rho11, cross_re, cross_im, u2, v2):
+    """Postselection probability rho00 u2 + rho11 v2 + 2 Re(c N10), with the cross
+    term c = rho10 w and the grid's branch overlap N10; arithmetic only."""
+    return rho00 * u2 + rho11 * v2 + 2.0 * (cross_re * n10_re - cross_im * n10_im)
 
-    With the cross term c = rho10 w, the branch overlap N10 and the moment
-    matrix M of the grid: prob = rho00 u2 + rho11 v2 + 2 Re(c N10) and the
-    numerator is rho00 u2 M00 + rho11 v2 M11 + Re(c M10 + conj(c) M01).
-    Arithmetic only, so the arguments may be floats or numpy arrays.
-    """
-    prob = rho00 * u2 + rho11 * v2 + 2.0 * (cross_re * n10_re - cross_im * n10_im)
-    value = rho00 * u2 * m00 + rho11 * v2 * m11 \
+
+def _moment_numerator(m00, m11, m10_re, m10_im, m01_re, m01_im,
+                      rho00, rho11, cross_re, cross_im, u2, v2):
+    """Branch-moment numerator rho00 u2 M00 + rho11 v2 M11 + Re(c M10 + conj(c) M01),
+    with the moment matrix M of the grid."""
+    return rho00 * u2 * m00 + rho11 * v2 * m11 \
         + ((cross_re * m10_re - cross_im * m10_im) + (cross_re * m01_re + cross_im * m01_im))
-    return value, prob
 
 
 def _oracle_shift_objective(entries, g: float, meter: GaussianMeter, which: str):
@@ -335,9 +334,9 @@ def _oracle_shift_objective(entries, g: float, meter: GaussianMeter, which: str)
     n_mat, q_mat, p_mat = _branch_moments(g, meter.delta, grid.half_width, grid.points)
     moment = q_mat if which == "dq" else p_mat
     n10, m10, m01 = n_mat[1, 0], moment[1, 0], moment[0, 1]
-    constants = (n10.real, n10.imag, moment[0, 0].real, moment[1, 1].real,
-                 m10.real, m10.imag, m01.real, m01.imag)
-    return _Objective(entries, partial(_moment_kernel, *map(float, constants)))
+    numerator = (moment[0, 0].real, moment[1, 1].real, m10.real, m10.imag, m01.real, m01.imag)
+    return _Objective(entries, partial(_moment_prob, float(n10.real), float(n10.imag)),
+                      partial(_moment_numerator, *map(float, numerator)))
 
 
 def adjudicate_variants(seed: int = 7, pointwise_samples: int = 40,

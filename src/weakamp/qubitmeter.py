@@ -8,9 +8,10 @@ the Gaussian case, one formula covers arbitrary preselection states:
     Pro  = rho00 |alpha2|^2 + rho11 |beta2|^2 + 2 cos(2g) Re(rho10 w)
     <O>' = sin^2(g) (rho00 |alpha2|^2 + rho11 |beta2|^2 - 2 Re(rho10 w)) / Pro
 
-with w = alpha2 * conj(beta2).  This formula exists once, as
-``_reading_kernel``, shared by ``postselected_reading`` and the optimizer's
-objectives (``optimize._Objective``).
+with w = alpha2 * conj(beta2).  This formula exists once, as the pieces
+``_reading_prob`` and ``_reading_numerator``, shared by
+``postselected_reading`` and the optimizer's objectives
+(``optimize._Objective``).
 """
 
 from __future__ import annotations
@@ -35,28 +36,31 @@ def ordinary_reading(g: float) -> float:
     return math.sin(g) ** 2
 
 
-def _reading_kernel(s2, c2g, rho00, rho11, cross_re, cross_im, u2, v2):
-    """<O>' numerator and Pro, for s2 = sin^2(g), c2g = cos(2g),
-    cross = rho10 w, u2 = |alpha2|^2 and v2 = |beta2|^2.
+def _reading_prob(c2g, rho00, rho11, cross_re, cross_im, u2, v2):
+    """Pro for c2g = cos(2g), cross = rho10 w, u2 = |alpha2|^2 and
+    v2 = |beta2|^2; arithmetic only, as ``gaussian._shift_prob``."""
+    return rho00 * u2 + rho11 * v2 + 2.0 * c2g * cross_re
 
-    Arithmetic only, so it runs on floats and on numpy arrays alike.
-    """
-    base = rho00 * u2 + rho11 * v2
-    prob = base + 2.0 * c2g * cross_re
-    return s2 * (base - 2.0 * cross_re), prob
+
+def _reading_numerator(s2, rho00, rho11, cross_re, cross_im, u2, v2):
+    """<O>' numerator for s2 = sin^2(g)."""
+    return s2 * (rho00 * u2 + rho11 * v2 - 2.0 * cross_re)
 
 
 def postselected_reading(rho_s: QubitDensity, psi_f: PureQubit,
                          g: float) -> QubitMeterReading:
     """Reading conditioned on postselecting the system onto ``psi_f``."""
     g = _check_coupling(g)
-    u2 = abs(psi_f.alpha) ** 2
-    cross = rho_s.rho10 * (psi_f.alpha * psi_f.beta.conjugate())
-    num, prob = _reading_kernel(math.sin(g) ** 2, math.cos(2.0 * g),
-                                rho_s.rho00.real, rho_s.rho11.real,
-                                cross.real, cross.imag, u2, 1.0 - u2)
+    alpha = psi_f.alpha
+    u2 = abs(alpha) ** 2
+    v2 = 1.0 - u2
+    rho00, rho11 = rho_s.rho00.real, rho_s.rho11.real
+    cross = rho_s.rho10 * (alpha * psi_f.beta.conjugate())
+    cross_re, cross_im = cross.real, cross.imag
+    prob = _reading_prob(math.cos(2.0 * g), rho00, rho11, cross_re, cross_im, u2, v2)
     if prob <= PROB_FLOOR:
         raise VanishingPostselectionError(prob)
+    num = _reading_numerator(math.sin(g) ** 2, rho00, rho11, cross_re, cross_im, u2, v2)
     return QubitMeterReading(num / prob, prob)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -29,7 +30,7 @@ from weakamp import (
     pure_state,
     qubit_max_reading,
 )
-from weakamp import optimize
+from weakamp import optimize, oracle
 from weakamp.optimize import (
     _DIRECTIONS,
     _LINE_WIDTH,
@@ -73,6 +74,32 @@ FAMILIES = {
 def _modulus_state(kappa, theta, phi):
     b = pure_state(theta, phi).bloch()
     return density_from_bloch(BlochVector(kappa * b.rx, kappa * b.ry, kappa * b.rz))
+
+
+def _battery_and_damped_objectives():
+    """The 36 verify battery objectives and the 9 damped ones of acceptance
+    criterion 6, in that order."""
+    objectives = []
+    for kappa in KAPPA_BATTERY:
+        for c in COUPLING_BATTERY:
+            g = c * METER.dp
+            objectives += [kappa_shift_objective(kappa, g, METER, "dp"),
+                           kappa_shift_objective(kappa, g, METER, "dq"),
+                           kappa_reading_objective(kappa, c)]
+    g = 0.1 * METER.dp
+    for gamma in (0.1, 0.5, 0.9):
+        objectives += [damped_shift_objective(gamma, g, METER, "dp"),
+                       damped_shift_objective(gamma, g, METER, "dq"),
+                       damped_reading_objective(gamma, 0.1)]
+    return objectives
+
+
+#: SHA-256 of the ``OptimizationResult`` reprs, one a line, of the 45
+#: ``_battery_and_damped_objectives`` searches followed by the 6 oracle-maximum
+#: searches of ``adjudicate_variants()`` (grid_n = 32).  Recorded with
+#: CPython 3.11 and numpy 2.4 on x86-64 Linux; a speed-up that moves any
+#: value, point or probe count changes it.
+RESULTS_DIGEST = "6b8fea569dbe3dafccb62ceeeb6239fe1490b77b705d87a80e6a7ba31803d01a"
 
 
 class TestMaximize:
@@ -120,24 +147,26 @@ class TestMaximize:
         # The 36 verify battery searches and the 9 damped searches of
         # acceptance criterion 6: the reported point, probed again, gives the
         # reported value exactly, and its polar angles lie in the u box.
-        objectives = []
-        for kappa in KAPPA_BATTERY:
-            for c in COUPLING_BATTERY:
-                g = c * METER.dp
-                objectives += [kappa_shift_objective(kappa, g, METER, "dp"),
-                               kappa_shift_objective(kappa, g, METER, "dq"),
-                               kappa_reading_objective(kappa, c)]
-        g = 0.1 * METER.dp
-        for gamma in (0.1, 0.5, 0.9):
-            objectives += [damped_shift_objective(gamma, g, METER, "dp"),
-                           damped_shift_objective(gamma, g, METER, "dq"),
-                           damped_reading_objective(gamma, 0.1)]
         lo, hi = _theta(-_U_MAX), _theta(_U_MAX)
-        for objective in objectives:
+        for objective in _battery_and_damped_objectives():
             result = maximize(objective)
             point = result.argmax
             assert objective(point.theta1, point.theta2, point.phi0) == result.value
             assert lo <= point.theta1 <= hi and lo <= point.theta2 <= hi
+
+    def test_results_are_pinned(self, monkeypatch):
+        results = [maximize(objective) for objective in _battery_and_damped_objectives()]
+        real_maximize = oracle.maximize
+
+        def recorded(objective, **kwargs):
+            results.append(real_maximize(objective, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(oracle, "maximize", recorded)
+        oracle.adjudicate_variants()
+        assert len(results) == 51
+        text = "\n".join(map(repr, results))
+        assert hashlib.sha256(text.encode()).hexdigest() == RESULTS_DIGEST
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -253,6 +282,37 @@ class TestSlabFace:
         grid = _coarse_grid(16)
         assert objective.slab(0.0, grid)[-1, 0] == 0.0
 
+    @pytest.mark.parametrize("prob, numerator", [
+        # Probability 0 on the theta2 = 0 row of every slab, ahead of a value
+        # that overflows to -inf once rho11 v2 passes 0.2247.
+        (lambda rho00, rho11, re, im, u2, v2: v2,
+         lambda rho00, rho11, re, im, u2, v2: -v2 * rho11 * 1e308 * 8.0 + 0.0 * re),
+        # inf - inf: a NaN probability wherever rho11 v2 passes 0.2247, and
+        # probability 0 on the theta2 = 0 row, where only the mask keeps the
+        # value finite.
+        (lambda rho00, rho11, re, im, u2, v2:
+            v2 + (rho11 * v2 * 1e308 * 8.0 - rho11 * v2 * 1e308 * 8.0),
+         lambda rho00, rho11, re, im, u2, v2: rho00 + 0.0 * re),
+        # The whole slab is -inf once rho11 passes 0.2247, and -inf / inf is a
+        # NaN on its last rows: the largest |value| is a NaN behind the -inf.
+        (lambda rho00, rho11, re, im, u2, v2: 1.0 + rho11 * v2 * 1e308 * 8.0,
+         lambda rho00, rho11, re, im, u2, v2: -rho11 * 1e308 * 8.0 + 0.0 * re),
+    ], ids=["floor-then-minus-inf", "nan-probability", "minus-inf-then-nan"])
+    def test_nonfinite_grid_value_raises_at_the_first_nonfinite_point(self, prob, numerator):
+        # Each numerator adds 0 re, so the slabs span the phi0 axis too.
+        objective = _Objective(_pure_entries(depolarizing(0.2)), prob, numerator)
+        grid = _coarse_grid(32)
+        first = next((t1, t2, p0) for t1 in grid.theta for t2 in grid.theta
+                     for p0 in grid.phi if not math.isfinite(objective(t1, t2, p0)))
+        value = objective(*first)
+        assert first[0] > 0.0  # earlier slabs are finite
+        for face in (objective, lambda *point: objective(*point)):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(OptimizationError) as err:
+                maximize(face, grid_n=32)
+            assert err.value.point == PPSPoint(*first)
+            assert repr(err.value.value) == repr(value)
+
     @pytest.mark.parametrize("target", ["kappa-dq", "damped-reading", "oracle-dq"])
     def test_plain_callable_takes_the_same_search(self, target):
         objective = TARGETS[target]()
@@ -301,7 +361,8 @@ class TestLineFace:
     def test_nonfinite_scan_value_raises_where_the_scalar_route_does(self):
         # v2 * 4e308 overflows once v2 passes 0.45, mid-way along theta2.
         objective = _Objective(_pure_entries(depolarizing(0.2)),
-                               lambda rho00, rho11, re, im, u2, v2: (v2 * 1e308 * 4.0, u2 + v2))
+                               lambda rho00, rho11, re, im, u2, v2: u2 + v2,
+                               lambda rho00, rho11, re, im, u2, v2: v2 * 1e308 * 4.0)
         origin, direction = (_u(1.0), -_U_MAX, 0.3), (0.0, 1.0, 0.0)
         points = [_angles((origin[0], -_U_MAX + i * (2.0 * _U_MAX / 63), 0.3))
                   for i in range(64)]
@@ -316,7 +377,8 @@ class TestLineFace:
     def test_first_largest_scan_point_wins_without_a_reprobe(self):
         # Every scan value ties, so the first scan point is kept.
         objective = _Objective(_pure_entries(depolarizing(0.2)),
-                               lambda rho00, rho11, re, im, u2, v2: (0.0 * u2 + 1.0, 1.0))
+                               lambda rho00, rho11, re, im, u2, v2: 1.0,
+                               lambda rho00, rho11, re, im, u2, v2: 0.0 * u2 + 1.0)
         calls = []
 
         def counted(*point):
