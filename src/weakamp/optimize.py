@@ -358,7 +358,9 @@ def maximize(objective: Objective, grid_n: int = 64,
             _check_finite(slab(t1, grid), lambda i, j: PPSPoint(t1, grid.theta[i], grid.phi[j]))
         if magnitude.flat[k] > start_abs:
             start_abs = magnitude.flat[k]
-            i, j = divmod(k, grid_n)
+            # By the slab's own row length: one whose pieces ignore phi0
+            # broadcasts to (grid_n, 1).
+            i, j = divmod(k, magnitude.shape[1])
             start = (t1, grid.theta[i], grid.phi[j])
     grid_probes = search.evaluations = grid_n ** 3
 

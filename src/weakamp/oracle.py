@@ -12,7 +12,10 @@ Two oracles, both built from the impulse interaction only:
   real, so the second branch is the complex conjugate of the first: one
   complex exponential and one FFT per coupling give both branches and both
   spectra, and Parseval's theorem gives the momentum moments from the
-  spectra without inverse transforms.
+  spectra without inverse transforms.  The size-only index arrays (grid
+  index, FFT frequencies, mirror index) come from a small per-size cache,
+  the moments come back as one read-only (3, 2, 2) array, and a state's
+  three weighted sums are one contraction against it.
 
 The default grid has 256 points on a half-width of 10-14 pointer widths.
 The integrands are Gaussians of width delta (times phases), on which the
@@ -58,11 +61,12 @@ from .qubit import PAULI_X, PAULI_Z, BlochVector, PureQubit, QubitDensity, densi
 
 #: The coupling generator sigma_z x sigma_x.
 _GENERATOR = np.kron(PAULI_Z, PAULI_X)
+_IDENTITY = np.eye(4, dtype=complex)
 
 
 def _joint_evolved(rho_s: QubitDensity, g: float) -> np.ndarray:
     """Evolved system x meter density matrix, meter starting in |0>."""
-    propagator = math.cos(g) * np.eye(4, dtype=complex) + 1j * math.sin(g) * _GENERATOR
+    propagator = math.cos(g) * _IDENTITY + 1j * math.sin(g) * _GENERATOR
     # rho_s x |0><0|: the system entries sit at the even (meter |0>) indices.
     joint = np.zeros((4, 4), dtype=complex)
     joint[::2, ::2] = rho_s.matrix
@@ -138,29 +142,48 @@ def default_grid(meter: GaussianMeter, g: float) -> PositionGrid:
 #: a few couplings hit the cache; seeded batteries draw a fresh coupling per
 #: sample, so an unbounded cache would grow by one entry per sample.
 _BRANCH_CACHE_SIZE = 64
+#: Grid sizes whose index arrays are kept; every default grid has 256 points.
+_INDEX_CACHE_SIZE = 8
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=_INDEX_CACHE_SIZE)
+def _grid_indices(points: int):
+    """Read-only k = arange(points), the integer FFT frequencies of
+    ``np.fft.fftfreq`` and the mirror index (-k) % points."""
+    k = np.arange(points)
+    freqs = np.where(k < (points + 1) // 2, k, k - points)
+    return tuple(map(_read_only, (k, freqs, -k % points)))
 
 
 @lru_cache(maxsize=_BRANCH_CACHE_SIZE)
 def _branch_moments(g: float, delta: float, half_width: float, points: int):
     """Norm, position, and momentum moments between the two meter branches.
 
-    Returns three 2x2 complex arrays N, Q, P with
+    Returns one read-only (3, 2, 2) complex array, shared by every caller at
+    these arguments, that unpacks into N, Q, P with
     N[j, l] = <Phi_l|Phi_j>, Q[j, l] = <Phi_l|q|Phi_j>, P[j, l] = <Phi_l|p|Phi_j>
     where Phi_0/Phi_1 are the envelope times exp(+igq)/exp(-igq).
 
     Grid quadrature plus a spectral derivative, independent of the closed
     forms.  The envelope is real, so Phi_1 = conj(Phi_0) with spectrum
     F_1[k] = conj(F_0[-k]), and N00 = N11, Q00 = Q11.  P follows by Parseval:
-    P[j, l] = (dx / points) sum_k conj(F_l[k]) k F_j[k].
+    P[j, l] = (dx / points) sum_k conj(F_l[k]) k F_j[k].  Positions,
+    wavenumbers and F_1 are built from ``_grid_indices`` with the operations
+    of ``PositionGrid.positions`` and ``np.fft.fftfreq``.
 
     Raises GridTooSmallError when the spectrum exp(-delta^2 (k -+ g)^2)
     reaches above e^-36 at the Nyquist wavenumber, or when the norm is off
     by more than 1e-6 (a grid too short loses norm, one too coarse can
     over-count it).
     """
-    grid = PositionGrid(half_width, points)
-    q = grid.positions()
-    dx = grid.spacing
+    dx = PositionGrid(half_width, points).spacing
+    k, freqs, mirror = _grid_indices(points)
+    q = -half_width + dx * k
     margin = delta * (math.pi / dx - g)
     if margin < 6.0:
         raise GridTooSmallError(
@@ -175,24 +198,17 @@ def _branch_moments(g: float, delta: float, half_width: float, points: int):
         )
     b0 = envelope * np.exp(1j * g * q)
     spectrum = np.fft.fft(b0)
-    mirrored = np.conj(np.roll(spectrum[::-1], 1))
-    wavenumbers = 2.0 * math.pi * np.fft.fftfreq(points, d=dx)
+    mirrored = np.conj(spectrum[mirror])
+    power = np.abs(spectrum) ** 2
+    wavenumbers = 2.0 * math.pi * (freqs * (1.0 / (points * dx)))
     qb0 = q * b0
     # conj(b0) b0 rather than envelope**2: rounds like the two-branch quadrature.
     n_diag, q_diag = dx * np.vdot(b0, b0).real, dx * np.vdot(b0, qb0).real
-    p_diag = [dx / points * float(np.dot(wavenumbers, np.abs(f) ** 2))
-              for f in (spectrum, mirrored)]
+    p_diag = [dx / points * float(np.dot(wavenumbers, f)) for f in (power, power[mirror])]
     n_cross, q_cross = dx * np.dot(b0, b0), dx * np.dot(b0, qb0)
     p_cross = dx / points * np.vdot(mirrored, wavenumbers * spectrum)
-    n_mat, q_mat, p_mat = (np.array([[a, c], [np.conj(c), b]]) for a, c, b in (
-        (n_diag, n_cross, n_diag), (q_diag, q_cross, q_diag), (p_diag[0], p_cross, p_diag[1])))
-    return n_mat, q_mat, p_mat
-
-
-def _coefficients(rho_s: QubitDensity, psi_f: PureQubit) -> np.ndarray:
-    """Branch-pair weights c[j, l] = rho[j, l] conj(psi_f[j]) psi_f[l]."""
-    amps = psi_f.amplitudes()
-    return rho_s.matrix * np.outer(amps.conj(), amps)
+    return _read_only(np.array([[[a, c], [np.conj(c), b]] for a, c, b in (
+        (n_diag, n_cross, n_diag), (q_diag, q_cross, q_diag), (p_diag[0], p_cross, p_diag[1]))]))
 
 
 def gaussian_grid_evolve(rho_s: QubitDensity, psi_f: PureQubit, g: float,
@@ -214,15 +230,15 @@ def gaussian_grid_evolve(rho_s: QubitDensity, psi_f: PureQubit, g: float,
         raise GridTooSmallError(
             f"half_width {grid.half_width} covers fewer than 8 position deviations"
         )
-    n_mat, q_mat, p_mat = _branch_moments(g, meter.delta, grid.half_width, grid.points)
-    coeff = _coefficients(rho_s, psi_f)
-    prob = float(np.sum(coeff * n_mat).real)
+    moments = _branch_moments(g, meter.delta, grid.half_width, grid.points)
+    # Branch-pair weights c[j, l] = rho[j, l] conj(psi_f[j]) psi_f[l].
+    amps = psi_f.amplitudes()
+    coeff = rho_s.matrix * np.outer(amps.conj(), amps)
+    prob, q_sum, p_sum = (coeff * moments).sum(axis=(1, 2)).real.tolist()
     if prob <= PROB_FLOOR:
         raise VanishingPostselectionError(prob)
-    q_mean = float(np.sum(coeff * q_mat).real) / prob
-    p_mean = float(np.sum(coeff * p_mat).real) / prob
     # Initial means are zero, so the conditional means are the shifts.
-    return ShiftResult(p_mean, q_mean, prob)
+    return ShiftResult(p_sum / prob, q_sum / prob, prob)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +288,9 @@ class AdjudicationReport:
     verdicts: tuple[DisputeVerdict, ...]
     #: "dispute/input_id" of each oracle maximum whose search did not converge.
     unconverged: tuple[str, ...] = ()
+    #: (dispute, samples missing) of each dispute that decided on fewer than
+    #: the requested pointwise samples.
+    shortfalls: tuple[tuple[str, int], ...] = ()
 
     @property
     def all_confirmed(self) -> bool:
@@ -304,9 +323,9 @@ class AdjudicationReport:
 
 def _random_density(rng: np.random.Generator) -> QubitDensity:
     direction = rng.normal(size=3)
-    direction /= np.linalg.norm(direction)
+    direction /= math.sqrt(direction.dot(direction))
     radius = rng.random() ** (1.0 / 3.0)
-    return density_from_bloch(BlochVector(*(radius * direction)))
+    return density_from_bloch(BlochVector(*(radius * direction).tolist()))
 
 
 def _random_pure(rng: np.random.Generator) -> PureQubit:
@@ -356,13 +375,16 @@ def adjudicate_variants(seed: int = 7, pointwise_samples: int = 40,
     dispute is confirmed when the normative variant stays within tolerance
     while the rejected one exceeds ten times the tolerance somewhere.  An
     oracle maximum whose search did not converge is named in the report's
-    ``unconverged``.
+    ``unconverged``, and a dispute left short of ``pointwise_samples`` by its
+    attempt cap or by rejected cases in ``shortfalls``; a variant without a
+    single deviation has worst deviation inf.
     """
     rng = np.random.default_rng(seed)
     meter = GaussianMeter(1.0)
     entries: list[AdjudicationEntry] = []
     verdicts: list[DisputeVerdict] = []
     unconverged: list[str] = []
+    shortfalls: list[tuple[str, int]] = []
 
     def record(dispute, variant, input_id, deviation):
         entries.append(AdjudicationEntry(dispute, variant, input_id, float(deviation)))
@@ -378,8 +400,12 @@ def adjudicate_variants(seed: int = 7, pointwise_samples: int = 40,
         for e in entries:
             if e.dispute == dispute:
                 devs.setdefault(e.variant, []).append(e.deviation)
-        verdicts.append(DisputeVerdict(dispute, normative, rejected,
-                                       max(devs[normative]), max(devs[rejected])))
+        worst = (max(devs.get(v, [math.inf])) for v in (normative, rejected))
+        verdicts.append(DisputeVerdict(dispute, normative, rejected, *worst))
+
+    def tally(dispute, produced):
+        if produced < pointwise_samples:
+            shortfalls.append((dispute, pointwise_samples - produced))
 
     # -- dispute 1: attenuation factor in the position shift ----------------
     dispute = "position-shift-attenuation"
@@ -409,6 +435,7 @@ def adjudicate_variants(seed: int = 7, pointwise_samples: int = 40,
         record(dispute, "unattenuated", f"point-{produced:03d}",
                abs(dq_without - oracle.dq_shift))
         produced += 1
+    tally(dispute, produced)
 
     max_inputs = [(1.0, 0.3)] + [(rng.uniform(0.5, 1.0), rng.uniform(0.15, 0.45))
                                  for _ in range(2)]
@@ -474,6 +501,8 @@ def adjudicate_variants(seed: int = 7, pointwise_samples: int = 40,
         record(dispute, "printed", f"point-{produced:03d}",
                abs(printed - oracle.reading))
         produced += 1
+    tally(dispute, produced)
     verdict(dispute, "ground-weighted", "printed")
 
-    return AdjudicationReport(seed, tuple(entries), tuple(verdicts), tuple(unconverged))
+    return AdjudicationReport(seed, tuple(entries), tuple(verdicts), tuple(unconverged),
+                              tuple(shortfalls))

@@ -12,7 +12,8 @@ Three batteries, all seeded and deterministic:
   dominance check that the optimizer never exceeds a closed form; a search
   that stops without converging fails on its own record;
 * variant adjudication, plus the consistency check that the shipped
-  formulas equal the adjudicated normative variants.
+  formulas equal the adjudicated normative variants; a dispute decided on
+  fewer pointwise samples than requested fails on its own record.
 
 ``inject_fault`` perturbs one closed form inside the comparisons (never in
 the library) so the battery's ability to catch a wrong formula is itself
@@ -230,6 +231,8 @@ def adjudication_battery(seed: int) -> tuple[list[CheckRecord], AdjudicationRepo
                                    shortfall, 0.0))
     for search in report.unconverged:
         records.append(CheckRecord("adjudication", f"converged {search}", 1.0, 0.0))
+    for dispute, missing in report.shortfalls:
+        records.append(CheckRecord("adjudication", f"samples {dispute}", float(missing), 0.0))
 
     # The shipped closed forms must equal the adjudicated normative variants.
     meter = GaussianMeter(1.0)

@@ -319,6 +319,23 @@ class TestSlabFace:
         wrapped = lambda t1, t2, p0: objective(t1, t2, p0)  # noqa: E731
         assert maximize(objective, grid_n=24) == maximize(wrapped, grid_n=24)
 
+    def test_phase_free_slab_starts_where_the_plain_callable_does(self):
+        class PhaseFree(_Objective):
+            # A phase line of phase-free pieces is one value: spread it per t.
+            def line(self, origin, direction, ts):
+                return np.broadcast_to(super().line(origin, direction, ts), (len(ts),)).copy()
+
+        # The pieces ignore cross_re, so every slab is (16, 1), with its first
+        # largest value at an interior theta2.
+        objective = PhaseFree(_pure_entries(depolarizing(0.2)),
+                              lambda rho00, rho11, re, im, u2, v2: rho00 * u2 + rho11 * v2,
+                              lambda rho00, rho11, re, im, u2, v2: rho11 * u2 * v2)
+        grid = _coarse_grid(16)
+        slab = objective.slab(grid.theta[-1], grid)
+        assert slab.shape == (16, 1) and 0 < slab.argmax() < 15
+        wrapped = lambda t1, t2, p0: objective(t1, t2, p0)  # noqa: E731
+        assert maximize(objective, grid_n=16) == maximize(wrapped, grid_n=16)
+
     def test_grid_start_is_the_first_largest_point(self):
         probes = []
 

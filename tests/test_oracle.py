@@ -18,7 +18,7 @@ from weakamp import (
     qubit_joint_evolve,
     qubit_meter_marginal,
 )
-from weakamp.oracle import _GENERATOR, _branch_moments, _joint_evolved
+from weakamp.oracle import _GENERATOR, _branch_moments, _grid_indices, _joint_evolved
 from weakamp.oracle import _random_density as random_density
 from weakamp.oracle import _random_pure as random_pure
 
@@ -128,9 +128,19 @@ class TestGrid:
             assert abs(n_mat[0, 0].real - 1.0) < 1e-8
 
     def test_branch_moment_cache_is_bounded(self):
-        # Batteries draw a fresh coupling per sample; the cache must not grow
-        # with the sample count.
-        assert _branch_moments.cache_info().maxsize is not None
+        # Batteries draw a fresh coupling per sample; neither the moment cache
+        # nor the per-size index cache may grow with the sample count.
+        for cached in (_branch_moments, _grid_indices):
+            assert cached.cache_info().maxsize is not None
+
+    def test_cached_arrays_are_read_only(self):
+        grid = default_grid(METER, 0.2)
+        moments = _branch_moments(0.2, 1.0, grid.half_width, grid.points)
+        before = moments.copy()
+        for array in (moments, moments[0], *_grid_indices(grid.points)):
+            with pytest.raises(ValueError):
+                array.flat[0] = 2.0
+        assert np.array_equal(_branch_moments(0.2, 1.0, grid.half_width, grid.points), before)
 
     def test_too_small_grid_rejected(self):
         rho = pure_state(1.0, 0.0).density()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -12,6 +13,12 @@ from weakamp.verification import (
     optimizer_battery,
     qubit_oracle_battery,
 )
+
+#: SHA-256 over the repr of every oracle result of ``run_verify(7, 1000)``,
+#: then its report text and adjudication CSV rows.
+ORACLE_DIGEST = "05ba14ccbf151e5a42cd33d723bc06bd742fc478f88caed1852e8a380dc5b618"
+#: Oracle calls that ``run_verify(7, 1000)`` makes and completes.
+ORACLE_CALLS = 2080
 
 #: More closed-form calls than a battery of ``SAMPLES`` may make.
 SAMPLES = 5
@@ -89,6 +96,54 @@ def test_unconverged_adjudication_search_fails_verify(monkeypatch):
     assert all(r.section == "adjudication" for r in failures)
 
 
+@pytest.mark.parametrize("every", [1, 2])
+def test_adjudication_sample_shortfall_fails_verify(monkeypatch, every):
+    # Every ``every``-th pointwise oracle call vanishes: with 1, dispute 1 hits
+    # its attempt cap and dispute 3 rejects all 40 cases; with 2, dispute 3
+    # rejects every other case and dispute 1 makes up its losses.
+    calls = 0
+
+    def vanishing(real):
+        def oracle_call(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls % every == 0:
+                raise VanishingPostselectionError(0.0)
+            return real(*args, **kwargs)
+        return oracle_call
+
+    for name in ("gaussian_grid_evolve", "qubit_joint_evolve"):
+        monkeypatch.setattr(oracle, name, vanishing(getattr(oracle, name)))
+    records, report = verification.adjudication_battery(7)
+    missing = {1: (("position-shift-attenuation", 40), ("dephased-reading-numerator", 40)),
+               2: (("dephased-reading-numerator", 20),)}[every]
+    assert report.shortfalls == missing
+    failed = {r.case: r.deviation for r in records if not r.ok}
+    for dispute, count in missing:
+        assert failed[f"samples {dispute}"] == count
+    # A variant with no deviation at all is not vindicated.
+    assert failed.get("dephased-reading-numerator/normative") == {1: math.inf, 2: None}[every]
+
+
 def test_run_verify_rejects_empty_batteries():
     with pytest.raises(ValueError):
         run_verify(seed=7, samples=0)
+
+
+def test_oracle_results_are_pinned(monkeypatch):
+    results = []
+
+    def recorded(real):
+        def oracle_call(*args, **kwargs):
+            result = real(*args, **kwargs)
+            results.append(repr(result))
+            return result
+        return oracle_call
+
+    for module in (verification, oracle):
+        for name in ("gaussian_grid_evolve", "qubit_joint_evolve"):
+            monkeypatch.setattr(module, name, recorded(getattr(oracle, name)))
+    report = run_verify(seed=7, samples=1000)
+    assert len(results) == ORACLE_CALLS
+    text = "\n".join(results + [report.to_text()] + report.adjudication.csv_rows())
+    assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_DIGEST
