@@ -50,7 +50,7 @@ from .common import (
     VanishingPostselectionError,
     _check_coupling,
 )
-from .optimize import _modulus_channel, _Objective, _pure_entries, maximize
+from .optimize import _FormObjective, _modulus_channel, _pure_entries, maximize
 from .qubit import PAULI_X, PAULI_Z, BlochVector, PureQubit, QubitDensity, density_from_bloch, pure_state
 
 
@@ -354,8 +354,8 @@ def _oracle_shift_objective(entries, g: float, meter: GaussianMeter, which: str)
     moment = q_mat if which == "dq" else p_mat
     n10, m10, m01 = n_mat[1, 0], moment[1, 0], moment[0, 1]
     numerator = (moment[0, 0].real, moment[1, 1].real, m10.real, m10.imag, m01.real, m01.imag)
-    return _Objective(entries, partial(_moment_prob, float(n10.real), float(n10.imag)),
-                      partial(_moment_numerator, *map(float, numerator)))
+    return _FormObjective(entries, partial(_moment_prob, float(n10.real), float(n10.imag)),
+                          partial(_moment_numerator, *map(float, numerator)))
 
 
 def adjudicate_variants(seed: int = 7, pointwise_samples: int = 40,

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import gammas, pure_states
@@ -39,11 +39,15 @@ from weakamp.optimize import (
     _approach_point,
     _coarse_grid,
     _family_objective,
+    _FormObjective,
     _line_search,
     _loop_line,
     _loop_slab,
     _Objective,
+    _pencil_bound,
+    _pruned_start,
     _pure_entries,
+    _scan_start,
     _Search,
     _theta,
     _u,
@@ -265,6 +269,27 @@ def _targets():
 
 TARGETS = _targets()
 
+#: Pieces whose grid values turn non-finite part-way through, by name.
+NONFINITE_PIECES = {
+    # Probability 0 on the theta2 = 0 row of every slab, ahead of a value
+    # that overflows to -inf once rho11 v2 passes 0.2247.
+    "floor-then-minus-inf": (
+        lambda rho00, rho11, re, im, u2, v2: v2,
+        lambda rho00, rho11, re, im, u2, v2: -v2 * rho11 * 1e308 * 8.0 + 0.0 * re),
+    # inf - inf: a NaN probability wherever rho11 v2 passes 0.2247, and
+    # probability 0 on the theta2 = 0 row, where only the mask keeps the
+    # value finite.
+    "nan-probability": (
+        lambda rho00, rho11, re, im, u2, v2:
+            v2 + (rho11 * v2 * 1e308 * 8.0 - rho11 * v2 * 1e308 * 8.0),
+        lambda rho00, rho11, re, im, u2, v2: rho00 + 0.0 * re),
+    # The whole slab is -inf once rho11 passes 0.2247, and -inf / inf is a
+    # NaN on its last rows: the largest |value| is a NaN behind the -inf.
+    "minus-inf-then-nan": (
+        lambda rho00, rho11, re, im, u2, v2: 1.0 + rho11 * v2 * 1e308 * 8.0,
+        lambda rho00, rho11, re, im, u2, v2: -rho11 * 1e308 * 8.0 + 0.0 * re),
+}
+
 
 class TestSlabFace:
     @pytest.mark.parametrize("target", TARGETS)
@@ -282,22 +307,7 @@ class TestSlabFace:
         grid = _coarse_grid(16)
         assert objective.slab(0.0, grid)[-1, 0] == 0.0
 
-    @pytest.mark.parametrize("prob, numerator", [
-        # Probability 0 on the theta2 = 0 row of every slab, ahead of a value
-        # that overflows to -inf once rho11 v2 passes 0.2247.
-        (lambda rho00, rho11, re, im, u2, v2: v2,
-         lambda rho00, rho11, re, im, u2, v2: -v2 * rho11 * 1e308 * 8.0 + 0.0 * re),
-        # inf - inf: a NaN probability wherever rho11 v2 passes 0.2247, and
-        # probability 0 on the theta2 = 0 row, where only the mask keeps the
-        # value finite.
-        (lambda rho00, rho11, re, im, u2, v2:
-            v2 + (rho11 * v2 * 1e308 * 8.0 - rho11 * v2 * 1e308 * 8.0),
-         lambda rho00, rho11, re, im, u2, v2: rho00 + 0.0 * re),
-        # The whole slab is -inf once rho11 passes 0.2247, and -inf / inf is a
-        # NaN on its last rows: the largest |value| is a NaN behind the -inf.
-        (lambda rho00, rho11, re, im, u2, v2: 1.0 + rho11 * v2 * 1e308 * 8.0,
-         lambda rho00, rho11, re, im, u2, v2: -rho11 * 1e308 * 8.0 + 0.0 * re),
-    ], ids=["floor-then-minus-inf", "nan-probability", "minus-inf-then-nan"])
+    @pytest.mark.parametrize("prob, numerator", NONFINITE_PIECES.values(), ids=NONFINITE_PIECES)
     def test_nonfinite_grid_value_raises_at_the_first_nonfinite_point(self, prob, numerator):
         # Each numerator adds 0 re, so the slabs span the phi0 axis too.
         objective = _Objective(_pure_entries(depolarizing(0.2)), prob, numerator)
@@ -411,6 +421,21 @@ class TestLineFace:
         # A plain callable is called once per evaluation, the scan included.
         assert calls[0] == _angles(point)
         assert search.evaluations == len(calls)
+
+    def test_phase_line_of_phase_free_pieces_gives_one_value_per_t(self):
+        # Neither piece reads cross_re or cross_im, so along a phase line the
+        # arithmetic gives one float; the face spreads it over the scan.
+        objective = _Objective(_pure_entries(depolarizing(0.2)),
+                               lambda rho00, rho11, re, im, u2, v2: rho00 * u2 + rho11 * v2,
+                               lambda rho00, rho11, re, im, u2, v2: rho11 * u2 * v2)
+        origin, direction = (_u(1.0), _u(0.5), 0.3), (0.0, 0.0, 1.0)
+        ts = [-math.pi + i * 2.0 * math.pi / 63 for i in range(64)]
+        line = objective.line(origin, direction, ts)
+        assert line.shape == (64,)
+        assert np.array_equal(line, _loop_line(objective, origin, direction, ts))
+        point, value = _line_search(_Search(objective), origin, direction, 64)
+        assert point == (origin[0], origin[1], origin[2] - math.pi)
+        assert value == objective(*_angles(origin))
 
     def test_line_face_leaves_the_battery_searches_unchanged(self):
         meter = GaussianMeter(1.0)
@@ -537,6 +562,187 @@ class TestLineSearch:
                     assert result.grid_probes + result.refine_probes == result.evaluations
                     after_grid += result.refine_probes
         assert after_grid < 40_000
+
+
+def _form_objective(family, strength, target, g):
+    """A form objective: ``target`` ("dp", "dq", "reading", "oracle-dp" or
+    "oracle-dq") over the depolarized, dephased or damped pure family."""
+    channel = {"depolarizing": optimize._modulus_channel, "phase-damping": phase_damping,
+               "amplitude-damping": amplitude_damping}[family](strength)
+    entries = _pure_entries(channel)
+    if target.startswith("oracle-"):
+        return _oracle_shift_objective(entries, g, METER, target[len("oracle-"):])
+    return _family_objective(entries, g, "qubit" if target == "reading" else METER, target)
+
+
+def _row_grid(t1, p0):
+    """A grid with the single (theta1, phi0) row, for ``row_bounds``."""
+    one = _coarse_grid(16)
+    return one._replace(ch=np.array([[math.cos(0.5 * t1)]]), sh=np.array([[math.sin(0.5 * t1)]]),
+                        cos_phi=np.array([math.cos(p0)]), sin_phi=np.array([math.sin(p0)]))
+
+
+def _scan_max(objective, t1, p0):
+    """Largest |value| over theta2 on the rows phi0 and phi0 + pi: a 2001-point
+    scan, then three rescans of the two steps around its best point."""
+    best = 0.0
+    for phi in (p0, p0 + math.pi):
+        lo, hi = 0.0, math.pi
+        for _ in range(4):
+            ts = np.linspace(lo, hi, 2001)
+            values = [abs(objective(t1, t2, phi)) for t2 in ts]
+            k = int(np.argmax(values))
+            best = max(best, values[k])
+            step = ts[1] - ts[0]
+            lo, hi = max(0.0, ts[k] - step), min(math.pi, ts[k] + step)
+    return best
+
+
+FORM_TARGETS = ["dp", "dq", "reading", "oracle-dp", "oracle-dq"]
+FORM_FAMILIES = ["depolarizing", "phase-damping", "amplitude-damping"]
+
+
+class TestRowBounds:
+    def test_pencil_bound_is_the_largest_generalized_eigenvalue(self):
+        # Random symmetric A and positive definite B, as arrays: the bound is
+        # the largest |eigenvalue| of B^-1 A.
+        rng = np.random.default_rng(41)
+        a = rng.normal(size=(200, 2, 2))
+        a = a + a.transpose(0, 2, 1)
+        m = rng.normal(size=(200, 2, 2))
+        b = m @ m.transpose(0, 2, 1) + 1e-3 * np.eye(2)
+        bound, allowance = _pencil_bound(a[:, 0, 0], a[:, 1, 1], 2.0 * a[:, 0, 1],
+                                         2.0 * abs(a[:, 0, 1]), b[:, 0, 0], b[:, 1, 1],
+                                         2.0 * b[:, 0, 1], 2.0 * abs(b[:, 0, 1]))
+        want = abs(np.linalg.eigvals(np.linalg.solve(b, a))).max(axis=1)
+        assert bound.shape == allowance.shape == (200,)
+        assert np.allclose(bound, want, rtol=1e-9, atol=0.0)
+        assert np.all(allowance < 1e-8 * bound)
+
+    def test_allowance_grows_as_b_nears_singular(self):
+        # B = [[1, r], [r, 1]] has smallest eigenvalue 1 - r, A = diag(1, -1).
+        r = np.array([0.0, 0.9, 0.99, 0.999, 1.0 - 1e-9, 1.0 - 1e-14, 1.0])
+        one = np.ones_like(r)
+        bound, allowance = _pencil_bound(one, -one, 0.0 * r, 0.0 * r, one, one, 2.0 * r, 2.0 * r)
+        finite = allowance[:-2]
+        assert np.all(np.isfinite(bound[:-1])) and np.all(np.diff(finite) > 0.0)
+        assert finite[-1] > 1e6 * finite[0]
+        assert allowance[-2] == math.inf and not math.isfinite(bound[-1] + allowance[-1])
+
+    @pytest.mark.parametrize("target", FORM_TARGETS)
+    def test_bound_covers_a_dense_scan_of_both_mirror_rows(self, target):
+        rng = np.random.default_rng(42)
+        for _ in range(6):
+            family = FORM_FAMILIES[rng.integers(3)]
+            objective = _form_objective(family, rng.random(), target, rng.uniform(0.005, 0.5))
+            t1, p0 = rng.uniform(0.05, math.pi - 0.05), rng.uniform(0.0, 2.0 * math.pi)
+            bound, allowance = (float(x[0, 0]) for x in objective.row_bounds(_row_grid(t1, p0)))
+            found = _scan_max(objective, t1, p0)
+            assert found <= bound + allowance
+            assert 0.0 <= allowance < 1e-9 * bound
+            assert found >= bound * (1.0 - 1e-6)
+
+    def test_pole_rows_of_a_pure_family_are_never_excluded(self):
+        # At theta1 = 0 the pure preselection is |0>: B has a zero row.
+        objective = _form_objective("depolarizing", 1.0, "dp", 0.05)
+        bound, allowance = objective.row_bounds(_coarse_grid(16))
+        assert not np.isfinite(bound + allowance)[0].any()
+
+
+def _spied(monkeypatch):
+    """Count the grid points evaluated through the array faces."""
+    counts = {"slab": 0, "rows": 0}
+
+    def spy(face, real):
+        def counted(*args):
+            values = real(*args)
+            counts[face] += values.size
+            return values
+        return counted
+
+    monkeypatch.setattr(_Objective, "slab", spy("slab", _Objective.slab))
+    monkeypatch.setattr(_FormObjective, "rows", spy("rows", _FormObjective.rows))
+    return counts
+
+
+class TestPrunedGrid:
+    @given(family=st.sampled_from(FORM_FAMILIES),
+           strength=st.one_of(st.just(1.0), st.just(0.0), st.floats(0.0, 1.0)),
+           target=st.sampled_from(FORM_TARGETS),
+           g=st.one_of(st.just(0.005), st.floats(0.005, 0.5)),
+           grid_n=st.sampled_from([16, 17, 31, 64]))
+    @settings(max_examples=150, deadline=None)
+    # Values about 1e-184, whose cross terms square to 0: underflow.
+    @example(family="depolarizing", strength=1.78757713252072e-182, target="dq",
+             g=0.005, grid_n=17)
+    def test_same_start_as_the_full_scan(self, family, strength, target, g, grid_n):
+        # Odd grid_n has no phi0 + pi mirror row; strength 1 (kappa = 1) with
+        # small g leaves B nearly singular on the equator, and every grid has
+        # the rows next to the poles.
+        objective = _form_objective(family, strength, target, g)
+        grid = _coarse_grid(grid_n)
+        assert _pruned_start(objective, grid) == _scan_start(objective, grid)
+
+    def test_battery_searches_evaluate_few_grid_points(self, monkeypatch):
+        # A guard on the pruning itself: if it silently stopped excluding
+        # rows, every search would still be right, only slower.
+        counts = _spied(monkeypatch)
+        objectives = _battery_and_damped_objectives()[:36]
+        for objective in objectives:
+            assert maximize(objective).grid_probes == 64 ** 3
+        assert counts["slab"] == 0
+        assert 0 < counts["rows"] <= 0.10 * len(objectives) * 64 ** 3
+
+    @pytest.mark.parametrize("prob, numerator", [
+        (lambda rho00, rho11, re, im, u2, v2: u2 + v2 + 0.1 * re,
+         lambda rho00, rho11, re, im, u2, v2: rho11 * u2 * v2 + re * re),
+        (lambda rho00, rho11, re, im, u2, v2: 1.0,
+         lambda rho00, rho11, re, im, u2, v2: rho00 * u2 - 0.5 + 0.0 * re),
+    ], ids=["quadratic", "constant"])
+    def test_other_objectives_evaluate_every_grid_point(self, prob, numerator, monkeypatch):
+        counts = _spied(monkeypatch)
+        objective = _Objective(_pure_entries(depolarizing(0.2)), prob, numerator)
+        result = maximize(objective, grid_n=17)
+        assert counts == {"slab": 17 ** 3, "rows": 0}
+        calls = []
+
+        def plain(*point):
+            calls.append(point)
+            return objective(*point)
+
+        assert maximize(plain, grid_n=17) == result
+        assert len(calls) == result.evaluations == 17 ** 3 + result.refine_probes
+
+    @pytest.mark.parametrize("case", NONFINITE_PIECES)
+    def test_nonlinear_slab_objectives_take_the_full_scan(self, case, monkeypatch):
+        # TestSlabFace's non-finite objectives: the grid runs slab by slab up
+        # to the first non-finite one, as for a plain callable.
+        prob, numerator = NONFINITE_PIECES[case]
+        objective = _Objective(_pure_entries(depolarizing(0.2)), prob, numerator)
+        grid = _coarse_grid(32)
+        first = next(i for i, t1 in enumerate(grid.theta)
+                     if not np.isfinite(_loop_slab(objective, t1, grid)).all())
+        counts = _spied(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OptimizationError):
+            maximize(objective, grid_n=32)
+        # The slab that raises is evaluated twice, to name its first bad point.
+        assert counts == {"slab": (first + 2) * 32 ** 2, "rows": 0}
+
+    def test_nonfinite_form_value_raises_where_the_full_scan_does(self):
+        # Linear pieces whose numerator overflows once rho00 u2 passes 0.2247:
+        # the bounds are not finite there, so those rows are evaluated and the
+        # full scan names the first non-finite point.
+        objective = _FormObjective(_pure_entries(depolarizing(0.2)),
+                                   lambda rho00, rho11, re, im, u2, v2: rho00 * u2 + rho11 * v2,
+                                   lambda rho00, rho11, re, im, u2, v2: rho00 * u2 * 1e308 * 8.0)
+        grid = _coarse_grid(16)
+        first = next((t1, t2, p0) for t1 in grid.theta for t2 in grid.theta
+                     for p0 in grid.phi if not math.isfinite(objective(t1, t2, p0)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _pruned_start(objective, grid) is None
+            with pytest.raises(OptimizationError) as err:
+                maximize(objective, grid_n=16)
+        assert err.value.point == PPSPoint(*first)
 
 
 def test_phase_reduction_is_sound():
