@@ -9,6 +9,19 @@ from dataclasses import dataclass
 PROB_FLOOR = 1e-12
 
 
+def _nan_max(a: float, b: float) -> float:
+    """max(a, b), except that a NaN in either wins: ``max`` keeps its first
+    argument against a NaN, so a NaN deviation would vanish from a worst
+    case instead of failing its check."""
+    return a if a != a or a >= b else b
+
+
+def _read_only(array):
+    """``array`` with its writeable flag cleared, for arrays a cache hands out."""
+    array.flags.writeable = False
+    return array
+
+
 def _check_coupling(g: float) -> float:
     if not (math.isfinite(g) and g >= 0.0):
         raise ValueError(f"coupling must be finite and non-negative, got {g!r}")

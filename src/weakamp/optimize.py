@@ -26,16 +26,21 @@ a meter's probability piece and the one numerator piece it divides by it
 ``qubitmeter._reading_prob`` with ``_reading_numerator``), the only copy of
 each meter formula; every face computes the probability and that numerator
 only.  Calling it probes one point on Python floats with ``math``
-trigonometry, about ten times faster than a one-point numpy evaluation;
-Brent steps and every reported value use this face.  Its ``slab`` runs the
-same arithmetic on numpy arrays over one theta1 slab of the coarse grid, so
-the default 64^3-point grid is 64 slab calls instead of 262k probes, with
+trigonometry, about ten times faster than a one-point numpy evaluation.
+Its ``bind_line`` binds one refinement line: it computes what the line
+holds fixed once (the trigonometry of a fixed coordinate, the family
+entries on a theta2 line, the postselection products on a theta1 or phi0
+line) and returns a scalar probe t -> (angles, value) that runs the call
+face's arithmetic in its order on the rest: a Brent step gives the call
+face's floats bit for bit at about half its cost.  Its ``slab`` runs the same
+arithmetic on numpy arrays over one theta1 slab of the coarse grid, so the
+default 64^3-point grid is 64 slab calls instead of 262k probes, with
 bit-identical values.  Its ``line`` face runs it over the grid_n points
 that open each line search, with each point's angles and trigonometry
 taken from ``math`` so the values stay bit-identical to single probes; the
 search records the first largest of them as it stands and starts Brent's
-method there.  Plain callables get both faces point by point
-(``_loop_slab``, ``_loop_line``).
+method there.  Plain callables get all three faces point by point
+(``_loop_bind``, ``_loop_slab``, ``_loop_line``).
 
 The family builders return a ``_FormObjective``, marked by its type as
 having pieces linear in (u2, v2, w), as every meter piece is.  At a fixed
@@ -61,14 +66,14 @@ import math
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Literal
 
 import numpy as np
 
 from .channels import KrausChannel, amplitude_damping, depolarizing
 from .common import (PROB_FLOOR, GaussianMeter, MaxResult, _check_coupling,
-                     _check_gamma, _check_kappa)
+                     _check_gamma, _check_kappa, _read_only)
 from .gaussian import _dp_numerator, _dq_numerator, _shift_prob, gaussian_max_shifts
 from .qubitmeter import _reading_numerator, _reading_prob, qubit_max_reading
 
@@ -157,6 +162,7 @@ class _Search:
     def __init__(self, objective: Objective):
         self.objective = objective
         self.line = getattr(objective, "line", None) or partial(_loop_line, objective)
+        self.bind_line = getattr(objective, "bind_line", None) or partial(_loop_bind, objective)
         self.evaluations = 0
         self.best_abs = -1.0
         self.best_value = 0.0
@@ -193,6 +199,15 @@ def _loop_line(objective: Objective, origin: _Point, direction: _Point,
     return np.array([objective(*_angles(_along(origin, direction, t))) for t in ts])
 
 
+def _loop_bind(objective: Objective, origin: _Point, direction: _Point):
+    """Any callable objective on the u-line origin + t direction, as the
+    scalar probe t -> (angles, value)."""
+    def probe(t: float):
+        point = _angles(_along(origin, direction, t))
+        return point, objective(*point)
+    return probe
+
+
 def _check_finite(values: np.ndarray, point) -> None:
     """Raise OptimizationError at the first non-finite entry of ``values``;
     ``point(*index)`` gives its PPSPoint."""
@@ -226,7 +241,10 @@ def _line_search(search: _Search, origin: _Point,
     the larger part of the bracket otherwise.  The bracket is the scan step
     on either side of x; the scan's neighbours of x are the first w and v,
     so the first parabola costs no probe.  A scan maximum at a segment end
-    has no neighbour beyond it and starts with a golden-section step.
+    has no neighbour beyond it and starts with a golden-section step.  Each
+    Brent step probes the line the objective's ``bind_line`` bound once
+    (``_loop_bind`` for a plain callable); it is counted, checked for a
+    finite value and recorded by the first-largest rule, as ``probe`` does.
 
     Returns the best point of this call, in u, and its |value|; the global
     best inside ``search`` updates as a side effect.
@@ -265,10 +283,13 @@ def _line_search(search: _Search, origin: _Point,
     else:
         w, fw, v, fv, d, e = x, fx, x, fx, 0.0, 0.0
 
-    while max(x - a, b - x) > 2.0 * _STEP_TOL:
+    line, record, isfinite = search.bind_line(origin, direction), search.record, math.isfinite
+    copysign, step_tol, cgold = math.copysign, _STEP_TOL, _CGOLD
+    two_tol = 2.0 * step_tol
+    while x - a > two_tol or b - x > two_tol:
         xm = 0.5 * (a + b)
         golden = True
-        if abs(e) > _STEP_TOL:
+        if abs(e) > step_tol:
             r = (x - w) * (fx - fv)
             q = (x - v) * (fx - fw)
             p = (x - v) * q - (x - w) * r
@@ -280,13 +301,17 @@ def _line_search(search: _Search, origin: _Point,
             if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
                 e, d = d, p / q
                 golden = False
-                if min(x + d - a, b - x - d) < 2.0 * _STEP_TOL:
-                    d = math.copysign(_STEP_TOL, xm - x)
+                if min(x + d - a, b - x - d) < two_tol:
+                    d = copysign(step_tol, xm - x)
         if golden:
             e = (a if x >= xm else b) - x
-            d = _CGOLD * e
-        u = x + (d if abs(d) >= _STEP_TOL else math.copysign(_STEP_TOL, d))
-        fu = search.probe(*_along(origin, direction, u))
+            d = cgold * e
+        u = x + (d if abs(d) >= step_tol else copysign(step_tol, d))
+        search.evaluations += 1
+        point, fu = line(u)
+        if not isfinite(fu):
+            raise OptimizationError(PPSPoint(*point), fu)
+        fu = record(point, fu)
         if fu > fx:
             if u >= x:
                 a = x
@@ -312,16 +337,24 @@ def _line_search(search: _Search, origin: _Point,
 _Grid = namedtuple("_Grid", "theta phi ch sh u2 v2 w cos_phi sin_phi")
 
 
+#: Grid sizes whose axes and trigonometry are kept; maximize defaults to 64
+#: and the adjudication searches use 32.
+_GRID_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _coarse_grid(grid_n: int) -> _Grid:
+    """The grid at ``grid_n``: tuple axes and read-only arrays, shared by every
+    search of that size."""
     theta_step = math.pi / (grid_n - 1)
     phi_step = 2.0 * math.pi / grid_n
-    theta = [i * theta_step for i in range(grid_n)]
-    phi = [i * phi_step for i in range(grid_n)]
+    theta = tuple(i * theta_step for i in range(grid_n))
+    phi = tuple(i * phi_step for i in range(grid_n))
     ch = np.array([[math.cos(0.5 * t)] for t in theta])
     sh = np.array([[math.sin(0.5 * t)] for t in theta])
-    return _Grid(theta, phi, ch, sh, ch * ch, sh * sh, sh * ch,
-                 np.array([math.cos(p) for p in phi]),
-                 np.array([math.sin(p) for p in phi]))
+    arrays = (ch, sh, ch * ch, sh * sh, sh * ch, np.array([math.cos(p) for p in phi]),
+              np.array([math.sin(p) for p in phi]))
+    return _Grid(theta, phi, *map(_read_only, arrays))
 
 
 def _loop_slab(objective: Objective, t1: float, grid: _Grid) -> np.ndarray:
@@ -504,10 +537,11 @@ def maximize(objective: Objective, grid_n: int = 64,
     probes them: a supremum that only a pole approaches is found within a
     relative gap of order exp(-2 _U_MAX).  The objective must accept any
     theta in [0, pi] and be 2 pi-periodic in phi0.  An objective with
-    ``slab`` and ``line`` faces has the grid evaluated a theta1 slab at a
-    time, each slab a new array that the search overwrites with its
-    |values|, and each line-search scan in one call; any other callable is
-    probed point by point.  A ``_FormObjective`` (the family builders'
+    ``slab``, ``line`` and ``bind_line`` faces has the grid evaluated a
+    theta1 slab at a time, each slab a new array that the search overwrites
+    with its |values|, each line-search scan in one call, and each line's
+    Brent steps through one bound line; any other callable is probed point
+    by point.  A ``_FormObjective`` (the family builders'
     objectives) has the grid evaluated only on the (theta1, phi0) rows that
     its exact postselection bound leaves in play, gathered grid_n rows per
     call (``_pruned_start``); the start, and so every result, is the full
@@ -606,15 +640,76 @@ class _Objective:
         self.reads_imag = reads_imag
 
     def __call__(self, t1: float, t2: float, p0: float) -> float:
-        rho00, rho11, re10, im10 = self.entries(
-            math.cos(0.5 * t1), math.sin(0.5 * t1), math.cos(p0), math.sin(p0))
         ch, sh = math.cos(0.5 * t2), math.sin(0.5 * t2)
-        w = sh * ch
-        args = (rho00, rho11, re10 * w, im10 * w, ch * ch, sh * sh)
+        return self._value(*self.entries(math.cos(0.5 * t1), math.sin(0.5 * t1),
+                                         math.cos(p0), math.sin(p0)),
+                           sh * ch, ch * ch, sh * sh)
+
+    def _value(self, rho00, rho11, re10, im10, w, u2, v2) -> float:
+        """The value at the density entries and the postselection's products
+        w = sin cos, u2 = cos^2, v2 = sin^2 of theta2 / 2; 0 at or below the
+        floor.  The scalar faces' one copy of this arithmetic."""
+        args = (rho00, rho11, re10 * w, im10 * w, u2, v2)
         prob = self.prob(*args)
         if prob <= PROB_FLOOR:
             return 0.0
         return self.numerator(*args) / prob
+
+    def bind_line(self, origin: _Point, direction: _Point):
+        """The call face on the u-line origin + t direction, as the scalar
+        probe t -> (angles, value).
+
+        What the line holds fixed is computed once: the polar angle and
+        half-angle cos and sin of a fixed u, cos and sin of a fixed phi0, the
+        family entries when u1 and phi0 are both fixed (the u2 line), and
+        (w, u2, v2) when u2 is (the u1 and phi0 lines).  The rest runs the
+        call face's arithmetic in its order, so a probe gives the same floats
+        as the call face at ``_angles(_along(origin, direction, t))``: theta /
+        2 = atan(exp(u)) exactly, since doubling and halving are exact.  The
+        one exception is a fixed phi0 of -0.0, which ``maximize`` never
+        builds: ``_along`` makes it +0.0 for t >= 0, which can flip the sign
+        of a zero value.
+        """
+        (o1, o2, o3), (d1, d2, d3) = origin, direction
+        atan, exp, cos, sin = math.atan, math.exp, math.cos, math.sin
+        entries, value = self.entries, self._value
+        if d3 != 0.0:
+            if d1 != 0.0 or d2 != 0.0:
+                # No refinement direction moves phi0 with a polar angle.
+                return _loop_bind(self, origin, direction)
+            t1, ch1, sh1 = _half_angle(o1)
+            t2, ch2, sh2 = _half_angle(o2)
+            post = (sh2 * ch2, ch2 * ch2, sh2 * sh2)
+
+            def probe(t):
+                p0 = o3 + t * d3
+                return (t1, t2, p0), value(*entries(ch1, sh1, cos(p0), sin(p0)), *post)
+            return probe
+        cos_p0, sin_p0 = cos(o3), sin(o3)
+        if d1 == 0.0:
+            t1, ch1, sh1 = _half_angle(o1)
+            rho = entries(ch1, sh1, cos_p0, sin_p0)
+
+            def probe(t):
+                h = atan(exp(o2 + t * d2))
+                ch, sh = cos(h), sin(h)
+                return (t1, 2.0 * h, o3), value(*rho, sh * ch, ch * ch, sh * sh)
+            return probe
+        if d2 == 0.0:
+            t2, ch2, sh2 = _half_angle(o2)
+            post = (sh2 * ch2, ch2 * ch2, sh2 * sh2)
+
+            def probe(t):
+                h = atan(exp(o1 + t * d1))
+                return (2.0 * h, t2, o3), value(*entries(cos(h), sin(h), cos_p0, sin_p0), *post)
+            return probe
+
+        def probe(t):
+            h1, h2 = atan(exp(o1 + t * d1)), atan(exp(o2 + t * d2))
+            ch, sh = cos(h2), sin(h2)
+            return ((2.0 * h1, 2.0 * h2, o3),
+                    value(*entries(cos(h1), sin(h1), cos_p0, sin_p0), sh * ch, ch * ch, sh * sh))
+        return probe
 
     def slab(self, t1: float, grid: _Grid) -> np.ndarray:
         """Values on grid.theta x grid.phi at this theta1, as one array."""
@@ -624,9 +719,9 @@ class _Objective:
     def line(self, origin: _Point, direction: _Point, ts) -> np.ndarray:
         """Values on the u-line origin + t direction for each t in ts, as one
         array."""
-        ch1, sh1 = _line_trig(origin[0], direction[0], ts, _half_theta)
-        ch2, sh2 = _line_trig(origin[1], direction[1], ts, _half_theta)
-        cos_p0, sin_p0 = _line_trig(origin[2], direction[2], ts, float)
+        ch1, sh1 = _line_trig(origin[0], direction[0], ts, True)
+        ch2, sh2 = _line_trig(origin[1], direction[1], ts, True)
+        cos_p0, sin_p0 = _line_trig(origin[2], direction[2], ts, False)
         values = self._array(ch1, sh1, cos_p0, sin_p0, sh2 * ch2, ch2 * ch2, sh2 * sh2)
         # Pieces that ignore the coordinate the line moves give one value.
         return values if np.ndim(values) else np.full(len(ts), values)
@@ -674,16 +769,24 @@ class _FormObjective(_Objective):
                            grid.sin_phi[j, None], grid.w.T, grid.u2.T, grid.v2.T)
 
 
-def _half_theta(u: float) -> float:
-    return 0.5 * _theta(u)
+def _half_angle(u: float) -> tuple[float, float, float]:
+    """theta = 2 atan(exp(u)) and the cos and sin of theta / 2 = atan(exp(u)),
+    as the call face takes them."""
+    h = math.atan(math.exp(u))
+    return 2.0 * h, math.cos(h), math.sin(h)
 
 
-def _line_trig(origin: float, step: float, ts, angle):
-    """cos and sin of angle(origin + t step) for t in ts, from ``math`` as the
-    call face takes them; a coordinate the line keeps fixed gives floats."""
+def _line_trig(origin: float, step: float, ts, polar: bool):
+    """cos and sin, from ``math`` as the call face takes them, of theta / 2 =
+    atan(exp(u)) at u = origin + t step for t in ts when ``polar``, else of
+    phi0 = origin + t step; a coordinate the line keeps fixed gives floats."""
     if step == 0.0:
-        return math.cos(angle(origin)), math.sin(angle(origin))
-    angles = [angle(origin + t * step) for t in ts]
+        angle = math.atan(math.exp(origin)) if polar else origin
+        return math.cos(angle), math.sin(angle)
+    if polar:
+        angles = [math.atan(math.exp(origin + t * step)) for t in ts]
+    else:
+        angles = [origin + t * step for t in ts]
     return np.array(list(map(math.cos, angles))), np.array(list(map(math.sin, angles)))
 
 

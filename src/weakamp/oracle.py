@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -49,6 +49,8 @@ from .common import (
     ShiftResult,
     VanishingPostselectionError,
     _check_coupling,
+    _nan_max,
+    _read_only,
 )
 from .optimize import _FormObjective, _modulus_channel, _pure_entries, maximize
 from .qubit import PAULI_X, PAULI_Z, BlochVector, PureQubit, QubitDensity, density_from_bloch, pure_state
@@ -144,11 +146,6 @@ def default_grid(meter: GaussianMeter, g: float) -> PositionGrid:
 _BRANCH_CACHE_SIZE = 64
 #: Grid sizes whose index arrays are kept; every default grid has 256 points.
 _INDEX_CACHE_SIZE = 8
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 @lru_cache(maxsize=_INDEX_CACHE_SIZE)
@@ -277,8 +274,9 @@ class DisputeVerdict:
 
     @property
     def conclusive(self) -> bool:
-        worst = max(self.normative_worst, self.rejected_worst)
-        return worst >= REJECTION_FACTOR * ADJUDICATION_TOLERANCE
+        # A NaN worst deviation is conclusive: the verdict fails.
+        worst = _nan_max(self.normative_worst, self.rejected_worst)
+        return not worst < REJECTION_FACTOR * ADJUDICATION_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -400,7 +398,7 @@ def adjudicate_variants(seed: int = 7, pointwise_samples: int = 40,
         for e in entries:
             if e.dispute == dispute:
                 devs.setdefault(e.variant, []).append(e.deviation)
-        worst = (max(devs.get(v, [math.inf])) for v in (normative, rejected))
+        worst = (reduce(_nan_max, devs.get(v, [math.inf])) for v in (normative, rejected))
         verdicts.append(DisputeVerdict(dispute, normative, rejected, *worst))
 
     def tally(dispute, produced):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import GaussianMeter, VanishingPostselectionError
+from .common import GaussianMeter, VanishingPostselectionError, _nan_max
 from .gaussian import gaussian_max_shifts, gaussian_shifts
 from .optimize import kappa_reading_objective, kappa_shift_objective, maximize
 from .oracle import (
@@ -64,6 +64,9 @@ class CheckRecord:
 
     @property
     def severity(self) -> float:
+        """deviation / tolerance; inf for a NaN deviation, which fails."""
+        if math.isnan(self.deviation):
+            return math.inf
         if self.tolerance > 0.0:
             return self.deviation / self.tolerance
         return math.inf if self.deviation > 0.0 else 0.0
@@ -129,7 +132,7 @@ def _oracle_battery(section: str, samples: int, tolerance: float,
         if deviations is None:
             continue
         for key, dev in zip(keys, deviations):
-            worst[key] = max(worst[key], dev)
+            worst[key] = _nan_max(worst[key], dev)
         produced += 1
     records = [CheckRecord(section, key, dev, tolerance, produced)
                for key, dev in worst.items()]
@@ -212,7 +215,7 @@ def optimizer_battery(inject_fault: str | None = None) -> list[CheckRecord]:
                     continue
                 records.append(CheckRecord(
                     "optimizer", case, abs(numeric - closed) / closed, 1e-6))
-                overshoot = max(0.0, (numeric - closed) / closed)
+                overshoot = _nan_max(0.0, (numeric - closed) / closed)
                 records.append(CheckRecord(
                     "optimizer", f"dominance {case}", overshoot, 1e-8))
     return records
@@ -225,8 +228,8 @@ def adjudication_battery(seed: int) -> tuple[list[CheckRecord], AdjudicationRepo
     for v in report.verdicts:
         records.append(CheckRecord("adjudication", f"{v.dispute}/normative",
                                    v.normative_worst, ADJUDICATION_TOLERANCE))
-        shortfall = max(0.0, REJECTION_FACTOR * ADJUDICATION_TOLERANCE
-                        - v.rejected_worst)
+        shortfall = _nan_max(0.0, REJECTION_FACTOR * ADJUDICATION_TOLERANCE
+                             - v.rejected_worst)
         records.append(CheckRecord("adjudication", f"{v.dispute}/separation",
                                    shortfall, 0.0))
     for search in report.unconverged:

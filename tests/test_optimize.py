@@ -361,6 +361,16 @@ class TestSlabFace:
         assert probes[16 ** 3][1] == pytest.approx(first_tie, rel=1e-15)
 
 
+def test_coarse_grid_is_cached_read_only_and_bounded():
+    grid = _coarse_grid(16)
+    assert _coarse_grid(16) is grid
+    assert isinstance(grid.theta, tuple) and isinstance(grid.phi, tuple)
+    for array in grid[2:]:
+        with pytest.raises(ValueError):
+            array.flat[0] = 2.0
+    assert _coarse_grid.cache_info().maxsize is not None
+
+
 class TestLineFace:
     @pytest.mark.parametrize("target", TARGETS)
     def test_line_equals_scalar_probes(self, target):
@@ -600,6 +610,75 @@ def _scan_max(objective, t1, p0):
 
 FORM_TARGETS = ["dp", "dq", "reading", "oracle-dp", "oracle-dq"]
 FORM_FAMILIES = ["depolarizing", "phase-damping", "amplitude-damping"]
+
+
+class TestBoundLine:
+    # The five refinement directions and one that moves phi0 with u1, which
+    # the bound line leaves to the call face.
+    DIRECTIONS = (*_DIRECTIONS, (0.6, 0.0, 0.8))
+
+    @given(family=st.sampled_from(FORM_FAMILIES), strength=st.floats(0.0, 1.0),
+           target=st.sampled_from(FORM_TARGETS), g=st.floats(0.005, 0.5),
+           origin=st.tuples(st.floats(-_U_MAX, _U_MAX), st.floats(-_U_MAX, _U_MAX),
+                            st.floats(0.0, 2.0 * math.pi)),
+           direction=st.sampled_from(DIRECTIONS), t=st.floats(-30.0, 30.0))
+    @settings(max_examples=300, deadline=None)
+    def test_probe_equals_the_call_face_bit_for_bit(self, family, strength, target, g,
+                                                    origin, direction, t):
+        # t spans every segment: a diagonal crosses the box in at most
+        # 2 sqrt(2) U_MAX < 30.  repr tells -0.0 from 0.0 and shows NaN.
+        objective = _form_objective(family, strength, target, g)
+        point = _angles(optimize._along(origin, direction, t))
+        expected = (point, objective(*point))
+        assert repr(objective.bind_line(origin, direction)(t)) == repr(expected)
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_line_search_takes_the_plain_callables_steps(self, target):
+        objective = TARGETS[target]()
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            origin = (*rng.uniform(-_U_MAX, _U_MAX, size=2).tolist(), 2.0 * math.pi * rng.random())
+            for direction in _DIRECTIONS:
+                found = []
+                for face in (objective, lambda *a: objective(*a)):
+                    search = _Search(face)
+                    found.append((_line_search(search, origin, direction, 64),
+                                  search.evaluations, search.best_point, search.best_value))
+                assert repr(found[0]) == repr(found[1])
+
+    def test_nan_brent_probe_raises_where_the_plain_callable_does(self):
+        # The value v2 rises along theta2, so the scan's largest point is the
+        # segment end, and it is NaN strictly between the last two scan
+        # points, where the first Brent step lands.
+        origin, direction = (_u(1.0), -_U_MAX, 0.3), (0.0, 1.0, 0.0)
+        step = 2.0 * _U_MAX / 63
+        lo, hi = (math.sin(0.5 * _theta(-_U_MAX + i * step)) ** 2 for i in (62, 63))
+        objective = _Objective(
+            _pure_entries(depolarizing(0.2)), lambda rho00, rho11, re, im, u2, v2: u2 + v2,
+            lambda rho00, rho11, re, im, u2, v2: np.where((lo < v2) & (v2 < hi), math.nan, v2))
+        raised = []
+        for face in (objective, lambda *a: objective(*a)):
+            with pytest.raises(OptimizationError) as err:
+                _line_search(_Search(face), origin, direction, 64)
+            raised.append(err.value)
+        assert raised[0].point == raised[1].point
+        assert lo < math.sin(0.5 * raised[0].point.theta2) ** 2 < hi
+        assert all(math.isnan(e.value) for e in raised)
+
+    def test_battery_searches_call_the_call_face_once(self, monkeypatch):
+        # Only the start probe goes through __call__: if the Brent steps fell
+        # back to it, every search would still be right, only slower.
+        calls = []
+        real = _Objective.__call__
+
+        def counted(self, *point):
+            calls.append(point)
+            return real(self, *point)
+
+        monkeypatch.setattr(_Objective, "__call__", counted)
+        objectives = _battery_and_damped_objectives()[:36]
+        assert all(maximize(objective).converged for objective in objectives)
+        assert len(calls) == len(objectives)
 
 
 class TestRowBounds:

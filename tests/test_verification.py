@@ -9,6 +9,7 @@ import weakamp.oracle as oracle
 import weakamp.verification as verification
 from weakamp import VanishingPostselectionError, run_verify
 from weakamp.verification import (
+    _oracle_battery,
     gaussian_oracle_battery,
     optimizer_battery,
     qubit_oracle_battery,
@@ -123,6 +124,70 @@ def test_adjudication_sample_shortfall_fails_verify(monkeypatch, every):
         assert failed[f"samples {dispute}"] == count
     # A variant with no deviation at all is not vindicated.
     assert failed.get("dephased-reading-numerator/normative") == {1: math.inf, 2: None}[every]
+
+
+def test_nan_deviation_fails_its_oracle_record():
+    # max(1e-15, nan) keeps 1e-15: the NaN must stick through later samples.
+    deviations = iter([(1e-15,), (math.nan,), (2e-15,)])
+    records = _oracle_battery("section", 3, 1e-12, ("key",), lambda: next(deviations))
+    assert len(records) == 1
+    assert records[0].samples == 3 and math.isnan(records[0].deviation)
+    assert not records[0].ok and records[0].severity == math.inf
+
+
+def test_nan_optimizer_value_fails_both_of_its_records(monkeypatch):
+    real, calls = verification.maximize, []
+
+    def nan_fifth_value(objective, **kwargs):
+        result = real(objective, grid_n=16, **kwargs)
+        calls.append(result)
+        return replace(result, value=math.nan) if len(calls) == 5 else result
+
+    monkeypatch.setattr(verification, "maximize", nan_fifth_value)
+    failures = [r for r in optimizer_battery() if not r.ok]
+    # The fifth search is dq-max at kappa = 0.2, g = 0.05.
+    assert [r.case for r in failures] == ["dq-max kappa=0.2 g=0.05",
+                                          "dominance dq-max kappa=0.2 g=0.05"]
+    assert all(math.isnan(r.deviation) and r.severity == math.inf for r in failures)
+
+
+def test_nan_adjudication_deviation_fails_its_verdict(monkeypatch):
+    # The second pointwise case of dispute 3 reads NaN: a NaN behind the
+    # first deviation of both variants, which max() would drop.
+    real, calls = oracle.qubit_joint_evolve, []
+
+    def nan_second_reading(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append(result)
+        return replace(result, reading=math.nan) if len(calls) == 2 else result
+
+    monkeypatch.setattr(oracle, "qubit_joint_evolve", nan_second_reading)
+    records, report = verification.adjudication_battery(7)
+    verdict = next(v for v in report.verdicts if v.dispute == "dephased-reading-numerator")
+    assert math.isnan(verdict.normative_worst) and math.isnan(verdict.rejected_worst)
+    assert not verdict.confirmed
+    assert "  [FAILED] dephased-reading-numerator: keep 'ground-weighted' (worst nan)" \
+        in report.to_text()
+    failed = [r.case for r in records if not r.ok]
+    assert failed == ["dephased-reading-numerator/normative",
+                      "dephased-reading-numerator/separation"]
+
+
+def test_nan_closed_form_fails_verify_as_its_worst_offender(monkeypatch):
+    real = verification.qubit_max_reading
+
+    def nan_at_one_case(kappa, g):
+        result = real(kappa, g)
+        return replace(result, value=math.nan) if (kappa, g) == (0.5, 0.05) else result
+
+    monkeypatch.setattr(verification, "qubit_max_reading", nan_at_one_case)
+    report = run_verify(seed=7, samples=5)
+    text = report.to_text()
+    assert text.endswith("overall: FAIL")
+    assert ("  worst offender: optimizer/reading-max kappa=0.5 g=0.05 deviation nan "
+            "(tolerance 1e-06)") in text.splitlines()
+    assert [r.case for r in report.failures] == ["reading-max kappa=0.5 g=0.05",
+                                                 "dominance reading-max kappa=0.5 g=0.05"]
 
 
 def test_run_verify_rejects_empty_batteries():
