@@ -171,13 +171,13 @@ class _Search:
     def probe(self, u1: float, u2: float, p0: float) -> float:
         self.evaluations += 1
         point = _angles((u1, u2, p0))
-        v = self.objective(*point)
-        if not math.isfinite(v):
-            raise OptimizationError(PPSPoint(*point), v)
-        return self.record(point, v)
+        return self.record(point, self.objective(*point))
 
     def record(self, point: _Point, v: float) -> float:
-        """Keep (angles, v) if |v| beats the best so far; return |v|."""
+        """Keep (angles, v) if |v| beats the best so far; return |v|.  A
+        non-finite v raises OptimizationError at ``point``."""
+        if not math.isfinite(v):
+            raise OptimizationError(PPSPoint(*point), v)
         a = abs(v)
         if a > self.best_abs:
             self.best_abs = a
@@ -244,7 +244,8 @@ def _line_search(search: _Search, origin: _Point,
     has no neighbour beyond it and starts with a golden-section step.  Each
     Brent step probes the line the objective's ``bind_line`` bound once
     (``_loop_bind`` for a plain callable); it is counted, checked for a
-    finite value and recorded by the first-largest rule, as ``probe`` does.
+    finite value and recorded by the first-largest rule (``record``), as
+    ``probe`` is.
 
     Returns the best point of this call, in u, and its |value|; the global
     best inside ``search`` updates as a side effect.
@@ -283,7 +284,7 @@ def _line_search(search: _Search, origin: _Point,
     else:
         w, fw, v, fv, d, e = x, fx, x, fx, 0.0, 0.0
 
-    line, record, isfinite = search.bind_line(origin, direction), search.record, math.isfinite
+    line, record = search.bind_line(origin, direction), search.record
     copysign, step_tol, cgold = math.copysign, _STEP_TOL, _CGOLD
     two_tol = 2.0 * step_tol
     while x - a > two_tol or b - x > two_tol:
@@ -308,10 +309,7 @@ def _line_search(search: _Search, origin: _Point,
             d = cgold * e
         u = x + (d if abs(d) >= step_tol else copysign(step_tol, d))
         search.evaluations += 1
-        point, fu = line(u)
-        if not isfinite(fu):
-            raise OptimizationError(PPSPoint(*point), fu)
-        fu = record(point, fu)
+        fu = record(*line(u))
         if fu > fx:
             if u >= x:
                 a = x
