@@ -32,15 +32,16 @@ holds fixed once (the trigonometry of a fixed coordinate, the family
 entries on a theta2 line, the postselection products on a theta1 or phi0
 line) and returns a scalar probe t -> (angles, value) that runs the call
 face's arithmetic in its order on the rest: a Brent step gives the call
-face's floats bit for bit at about half its cost.  Its ``slab`` runs the same
-arithmetic on numpy arrays over one theta1 slab of the coarse grid, so the
-default 64^3-point grid is 64 slab calls instead of 262k probes, with
-bit-identical values.  Its ``line`` face runs it over the grid_n points
-that open each line search, with each point's angles and trigonometry
-taken from ``math`` so the values stay bit-identical to single probes; the
-search records the first largest of them as it stands and starts Brent's
-method there.  Plain callables get all three faces point by point
-(``_loop_bind``, ``_loop_slab``, ``_loop_line``).
+face's floats bit for bit at about half its cost.  Its ``rows`` face runs the
+same arithmetic on numpy arrays over (theta1, phi0) rows of the coarse grid,
+every theta2 of each, so the default 64^3-point grid takes at most 64 calls
+of 64 rows instead of 262k probes, with bit-identical values.  Its ``line``
+face runs it over the grid_n points that open each line search, with each
+point's angles and trigonometry taken from ``math`` so the values stay
+bit-identical to single probes; the search records the first largest of
+them as it stands and starts Brent's method there.  Plain callables are
+probed point by point: ``_loop_bind`` and ``_loop_rows`` stand in for the
+two faces, and a line scan maps the ``_loop_bind`` probe over its points.
 
 The family builders return a ``_FormObjective``, marked by its type as
 having pieces linear in (u2, v2, w), as every meter piece is.  At a fixed
@@ -48,12 +49,14 @@ having pieces linear in (u2, v2, w), as every meter piece is.  At a fixed
 (cos(theta2 / 2), sin(theta2 / 2)), read off the pieces at unit inputs, so
 its largest |value| over theta2 is at most the largest |lambda| with
 det(A - lambda B) = 0 (``_pencil_bound``, over arrays of forms).  The grid
-bounds all grid_n^2 rows in one numpy pass, evaluates the grid_n rows with
-the largest bounds, and then only the rows whose bound plus a derived
-rounding allowance reaches the best |value| found; no other row can hold
-the first largest grid point, so the refinement starts where the full scan
-would (``_pruned_start``).  On the verify battery's searches about 2.6% of
-the grid points are evaluated.  Other objectives scan every slab.
+(``_grid_start``) evaluates grid_n rows per call and keeps the first point
+with the largest |value|.  For a form objective it bounds all grid_n^2 rows
+in one numpy pass, evaluates the grid_n rows with the largest bounds first,
+and then only the rows whose bound plus a derived rounding allowance
+reaches the best |value| found; no other row can hold the first largest
+grid point, so the refinement starts where it would if every row were
+evaluated.  On the verify battery's searches about 2.6% of the grid points
+are evaluated.  Other objectives have every row evaluated, in order.
 
 Probes where the postselection probability falls below the usable floor
 evaluate to 0, letting the search traverse near-orthogonal regions where
@@ -161,8 +164,11 @@ class _Search:
 
     def __init__(self, objective: Objective):
         self.objective = objective
-        self.line = getattr(objective, "line", None) or partial(_loop_line, objective)
-        self.bind_line = getattr(objective, "bind_line", None) or partial(_loop_bind, objective)
+        bind_line = getattr(objective, "bind_line", None) or partial(_loop_bind, objective)
+        # A plain callable's line scan is its bound probe at each t.
+        self.line = getattr(objective, "line", None) or (lambda origin, direction, ts: np.array(
+            [value for _, value in map(bind_line(origin, direction), ts)]))
+        self.bind_line = bind_line
         self.evaluations = 0
         self.best_abs = -1.0
         self.best_value = 0.0
@@ -192,13 +198,6 @@ def _along(origin: _Point, direction: _Point, t: float) -> _Point:
             origin[2] + t * direction[2])
 
 
-def _loop_line(objective: Objective, origin: _Point, direction: _Point,
-               ts) -> np.ndarray:
-    """Any callable objective on the u-line origin + t direction, one probe
-    per t."""
-    return np.array([objective(*_angles(_along(origin, direction, t))) for t in ts])
-
-
 def _loop_bind(objective: Objective, origin: _Point, direction: _Point):
     """Any callable objective on the u-line origin + t direction, as the
     scalar probe t -> (angles, value)."""
@@ -206,15 +205,6 @@ def _loop_bind(objective: Objective, origin: _Point, direction: _Point):
         point = _angles(_along(origin, direction, t))
         return point, objective(*point)
     return probe
-
-
-def _check_finite(values: np.ndarray, point) -> None:
-    """Raise OptimizationError at the first non-finite entry of ``values``;
-    ``point(*index)`` gives its PPSPoint."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        index = tuple(np.argwhere(bad)[0])
-        raise OptimizationError(point(*index), float(values[index]))
 
 
 #: Line-search directions per refinement cycle, in (u1, u2, phi0): the three
@@ -267,7 +257,11 @@ def _line_search(search: _Search, origin: _Point,
     step = (t_hi - t_lo) / (n - 1)
     ts = [t_lo + i * step for i in range(n)]
     values = search.line(origin, direction, ts)
-    _check_finite(values, lambda i: PPSPoint(*_angles(_along(origin, direction, ts[i]))))
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise OptimizationError(PPSPoint(*_angles(_along(origin, direction, ts[i]))),
+                                float(values[i]))
     search.evaluations += n
     # Scan values equal scalar probes, so the first largest is recorded as is.
     scan = np.abs(values).tolist()
@@ -328,10 +322,10 @@ def _line_search(search: _Search, origin: _Point,
     return _along(origin, direction, x), fx
 
 
-#: Coarse-grid axes plus the ``math`` trigonometry that every slab shares, so
-#: slabs and single probes see the same floats.  The half-angle factors of
-#: the polar axis are columns and phi0 factors rows: a slab is indexed
-#: [theta2, phi0], and the row bounds [theta1, phi0].
+#: Coarse-grid axes plus the ``math`` trigonometry that every row shares, so
+#: rows and single probes see the same floats.  The half-angle factors of
+#: the polar axis are columns and phi0 factors a flat axis: the row bounds
+#: are indexed [theta1, phi0], and ``rows`` takes the theta2 factors as rows.
 _Grid = namedtuple("_Grid", "theta phi ch sh u2 v2 w cos_phi sin_phi")
 
 
@@ -355,81 +349,72 @@ def _coarse_grid(grid_n: int) -> _Grid:
     return _Grid(theta, phi, *map(_read_only, arrays))
 
 
-def _loop_slab(objective: Objective, t1: float, grid: _Grid) -> np.ndarray:
-    """A theta1 slab of any callable objective, one probe per point."""
-    return np.array([[objective(t1, t2, p0) for p0 in grid.phi]
-                     for t2 in grid.theta])
+def _loop_rows(objective: Objective, i1: np.ndarray, j: np.ndarray, grid: _Grid) -> np.ndarray:
+    """The ``rows`` face of any callable objective, one probe per point."""
+    theta, phi = grid.theta, grid.phi
+    return np.array([[objective(theta[a], t2, phi[b]) for t2 in theta]
+                     for a, b in zip(i1.tolist(), j.tolist())])
 
 
-def _scan_start(objective: Objective, grid: _Grid) -> _Point:
-    """The first grid point with the largest |value|, over every theta1 slab."""
-    slab = getattr(objective, "slab", None) or partial(_loop_slab, objective)
-    start, start_abs = None, -1.0
-    for t1 in grid.theta:
-        values = slab(t1, grid)
-        magnitude = np.abs(values, out=values)
-        k = int(magnitude.argmax())
-        if not math.isfinite(magnitude.flat[k]):
-            # argmax stops at the first NaN, else at the first inf.  The error
-            # names the first non-finite point of the signed slab, so the slab
-            # is evaluated again: the abs above overwrote its signs.
-            _check_finite(slab(t1, grid), lambda i, j: PPSPoint(t1, grid.theta[i], grid.phi[j]))
-        if magnitude.flat[k] > start_abs:
-            start_abs = magnitude.flat[k]
-            # By the slab's own row length: one whose pieces ignore phi0
-            # broadcasts to (grid_n, 1).
-            i, j = divmod(k, magnitude.shape[1])
-            start = (t1, grid.theta[i], grid.phi[j])
-    return start
+def _grid_start(objective: Objective, grid: _Grid) -> _Point:
+    """The first grid point, in (theta1, theta2, phi0) order, with the
+    largest |value|, from the objective's ``rows`` grid_n rows at a time.
 
-
-def _pruned_start(objective: _FormObjective, grid: _Grid) -> _Point | None:
-    """``_scan_start`` of a form objective, evaluating only the (theta1, phi0)
-    rows whose bound does not rule them out.
-
-    The grid_n rows with the largest finite bounds are evaluated first, and
-    their largest |value| is the bar: a row whose bound plus rounding
-    allowance stays below it holds no value as large, so neither the first
-    largest point nor a tie with it.  The other rows are evaluated grid_n at
-    a time, and the first largest point in (theta1, theta2, phi0) order wins,
-    as in the full scan.  Returns None, leaving the full scan to raise at the
-    first non-finite point, if any evaluated value is not finite.
+    Rows run in flat [theta1, phi0] order, so each call is one theta1.  A
+    ``_FormObjective`` has the grid_n rows with the largest finite bounds
+    evaluated first, and their largest |value| is the bar: a row whose
+    bound plus rounding allowance stays below it holds no value as large,
+    so neither the first largest point nor a tie with it, and of the other
+    rows only those that reach the bar are evaluated.  A non-finite value
+    raises OptimizationError at the first non-finite point of the first
+    call in flat order that holds one; one met in the pruned order makes
+    the rows run in flat order instead, so the error is the same.
     """
     n = len(grid.theta)
-    best_abs, best_key = -1.0, 0
+    rows = getattr(objective, "rows", None) or partial(_loop_rows, objective)
 
-    def take(rows: np.ndarray) -> bool:
-        """Evaluate the rows at flat [theta1, phi0] indices ``rows``; False if
-        a value is not finite."""
-        nonlocal best_abs, best_key
-        i1, j = np.divmod(rows, n)
-        magnitude = np.abs(objective.rows(i1, j, grid))
+    def point(key: int) -> _Point:
+        i, j = divmod(key, n)
+        i1, i2 = divmod(i, n)
+        return grid.theta[i1], grid.theta[i2], grid.phi[j]
+
+    def best(flat: np.ndarray) -> tuple[float, int]:
+        """The largest |value| on the rows at flat [theta1, phi0] indices
+        ``flat``, and the flat (theta1, theta2, phi0) key of its first point."""
+        i1, j = np.divmod(flat, n)
+        values = rows(i1, j, grid)
+        magnitude = np.abs(values)
         top = magnitude.max()
-        if not math.isfinite(top):
-            return False
-        if top >= best_abs:
-            # The first point in (theta1, theta2, phi0) order among the largest.
-            k, i2 = np.nonzero(magnitude == top)
-            key = int(((i1[k] * n + i2) * n + j[k]).min())
-            if top > best_abs or key < best_key:
-                best_abs, best_key = top, key
-        return True
+        # The max is NaN or inf if any value is not finite.
+        finite = math.isfinite(top)
+        mask = magnitude == top if finite else ~np.isfinite(magnitude)
+        # By the array's own row length, 1 for pieces that ignore theta2.
+        k, i2 = np.divmod(np.flatnonzero(mask), values.shape[1])
+        keys = (i1[k] * n + i2) * n + j[k]
+        m = int(keys.argmin())
+        if not finite:
+            raise OptimizationError(PPSPoint(*point(int(keys[m]))), float(values[k[m], i2[m]]))
+        return top, int(keys[m])
 
-    bound, allowance = objective.row_bounds(grid)
-    ceiling = (bound + allowance).ravel()
-    first = np.argpartition(np.where(np.isfinite(ceiling), bound.ravel(), -math.inf), -n)[-n:]
-    if not take(first):
-        return None
-    # NaN compares False, so a row whose ceiling is not finite stays.
-    left = ~(ceiling < best_abs)
-    left[first] = False
-    left = np.flatnonzero(left)
-    for k in range(0, left.size, n):
-        if not take(left[k:k + n]):
-            return None
-    i, j = divmod(best_key, n)
-    i1, i2 = divmod(i, n)
-    return grid.theta[i1], grid.theta[i2], grid.phi[j]
+    def start(found) -> _Point:
+        """The point of the first largest among (|value|, key) pairs."""
+        return point(max(found, key=lambda pair: (pair[0], -pair[1]))[1])
+
+    if isinstance(objective, _FormObjective):
+        bound, allowance = objective.row_bounds(grid)
+        ceiling = (bound + allowance).ravel()
+        first = np.argpartition(np.where(np.isfinite(ceiling), bound.ravel(), -math.inf), -n)[-n:]
+        try:
+            found = [best(first)]
+            # NaN compares False, so a row whose ceiling is not finite stays.
+            left = ~(ceiling < found[0][0])
+            left[first] = False
+            left = np.flatnonzero(left)
+            found += (best(left[k:k + n]) for k in range(0, left.size, n))
+            return start(found)
+        except OptimizationError:
+            pass
+    return start(best(np.arange(k, k + n)) for k in range(0, n * n, n))
 
 
 #: K in the allowance of ``_pencil_bound``: 128 unit roundoffs, more than
@@ -535,18 +520,17 @@ def maximize(objective: Objective, grid_n: int = 64,
     probes them: a supremum that only a pole approaches is found within a
     relative gap of order exp(-2 _U_MAX).  The objective must accept any
     theta in [0, pi] and be 2 pi-periodic in phi0.  An objective with
-    ``slab``, ``line`` and ``bind_line`` faces has the grid evaluated a
-    theta1 slab at a time, each slab a new array that the search overwrites
-    with its |values|, each line-search scan in one call, and each line's
-    Brent steps through one bound line; any other callable is probed point
-    by point.  A ``_FormObjective`` (the family builders'
-    objectives) has the grid evaluated only on the (theta1, phi0) rows that
-    its exact postselection bound leaves in play, gathered grid_n rows per
-    call (``_pruned_start``); the start, and so every result, is the full
-    scan's, and ``grid_probes`` still counts all grid_n^3 points.  If one of
-    those rows holds a non-finite value, the full scan runs instead and
-    raises at its first non-finite point.  ``max_cycles`` (at least 1) caps
-    the refinement cycles.
+    ``rows``, ``line`` and ``bind_line`` faces has the grid evaluated grid_n
+    (theta1, phi0) rows per call, each line-search scan in one call, and
+    each line's Brent steps through one bound line; any other callable is
+    probed point by point, grid_n^3 times on the grid.  A
+    ``_FormObjective`` (the family builders' objectives) has the grid
+    evaluated only on the rows that its exact postselection bound leaves in
+    play (``_grid_start``); the start, and so every result, is the one that
+    evaluating every row gives, and ``grid_probes`` still counts all
+    grid_n^3 points.  A non-finite grid value raises OptimizationError at
+    the first non-finite point of the first theta1 that holds one.
+    ``max_cycles`` (at least 1) caps the refinement cycles.
 
     Returns the signed objective value at the best point found.
     """
@@ -559,9 +543,7 @@ def maximize(objective: Objective, grid_n: int = 64,
 
     search = _Search(objective)
     grid = _coarse_grid(grid_n)
-    start = _pruned_start(objective, grid) if isinstance(objective, _FormObjective) else None
-    if start is None:
-        start = _scan_start(objective, grid)
+    start = _grid_start(objective, grid)
     grid_probes = search.evaluations = grid_n ** 3
 
     current = (_u(start[0]), _u(start[1]), start[2])
@@ -709,10 +691,11 @@ class _Objective:
                     value(*entries(cos(h1), sin(h1), cos_p0, sin_p0), sh * ch, ch * ch, sh * sh))
         return probe
 
-    def slab(self, t1: float, grid: _Grid) -> np.ndarray:
-        """Values on grid.theta x grid.phi at this theta1, as one array."""
-        return self._array(math.cos(0.5 * t1), math.sin(0.5 * t1),
-                           grid.cos_phi, grid.sin_phi, grid.w, grid.u2, grid.v2)
+    def rows(self, i1: np.ndarray, j: np.ndarray, grid: _Grid) -> np.ndarray:
+        """Values on grid.theta at the rows theta1 = grid.theta[i1[k]], phi0 =
+        grid.phi[j[k]], as one array indexed [k, theta2]."""
+        return self._array(grid.ch[i1], grid.sh[i1], grid.cos_phi[j, None],
+                           grid.sin_phi[j, None], grid.w.T, grid.u2.T, grid.v2.T)
 
     def line(self, origin: _Point, direction: _Point, ts) -> np.ndarray:
         """Values on the u-line origin + t direction for each t in ts, as one
@@ -745,10 +728,10 @@ class _FormObjective(_Objective):
     At one (theta1, phi0) row its value is then a ratio of 2x2 forms in
     (cos(theta2 / 2), sin(theta2 / 2)), and ``row_bounds`` bounds it over
     theta2, so ``maximize`` evaluates only the rows that the bound leaves in
-    play (``_pruned_start``).  The bound's rounding allowance counts the
+    play (``_grid_start``).  The bound's rounding allowance counts the
     arithmetic of the shipped pieces, which ``_family_objective`` and
     ``oracle._oracle_shift_objective`` join; an ``_Objective`` of any other
-    pieces is scanned in full.
+    pieces has every row evaluated.
     """
 
     __slots__ = ()
@@ -759,12 +742,6 @@ class _FormObjective(_Objective):
         entries = self.entries(grid.ch, grid.sh, grid.cos_phi, grid.sin_phi)
         return _pencil_bound(*_form(self.numerator, *entries, self.reads_imag),
                              *_form(self.prob, *entries, self.reads_imag))
-
-    def rows(self, i1: np.ndarray, j: np.ndarray, grid: _Grid) -> np.ndarray:
-        """Values on grid.theta at the rows theta1 = grid.theta[i1[k]], phi0 =
-        grid.phi[j[k]], as one array indexed [k, theta2]."""
-        return self._array(grid.ch[i1], grid.sh[i1], grid.cos_phi[j, None],
-                           grid.sin_phi[j, None], grid.w.T, grid.u2.T, grid.v2.T)
 
 
 def _half_angle(u: float) -> tuple[float, float, float]:

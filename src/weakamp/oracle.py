@@ -245,6 +245,22 @@ def gaussian_grid_evolve(rho_s: QubitDensity, psi_f: PureQubit, g: float,
 #: Rejection-sampling attempts allowed per requested sample; a sampler that
 #: runs out of attempts reports a shortfall instead of looping forever.
 _ATTEMPTS_PER_SAMPLE = 100
+
+
+def _sample(draw, samples: int):
+    """Yield the results of ``draw()`` that are not None, drawing until
+    ``samples`` are accepted or ``_ATTEMPTS_PER_SAMPLE * samples`` draws are
+    spent."""
+    accepted = 0
+    for _ in range(_ATTEMPTS_PER_SAMPLE * samples):
+        if accepted == samples:
+            return
+        result = draw()
+        if result is not None:
+            accepted += 1
+            yield result
+
+
 #: A variant agreeing with the oracle must stay within this deviation.
 ADJUDICATION_TOLERANCE = 1e-6
 #: ...and the rejected variant must exceed tolerance by this factor somewhere.
@@ -407,19 +423,17 @@ def adjudicate_variants(seed: int = 7, pointwise_samples: int = 40,
 
     # -- dispute 1: attenuation factor in the position shift ----------------
     dispute = "position-shift-attenuation"
-    produced = 0
-    attempts = 0
-    while produced < pointwise_samples and attempts < _ATTEMPTS_PER_SAMPLE * pointwise_samples:
-        attempts += 1
+
+    def attenuation_deviations():
         rho = _random_density(rng)
         psi_f = _random_pure(rng)
         g = rng.uniform(0.15, 0.5)
         try:
             oracle = gaussian_grid_evolve(rho, psi_f, g, meter)
         except VanishingPostselectionError:
-            continue
+            return None
         if oracle.prob < 1e-2 or abs(oracle.dq_shift) < 1e-3:
-            continue
+            return None
         att = meter.coherence_factor(g)
         u2 = abs(psi_f.alpha) ** 2
         w = psi_f.alpha * psi_f.beta.conjugate()
@@ -428,10 +442,12 @@ def adjudicate_variants(seed: int = 7, pointwise_samples: int = 40,
             + 2.0 * att * cross.real
         dq_with = 4.0 * g * att * cross.imag / prob
         dq_without = 4.0 * g * cross.imag / prob
-        record(dispute, "attenuated", f"point-{produced:03d}",
-               abs(dq_with - oracle.dq_shift))
-        record(dispute, "unattenuated", f"point-{produced:03d}",
-               abs(dq_without - oracle.dq_shift))
+        return abs(dq_with - oracle.dq_shift), abs(dq_without - oracle.dq_shift)
+
+    produced = 0
+    for with_att, without_att in _sample(attenuation_deviations, pointwise_samples):
+        record(dispute, "attenuated", f"point-{produced:03d}", with_att)
+        record(dispute, "unattenuated", f"point-{produced:03d}", without_att)
         produced += 1
     tally(dispute, produced)
 

@@ -34,9 +34,9 @@ from .oracle import (
     ADJUDICATION_TOLERANCE,
     REJECTION_FACTOR,
     AdjudicationReport,
-    _ATTEMPTS_PER_SAMPLE,
     _random_density,
     _random_pure,
+    _sample,
     adjudicate_variants,
     gaussian_grid_evolve,
     qubit_joint_evolve,
@@ -118,19 +118,15 @@ def _oracle_battery(section: str, samples: int, tolerance: float,
     """Worst deviations per key over ``samples`` accepted random inputs.
 
     ``compare()`` draws one input and returns its deviations in ``keys``
-    order, or None to reject it.  After ``_ATTEMPTS_PER_SAMPLE * samples``
-    draws the battery stops, and a shortfall fails it.
+    order, or None to reject it.  It is drawn by ``oracle._sample``, which
+    stops after ``_ATTEMPTS_PER_SAMPLE * samples`` draws; a shortfall fails
+    the battery.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     worst = dict.fromkeys(keys, 0.0)
     produced = 0
-    for _ in range(_ATTEMPTS_PER_SAMPLE * samples):
-        if produced == samples:
-            break
-        deviations = compare()
-        if deviations is None:
-            continue
+    for deviations in _sample(compare, samples):
         for key, dev in zip(keys, deviations):
             worst[key] = _nan_max(worst[key], dev)
         produced += 1

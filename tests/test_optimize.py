@@ -40,14 +40,12 @@ from weakamp.optimize import (
     _coarse_grid,
     _family_objective,
     _FormObjective,
+    _grid_start,
     _line_search,
-    _loop_line,
-    _loop_slab,
+    _loop_rows,
     _Objective,
     _pencil_bound,
-    _pruned_start,
     _pure_entries,
-    _scan_start,
     _Search,
     _theta,
     _u,
@@ -271,7 +269,7 @@ TARGETS = _targets()
 
 #: Pieces whose grid values turn non-finite part-way through, by name.
 NONFINITE_PIECES = {
-    # Probability 0 on the theta2 = 0 row of every slab, ahead of a value
+    # Probability 0 at theta2 = 0 on every row, ahead of a value
     # that overflows to -inf once rho11 v2 passes 0.2247.
     "floor-then-minus-inf": (
         lambda rho00, rho11, re, im, u2, v2: v2,
@@ -283,12 +281,18 @@ NONFINITE_PIECES = {
         lambda rho00, rho11, re, im, u2, v2:
             v2 + (rho11 * v2 * 1e308 * 8.0 - rho11 * v2 * 1e308 * 8.0),
         lambda rho00, rho11, re, im, u2, v2: rho00 + 0.0 * re),
-    # The whole slab is -inf once rho11 passes 0.2247, and -inf / inf is a
-    # NaN on its last rows: the largest |value| is a NaN behind the -inf.
+    # Every row is -inf once rho11 passes 0.2247, and -inf / inf is a NaN
+    # near theta2 = pi: the largest |value| is a NaN behind the -inf.
     "minus-inf-then-nan": (
         lambda rho00, rho11, re, im, u2, v2: 1.0 + rho11 * v2 * 1e308 * 8.0,
         lambda rho00, rho11, re, im, u2, v2: -rho11 * 1e308 * 8.0 + 0.0 * re),
 }
+
+
+def _slab(i, n):
+    """Flat row indices (i1, j) of the theta1 = grid.theta[i] slab: its n
+    (theta1, phi0) rows, one ``rows`` call of the grid in flat order."""
+    return np.full(n, i), np.arange(n)
 
 
 class TestSlabFace:
@@ -296,20 +300,21 @@ class TestSlabFace:
     def test_slab_equals_scalar_probes_on_default_grid(self, target):
         objective = TARGETS[target]()
         grid = _coarse_grid(64)
-        for t1 in grid.theta:
-            slab = objective.slab(t1, grid)
-            probes = _loop_slab(objective, t1, grid)
-            assert slab.shape == (64, 64)
-            assert np.array_equal(slab, probes)
+        scattered = np.divmod(np.random.default_rng(3).permutation(64 ** 2)[:64], 64)
+        for i1, j in [_slab(i, 64) for i in range(64)] + [scattered]:
+            rows = objective.rows(i1, j, grid)
+            assert rows.shape == (64, 64)
+            assert np.array_equal(rows, _loop_rows(objective, i1, j, grid))
 
     def test_floor_masks_slab_to_zero(self):
+        # theta1 = 0, phi0 = 0 and theta2 = pi: orthogonal states.
         objective = kappa_shift_objective(1.0, 0.1, METER, "dp")
-        grid = _coarse_grid(16)
-        assert objective.slab(0.0, grid)[-1, 0] == 0.0
+        rows = objective.rows(*_slab(0, 16), _coarse_grid(16))
+        assert rows[0, -1] == 0.0 and rows[0, 0] != 0.0
 
     @pytest.mark.parametrize("prob, numerator", NONFINITE_PIECES.values(), ids=NONFINITE_PIECES)
     def test_nonfinite_grid_value_raises_at_the_first_nonfinite_point(self, prob, numerator):
-        # Each numerator adds 0 re, so the slabs span the phi0 axis too.
+        # Each numerator adds 0 re, so it reads phi0 too.
         objective = _Objective(_pure_entries(depolarizing(0.2)), prob, numerator)
         grid = _coarse_grid(32)
         first = next((t1, t2, p0) for t1 in grid.theta for t2 in grid.theta
@@ -330,21 +335,25 @@ class TestSlabFace:
         assert maximize(objective, grid_n=24) == maximize(wrapped, grid_n=24)
 
     def test_phase_free_slab_starts_where_the_plain_callable_does(self):
-        class PhaseFree(_Objective):
-            # A phase line of phase-free pieces is one value: spread it per t.
-            def line(self, origin, direction, ts):
-                return np.broadcast_to(super().line(origin, direction, ts), (len(ts),)).copy()
-
-        # The pieces ignore cross_re, so every slab is (16, 1), with its first
-        # largest value at an interior theta2.
-        objective = PhaseFree(_pure_entries(depolarizing(0.2)),
-                              lambda rho00, rho11, re, im, u2, v2: rho00 * u2 + rho11 * v2,
-                              lambda rho00, rho11, re, im, u2, v2: rho11 * u2 * v2)
+        # Pieces that ignore phi0, then also theta2, then the preselection:
+        # the last two give arrays with fewer values than grid points, which
+        # the grid reads by their own shape.
+        pieces = {
+            (16, 16): (lambda rho00, rho11, re, im, u2, v2: rho00 * u2 + rho11 * v2,
+                       lambda rho00, rho11, re, im, u2, v2: rho11 * u2 * v2),
+            (16, 1): (lambda rho00, rho11, re, im, u2, v2: 1.0,
+                      lambda rho00, rho11, re, im, u2, v2: rho11 * (1.0 - rho11)),
+            (1, 16): (lambda rho00, rho11, re, im, u2, v2: u2 + v2,
+                      lambda rho00, rho11, re, im, u2, v2: u2 * v2 * (1.0 + u2)),
+        }
         grid = _coarse_grid(16)
-        slab = objective.slab(grid.theta[-1], grid)
-        assert slab.shape == (16, 1) and 0 < slab.argmax() < 15
-        wrapped = lambda t1, t2, p0: objective(t1, t2, p0)  # noqa: E731
-        assert maximize(objective, grid_n=16) == maximize(wrapped, grid_n=16)
+        for shape, (prob, numerator) in pieces.items():
+            objective = _Objective(_pure_entries(depolarizing(0.2)), prob, numerator)
+            # The phi0 = 0 row of every theta1: the largest value is inside.
+            rows = objective.rows(np.arange(16), np.zeros(16, dtype=int), grid)
+            assert rows.shape == shape and 0 < rows.argmax() < rows.size - 1
+            wrapped = lambda t1, t2, p0: objective(t1, t2, p0)  # noqa: E731
+            assert maximize(objective, grid_n=16) == maximize(wrapped, grid_n=16)
 
     def test_grid_start_is_the_first_largest_point(self):
         probes = []
@@ -359,6 +368,11 @@ class TestSlabFace:
         # theta1 = 0 to the box edge, theta2 round-tripped through u.
         assert probes[16 ** 3] == _angles((-_U_MAX, _u(first_tie), 0.0))
         assert probes[16 ** 3][1] == pytest.approx(first_tie, rel=1e-15)
+
+
+def _probe_line(objective, origin, direction, ts):
+    """A line scan of ``objective`` taken as a plain callable, one probe per t."""
+    return _Search(lambda *point: objective(*point)).line(origin, direction, ts)
 
 
 def test_coarse_grid_is_cached_read_only_and_bounded():
@@ -382,7 +396,7 @@ class TestLineFace:
             for direction in _DIRECTIONS:
                 line = objective.line(origin, direction, ts)
                 assert line.shape == (64,)
-                assert np.array_equal(line, _loop_line(objective, origin, direction, ts))
+                assert np.array_equal(line, _probe_line(objective, origin, direction, ts))
 
     def test_floor_masks_line_to_zero(self):
         # From near |0> toward postselection on the state orthogonal to the
@@ -393,7 +407,7 @@ class TestLineFace:
         ts = [i * (2.0 * _U_MAX) / 63 for i in range(64)]
         line = objective.line(origin, direction, ts)
         assert line[0] != 0.0 and line[-1] == 0.0
-        assert np.array_equal(line, _loop_line(objective, origin, direction, ts))
+        assert np.array_equal(line, _probe_line(objective, origin, direction, ts))
 
     def test_nonfinite_scan_value_raises_where_the_scalar_route_does(self):
         # v2 * 4e308 overflows once v2 passes 0.45, mid-way along theta2.
@@ -442,7 +456,7 @@ class TestLineFace:
         ts = [-math.pi + i * 2.0 * math.pi / 63 for i in range(64)]
         line = objective.line(origin, direction, ts)
         assert line.shape == (64,)
-        assert np.array_equal(line, _loop_line(objective, origin, direction, ts))
+        assert np.array_equal(line, _probe_line(objective, origin, direction, ts))
         point, value = _line_search(_Search(objective), origin, direction, 64)
         assert point == (origin[0], origin[1], origin[2] - math.pi)
         assert value == objective(*_angles(origin))
@@ -457,7 +471,7 @@ class TestLineFace:
                                   kappa_reading_objective(kappa, c)):
                     # Same coarse grid, line scans probed point by point.
                     scalar_lines = lambda t1, t2, p0, f=objective: f(t1, t2, p0)  # noqa: E731
-                    scalar_lines.slab = objective.slab
+                    scalar_lines.rows = objective.rows
                     assert maximize(objective) == maximize(scalar_lines)
 
 
@@ -729,8 +743,8 @@ class TestRowBounds:
 
 
 def _spied(monkeypatch):
-    """Count the grid points evaluated through the array faces."""
-    counts = {"slab": 0, "rows": 0}
+    """Count the grid points evaluated through the ``rows`` face."""
+    counts = {"rows": 0}
 
     def spy(face, real):
         def counted(*args):
@@ -739,8 +753,7 @@ def _spied(monkeypatch):
             return values
         return counted
 
-    monkeypatch.setattr(_Objective, "slab", spy("slab", _Objective.slab))
-    monkeypatch.setattr(_FormObjective, "rows", spy("rows", _FormObjective.rows))
+    monkeypatch.setattr(_Objective, "rows", spy("rows", _Objective.rows))
     return counts
 
 
@@ -758,9 +771,13 @@ class TestPrunedGrid:
         # Odd grid_n has no phi0 + pi mirror row; strength 1 (kappa = 1) with
         # small g leaves B nearly singular on the equator, and every grid has
         # the rows next to the poles.
+        # The twin has the same pieces but is no form objective, so the grid
+        # evaluates every row of it, in order.
         objective = _form_objective(family, strength, target, g)
+        twin = _Objective(objective.entries, objective.prob, objective.numerator,
+                          objective.reads_imag)
         grid = _coarse_grid(grid_n)
-        assert _pruned_start(objective, grid) == _scan_start(objective, grid)
+        assert _grid_start(objective, grid) == _grid_start(twin, grid)
 
     def test_battery_searches_evaluate_few_grid_points(self, monkeypatch):
         # A guard on the pruning itself: if it silently stopped excluding
@@ -769,7 +786,6 @@ class TestPrunedGrid:
         objectives = _battery_and_damped_objectives()[:36]
         for objective in objectives:
             assert maximize(objective).grid_probes == 64 ** 3
-        assert counts["slab"] == 0
         assert 0 < counts["rows"] <= 0.10 * len(objectives) * 64 ** 3
 
     @pytest.mark.parametrize("prob, numerator", [
@@ -782,7 +798,7 @@ class TestPrunedGrid:
         counts = _spied(monkeypatch)
         objective = _Objective(_pure_entries(depolarizing(0.2)), prob, numerator)
         result = maximize(objective, grid_n=17)
-        assert counts == {"slab": 17 ** 3, "rows": 0}
+        assert counts == {"rows": 17 ** 3}
         calls = []
 
         def plain(*point):
@@ -795,33 +811,37 @@ class TestPrunedGrid:
     @pytest.mark.parametrize("case", NONFINITE_PIECES)
     def test_nonlinear_slab_objectives_take_the_full_scan(self, case, monkeypatch):
         # TestSlabFace's non-finite objectives: the grid runs slab by slab up
-        # to the first non-finite one, as for a plain callable.
+        # to the first non-finite one, as for a plain callable, and evaluates
+        # that one once.
         prob, numerator = NONFINITE_PIECES[case]
         objective = _Objective(_pure_entries(depolarizing(0.2)), prob, numerator)
         grid = _coarse_grid(32)
-        first = next(i for i, t1 in enumerate(grid.theta)
-                     if not np.isfinite(_loop_slab(objective, t1, grid)).all())
+        first = next(i for i in range(32)
+                     if not np.isfinite(_loop_rows(objective, *_slab(i, 32), grid)).all())
         counts = _spied(monkeypatch)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OptimizationError):
             maximize(objective, grid_n=32)
-        # The slab that raises is evaluated twice, to name its first bad point.
-        assert counts == {"slab": (first + 2) * 32 ** 2, "rows": 0}
+        assert counts == {"rows": (first + 1) * 32 ** 2}
 
     def test_nonfinite_form_value_raises_where_the_full_scan_does(self):
         # Linear pieces whose numerator overflows once rho00 u2 passes 0.2247:
-        # the bounds are not finite there, so those rows are evaluated and the
-        # full scan names the first non-finite point.
-        objective = _FormObjective(_pure_entries(depolarizing(0.2)),
-                                   lambda rho00, rho11, re, im, u2, v2: rho00 * u2 + rho11 * v2,
-                                   lambda rho00, rho11, re, im, u2, v2: rho00 * u2 * 1e308 * 8.0)
+        # the bounds are not finite there, so those rows are evaluated first,
+        # and the rows then run in order to name the first non-finite point,
+        # as for the same pieces in a plain _Objective or a plain callable.
+        prob = lambda rho00, rho11, re, im, u2, v2: rho00 * u2 + rho11 * v2  # noqa: E731
+        numerator = lambda rho00, rho11, re, im, u2, v2: rho00 * u2 * 1e308 * 8.0  # noqa: E731
+        entries = _pure_entries(depolarizing(0.2))
+        objective = _FormObjective(entries, prob, numerator)
         grid = _coarse_grid(16)
         first = next((t1, t2, p0) for t1 in grid.theta for t2 in grid.theta
                      for p0 in grid.phi if not math.isfinite(objective(t1, t2, p0)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert _pruned_start(objective, grid) is None
-            with pytest.raises(OptimizationError) as err:
-                maximize(objective, grid_n=16)
-        assert err.value.point == PPSPoint(*first)
+        for face in (objective, _Objective(entries, prob, numerator),
+                     lambda *point: objective(*point)):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(OptimizationError) as err:
+                maximize(face, grid_n=16)
+            assert err.value.point == PPSPoint(*first)
+            assert repr(err.value.value) == repr(objective(*first))
 
 
 def test_phase_reduction_is_sound():

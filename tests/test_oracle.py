@@ -18,7 +18,8 @@ from weakamp import (
     qubit_joint_evolve,
     qubit_meter_marginal,
 )
-from weakamp.oracle import _GENERATOR, _branch_moments, _grid_indices, _joint_evolved
+from weakamp.oracle import (_ATTEMPTS_PER_SAMPLE, _GENERATOR, _branch_moments, _grid_indices,
+                            _joint_evolved, _sample)
 from weakamp.oracle import _random_density as random_density
 from weakamp.oracle import _random_pure as random_pure
 
@@ -242,6 +243,20 @@ class TestGridOracle:
             assert abs(coarse.dq_shift - fine.dq_shift) < 1e-8
             assert abs(coarse.prob - fine.prob) < 1e-8
             checked += 1
+
+
+def test_sample_stops_at_its_samples_or_its_attempt_cap():
+    draws = []
+
+    def every_third():
+        draws.append(len(draws))
+        return draws[-1] if draws[-1] % 3 == 0 else None
+
+    assert list(_sample(every_third, 4)) == [0, 3, 6, 9]
+    assert len(draws) == 10
+    rejected = []
+    assert list(_sample(lambda: rejected.append(0), 2)) == []
+    assert len(rejected) == 2 * _ATTEMPTS_PER_SAMPLE
 
 
 def test_oracle_module_does_not_touch_closed_forms():
