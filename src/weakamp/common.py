@@ -1,4 +1,5 @@
-"""Shared value types, tolerances, parameter validators, and error classes."""
+"""Shared value types, tolerances, parameter validators, and error classes,
+plus the postselection-probability piece of both closed-form meters."""
 
 from __future__ import annotations
 
@@ -7,6 +8,15 @@ from dataclasses import dataclass
 
 #: Conditional readings are undefined below this postselection probability.
 PROB_FLOOR = 1e-12
+
+
+def _postselection_prob(overlap, rho00, rho11, cross_re, cross_im, u2, v2):
+    """Pro = rho00 u2 + rho11 v2 + 2 overlap Re(rho10 w) for cross = rho10 w,
+    u2 = |alpha2|^2, v2 = |beta2|^2 and the meter's branch overlap: E =
+    exp(-2 delta^2 g^2) for the Gaussian meter, cos(2g) for the qubit meter.
+    Like every meter piece it is arithmetic only, so it runs on floats and
+    numpy arrays."""
+    return rho00 * u2 + rho11 * v2 + 2.0 * overlap * cross_re
 
 
 def _nan_max(a: float, b: float) -> float:

@@ -9,9 +9,10 @@ and w = alpha2 * conj(beta2):
     dp'  = g (rho00 |alpha2|^2 - rho11 |beta2|^2) / Pro
     dq'  = 4 g delta^2 E Im(rho10 w) / Pro
 
-This formula exists once, as the pieces ``_shift_prob``, ``_dp_numerator``
-and ``_dq_numerator``, shared by ``gaussian_shifts`` and the optimizer's
-objectives (``optimize._Objective``), which compute only the pieces they read.
+This formula exists once, as the pieces ``common._postselection_prob`` (at
+overlap E), ``_dp_numerator`` and ``_dq_numerator``, shared by
+``gaussian_shifts`` and the optimizer's objectives (``optimize._Objective``),
+which compute only the pieces they read.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .common import (
     PROB_FLOOR,
     _check_coupling,
     _check_kappa,
+    _postselection_prob,
     GaussianMeter,
     MaxResult,
     ShiftResult,
@@ -29,12 +31,6 @@ from .common import (
     VanishingPostselectionError,
 )
 from .qubit import PureQubit, QubitDensity
-
-
-def _shift_prob(att, rho00, rho11, cross_re, cross_im, u2, v2):
-    """Pro for att = E, cross = rho10 w, u2 = |alpha2|^2 and v2 = |beta2|^2.
-    Each piece is arithmetic only, so it runs on floats and numpy arrays."""
-    return rho00 * u2 + rho11 * v2 + 2.0 * att * cross_re
 
 
 def _dp_numerator(g, rho00, rho11, cross_re, cross_im, u2, v2):
@@ -62,7 +58,7 @@ def gaussian_shifts(rho_s: QubitDensity, psi_f: PureQubit, g: float,
     rho00, rho11 = rho_s.rho00.real, rho_s.rho11.real
     cross = rho_s.rho10 * (alpha * psi_f.beta.conjugate())
     cross_re, cross_im = cross.real, cross.imag
-    prob = _shift_prob(att, rho00, rho11, cross_re, cross_im, u2, v2)
+    prob = _postselection_prob(att, rho00, rho11, cross_re, cross_im, u2, v2)
     if prob <= PROB_FLOOR:
         raise VanishingPostselectionError(prob)
     dq_scale = 4.0 * g * meter.delta ** 2 * att

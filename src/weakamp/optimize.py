@@ -22,11 +22,12 @@ builder, ``_pure_entries``, turns any channel's entry map into the density
 entries: the modulus-kappa family is depolarizing at strength 1 - kappa, the
 damped family is amplitude damping.  An ``_Objective`` joins such a family to
 a meter's probability piece and the one numerator piece it divides by it
-(``gaussian._shift_prob`` with ``_dp_numerator`` or ``_dq_numerator``,
-``qubitmeter._reading_prob`` with ``_reading_numerator``), the only copy of
-each meter formula; every face computes the probability and that numerator
-only.  Calling it probes one point on Python floats with ``math``
-trigonometry, about ten times faster than a one-point numpy evaluation.
+(``common._postselection_prob`` at the meter's branch overlap, with
+``gaussian._dp_numerator`` or ``_dq_numerator`` or with
+``qubitmeter._reading_numerator``), the only copy of each meter formula;
+every face computes the probability and that numerator only.  Calling it
+probes one point on Python floats with ``math`` trigonometry, about ten
+times faster than a one-point numpy evaluation.
 Its ``bind_line`` binds one refinement line: it computes what the line
 holds fixed once (the trigonometry of a fixed coordinate, the family
 entries on a theta2 line, the postselection products on a theta1 or phi0
@@ -38,7 +39,7 @@ every theta2 of each, so the default 64^3-point grid takes at most 64 calls
 of 64 rows instead of 262k probes, with bit-identical values.  Its ``line``
 face runs it over the grid_n points that open each line search, with each
 point's angles and trigonometry taken from ``math`` so the values stay
-bit-identical to single probes; the search records the first largest of
+bit-identical to single probes; the line search keeps the first largest of
 them as it stands and starts Brent's method there.  Plain callables are
 probed point by point: ``_loop_bind`` and ``_loop_rows`` stand in for the
 two faces, and a line scan maps the ``_loop_bind`` probe over its points.
@@ -76,9 +77,9 @@ import numpy as np
 
 from .channels import KrausChannel, amplitude_damping, depolarizing
 from .common import (PROB_FLOOR, GaussianMeter, MaxResult, _check_coupling,
-                     _check_gamma, _check_kappa, _read_only)
-from .gaussian import _dp_numerator, _dq_numerator, _shift_prob, gaussian_max_shifts
-from .qubitmeter import _reading_numerator, _reading_prob, qubit_max_reading
+                     _check_gamma, _check_kappa, _postselection_prob, _read_only)
+from .gaussian import _dp_numerator, _dq_numerator, gaussian_max_shifts
+from .qubitmeter import _reading_numerator, qubit_max_reading
 
 Objective = Callable[[float, float, float], float]
 
@@ -96,6 +97,10 @@ _STEP_TOL = _LINE_WIDTH / 4.0
 #: where a box of 8 leaves 5e-5.  A box of 18 lets the damped dq searches
 #: run onto the probability floor and stall short of the supremum.
 _U_MAX = 10.0
+#: The refinement stops after a cycle that raises the best |value| by less
+#: than this, or after _MAX_CYCLES cycles.
+_CYCLE_GAIN = 1e-12
+_MAX_CYCLES = 200
 
 
 class OptimizationError(RuntimeError):
@@ -155,41 +160,12 @@ def _angles(point: _Point) -> _Point:
     return _theta(point[0]), _theta(point[1]), point[2]
 
 
-class _Search:
-    """Bookkeeping shared by the coarse scan and the refinement loop.
-
-    Refinement points are (u1, u2, phi0); the best point is kept in the
-    angles the objective was called with.
-    """
-
-    def __init__(self, objective: Objective):
-        self.objective = objective
-        bind_line = getattr(objective, "bind_line", None) or partial(_loop_bind, objective)
-        # A plain callable's line scan is its bound probe at each t.
-        self.line = getattr(objective, "line", None) or (lambda origin, direction, ts: np.array(
-            [value for _, value in map(bind_line(origin, direction), ts)]))
-        self.bind_line = bind_line
-        self.evaluations = 0
-        self.best_abs = -1.0
-        self.best_value = 0.0
-        self.best_point = (0.0, 0.0, 0.0)
-
-    def probe(self, u1: float, u2: float, p0: float) -> float:
-        self.evaluations += 1
-        point = _angles((u1, u2, p0))
-        return self.record(point, self.objective(*point))
-
-    def record(self, point: _Point, v: float) -> float:
-        """Keep (angles, v) if |v| beats the best so far; return |v|.  A
-        non-finite v raises OptimizationError at ``point``."""
-        if not math.isfinite(v):
-            raise OptimizationError(PPSPoint(*point), v)
-        a = abs(v)
-        if a > self.best_abs:
-            self.best_abs = a
-            self.best_value = v
-            self.best_point = point
-        return a
+def _checked(angles: _Point, v: float) -> float:
+    """|v| of the probe (angles, v); a non-finite v raises OptimizationError
+    at ``angles``."""
+    if not math.isfinite(v):
+        raise OptimizationError(PPSPoint(*angles), v)
+    return abs(v)
 
 
 def _along(origin: _Point, direction: _Point, t: float) -> _Point:
@@ -207,6 +183,15 @@ def _loop_bind(objective: Objective, origin: _Point, direction: _Point):
     return probe
 
 
+def _faces(objective: Objective):
+    """The objective's ``line`` and ``bind_line`` faces.  A plain callable's
+    bound line is ``_loop_bind``, and its line scan maps that probe over ts."""
+    bind_line = getattr(objective, "bind_line", None) or partial(_loop_bind, objective)
+    line = getattr(objective, "line", None) or (lambda origin, direction, ts: np.array(
+        [value for _, value in map(bind_line(origin, direction), ts)]))
+    return line, bind_line
+
+
 #: Line-search directions per refinement cycle, in (u1, u2, phi0): the three
 #: coordinates plus the (u1, u2) diagonals.  (1, -1) runs along the damped
 #: valleys u1 + u2 = const; (1, 1) shortens the searches on the kappa family.
@@ -219,8 +204,8 @@ _DIRECTIONS = (
 )
 
 
-def _line_search(search: _Search, origin: _Point,
-                 direction: _Point, n: int) -> tuple[_Point, float]:
+def _line_search(line, bind_line, origin: _Point, direction: _Point,
+                 n: int) -> tuple[_Point, float, tuple[_Point, float], int]:
     """Scan the segment of the u-line through ``origin`` inside the box, then
     refine its first largest point by Brent's method.
 
@@ -231,14 +216,14 @@ def _line_search(search: _Search, origin: _Point,
     the larger part of the bracket otherwise.  The bracket is the scan step
     on either side of x; the scan's neighbours of x are the first w and v,
     so the first parabola costs no probe.  A scan maximum at a segment end
-    has no neighbour beyond it and starts with a golden-section step.  Each
-    Brent step probes the line the objective's ``bind_line`` bound once
-    (``_loop_bind`` for a plain callable); it is counted, checked for a
-    finite value and recorded by the first-largest rule (``record``), as
-    ``probe`` is.
+    has no neighbour beyond it and starts with a golden-section step.  The
+    scan is one call of the ``line`` face; each Brent step probes the line
+    that ``bind_line`` bound once, and a non-finite value raises
+    OptimizationError at its point (``_checked``).  x moves only to a
+    strictly larger |value|, so it is the first largest of the line's probes.
 
-    Returns the best point of this call, in u, and its |value|; the global
-    best inside ``search`` updates as a side effect.
+    Returns x in u, its |value|, its (angles, signed value) and the number of
+    probes the line made.
     """
     t_lo, t_hi = -math.inf, math.inf
     for i in (0, 1):
@@ -256,18 +241,17 @@ def _line_search(search: _Search, origin: _Point,
 
     step = (t_hi - t_lo) / (n - 1)
     ts = [t_lo + i * step for i in range(n)]
-    values = search.line(origin, direction, ts)
+    values = line(origin, direction, ts)
     finite = np.isfinite(values)
     if not finite.all():
         i = int(finite.argmin())
         raise OptimizationError(PPSPoint(*_angles(_along(origin, direction, ts[i]))),
                                 float(values[i]))
-    search.evaluations += n
-    # Scan values equal scalar probes, so the first largest is recorded as is.
+    # Scan values equal scalar probes, so the first largest is kept as is.
     scan = np.abs(values).tolist()
     i = scan.index(max(scan))
-    x = ts[i]
-    fx = search.record(_angles(_along(origin, direction, x)), values[i].item())
+    x, fx = ts[i], scan[i]
+    best = _angles(_along(origin, direction, x)), values[i].item()
     a, b = max(t_lo, x - step), min(t_hi, x + step)
     if 0 < i < n - 1:
         (fw, w), (fv, v) = sorted([(scan[i - 1], ts[i - 1]),
@@ -278,8 +262,8 @@ def _line_search(search: _Search, origin: _Point,
     else:
         w, fw, v, fv, d, e = x, fx, x, fx, 0.0, 0.0
 
-    line, record = search.bind_line(origin, direction), search.record
-    copysign, step_tol, cgold = math.copysign, _STEP_TOL, _CGOLD
+    probe, probes = bind_line(origin, direction), n
+    copysign, step_tol, cgold, checked = math.copysign, _STEP_TOL, _CGOLD, _checked
     two_tol = 2.0 * step_tol
     while x - a > two_tol or b - x > two_tol:
         xm = 0.5 * (a + b)
@@ -302,14 +286,16 @@ def _line_search(search: _Search, origin: _Point,
             e = (a if x >= xm else b) - x
             d = cgold * e
         u = x + (d if abs(d) >= step_tol else copysign(step_tol, d))
-        search.evaluations += 1
-        fu = record(*line(u))
+        probes += 1
+        angles, value = probe(u)
+        fu = checked(angles, value)
         if fu > fx:
             if u >= x:
                 a = x
             else:
                 b = x
             v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+            best = angles, value
         else:
             if u < x:
                 a = u
@@ -319,7 +305,7 @@ def _line_search(search: _Search, origin: _Point,
                 v, fv, w, fw = w, fw, u, fu
             elif fu >= fv or v == x or v == w:
                 v, fv = u, fu
-    return _along(origin, direction, x), fx
+    return _along(origin, direction, x), fx, best, probes
 
 
 #: Coarse-grid axes plus the ``math`` trigonometry that every row shares, so
@@ -340,7 +326,8 @@ def _coarse_grid(grid_n: int) -> _Grid:
     search of that size."""
     theta_step = math.pi / (grid_n - 1)
     phi_step = 2.0 * math.pi / grid_n
-    theta = tuple(i * theta_step for i in range(grid_n))
+    # i * theta_step can round past pi at the last i; the axis ends at pi.
+    theta = tuple(i * theta_step for i in range(grid_n - 1)) + (math.pi,)
     phi = tuple(i * phi_step for i in range(grid_n))
     ch = np.array([[math.cos(0.5 * t)] for t in theta])
     sh = np.array([[math.sin(0.5 * t)] for t in theta])
@@ -505,8 +492,7 @@ def _form(piece, rho00, rho11, re10, im10, reads_imag: bool):
     return a00, a11, cross + imag, np.abs(cross) + np.abs(imag)
 
 
-def maximize(objective: Objective, grid_n: int = 64,
-             tol: float = 1e-12, max_cycles: int = 200) -> OptimizationResult:
+def maximize(objective: Objective, grid_n: int = 64) -> OptimizationResult:
     """Maximize |objective| over the angle domain.
 
     A coarse grid of grid_n^3 samples over the angles locates the basin of
@@ -516,53 +502,53 @@ def maximize(objective: Objective, grid_n: int = 64,
     (dense rescan plus Brent line search along each coordinate and the
     polar diagonals, in u = log tan(theta / 2) on |u| <= ``_U_MAX``)
     polishes it until a full cycle improves the best |value| by less than
-    ``tol``.  The refinement approaches the poles theta = 0 and pi but never
-    probes them: a supremum that only a pole approaches is found within a
-    relative gap of order exp(-2 _U_MAX).  The objective must accept any
-    theta in [0, pi] and be 2 pi-periodic in phi0.  An objective with
-    ``rows``, ``line`` and ``bind_line`` faces has the grid evaluated grid_n
-    (theta1, phi0) rows per call, each line-search scan in one call, and
-    each line's Brent steps through one bound line; any other callable is
-    probed point by point, grid_n^3 times on the grid.  A
-    ``_FormObjective`` (the family builders' objectives) has the grid
+    ``_CYCLE_GAIN``, for at most ``_MAX_CYCLES`` cycles.  The best point is
+    the first probe after the grid with the largest |value|: each line
+    search returns the first largest of its own probes, and it replaces the
+    best only if its |value| is strictly larger.  The refinement approaches
+    the poles theta = 0 and pi but never probes them: a supremum that only a
+    pole approaches is found within a relative gap of order exp(-2 _U_MAX).
+    The objective must accept any theta in [0, pi] and be 2 pi-periodic in
+    phi0.  An objective with ``rows``, ``line`` and ``bind_line`` faces has
+    the grid evaluated grid_n (theta1, phi0) rows per call, each line-search
+    scan in one call, and each line's Brent steps through one bound line;
+    any other callable is probed point by point, grid_n^3 times on the grid.
+    A ``_FormObjective`` (the family builders' objectives) has the grid
     evaluated only on the rows that its exact postselection bound leaves in
     play (``_grid_start``); the start, and so every result, is the one that
     evaluating every row gives, and ``grid_probes`` still counts all
     grid_n^3 points.  A non-finite grid value raises OptimizationError at
-    the first non-finite point of the first theta1 that holds one.
-    ``max_cycles`` (at least 1) caps the refinement cycles.
+    the first non-finite point of the first theta1 that holds one, and a
+    non-finite refinement value at its own point.
 
     Returns the signed objective value at the best point found.
     """
     if grid_n < 16:
         raise ValueError(f"grid_n must be at least 16, got {grid_n}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if max_cycles < 1:
-        raise ValueError(f"max_cycles must be at least 1, got {max_cycles}")
 
-    search = _Search(objective)
-    grid = _coarse_grid(grid_n)
-    start = _grid_start(objective, grid)
-    grid_probes = search.evaluations = grid_n ** 3
-
+    line, bind_line = _faces(objective)
+    start = _grid_start(objective, _coarse_grid(grid_n))
     current = (_u(start[0]), _u(start[1]), start[2])
-    current_abs = search.probe(*current)
-    converged = False
-    for _ in range(max_cycles):
+    angles = _angles(current)
+    value = objective(*angles)
+    current_abs = _checked(angles, value)
+    best, refine_probes, converged = (angles, value), 1, False
+    for _ in range(_MAX_CYCLES):
         before_abs = current_abs
         for direction in _DIRECTIONS:
-            point, value = _line_search(search, current, direction, grid_n)
-            if value > current_abs:
-                current, current_abs = point, value
-        if current_abs - before_abs < tol:
+            point, line_abs, line_best, probes = _line_search(line, bind_line, current,
+                                                              direction, grid_n)
+            refine_probes += probes
+            if line_abs > current_abs:
+                current, current_abs, best = point, line_abs, line_best
+        if current_abs - before_abs < _CYCLE_GAIN:
             converged = True
             break
 
-    t1, t2, p0 = search.best_point
-    argmax = PPSPoint(t1, t2, p0 % (2.0 * math.pi))
-    return OptimizationResult(search.best_value, argmax, search.evaluations,
-                              converged, grid_probes, search.evaluations - grid_probes)
+    (t1, t2, p0), value = best
+    grid_probes = grid_n ** 3
+    return OptimizationResult(value, PPSPoint(t1, t2, p0 % (2.0 * math.pi)),
+                              grid_probes + refine_probes, converged, grid_probes, refine_probes)
 
 
 # ---------------------------------------------------------------------------
@@ -784,13 +770,13 @@ def _family_objective(entries, g: float, meter: GaussianMeter | Literal["qubit"]
     g = _check_coupling(g)
     _check_target(meter, which)
     if which == "reading":
-        return _FormObjective(entries, partial(_reading_prob, math.cos(2.0 * g)),
+        return _FormObjective(entries, partial(_postselection_prob, math.cos(2.0 * g)),
                               partial(_reading_numerator, math.sin(g) ** 2), reads_imag=False)
     att = meter.coherence_factor(g)
     if which == "dp":
-        return _FormObjective(entries, partial(_shift_prob, att), partial(_dp_numerator, g),
-                              reads_imag=False)
-    return _FormObjective(entries, partial(_shift_prob, att),
+        return _FormObjective(entries, partial(_postselection_prob, att),
+                              partial(_dp_numerator, g), reads_imag=False)
+    return _FormObjective(entries, partial(_postselection_prob, att),
                           partial(_dq_numerator, 4.0 * g * meter.delta ** 2 * att))
 
 

@@ -112,7 +112,7 @@ class PositionGrid:
     """Uniform symmetric position grid for the pointer wavefunction."""
 
     half_width: float
-    points: int = 4096
+    points: int
 
     def __post_init__(self):
         if not (math.isfinite(self.half_width) and self.half_width > 0):
@@ -285,7 +285,7 @@ class DisputeVerdict:
 
     @property
     def confirmed(self) -> bool:
-        return (self.normative_worst < ADJUDICATION_TOLERANCE
+        return (self.normative_worst <= ADJUDICATION_TOLERANCE
                 and self.rejected_worst >= REJECTION_FACTOR * ADJUDICATION_TOLERANCE)
 
     @property
@@ -372,8 +372,13 @@ def _oracle_shift_objective(entries, g: float, meter: GaussianMeter, which: str)
                           partial(_moment_numerator, *map(float, numerator)))
 
 
-def adjudicate_variants(seed: int = 7, pointwise_samples: int = 40,
-                        optimizer_grid_n: int = 32) -> AdjudicationReport:
+#: Pointwise inputs each sampled dispute decides on.
+_POINTWISE_SAMPLES = 40
+#: Coarse-grid size of the oracle-maximum searches.
+_OPTIMIZER_GRID_N = 32
+
+
+def adjudicate_variants(seed: int = 7) -> AdjudicationReport:
     """Decide disputed formula variants against the oracles.
 
     Three disputes are evaluated on a seeded input battery:
@@ -387,11 +392,12 @@ def adjudicate_variants(seed: int = 7, pointwise_samples: int = 40,
 
     Deviations of both variants from the oracle are recorded per input; a
     dispute is confirmed when the normative variant stays within tolerance
-    while the rejected one exceeds ten times the tolerance somewhere.  An
+    while the rejected one reaches ten times the tolerance somewhere.  An
     oracle maximum whose search did not converge is named in the report's
-    ``unconverged``, and a dispute left short of ``pointwise_samples`` by its
-    attempt cap or by rejected cases in ``shortfalls``; a variant without a
-    single deviation has worst deviation inf.
+    ``unconverged``, and a dispute left short of its ``_POINTWISE_SAMPLES``
+    inputs by its attempt cap or by rejected cases in ``shortfalls``; a
+    variant without a single deviation has worst deviation inf.  The
+    oracle maxima are searched on a ``_OPTIMIZER_GRID_N``^3 coarse grid.
     """
     rng = np.random.default_rng(seed)
     meter = GaussianMeter(1.0)
@@ -404,7 +410,7 @@ def adjudicate_variants(seed: int = 7, pointwise_samples: int = 40,
         entries.append(AdjudicationEntry(dispute, variant, input_id, float(deviation)))
 
     def oracle_max(objective, dispute, input_id):
-        result = maximize(objective, grid_n=optimizer_grid_n)
+        result = maximize(objective, grid_n=_OPTIMIZER_GRID_N)
         if not result.converged:
             unconverged.append(f"{dispute}/{input_id}")
         return abs(result.value)
@@ -418,8 +424,8 @@ def adjudicate_variants(seed: int = 7, pointwise_samples: int = 40,
         verdicts.append(DisputeVerdict(dispute, normative, rejected, *worst))
 
     def tally(dispute, produced):
-        if produced < pointwise_samples:
-            shortfalls.append((dispute, pointwise_samples - produced))
+        if produced < _POINTWISE_SAMPLES:
+            shortfalls.append((dispute, _POINTWISE_SAMPLES - produced))
 
     # -- dispute 1: attenuation factor in the position shift ----------------
     dispute = "position-shift-attenuation"
@@ -445,7 +451,7 @@ def adjudicate_variants(seed: int = 7, pointwise_samples: int = 40,
         return abs(dq_with - oracle.dq_shift), abs(dq_without - oracle.dq_shift)
 
     produced = 0
-    for with_att, without_att in _sample(attenuation_deviations, pointwise_samples):
+    for with_att, without_att in _sample(attenuation_deviations, _POINTWISE_SAMPLES):
         record(dispute, "attenuated", f"point-{produced:03d}", with_att)
         record(dispute, "unattenuated", f"point-{produced:03d}", without_att)
         produced += 1
@@ -484,7 +490,7 @@ def adjudicate_variants(seed: int = 7, pointwise_samples: int = 40,
     dispute = "dephased-reading-numerator"
     pinned = (2.0, 0.5, 1.2, 4.0, 0.4, 0.3)
     cases = [pinned]
-    while len(cases) < pointwise_samples:
+    while len(cases) < _POINTWISE_SAMPLES:
         cases.append((math.acos(1.0 - 2.0 * rng.random()), 2.0 * math.pi * rng.random(),
                       math.acos(1.0 - 2.0 * rng.random()), 2.0 * math.pi * rng.random(),
                       rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.6)))

@@ -9,9 +9,9 @@ the Gaussian case, one formula covers arbitrary preselection states:
     <O>' = sin^2(g) (rho00 |alpha2|^2 + rho11 |beta2|^2 - 2 Re(rho10 w)) / Pro
 
 with w = alpha2 * conj(beta2).  This formula exists once, as the pieces
-``_reading_prob`` and ``_reading_numerator``, shared by
-``postselected_reading`` and the optimizer's objectives
-(``optimize._Objective``).
+``common._postselection_prob`` (at overlap cos(2g)) and
+``_reading_numerator``, shared by ``postselected_reading`` and the
+optimizer's objectives (``optimize._Objective``).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .common import (
     PROB_FLOOR,
     _check_coupling,
     _check_kappa,
+    _postselection_prob,
     MaxResult,
     QubitMeterReading,
     SingularLimitError,
@@ -34,12 +35,6 @@ def ordinary_reading(g: float) -> float:
     """Reading without postselection: sin^2(g), independent of the system state."""
     g = _check_coupling(g)
     return math.sin(g) ** 2
-
-
-def _reading_prob(c2g, rho00, rho11, cross_re, cross_im, u2, v2):
-    """Pro for c2g = cos(2g), cross = rho10 w, u2 = |alpha2|^2 and
-    v2 = |beta2|^2; arithmetic only, as ``gaussian._shift_prob``."""
-    return rho00 * u2 + rho11 * v2 + 2.0 * c2g * cross_re
 
 
 def _reading_numerator(s2, rho00, rho11, cross_re, cross_im, u2, v2):
@@ -57,7 +52,7 @@ def postselected_reading(rho_s: QubitDensity, psi_f: PureQubit,
     rho00, rho11 = rho_s.rho00.real, rho_s.rho11.real
     cross = rho_s.rho10 * (alpha * psi_f.beta.conjugate())
     cross_re, cross_im = cross.real, cross.imag
-    prob = _reading_prob(math.cos(2.0 * g), rho00, rho11, cross_re, cross_im, u2, v2)
+    prob = _postselection_prob(math.cos(2.0 * g), rho00, rho11, cross_re, cross_im, u2, v2)
     if prob <= PROB_FLOOR:
         raise VanishingPostselectionError(prob)
     num = _reading_numerator(math.sin(g) ** 2, rho00, rho11, cross_re, cross_im, u2, v2)

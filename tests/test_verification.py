@@ -173,6 +173,20 @@ def test_nan_adjudication_deviation_fails_its_verdict(monkeypatch):
                       "dephased-reading-numerator/separation"]
 
 
+def test_verdict_and_its_records_agree_at_the_tolerance(monkeypatch):
+    # Worst deviations exactly at the tolerance and at the separation bar
+    # pass both the verdict and the check records that verify counts.
+    tolerance = oracle.ADJUDICATION_TOLERANCE
+    verdict = oracle.DisputeVerdict("edge", "kept", "rejected", tolerance,
+                                    oracle.REJECTION_FACTOR * tolerance)
+    report = oracle.AdjudicationReport(7, (), (verdict,))
+    monkeypatch.setattr(verification, "adjudicate_variants", lambda seed: report)
+    records, _ = verification.adjudication_battery(7)
+    assert verdict.confirmed and report.all_confirmed
+    assert "  [confirmed] edge: keep 'kept'" in report.to_text()
+    assert [r.ok for r in records if r.case.startswith("edge/")] == [True, True]
+
+
 def test_nan_closed_form_fails_verify_as_its_worst_offender(monkeypatch):
     real = verification.qubit_max_reading
 
