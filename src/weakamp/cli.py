@@ -14,8 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .channels import amplitude_damping, depolarizing, phase_damping
 from .common import GaussianMeter, VanishingPostselectionError
@@ -26,32 +25,10 @@ from .qubitmeter import postselected_reading, qubit_max_reading
 from .verification import FAULT_NAMES, run_verify
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
-
-
-@dataclass(frozen=True)
-class Opt:
-    flag: str
-    type: Callable
-    default: object = None
-    required: bool = False
-    choices: tuple = ()
-    help: str = ""
-
-    @property
-    def key(self) -> str:
-        return self.flag.lstrip("-")
-
-    @property
-    def dest(self) -> str:
-        return self.key.replace("-", "_")
 
 
 CHANNELS = {
@@ -61,37 +38,38 @@ CHANNELS = {
     "amplitude-damping": amplitude_damping,
 }
 
+#: (flag, ``add_argument`` keywords) of each subcommand's options; ``shift``
+#: echoes its options in this order.
 SHIFT_OPTS = (
-    Opt("--meter", str, required=True, choices=("gaussian", "qubit"),
-        help="meter type"),
-    Opt("--channel", str, default="none", choices=tuple(CHANNELS),
-        help="noise channel applied to the preselection state"),
-    Opt("--gamma", float, default=0.0, help="noise strength in [0, 1]"),
-    Opt("--r", float, default=1.0, help="preselection Bloch modulus in [0, 1]"),
-    Opt("--theta1", float, required=True, help="preselection polar angle"),
-    Opt("--theta2", float, required=True, help="postselection polar angle"),
-    Opt("--phi0", float, default=0.0, help="relative azimuth of the pair"),
-    Opt("--g-over-dp", float, help="coupling in units of the momentum spread "
-        "(gaussian meter only)"),
-    Opt("--g", float, help="absolute coupling (qubit meter only)"),
-    Opt("--delta", float, default=1.0, help="pointer position spread"),
+    ("--meter", dict(required=True, choices=("gaussian", "qubit"), help="meter type")),
+    ("--channel", dict(default="none", choices=tuple(CHANNELS),
+                       help="noise channel applied to the preselection state")),
+    ("--gamma", dict(type=float, default=0.0, help="noise strength in [0, 1]")),
+    ("--r", dict(type=float, default=1.0, help="preselection Bloch modulus in [0, 1]")),
+    ("--theta1", dict(type=float, required=True, help="preselection polar angle")),
+    ("--theta2", dict(type=float, required=True, help="postselection polar angle")),
+    ("--phi0", dict(type=float, default=0.0, help="relative azimuth of the pair")),
+    ("--g-over-dp", dict(type=float, help="coupling in units of the momentum spread "
+                                          "(gaussian meter only)")),
+    ("--g", dict(type=float, help="absolute coupling (qubit meter only)")),
+    ("--delta", dict(type=float, default=1.0, help="pointer position spread")),
 )
 
 FIG_OPTS = (
-    Opt("--output", str, required=True, help="CSV output path"),
-    Opt("--steps", int, help="sweep points (default 101; 21 for figs 5-6)"),
-    Opt("--start", float, help="sweep start (default 0)"),
-    Opt("--stop", float, help="sweep stop (default 1; 0.95 for figs 5-6)"),
-    Opt("--delta", float, default=1.0, help="pointer position spread"),
+    ("--output", dict(required=True, help="CSV output path")),
+    ("--steps", dict(type=int, help="sweep points (default 101; 21 for figs 5-6)")),
+    ("--start", dict(type=float, help="sweep start (default 0)")),
+    ("--stop", dict(type=float, help="sweep stop (default 1; 0.95 for figs 5-6)")),
+    ("--delta", dict(type=float, default=1.0, help="pointer position spread")),
 )
 
 VERIFY_OPTS = (
-    Opt("--seed", int, default=7, help="battery seed"),
-    Opt("--samples", int, default=1000, help="random inputs per oracle battery"),
-    Opt("--adjudication-csv", str, default="adjudication.csv",
-        help="where to write the adjudication table"),
-    Opt("--inject-fault", str, choices=FAULT_NAMES,
-        help="perturb one closed form to self-test the battery"),
+    ("--seed", dict(type=int, default=7, help="battery seed")),
+    ("--samples", dict(type=int, default=1000, help="random inputs per oracle battery")),
+    ("--adjudication-csv", dict(default="adjudication.csv",
+                                help="where to write the adjudication table")),
+    ("--inject-fault", dict(choices=FAULT_NAMES,
+                            help="perturb one closed form to self-test the battery")),
 )
 
 _REGISTRY = {"shift": SHIFT_OPTS, "fig": FIG_OPTS, "verify": VERIFY_OPTS}
@@ -113,10 +91,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "fig":
             p.add_argument("n", type=int, choices=range(1, 7),
                            help="figure number")
-        p.add_argument("--config", default=None,
-                       help="key=value file supplying option defaults")
-        for o in opts:
-            p.add_argument(o.flag, dest=o.dest, default=None, help=o.help)
+        p.add_argument("--config", help="key=value file supplying option defaults")
+        for flag, kwargs in opts:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -128,38 +105,37 @@ def _load_config(path: str, known: set[str]) -> dict[str, str]:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip().replace("_", "-")
             if key not in known:
-                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             values[key] = value.strip()
     return values
 
 
-def _merge(args: argparse.Namespace, opts: Sequence[Opt]) -> dict:
-    config: dict[str, str] = {}
-    if args.config is not None:
-        config = _load_config(args.config, {o.key for o in opts})
-    merged = {}
-    for o in opts:
-        raw = getattr(args, o.dest)
-        if raw is None:
-            raw = config.get(o.key)
-        if raw is None:
-            if o.required:
-                raise UsageError(f"missing required option {o.flag}")
-            merged[o.dest] = o.default
-            continue
-        try:
-            value = o.type(raw) if isinstance(raw, str) else raw
-        except ValueError:
-            raise UsageError(f"invalid value for {o.flag}: {raw!r}") from None
-        if o.choices and value not in o.choices:
-            raise UsageError(
-                f"invalid choice for {o.flag}: {value!r} (choose from {o.choices})")
-        merged[o.dest] = value
-    return merged
+#: The tokens argparse reads as ``--config`` (a prefix of at least ``--c``).
+_CONFIG_PREFIXES = frozenset("--config"[:end] for end in range(3, 9))
+
+
+def _with_config(argv: list[str]) -> list[str]:
+    """``argv`` with its ``--config`` file's values inserted right after the
+    subcommand as ``--key=value`` tokens, so that argparse checks them like
+    flags, flags given on the command line win, and a value may start with
+    '-'.  The file is looked up by a parser that knows the subcommand's
+    flags, so an abbreviation resolves as it does in the real parse; that
+    parse is skipped when no token can name ``--config``."""
+    opts = _REGISTRY.get(argv[0]) if argv else None
+    if opts is None or not any(a.partition("=")[0] in _CONFIG_PREFIXES for a in argv):
+        return argv
+    lookup = argparse.ArgumentParser(prog=f"weakamp {argv[0]}", add_help=False)
+    for flag in ("--config", *(flag for flag, _ in opts)):
+        lookup.add_argument(flag)
+    path = lookup.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
+    config = _load_config(path, {flag[2:] for flag, _ in opts})
+    return [argv[0], *(f"--{key}={value}" for key, value in config.items()), *argv[1:]]
 
 
 def _comment_lines(pairs) -> list[str]:
@@ -181,7 +157,7 @@ def _csv_text(comments: list[str], header: list[str], rows: list[list]) -> str:
 
 def _preselection(theta1: float, phi0: float, r: float, channel: str, gamma: float):
     if not 0.0 <= r <= 1.0:
-        raise UsageError(f"--r must lie in [0, 1], got {r}")
+        raise ValueError(f"--r must lie in [0, 1], got {r}")
     b = pure_state(theta1, phi0).bloch()
     rho = density_from_bloch(BlochVector(r * b.rx, r * b.ry, r * b.rz))
     ctor = CHANNELS[channel]
@@ -193,19 +169,19 @@ def _preselection(theta1: float, phi0: float, r: float, channel: str, gamma: flo
 def cmd_shift(v: dict) -> int:
     if v["meter"] == "gaussian":
         if v["g_over_dp"] is None:
-            raise UsageError("the gaussian meter requires --g-over-dp")
+            raise ValueError("the gaussian meter requires --g-over-dp")
         if v["g"] is not None:
-            raise UsageError("--g applies to the qubit meter; use --g-over-dp")
+            raise ValueError("--g applies to the qubit meter; use --g-over-dp")
     else:
         if v["g"] is None:
-            raise UsageError("the qubit meter requires --g")
+            raise ValueError("the qubit meter requires --g")
         if v["g_over_dp"] is not None:
-            raise UsageError("--g-over-dp applies to the gaussian meter; use --g")
+            raise ValueError("--g-over-dp applies to the gaussian meter; use --g")
 
     rho = _preselection(v["theta1"], v["phi0"], v["r"], v["channel"], v["gamma"])
     psi_f = pure_state(v["theta2"], 0.0)
-    comments = _comment_lines((o.key, v[o.dest]) for o in SHIFT_OPTS
-                              if v[o.dest] is not None)
+    echoed = ((flag[2:], v[flag[2:].replace("-", "_")]) for flag, _ in SHIFT_OPTS)
+    comments = _comment_lines((key, value) for key, value in echoed if value is not None)
     if v["meter"] == "gaussian":
         meter = GaussianMeter(v["delta"])
         result = gaussian_shifts(rho, psi_f, v["g_over_dp"] * meter.dp, meter)
@@ -234,11 +210,11 @@ def fig_table(n: int, start: float, stop: float, steps: int,
               delta: float) -> tuple[list[tuple], list[str], list[list[float]]]:
     """Comment pairs, column header, and rows for figure ``n``."""
     if steps < 2:
-        raise UsageError(f"--steps must be at least 2, got {steps}")
+        raise ValueError(f"--steps must be at least 2, got {steps}")
     if not (math.isfinite(start) and math.isfinite(stop) and start < stop):
-        raise UsageError(f"need start < stop, got {start} and {stop}")
+        raise ValueError(f"need start < stop, got {start} and {stop}")
     if start < 0.0 or stop > 1.0:
-        raise UsageError("sweep range must stay inside [0, 1]")
+        raise ValueError("sweep range must stay inside [0, 1]")
     meter = GaussianMeter(delta)
     parameter = "r" if n in (1, 2) else "gamma"
     xs = [start + (stop - start) * i / (steps - 1) for i in range(steps)]
@@ -308,21 +284,16 @@ def cmd_verify(v: dict) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        v = vars(_build_parser().parse_args(_with_config(argv)))
+        if v["command"] == "shift":
+            return cmd_shift(v)
+        if v["command"] == "fig":
+            return cmd_fig(v["n"], v)
+        return cmd_verify(v)
+    except SystemExit as exc:  # argparse has printed its usage error or help
         return int(exc.code or 0)
-    try:
-        merged = _merge(args, _REGISTRY[args.command])
-        if args.command == "shift":
-            return cmd_shift(merged)
-        if args.command == "fig":
-            return cmd_fig(args.n, merged)
-        return cmd_verify(merged)
-    except UsageError as exc:
-        print(f"weakamp: {exc}", file=sys.stderr)
-        return 2
     except VanishingPostselectionError as exc:
         print(f"weakamp: {exc}", file=sys.stderr)
         return 3

@@ -283,10 +283,19 @@ class DisputeVerdict:
     normative_worst: float
     rejected_worst: float
 
+    def checks(self) -> tuple[tuple[str, float, float], ...]:
+        """(case, deviation, tolerance) of the two checks the verdict passes
+        when each deviation is within its tolerance: the normative worst, and
+        the shortfall of the rejected worst from ``REJECTION_FACTOR``
+        tolerances.  A NaN worst fails its check."""
+        shortfall = _nan_max(0.0, REJECTION_FACTOR * ADJUDICATION_TOLERANCE
+                             - self.rejected_worst)
+        return ((f"{self.dispute}/normative", self.normative_worst, ADJUDICATION_TOLERANCE),
+                (f"{self.dispute}/separation", shortfall, 0.0))
+
     @property
     def confirmed(self) -> bool:
-        return (self.normative_worst <= ADJUDICATION_TOLERANCE
-                and self.rejected_worst >= REJECTION_FACTOR * ADJUDICATION_TOLERANCE)
+        return all(deviation <= tolerance for _, deviation, tolerance in self.checks())
 
     @property
     def conclusive(self) -> bool:
@@ -378,6 +387,11 @@ _POINTWISE_SAMPLES = 40
 _OPTIMIZER_GRID_N = 32
 
 
+def _point_rows(deviations) -> list[tuple]:
+    """(input_id, normative, rejected) rows of pointwise deviation pairs."""
+    return [(f"point-{i:03d}", *pair) for i, pair in enumerate(deviations)]
+
+
 def adjudicate_variants(seed: int = 7) -> AdjudicationReport:
     """Decide disputed formula variants against the oracles.
 
@@ -390,42 +404,30 @@ def adjudicate_variants(seed: int = 7) -> AdjudicationReport:
     3. whether the dephased qubit-meter reading numerator weighs the
        postselection ground amplitude or repeats the excited one.
 
-    Deviations of both variants from the oracle are recorded per input; a
-    dispute is confirmed when the normative variant stays within tolerance
-    while the rejected one reaches ten times the tolerance somewhere.  An
-    oracle maximum whose search did not converge is named in the report's
-    ``unconverged``, and a dispute left short of its ``_POINTWISE_SAMPLES``
-    inputs by its attempt cap or by rejected cases in ``shortfalls``; a
-    variant without a single deviation has worst deviation inf.  The
-    oracle maxima are searched on a ``_OPTIMIZER_GRID_N``^3 coarse grid.
+    Each dispute is one table of rows (input_id, normative deviation,
+    rejected deviation) from the oracle: the report's entries are its cells
+    row by row, and a verdict's worsts are its columns' largest (a NaN wins;
+    inf for a table without rows).  A dispute is confirmed when the
+    normative variant stays within tolerance while the rejected one reaches
+    ten times the tolerance somewhere.  An oracle maximum whose search did
+    not converge is named in the report's ``unconverged``, and a dispute
+    left short of its ``_POINTWISE_SAMPLES`` inputs by its attempt cap or by
+    rejected cases in ``shortfalls``.  The oracle maxima are searched on a
+    ``_OPTIMIZER_GRID_N``^3 coarse grid.
     """
     rng = np.random.default_rng(seed)
     meter = GaussianMeter(1.0)
-    entries: list[AdjudicationEntry] = []
-    verdicts: list[DisputeVerdict] = []
     unconverged: list[str] = []
-    shortfalls: list[tuple[str, int]] = []
+    disputes = []  # (dispute, (normative, rejected), rows, pointwise samples missing)
 
-    def record(dispute, variant, input_id, deviation):
-        entries.append(AdjudicationEntry(dispute, variant, input_id, float(deviation)))
-
-    def oracle_max(objective, dispute, input_id):
+    def max_row(dispute, i, objective, normative, rejected):
+        """The row of two closed-form maxima against the oracle's maximum."""
+        input_id = f"max-{i:03d}"
         result = maximize(objective, grid_n=_OPTIMIZER_GRID_N)
         if not result.converged:
             unconverged.append(f"{dispute}/{input_id}")
-        return abs(result.value)
-
-    def verdict(dispute, normative, rejected):
-        devs = {}
-        for e in entries:
-            if e.dispute == dispute:
-                devs.setdefault(e.variant, []).append(e.deviation)
-        worst = (reduce(_nan_max, devs.get(v, [math.inf])) for v in (normative, rejected))
-        verdicts.append(DisputeVerdict(dispute, normative, rejected, *worst))
-
-    def tally(dispute, produced):
-        if produced < _POINTWISE_SAMPLES:
-            shortfalls.append((dispute, _POINTWISE_SAMPLES - produced))
+        found = abs(result.value)
+        return input_id, abs(normative - found), abs(rejected - found)
 
     # -- dispute 1: attenuation factor in the position shift ----------------
     dispute = "position-shift-attenuation"
@@ -450,54 +452,40 @@ def adjudicate_variants(seed: int = 7) -> AdjudicationReport:
         dq_without = 4.0 * g * cross.imag / prob
         return abs(dq_with - oracle.dq_shift), abs(dq_without - oracle.dq_shift)
 
-    produced = 0
-    for with_att, without_att in _sample(attenuation_deviations, _POINTWISE_SAMPLES):
-        record(dispute, "attenuated", f"point-{produced:03d}", with_att)
-        record(dispute, "unattenuated", f"point-{produced:03d}", without_att)
-        produced += 1
-    tally(dispute, produced)
-
+    rows = _point_rows(_sample(attenuation_deviations, _POINTWISE_SAMPLES))
+    missing = _POINTWISE_SAMPLES - len(rows)
     max_inputs = [(1.0, 0.3)] + [(rng.uniform(0.5, 1.0), rng.uniform(0.15, 0.45))
                                  for _ in range(2)]
     for i, (kappa, g) in enumerate(max_inputs):
         objective = _oracle_shift_objective(
             _pure_entries(_modulus_channel(kappa)), g, meter, "dq")
-        found = oracle_max(objective, dispute, f"max-{i:03d}")
         att = meter.coherence_factor(g)
         root = math.sqrt(1.0 - (kappa * att) ** 2)
-        record(dispute, "attenuated", f"max-{i:03d}",
-               abs(2.0 * kappa * g * att / root - found))
-        record(dispute, "unattenuated", f"max-{i:03d}",
-               abs(2.0 * kappa * g / root - found))
-    verdict(dispute, "attenuated", "unattenuated")
+        rows.append(max_row(dispute, i, objective, 2.0 * kappa * g * att / root,
+                            2.0 * kappa * g / root))
+    disputes.append((dispute, ("attenuated", "unattenuated"), rows, missing))
 
     # -- dispute 2: coherence power in the dephased momentum maximum --------
     dispute = "dephased-momentum-max"
     max_inputs = [(0.5, 0.3)] + [(rng.uniform(0.2, 0.8), rng.uniform(0.15, 0.45))
                                  for _ in range(2)]
+    rows = []
     for i, (gamma, g) in enumerate(max_inputs):
         objective = _oracle_shift_objective(
             _pure_entries(phase_damping(gamma)), g, meter, "dp")
-        found = oracle_max(objective, dispute, f"max-{i:03d}")
         coh = (1.0 - gamma) * meter.coherence_factor(g)
         squared = g / math.sqrt(1.0 - coh * coh)
         unsquared = g / math.sqrt(1.0 - (1.0 - gamma) * meter.coherence_factor(g) ** 2)
-        record(dispute, "squared-coherence", f"max-{i:03d}", abs(squared - found))
-        record(dispute, "unsquared-coherence", f"max-{i:03d}", abs(unsquared - found))
-    verdict(dispute, "squared-coherence", "unsquared-coherence")
+        rows.append(max_row(dispute, i, objective, squared, unsquared))
+    disputes.append((dispute, ("squared-coherence", "unsquared-coherence"), rows, 0))
 
     # -- dispute 3: dephased qubit-meter reading numerator -------------------
     dispute = "dephased-reading-numerator"
-    pinned = (2.0, 0.5, 1.2, 4.0, 0.4, 0.3)
-    cases = [pinned]
-    while len(cases) < _POINTWISE_SAMPLES:
-        cases.append((math.acos(1.0 - 2.0 * rng.random()), 2.0 * math.pi * rng.random(),
-                      math.acos(1.0 - 2.0 * rng.random()), 2.0 * math.pi * rng.random(),
-                      rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.6)))
-    produced = 0
-    for theta1, phi1, theta2, phi2, gamma, g in cases:
-        psi_i = pure_state(theta1, phi1)
-        psi_f = pure_state(theta2, phi2)
+    cases = [(pure_state(2.0, 0.5), pure_state(1.2, 4.0), 0.4, 0.3)]
+    cases += [(_random_pure(rng), _random_pure(rng), rng.uniform(0.05, 0.95),
+               rng.uniform(0.05, 0.6)) for _ in range(_POINTWISE_SAMPLES - 1)]
+    deviations = []
+    for psi_i, psi_f, gamma, g in cases:
         rho = phase_damping(gamma).apply(psi_i.density())
         try:
             oracle = qubit_joint_evolve(rho, psi_f, g)
@@ -516,13 +504,19 @@ def adjudicate_variants(seed: int = 7) -> AdjudicationReport:
         s2 = math.sin(g) ** 2
         corrected = (a1sq * a2sq + b1sq * b2sq - 2.0 * (1.0 - gamma) * cross) * s2 / denom
         printed = (a1sq * b2sq + b1sq * b2sq - 2.0 * (1.0 - gamma) * cross) * s2 / denom
-        record(dispute, "ground-weighted", f"point-{produced:03d}",
-               abs(corrected - oracle.reading))
-        record(dispute, "printed", f"point-{produced:03d}",
-               abs(printed - oracle.reading))
-        produced += 1
-    tally(dispute, produced)
-    verdict(dispute, "ground-weighted", "printed")
+        deviations.append((abs(corrected - oracle.reading), abs(printed - oracle.reading)))
+    disputes.append((dispute, ("ground-weighted", "printed"), _point_rows(deviations),
+                     _POINTWISE_SAMPLES - len(deviations)))
 
+    entries: list[AdjudicationEntry] = []
+    verdicts: list[DisputeVerdict] = []
+    shortfalls: list[tuple[str, int]] = []
+    for dispute, variants, rows, missing in disputes:
+        entries += (AdjudicationEntry(dispute, variant, input_id, deviation)
+                    for input_id, *pair in rows for variant, deviation in zip(variants, pair))
+        worsts = [reduce(_nan_max, column) for column in list(zip(*rows))[1:]]
+        verdicts.append(DisputeVerdict(dispute, *variants, *(worsts or (math.inf, math.inf))))
+        if missing:
+            shortfalls.append((dispute, missing))
     return AdjudicationReport(seed, tuple(entries), tuple(verdicts), tuple(unconverged),
                               tuple(shortfalls))

@@ -31,8 +31,6 @@ from .common import GaussianMeter, VanishingPostselectionError, _nan_max
 from .gaussian import gaussian_max_shifts, gaussian_shifts
 from .optimize import kappa_reading_objective, kappa_shift_objective, maximize
 from .oracle import (
-    ADJUDICATION_TOLERANCE,
-    REJECTION_FACTOR,
     AdjudicationReport,
     _random_density,
     _random_pure,
@@ -220,14 +218,8 @@ def optimizer_battery(inject_fault: str | None = None) -> list[CheckRecord]:
 def adjudication_battery(seed: int) -> tuple[list[CheckRecord], AdjudicationReport]:
     """Run the adjudication and check it against the shipped formulas."""
     report = adjudicate_variants(seed=seed)
-    records = []
-    for v in report.verdicts:
-        records.append(CheckRecord("adjudication", f"{v.dispute}/normative",
-                                   v.normative_worst, ADJUDICATION_TOLERANCE))
-        shortfall = _nan_max(0.0, REJECTION_FACTOR * ADJUDICATION_TOLERANCE
-                             - v.rejected_worst)
-        records.append(CheckRecord("adjudication", f"{v.dispute}/separation",
-                                   shortfall, 0.0))
+    records = [CheckRecord("adjudication", *check)
+               for v in report.verdicts for check in v.checks()]
     for search in report.unconverged:
         records.append(CheckRecord("adjudication", f"converged {search}", 1.0, 0.0))
     for dispute, missing in report.shortfalls:

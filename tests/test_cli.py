@@ -65,6 +65,11 @@ class TestShift:
         assert main(["shift", "--meter", "qubit", "--theta1", "1",
                      "--theta2", "1", "--g", "zero"]) == 2  # unparseable
         assert main(["bogus"]) == 2
+        assert main([]) == 2  # no subcommand
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["shift", "--help"]) == 0
+        assert "--meter {gaussian,qubit}" in capsys.readouterr().out
 
     def test_domain_error_exit_code(self, capsys):
         assert main(["shift", "--meter", "qubit", "--channel", "depolarizing",
@@ -76,10 +81,11 @@ class TestConfig:
     def test_config_supplies_defaults_and_flags_override(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("# base configuration\nmeter=qubit\ntheta1=0\n"
-                          "theta2=0\ng=0.1\n")
+                          "theta2=0\nphi0=-0.5\ng=0.1\n")
         assert main(["shift", "--config", str(config)]) == 0
         first = capsys.readouterr().out
         assert "# g=0.10000000000000001" in first
+        assert "# phi0=-0.5" in first  # a value starting with '-' is a value
 
         assert main(["shift", "--config", str(config), "--g", "0.2"]) == 0
         second = capsys.readouterr().out
@@ -90,6 +96,20 @@ class TestConfig:
         config.write_text("coupling=0.1\n")
         assert main(["shift", "--config", str(config), "--meter", "qubit",
                      "--theta1", "0", "--theta2", "0", "--g", "0.1"]) == 2
+
+    @pytest.mark.parametrize("key,value", [("meter", "laser"), ("g", "zero")])
+    def test_bad_value_rejected_like_its_flag(self, capsys, tmp_path, key, value):
+        # A bad choice or an unparseable value exits 2 with the same message
+        # whether it comes from the config file or from the flag.
+        flags = {"meter": "qubit", "theta1": "1", "theta2": "1", "g": "0.1", key: value}
+        config = tmp_path / "bad.cfg"
+        config.write_text("".join(f"{k}={v}\n" for k, v in flags.items()))
+        assert main(["shift", "--config", str(config)]) == 2
+        from_config = capsys.readouterr().err.splitlines()[-1]
+        argv = [token for k, v in flags.items() for token in (f"--{k}", v)]
+        assert main(["shift", *argv]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == from_config
+        assert f"argument --{key}: invalid" in from_config
 
     def test_malformed_line_rejected(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"

@@ -292,6 +292,21 @@ class TestAdjudication:
         assert by_key[("dephased-momentum-max", "squared-coherence", "max-000")] < 1e-6
         assert by_key[("dephased-momentum-max", "unsquared-coherence", "max-000")] >= 1e-5
 
+    def test_entries_are_one_table_per_dispute(self):
+        # Each input carries one normative then one rejected entry, and the
+        # verdict's worsts are the largest deviation of each variant.
+        report = adjudicate_variants(seed=11)
+        for verdict in report.verdicts:
+            entries = [e for e in report.entries if e.dispute == verdict.dispute]
+            variants = (verdict.normative_variant, verdict.rejected_variant)
+            assert [e.variant for e in entries] == list(variants) * (len(entries) // 2)
+            ids = [e.input_id for e in entries[::2]]
+            assert ids == [e.input_id for e in entries[1::2]]
+            assert len(set(ids)) == len(ids)
+            worsts = tuple(max(e.deviation for e in entries if e.variant == v)
+                           for v in variants)
+            assert (verdict.normative_worst, verdict.rejected_worst) == worsts
+
     def test_deterministic(self, report):
         again = adjudicate_variants(seed=7)
         assert again.to_text() == report.to_text()

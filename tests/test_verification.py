@@ -175,16 +175,25 @@ def test_nan_adjudication_deviation_fails_its_verdict(monkeypatch):
 
 def test_verdict_and_its_records_agree_at_the_tolerance(monkeypatch):
     # Worst deviations exactly at the tolerance and at the separation bar
-    # pass both the verdict and the check records that verify counts.
+    # pass both the verdict and the check records that verify counts; a NaN
+    # worst fails its own check, an inf one fails the normative check and
+    # clears the separation bar.
     tolerance = oracle.ADJUDICATION_TOLERANCE
-    verdict = oracle.DisputeVerdict("edge", "kept", "rejected", tolerance,
-                                    oracle.REJECTION_FACTOR * tolerance)
-    report = oracle.AdjudicationReport(7, (), (verdict,))
-    monkeypatch.setattr(verification, "adjudicate_variants", lambda seed: report)
-    records, _ = verification.adjudication_battery(7)
-    assert verdict.confirmed and report.all_confirmed
-    assert "  [confirmed] edge: keep 'kept'" in report.to_text()
-    assert [r.ok for r in records if r.case.startswith("edge/")] == [True, True]
+    bar = oracle.REJECTION_FACTOR * tolerance
+    worsts_and_oks = [((tolerance, bar), [True, True]),
+                      ((math.nan, bar), [False, True]),
+                      ((tolerance, math.nan), [True, False]),
+                      ((math.inf, bar), [False, True]),
+                      ((tolerance, math.inf), [True, True])]
+    for worsts, oks in worsts_and_oks:
+        verdict = oracle.DisputeVerdict("edge", "kept", "rejected", *worsts)
+        report = oracle.AdjudicationReport(7, (), (verdict,))
+        monkeypatch.setattr(verification, "adjudicate_variants", lambda seed: report)
+        records, _ = verification.adjudication_battery(7)
+        assert [r.ok for r in records if r.case.startswith("edge/")] == oks
+        assert verdict.confirmed == report.all_confirmed == all(oks)
+        status = "confirmed" if all(oks) else "FAILED"
+        assert f"  [{status}] edge: keep 'kept'" in report.to_text()
 
 
 def test_nan_closed_form_fails_verify_as_its_worst_offender(monkeypatch):
