@@ -52,7 +52,7 @@ from .common import (
     _nan_max,
     _read_only,
 )
-from .optimize import _FormObjective, _modulus_channel, _pure_entries, maximize
+from .optimize import _Objective, _modulus_channel, _pure_entries, maximize
 from .qubit import PAULI_X, PAULI_Z, BlochVector, PureQubit, QubitDensity, density_from_bloch, pure_state
 
 
@@ -377,13 +377,13 @@ def _oracle_shift_objective(entries, g: float, meter: GaussianMeter, which: str)
     moment = q_mat if which == "dq" else p_mat
     n10, m10, m01 = n_mat[1, 0], moment[1, 0], moment[0, 1]
     numerator = (moment[0, 0].real, moment[1, 1].real, m10.real, m10.imag, m01.real, m01.imag)
-    return _FormObjective(entries, partial(_moment_prob, float(n10.real), float(n10.imag)),
-                          partial(_moment_numerator, *map(float, numerator)))
+    return _Objective(entries, partial(_moment_prob, float(n10.real), float(n10.imag)),
+                      partial(_moment_numerator, *map(float, numerator)))
 
 
 #: Pointwise inputs each sampled dispute decides on.
 _POINTWISE_SAMPLES = 40
-#: Coarse-grid size of the oracle-maximum searches.
+#: ``grid_n`` of the oracle-maximum searches: their theta1 scans' points.
 _OPTIMIZER_GRID_N = 32
 
 
@@ -412,8 +412,8 @@ def adjudicate_variants(seed: int = 7) -> AdjudicationReport:
     ten times the tolerance somewhere.  An oracle maximum whose search did
     not converge is named in the report's ``unconverged``, and a dispute
     left short of its ``_POINTWISE_SAMPLES`` inputs by its attempt cap or by
-    rejected cases in ``shortfalls``.  The oracle maxima are searched on a
-    ``_OPTIMIZER_GRID_N``^3 coarse grid.
+    rejected cases in ``shortfalls``.  The oracle maxima are searched with
+    the exact postselection, from a ``_OPTIMIZER_GRID_N``-point theta1 scan.
     """
     rng = np.random.default_rng(seed)
     meter = GaussianMeter(1.0)

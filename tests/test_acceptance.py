@@ -110,8 +110,9 @@ def test_criterion_5_optimizer_recovers_closed_forms():
 def test_criterion_6_amplitude_damping_immunity():
     # The closed-form suprema against independent optimizer searches over
     # the damped families.  Every search must converge; each supremum is
-    # approached along a valley into a pole, so the searches stop at the
-    # edge of the optimizer's u box, a small relative gap below it.
+    # approached as theta1 runs into the pole 0, so the searches stop at the
+    # edge of the optimizer's u1 box, a small relative gap below it, with
+    # theta2 taken exactly from the postselection eigenvector.
     g = 0.1 * METER.dp
     worst, worst_case = 0.0, None
     unconverged = []

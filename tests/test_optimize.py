@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gammas, pure_states
@@ -38,14 +38,10 @@ from weakamp.optimize import (
     _angles,
     _approach_point,
     _coarse_grid,
-    _faces,
     _family_objective,
-    _FormObjective,
-    _grid_start,
     _line_search,
-    _loop_rows,
+    _loop_bind,
     _Objective,
-    _pencil_bound,
     _pure_entries,
     _theta,
     _u,
@@ -101,7 +97,37 @@ def _battery_and_damped_objectives():
 #: searches of ``adjudicate_variants()`` (grid_n = 32).  Recorded with
 #: CPython 3.11 and numpy 2.4 on x86-64 Linux; a speed-up that moves any
 #: value, point or probe count changes it.
-RESULTS_DIGEST = "6b8fea569dbe3dafccb62ceeeb6239fe1490b77b705d87a80e6a7ba31803d01a"
+RESULTS_DIGEST = "88ceac370c8b64fd84e8ded633fe4bb75df4e0f84c362c9ebe052ebba66f4bd7"
+
+#: ``TARGETS`` whose searches as plain callables are pinned.
+PLAIN_TARGETS = ("kappa-dp", "kappa-dq", "kappa-reading", "damped-dq", "oracle-dq")
+#: SHA-256 of the ``OptimizationResult`` reprs, one a line, of
+#: ``maximize(lambda *a: objective(*a), grid_n=16)`` over ``PLAIN_TARGETS``:
+#: the coarse grid and cyclic refinement.  Recorded with CPython 3.11 and
+#: numpy 2.4 on x86-64 Linux.
+PLAIN_RESULTS_DIGEST = "3e9a9b271ec8af2f746e143345f65c6ed0ea08b425730fadcd01101c8ac19ca7"
+
+
+#: Pieces whose grid values turn non-finite part-way through, by name.
+NONFINITE_PIECES = {
+    # Probability 0 at theta2 = 0, ahead of a value that overflows to -inf
+    # once rho11 v2 passes 0.2247.
+    "floor-then-minus-inf": (
+        lambda rho00, rho11, re, im, u2, v2: v2,
+        lambda rho00, rho11, re, im, u2, v2: -v2 * rho11 * 1e308 * 8.0 + 0.0 * re),
+    # inf - inf: a NaN probability wherever rho11 v2 passes 0.2247, and
+    # probability 0 at theta2 = 0, where only the floor keeps the value
+    # finite.
+    "nan-probability": (
+        lambda rho00, rho11, re, im, u2, v2:
+            v2 + (rho11 * v2 * 1e308 * 8.0 - rho11 * v2 * 1e308 * 8.0),
+        lambda rho00, rho11, re, im, u2, v2: rho00 + 0.0 * re),
+    # Every value is -inf once rho11 passes 0.2247, and -inf / inf is a NaN
+    # near theta2 = pi: the largest |value| is a NaN behind the -inf.
+    "minus-inf-then-nan": (
+        lambda rho00, rho11, re, im, u2, v2: 1.0 + rho11 * v2 * 1e308 * 8.0,
+        lambda rho00, rho11, re, im, u2, v2: -rho11 * 1e308 * 8.0 + 0.0 * re),
+}
 
 
 class TestMaximize:
@@ -175,13 +201,14 @@ class TestMaximize:
     def test_argmax_reproduces_the_value_inside_the_box(self):
         # The 36 verify battery searches and the 9 damped searches of
         # acceptance criterion 6: the reported point, probed again, gives the
-        # reported value exactly, and its polar angles lie in the u box.
+        # reported value exactly, theta1 lies in the u box, and theta2, taken
+        # exactly from the postselection eigenvector, in [0, pi].
         lo, hi = _theta(-_U_MAX), _theta(_U_MAX)
         for objective in _battery_and_damped_objectives():
             result = maximize(objective)
             point = result.argmax
             assert objective(point.theta1, point.theta2, point.phi0) == result.value
-            assert lo <= point.theta1 <= hi and lo <= point.theta2 <= hi
+            assert lo <= point.theta1 <= hi and 0.0 <= point.theta2 <= math.pi
 
     def test_results_are_pinned(self, monkeypatch):
         results = [maximize(objective) for objective in _battery_and_damped_objectives()]
@@ -197,9 +224,89 @@ class TestMaximize:
         text = "\n".join(map(repr, results))
         assert hashlib.sha256(text.encode()).hexdigest() == RESULTS_DIGEST
 
+    def test_plain_results_are_pinned(self):
+        # A plain callable takes the grid and cyclic refinement, probed point
+        # by point, whatever it wraps.
+        results = [maximize(lambda *a, f=TARGETS[name](): f(*a), grid_n=16)
+                   for name in PLAIN_TARGETS]
+        text = "\n".join(map(repr, results))
+        assert hashlib.sha256(text.encode()).hexdigest() == PLAIN_RESULTS_DIGEST
+
+    @pytest.mark.parametrize("target", PLAIN_TARGETS)
+    def test_form_search_matches_the_plain_search(self, target):
+        # The exact postselection finds what the 3-D search finds, and never
+        # less than it, but for rounding.
+        objective = TARGETS[target]()
+        form = abs(maximize(objective, grid_n=16).value)
+        plain = abs(maximize(lambda *a: objective(*a), grid_n=16).value)
+        assert abs(form - plain) <= 1e-6 * plain
+        assert form >= plain * (1.0 - 1e-14)
+
+    def test_flat_u1_line_at_kappa_zero(self):
+        # At kappa = 0 every preselection is I / 2, so each u1 probe gives the
+        # same best postselection, two tied eigenvalues for dp, a zero form
+        # for dq and A proportional to B for the reading.
+        g = 0.1 * METER.dp
+        dp_max, dq_max = gaussian_max_shifts(0.0, g, METER)
+        dp = maximize(kappa_shift_objective(0.0, g, METER, "dp"))
+        assert abs(dp.value) == pytest.approx(dp_max.value, rel=0.0, abs=1e-12)
+        assert dq_max.value == 0.0
+        assert abs(maximize(kappa_shift_objective(0.0, g, METER, "dq")).value) <= 1e-12
+        reading = maximize(kappa_reading_objective(0.0, 0.1))
+        assert abs(reading.value) == pytest.approx(qubit_max_reading(0.0, 0.1).value,
+                                                   rel=0.0, abs=1e-12)
+
+    def test_grid_start_is_the_first_largest_point(self):
+        probes = []
+
+        def objective(t1, t2, p0):
+            probes.append((t1, t2, p0))
+            return -1.0 if t2 > 1.0 else 0.5
+
+        maximize(objective, grid_n=16)
+        first_tie = next(i * math.pi / 15 for i in range(16) if i * math.pi / 15 > 1.0)
+        # The refinement starts there, its polar angles moved into the u box:
+        # theta1 = 0 to the box edge, theta2 round-tripped through u.
+        assert probes[16 ** 3] == _angles((-_U_MAX, _u(first_tie), 0.0))
+        assert probes[16 ** 3][1] == pytest.approx(first_tie, rel=1e-15)
+
+    @pytest.mark.parametrize("prob, numerator", NONFINITE_PIECES.values(), ids=NONFINITE_PIECES)
+    def test_nonfinite_grid_value_raises_at_the_first_nonfinite_point(self, prob, numerator):
+        # Each numerator adds 0 re, so it reads phi0 too.
+        objective = _Objective(_pure_entries(depolarizing(0.2)), prob, numerator)
+        grid = _coarse_grid(32)
+        first = next((t1, t2, p0) for t1 in grid.theta for t2 in grid.theta
+                     for p0 in grid.phi if not math.isfinite(objective(t1, t2, p0)))
+        value = objective(*first)
+        assert first[0] > 0.0  # earlier theta1 are finite
+        with pytest.raises(OptimizationError) as err:
+            maximize(lambda *point: objective(*point), grid_n=32)
+        assert err.value.point == PPSPoint(*first)
+        assert repr(err.value.value) == repr(value)
+
+    @pytest.mark.parametrize("prob, numerator", [
+        (lambda rho00, rho11, re, im, u2, v2: u2 + v2 + 0.1 * re,
+         lambda rho00, rho11, re, im, u2, v2: rho11 * u2 * v2 + re * re),
+        (lambda rho00, rho11, re, im, u2, v2: 1.0,
+         lambda rho00, rho11, re, im, u2, v2: rho00 * u2 - 0.5 + 0.0 * re),
+    ], ids=["quadratic", "constant"])
+    def test_other_objectives_evaluate_every_grid_point(self, prob, numerator):
+        objective = _Objective(_pure_entries(depolarizing(0.2)), prob, numerator)
+        calls = []
+
+        def plain(*point):
+            calls.append(point)
+            return objective(*point)
+
+        result = maximize(plain, grid_n=17)
+        assert len(calls) == result.evaluations == 17 ** 3 + result.refine_probes
+        assert result.grid_probes == 17 ** 3
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             maximize(lambda *a: 0.0, grid_n=8)
+        with pytest.raises(ValueError):
+            maximize(kappa_shift_objective(0.5, 0.05, METER, "dp"), grid_n=15)
 
 
 class TestObjectiveBuilders:
@@ -290,124 +397,6 @@ def _targets():
 
 TARGETS = _targets()
 
-#: Pieces whose grid values turn non-finite part-way through, by name.
-NONFINITE_PIECES = {
-    # Probability 0 at theta2 = 0 on every row, ahead of a value
-    # that overflows to -inf once rho11 v2 passes 0.2247.
-    "floor-then-minus-inf": (
-        lambda rho00, rho11, re, im, u2, v2: v2,
-        lambda rho00, rho11, re, im, u2, v2: -v2 * rho11 * 1e308 * 8.0 + 0.0 * re),
-    # inf - inf: a NaN probability wherever rho11 v2 passes 0.2247, and
-    # probability 0 on the theta2 = 0 row, where only the mask keeps the
-    # value finite.
-    "nan-probability": (
-        lambda rho00, rho11, re, im, u2, v2:
-            v2 + (rho11 * v2 * 1e308 * 8.0 - rho11 * v2 * 1e308 * 8.0),
-        lambda rho00, rho11, re, im, u2, v2: rho00 + 0.0 * re),
-    # Every row is -inf once rho11 passes 0.2247, and -inf / inf is a NaN
-    # near theta2 = pi: the largest |value| is a NaN behind the -inf.
-    "minus-inf-then-nan": (
-        lambda rho00, rho11, re, im, u2, v2: 1.0 + rho11 * v2 * 1e308 * 8.0,
-        lambda rho00, rho11, re, im, u2, v2: -rho11 * 1e308 * 8.0 + 0.0 * re),
-}
-
-
-def _slab(i, n):
-    """Flat row indices (i1, j) of the theta1 = grid.theta[i] slab: its n
-    (theta1, phi0) rows, one ``rows`` call of the grid in flat order."""
-    return np.full(n, i), np.arange(n)
-
-
-class TestSlabFace:
-    @pytest.mark.parametrize("target", TARGETS)
-    def test_slab_equals_scalar_probes_on_default_grid(self, target):
-        objective = TARGETS[target]()
-        grid = _coarse_grid(64)
-        scattered = np.divmod(np.random.default_rng(3).permutation(64 ** 2)[:64], 64)
-        for i1, j in [_slab(i, 64) for i in range(64)] + [scattered]:
-            rows = objective.rows(i1, j, grid)
-            assert rows.shape == (64, 64)
-            assert np.array_equal(rows, _loop_rows(objective, i1, j, grid))
-
-    def test_floor_masks_slab_to_zero(self):
-        # theta1 = 0, phi0 = 0 and theta2 = pi: orthogonal states.
-        objective = kappa_shift_objective(1.0, 0.1, METER, "dp")
-        rows = objective.rows(*_slab(0, 16), _coarse_grid(16))
-        assert rows[0, -1] == 0.0 and rows[0, 0] != 0.0
-
-    @pytest.mark.parametrize("prob, numerator", NONFINITE_PIECES.values(), ids=NONFINITE_PIECES)
-    def test_nonfinite_grid_value_raises_at_the_first_nonfinite_point(self, prob, numerator):
-        # Each numerator adds 0 re, so it reads phi0 too.
-        objective = _Objective(_pure_entries(depolarizing(0.2)), prob, numerator)
-        grid = _coarse_grid(32)
-        first = next((t1, t2, p0) for t1 in grid.theta for t2 in grid.theta
-                     for p0 in grid.phi if not math.isfinite(objective(t1, t2, p0)))
-        value = objective(*first)
-        assert first[0] > 0.0  # earlier slabs are finite
-        for face in (objective, lambda *point: objective(*point)):
-            with np.errstate(over="ignore", invalid="ignore"), \
-                    pytest.raises(OptimizationError) as err:
-                maximize(face, grid_n=32)
-            assert err.value.point == PPSPoint(*first)
-            assert repr(err.value.value) == repr(value)
-
-    @pytest.mark.parametrize("target", ["kappa-dq", "damped-reading", "oracle-dq"])
-    def test_plain_callable_takes_the_same_search(self, target):
-        objective = TARGETS[target]()
-        wrapped = lambda t1, t2, p0: objective(t1, t2, p0)  # noqa: E731
-        assert maximize(objective, grid_n=24) == maximize(wrapped, grid_n=24)
-
-    def test_phase_free_slab_starts_where_the_plain_callable_does(self):
-        # Pieces that ignore phi0, then also theta2, then the preselection:
-        # the last two give arrays with fewer values than grid points, which
-        # the grid reads by their own shape.
-        pieces = {
-            (16, 16): (lambda rho00, rho11, re, im, u2, v2: rho00 * u2 + rho11 * v2,
-                       lambda rho00, rho11, re, im, u2, v2: rho11 * u2 * v2),
-            (16, 1): (lambda rho00, rho11, re, im, u2, v2: 1.0,
-                      lambda rho00, rho11, re, im, u2, v2: rho11 * (1.0 - rho11)),
-            (1, 16): (lambda rho00, rho11, re, im, u2, v2: u2 + v2,
-                      lambda rho00, rho11, re, im, u2, v2: u2 * v2 * (1.0 + u2)),
-        }
-        grid = _coarse_grid(16)
-        for shape, (prob, numerator) in pieces.items():
-            objective = _Objective(_pure_entries(depolarizing(0.2)), prob, numerator)
-            # The phi0 = 0 row of every theta1: the largest value is inside.
-            rows = objective.rows(np.arange(16), np.zeros(16, dtype=int), grid)
-            assert rows.shape == shape and 0 < rows.argmax() < rows.size - 1
-            wrapped = lambda t1, t2, p0: objective(t1, t2, p0)  # noqa: E731
-            assert maximize(objective, grid_n=16) == maximize(wrapped, grid_n=16)
-
-    def test_grid_start_is_the_first_largest_point(self):
-        probes = []
-
-        def objective(t1, t2, p0):
-            probes.append((t1, t2, p0))
-            return -1.0 if t2 > 1.0 else 0.5
-
-        maximize(objective, grid_n=16)
-        first_tie = next(i * math.pi / 15 for i in range(16) if i * math.pi / 15 > 1.0)
-        # The refinement starts there, its polar angles moved into the u box:
-        # theta1 = 0 to the box edge, theta2 round-tripped through u.
-        assert probes[16 ** 3] == _angles((-_U_MAX, _u(first_tie), 0.0))
-        assert probes[16 ** 3][1] == pytest.approx(first_tie, rel=1e-15)
-
-
-def _probe_line(objective, origin, direction, ts):
-    """A line scan of ``objective`` taken as a plain callable, one probe per t."""
-    line, _ = _faces(lambda *point: objective(*point))
-    return line(origin, direction, ts)
-
-
-def test_coarse_grid_is_cached_read_only_and_bounded():
-    grid = _coarse_grid(16)
-    assert _coarse_grid(16) is grid
-    assert isinstance(grid.theta, tuple) and isinstance(grid.phi, tuple)
-    for array in grid[2:]:
-        with pytest.raises(ValueError):
-            array.flat[0] = 2.0
-    assert _coarse_grid.cache_info().maxsize is not None
-
 
 def test_coarse_grid_polar_axis_ends_at_pi():
     # i * pi / (n - 1) rounds past pi at i = n - 1 for n = 26, 42, ...; an
@@ -421,95 +410,6 @@ def test_coarse_grid_polar_axis_ends_at_pi():
         assert result.value == pytest.approx(math.pi, rel=1e-4)
 
 
-class TestLineFace:
-    @pytest.mark.parametrize("target", TARGETS)
-    def test_line_equals_scalar_probes(self, target):
-        objective = TARGETS[target]()
-        rng = np.random.default_rng(21)
-        ts = [-1.5 + i * 3.0 / 63 for i in range(64)]
-        for _ in range(4):
-            origin = (*rng.uniform(-_U_MAX, _U_MAX, size=2), 2.0 * math.pi * rng.random())
-            for direction in _DIRECTIONS:
-                line = objective.line(origin, direction, ts)
-                assert line.shape == (64,)
-                assert np.array_equal(line, _probe_line(objective, origin, direction, ts))
-
-    def test_floor_masks_line_to_zero(self):
-        # From near |0> toward postselection on the state orthogonal to the
-        # preselection, reached at u2 = -u1 with relative phase pi: the scan
-        # ends below the floor.
-        objective = kappa_shift_objective(1.0, 1e-3, METER, "dp")
-        origin, direction = (-_U_MAX, -_U_MAX, math.pi), (0.0, 1.0, 0.0)
-        ts = [i * (2.0 * _U_MAX) / 63 for i in range(64)]
-        line = objective.line(origin, direction, ts)
-        assert line[0] != 0.0 and line[-1] == 0.0
-        assert np.array_equal(line, _probe_line(objective, origin, direction, ts))
-
-    def test_nonfinite_scan_value_raises_where_the_scalar_route_does(self):
-        # v2 * 4e308 overflows once v2 passes 0.45, mid-way along theta2.
-        objective = _Objective(_pure_entries(depolarizing(0.2)),
-                               lambda rho00, rho11, re, im, u2, v2: u2 + v2,
-                               lambda rho00, rho11, re, im, u2, v2: v2 * 1e308 * 4.0)
-        origin, direction = (_u(1.0), -_U_MAX, 0.3), (0.0, 1.0, 0.0)
-        points = [_angles((origin[0], -_U_MAX + i * (2.0 * _U_MAX / 63), 0.3))
-                  for i in range(64)]
-        first_bad = next(p for p in points if not math.isfinite(objective(*p)))
-        assert 0.0 < first_bad[1] < math.pi
-        for face in (objective, lambda *p: objective(*p)):
-            with np.errstate(over="ignore"), pytest.raises(OptimizationError) as err:
-                _line_search(*_faces(face), origin, direction, 64)
-            assert err.value.point == PPSPoint(*first_bad)
-            assert err.value.value == math.inf
-
-    def test_first_largest_scan_point_wins_without_a_reprobe(self):
-        # Every scan value ties, so the first scan point is kept.
-        objective = _Objective(_pure_entries(depolarizing(0.2)),
-                               lambda rho00, rho11, re, im, u2, v2: 1.0,
-                               lambda rho00, rho11, re, im, u2, v2: 0.0 * u2 + 1.0)
-        calls = []
-
-        def counted(*point):
-            calls.append(point)
-            return objective(*point)
-
-        origin = (_u(1.0), _u(0.5), 0.3)
-        for face in (objective, counted):
-            point, value, best, probes = _line_search(*_faces(face), origin, (0.0, 1.0, 0.0), 64)
-            assert (point, value) == ((origin[0], -_U_MAX, 0.3), 1.0)
-            assert best == (_angles(point), 1.0)
-        # A plain callable is called once per probe, the scan included.
-        assert calls[0] == _angles(point)
-        assert probes == len(calls)
-
-    def test_phase_line_of_phase_free_pieces_gives_one_value_per_t(self):
-        # Neither piece reads cross_re or cross_im, so along a phase line the
-        # arithmetic gives one float; the face spreads it over the scan.
-        objective = _Objective(_pure_entries(depolarizing(0.2)),
-                               lambda rho00, rho11, re, im, u2, v2: rho00 * u2 + rho11 * v2,
-                               lambda rho00, rho11, re, im, u2, v2: rho11 * u2 * v2)
-        origin, direction = (_u(1.0), _u(0.5), 0.3), (0.0, 0.0, 1.0)
-        ts = [-math.pi + i * 2.0 * math.pi / 63 for i in range(64)]
-        line = objective.line(origin, direction, ts)
-        assert line.shape == (64,)
-        assert np.array_equal(line, _probe_line(objective, origin, direction, ts))
-        point, value, _, _ = _line_search(*_faces(objective), origin, direction, 64)
-        assert point == (origin[0], origin[1], origin[2] - math.pi)
-        assert value == objective(*_angles(origin))
-
-    def test_line_face_leaves_the_battery_searches_unchanged(self):
-        meter = GaussianMeter(1.0)
-        for kappa in KAPPA_BATTERY:
-            for c in COUPLING_BATTERY:
-                g = c * meter.dp
-                for objective in (kappa_shift_objective(kappa, g, meter, "dp"),
-                                  kappa_shift_objective(kappa, g, meter, "dq"),
-                                  kappa_reading_objective(kappa, c)):
-                    # Same coarse grid, line scans probed point by point.
-                    scalar_lines = lambda t1, t2, p0, f=objective: f(t1, t2, p0)  # noqa: E731
-                    scalar_lines.rows = objective.rows
-                    assert maximize(objective) == maximize(scalar_lines)
-
-
 def _capped(f, cap=500):
     """Plain callable f that records its probes and fails past ``cap`` of them."""
     calls = []
@@ -520,6 +420,12 @@ def _capped(f, cap=500):
         return f(*point)
 
     return objective, calls
+
+
+def _search(objective, origin, direction):
+    """The 64-point line search of a plain callable on the u-line origin + t
+    direction."""
+    return _line_search(_loop_bind(objective, origin, direction), origin, direction, 64)
 
 
 class TestLineSearch:
@@ -536,8 +442,7 @@ class TestLineSearch:
             return 0.5 * math.pi + k * _u(theta2)
 
         objective, calls = _capped(lambda t1, t2, p0: 1.0 + math.cos(s(t2) - peak))
-        point, value, (angles, signed), probes = _line_search(*_faces(objective), self.ORIGIN,
-                                                               self.U2, 64)
+        point, value, (angles, signed), probes = _search(objective, self.ORIGIN, self.U2)
         assert abs(0.5 * math.pi + k * point[1] - peak) < 1e-9
         assert angles == _angles(point)
         assert value == abs(signed) == 1.0 + math.cos(s(_theta(point[1])) - peak)
@@ -548,7 +453,7 @@ class TestLineSearch:
     def test_kinked_peak_falls_back_to_golden_steps(self, peak):
         # Parabolas fit a kink badly; golden steps must still close in on it.
         objective, calls = _capped(lambda t1, t2, p0: 2.0 - abs(t2 - peak))
-        point, *_ = _line_search(*_faces(objective), self.ORIGIN, self.U2, 64)
+        point, *_ = _search(objective, self.ORIGIN, self.U2)
         assert abs(point[1] - _u(peak)) < 1e-9
         assert len(calls) - 64 <= 50
 
@@ -566,13 +471,13 @@ class TestLineSearch:
 
         objective, _ = _capped(f)
         origin = (_u(1.3), _u(1.7), 0.3)
-        point, value, _, _ = _line_search(*_faces(objective), origin, direction, 64)
+        point, value, _, _ = _search(objective, origin, direction)
         assert abs(point[axis] - _u(end)) <= _LINE_WIDTH
         assert value == f(*_angles(point))
 
     def test_constant_line_keeps_the_first_scan_point(self):
         objective, calls = _capped(lambda t1, t2, p0: 0.7)
-        point, value, (angles, _), _ = _line_search(*_faces(objective), self.ORIGIN, self.U2, 64)
+        point, value, (angles, _), _ = _search(objective, self.ORIGIN, self.U2)
         assert (point, value) == ((self.ORIGIN[0], -_U_MAX, 0.3), 0.7)
         assert angles == _angles(point) == calls[0]
 
@@ -598,17 +503,72 @@ class TestLineSearch:
                 # f is wrapped, so its scan goes point by point through _along too.
                 objective, _ = _capped(lambda *point: f(*point))
                 ts.clear()
-                _line_search(*_faces(objective), origin, direction, 64)
+                _search(objective, origin, direction)
                 assert len(ts) > 64
                 assert all(ts[0] <= t <= ts[63] for t in ts[64:])
 
+    def test_first_largest_scan_point_wins_without_a_reprobe(self):
+        # Every scan value ties, so the first scan point is kept.
+        objective, calls = _capped(lambda t1, t2, p0: 1.0)
+        origin = (_u(1.0), _u(0.5), 0.3)
+        point, value, best, probes = _search(objective, origin, self.U2)
+        assert (point, value) == ((origin[0], -_U_MAX, 0.3), 1.0)
+        assert best == (_angles(point), 1.0)
+        # The probe is called once per point, the scan included.
+        assert calls[0] == _angles(point)
+        assert probes == len(calls)
+
+    def test_scan_point_reports_the_probes_own_angles(self):
+        # A probe may put its point anywhere, as the exact postselection puts
+        # theta2 and phi0: the first of the tied scan points is kept as the
+        # probe reported it.
+        def probe(t):
+            return (_theta(t), 2.0, 1.0), -0.7
+
+        _, value, best, _ = _line_search(probe, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 64)
+        assert value == 0.7
+        assert best == ((_theta(-_U_MAX), 2.0, 1.0), -0.7)
+
+    def test_nonfinite_scan_value_raises_at_its_point(self):
+        # v2 * 4e308 overflows once v2 passes 0.45, mid-way along theta2.
+        objective = _Objective(_pure_entries(depolarizing(0.2)),
+                               lambda rho00, rho11, re, im, u2, v2: u2 + v2,
+                               lambda rho00, rho11, re, im, u2, v2: v2 * 1e308 * 4.0)
+        origin, direction = (_u(1.0), -_U_MAX, 0.3), (0.0, 1.0, 0.0)
+        points = [_angles((origin[0], -_U_MAX + i * (2.0 * _U_MAX / 63), 0.3))
+                  for i in range(64)]
+        first_bad = next(p for p in points if not math.isfinite(objective(*p)))
+        assert 0.0 < first_bad[1] < math.pi
+        with pytest.raises(OptimizationError) as err:
+            _search(objective, origin, direction)
+        assert err.value.point == PPSPoint(*first_bad)
+        assert err.value.value == math.inf
+
+    def test_nan_brent_probe_raises_at_its_point(self):
+        # The value rises along theta2, so the scan's largest point is the
+        # segment end, and it is NaN strictly between the last two scan
+        # points, where the first Brent step lands.
+        origin, direction = (_u(1.0), -_U_MAX, 0.3), (0.0, 1.0, 0.0)
+        step = 2.0 * _U_MAX / 63
+        lo, hi = (math.sin(0.5 * _theta(-_U_MAX + i * step)) ** 2 for i in (62, 63))
+
+        def objective(t1, t2, p0):
+            v2 = math.sin(0.5 * t2) ** 2
+            return math.nan if lo < v2 < hi else v2
+
+        with pytest.raises(OptimizationError) as err:
+            _search(objective, origin, direction)
+        assert lo < math.sin(0.5 * err.value.point.theta2) ** 2 < hi
+        assert math.isnan(err.value.value)
+
     def test_battery_probe_counts(self):
         # Probe counts are deterministic: a slide back to wasteful line
-        # searches shows here without any timing.  These 36 searches make
-        # 33180 probes after the grid, against 90939 when the refinement ran
-        # in theta with boundary homing.
+        # searches shows here without any timing.  These 36 searches each
+        # scan 64 preselections, then make 916 Brent probes between them,
+        # against 33180 probes after the 64^3 grid when they searched all
+        # three angles.
         meter = GaussianMeter(1.0)
-        after_grid = 0
+        after_scan = 0
         for kappa in KAPPA_BATTERY:
             for c in COUPLING_BATTERY:
                 g = c * meter.dp
@@ -617,10 +577,10 @@ class TestLineSearch:
                                   kappa_reading_objective(kappa, c)):
                     result = maximize(objective)
                     assert result.converged
-                    assert result.grid_probes == 64 ** 3
+                    assert result.grid_probes == 64
                     assert result.grid_probes + result.refine_probes == result.evaluations
-                    after_grid += result.refine_probes
-        assert after_grid < 40_000
+                    after_scan += result.refine_probes
+        assert after_scan < 1100
 
 
 def _form_objective(family, strength, target, g):
@@ -633,12 +593,6 @@ def _form_objective(family, strength, target, g):
         return _oracle_shift_objective(entries, g, METER, target[len("oracle-"):])
     return _family_objective(entries, g, "qubit" if target == "reading" else METER, target)
 
-
-def _row_grid(t1, p0):
-    """A grid with the single (theta1, phi0) row, for ``row_bounds``."""
-    one = _coarse_grid(16)
-    return one._replace(ch=np.array([[math.cos(0.5 * t1)]]), sh=np.array([[math.sin(0.5 * t1)]]),
-                        cos_phi=np.array([math.cos(p0)]), sin_phi=np.array([math.sin(p0)]))
 
 
 def _scan_max(objective, t1, p0):
@@ -661,221 +615,24 @@ FORM_TARGETS = ["dp", "dq", "reading", "oracle-dp", "oracle-dq"]
 FORM_FAMILIES = ["depolarizing", "phase-damping", "amplitude-damping"]
 
 
-class TestBoundLine:
-    # The five refinement directions and one that moves phi0 with u1, which
-    # the bound line leaves to the call face.
-    DIRECTIONS = (*_DIRECTIONS, (0.6, 0.0, 0.8))
-
-    @given(family=st.sampled_from(FORM_FAMILIES), strength=st.floats(0.0, 1.0),
-           target=st.sampled_from(FORM_TARGETS), g=st.floats(0.005, 0.5),
-           origin=st.tuples(st.floats(-_U_MAX, _U_MAX), st.floats(-_U_MAX, _U_MAX),
-                            st.floats(0.0, 2.0 * math.pi)),
-           direction=st.sampled_from(DIRECTIONS), t=st.floats(-30.0, 30.0))
-    @settings(max_examples=300, deadline=None)
-    def test_probe_equals_the_call_face_bit_for_bit(self, family, strength, target, g,
-                                                    origin, direction, t):
-        # t spans every segment: a diagonal crosses the box in at most
-        # 2 sqrt(2) U_MAX < 30.  repr tells -0.0 from 0.0 and shows NaN.
-        objective = _form_objective(family, strength, target, g)
-        point = _angles(optimize._along(origin, direction, t))
-        expected = (point, objective(*point))
-        assert repr(objective.bind_line(origin, direction)(t)) == repr(expected)
-
-    @pytest.mark.parametrize("target", TARGETS)
-    def test_line_search_takes_the_plain_callables_steps(self, target):
-        objective = TARGETS[target]()
-        rng = np.random.default_rng(5)
-        for _ in range(3):
-            origin = (*rng.uniform(-_U_MAX, _U_MAX, size=2).tolist(), 2.0 * math.pi * rng.random())
-            for direction in _DIRECTIONS:
-                found = []
-                for face in (objective, lambda *a: objective(*a)):
-                    # x, |value|, (angles, signed value) and the probe count.
-                    found.append(_line_search(*_faces(face), origin, direction, 64))
-                assert repr(found[0]) == repr(found[1])
-
-    def test_nan_brent_probe_raises_where_the_plain_callable_does(self):
-        # The value v2 rises along theta2, so the scan's largest point is the
-        # segment end, and it is NaN strictly between the last two scan
-        # points, where the first Brent step lands.
-        origin, direction = (_u(1.0), -_U_MAX, 0.3), (0.0, 1.0, 0.0)
-        step = 2.0 * _U_MAX / 63
-        lo, hi = (math.sin(0.5 * _theta(-_U_MAX + i * step)) ** 2 for i in (62, 63))
-        objective = _Objective(
-            _pure_entries(depolarizing(0.2)), lambda rho00, rho11, re, im, u2, v2: u2 + v2,
-            lambda rho00, rho11, re, im, u2, v2: np.where((lo < v2) & (v2 < hi), math.nan, v2))
-        raised = []
-        for face in (objective, lambda *a: objective(*a)):
-            with pytest.raises(OptimizationError) as err:
-                _line_search(*_faces(face), origin, direction, 64)
-            raised.append(err.value)
-        assert raised[0].point == raised[1].point
-        assert lo < math.sin(0.5 * raised[0].point.theta2) ** 2 < hi
-        assert all(math.isnan(e.value) for e in raised)
-
-    def test_battery_searches_call_the_call_face_once(self, monkeypatch):
-        # Only the start probe goes through __call__: if the Brent steps fell
-        # back to it, every search would still be right, only slower.
-        calls = []
-        real = _Objective.__call__
-
-        def counted(self, *point):
-            calls.append(point)
-            return real(self, *point)
-
-        monkeypatch.setattr(_Objective, "__call__", counted)
-        objectives = _battery_and_damped_objectives()[:36]
-        assert all(maximize(objective).converged for objective in objectives)
-        assert len(calls) == len(objectives)
-
-
 class TestRowBounds:
-    def test_pencil_bound_is_the_largest_generalized_eigenvalue(self):
-        # Random symmetric A and positive definite B, as arrays: the bound is
-        # the largest |eigenvalue| of B^-1 A.
-        rng = np.random.default_rng(41)
-        a = rng.normal(size=(200, 2, 2))
-        a = a + a.transpose(0, 2, 1)
-        m = rng.normal(size=(200, 2, 2))
-        b = m @ m.transpose(0, 2, 1) + 1e-3 * np.eye(2)
-        bound, allowance = _pencil_bound(a[:, 0, 0], a[:, 1, 1], 2.0 * a[:, 0, 1],
-                                         2.0 * abs(a[:, 0, 1]), b[:, 0, 0], b[:, 1, 1],
-                                         2.0 * b[:, 0, 1], 2.0 * abs(b[:, 0, 1]))
-        want = abs(np.linalg.eigvals(np.linalg.solve(b, a))).max(axis=1)
-        assert bound.shape == allowance.shape == (200,)
-        assert np.allclose(bound, want, rtol=1e-9, atol=0.0)
-        assert np.all(allowance < 1e-8 * bound)
-
-    def test_allowance_grows_as_b_nears_singular(self):
-        # B = [[1, r], [r, 1]] has smallest eigenvalue 1 - r, A = diag(1, -1).
-        r = np.array([0.0, 0.9, 0.99, 0.999, 1.0 - 1e-9, 1.0 - 1e-14, 1.0])
-        one = np.ones_like(r)
-        bound, allowance = _pencil_bound(one, -one, 0.0 * r, 0.0 * r, one, one, 2.0 * r, 2.0 * r)
-        finite = allowance[:-2]
-        assert np.all(np.isfinite(bound[:-1])) and np.all(np.diff(finite) > 0.0)
-        assert finite[-1] > 1e6 * finite[0]
-        assert allowance[-2] == math.inf and not math.isfinite(bound[-1] + allowance[-1])
-
+    # The exact postselection at one preselection bounds every (theta2, phi0)
+    # row there, and reaches its bound at the angles it reports.
     @pytest.mark.parametrize("target", FORM_TARGETS)
     def test_bound_covers_a_dense_scan_of_both_mirror_rows(self, target):
         rng = np.random.default_rng(42)
-        for _ in range(6):
-            family = FORM_FAMILIES[rng.integers(3)]
-            objective = _form_objective(family, rng.random(), target, rng.uniform(0.005, 0.5))
-            t1, p0 = rng.uniform(0.05, math.pi - 0.05), rng.uniform(0.0, 2.0 * math.pi)
-            bound, allowance = (float(x[0, 0]) for x in objective.row_bounds(_row_grid(t1, p0)))
-            found = _scan_max(objective, t1, p0)
-            assert found <= bound + allowance
-            assert 0.0 <= allowance < 1e-9 * bound
-            assert found >= bound * (1.0 - 1e-6)
-
-    def test_pole_rows_of_a_pure_family_are_never_excluded(self):
-        # At theta1 = 0 the pure preselection is |0>: B has a zero row.
-        objective = _form_objective("depolarizing", 1.0, "dp", 0.05)
-        bound, allowance = objective.row_bounds(_coarse_grid(16))
-        assert not np.isfinite(bound + allowance)[0].any()
-
-
-def _spied(monkeypatch):
-    """Count the grid points evaluated through the ``rows`` face."""
-    counts = {"rows": 0}
-
-    def spy(face, real):
-        def counted(*args):
-            values = real(*args)
-            counts[face] += values.size
-            return values
-        return counted
-
-    monkeypatch.setattr(_Objective, "rows", spy("rows", _Objective.rows))
-    return counts
-
-
-class TestPrunedGrid:
-    @given(family=st.sampled_from(FORM_FAMILIES),
-           strength=st.one_of(st.just(1.0), st.just(0.0), st.floats(0.0, 1.0)),
-           target=st.sampled_from(FORM_TARGETS),
-           g=st.one_of(st.just(0.005), st.floats(0.005, 0.5)),
-           grid_n=st.sampled_from([16, 17, 31, 64]))
-    @settings(max_examples=150, deadline=None)
-    # Values about 1e-184, whose cross terms square to 0: underflow.
-    @example(family="depolarizing", strength=1.78757713252072e-182, target="dq",
-             g=0.005, grid_n=17)
-    def test_same_start_as_the_full_scan(self, family, strength, target, g, grid_n):
-        # Odd grid_n has no phi0 + pi mirror row; strength 1 (kappa = 1) with
-        # small g leaves B nearly singular on the equator, and every grid has
-        # the rows next to the poles.
-        # The twin has the same pieces but is no form objective, so the grid
-        # evaluates every row of it, in order.
-        objective = _form_objective(family, strength, target, g)
-        twin = _Objective(objective.entries, objective.prob, objective.numerator,
-                          objective.reads_imag)
-        grid = _coarse_grid(grid_n)
-        assert _grid_start(objective, grid) == _grid_start(twin, grid)
-
-    def test_battery_searches_evaluate_few_grid_points(self, monkeypatch):
-        # A guard on the pruning itself: if it silently stopped excluding
-        # rows, every search would still be right, only slower.
-        counts = _spied(monkeypatch)
-        objectives = _battery_and_damped_objectives()[:36]
-        for objective in objectives:
-            assert maximize(objective).grid_probes == 64 ** 3
-        assert 0 < counts["rows"] <= 0.10 * len(objectives) * 64 ** 3
-
-    @pytest.mark.parametrize("prob, numerator", [
-        (lambda rho00, rho11, re, im, u2, v2: u2 + v2 + 0.1 * re,
-         lambda rho00, rho11, re, im, u2, v2: rho11 * u2 * v2 + re * re),
-        (lambda rho00, rho11, re, im, u2, v2: 1.0,
-         lambda rho00, rho11, re, im, u2, v2: rho00 * u2 - 0.5 + 0.0 * re),
-    ], ids=["quadratic", "constant"])
-    def test_other_objectives_evaluate_every_grid_point(self, prob, numerator, monkeypatch):
-        counts = _spied(monkeypatch)
-        objective = _Objective(_pure_entries(depolarizing(0.2)), prob, numerator)
-        result = maximize(objective, grid_n=17)
-        assert counts == {"rows": 17 ** 3}
-        calls = []
-
-        def plain(*point):
-            calls.append(point)
-            return objective(*point)
-
-        assert maximize(plain, grid_n=17) == result
-        assert len(calls) == result.evaluations == 17 ** 3 + result.refine_probes
-
-    @pytest.mark.parametrize("case", NONFINITE_PIECES)
-    def test_nonlinear_slab_objectives_take_the_full_scan(self, case, monkeypatch):
-        # TestSlabFace's non-finite objectives: the grid runs slab by slab up
-        # to the first non-finite one, as for a plain callable, and evaluates
-        # that one once.
-        prob, numerator = NONFINITE_PIECES[case]
-        objective = _Objective(_pure_entries(depolarizing(0.2)), prob, numerator)
-        grid = _coarse_grid(32)
-        first = next(i for i in range(32)
-                     if not np.isfinite(_loop_rows(objective, *_slab(i, 32), grid)).all())
-        counts = _spied(monkeypatch)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OptimizationError):
-            maximize(objective, grid_n=32)
-        assert counts == {"rows": (first + 1) * 32 ** 2}
-
-    def test_nonfinite_form_value_raises_where_the_full_scan_does(self):
-        # Linear pieces whose numerator overflows once rho00 u2 passes 0.2247:
-        # the bounds are not finite there, so those rows are evaluated first,
-        # and the rows then run in order to name the first non-finite point,
-        # as for the same pieces in a plain _Objective or a plain callable.
-        prob = lambda rho00, rho11, re, im, u2, v2: rho00 * u2 + rho11 * v2  # noqa: E731
-        numerator = lambda rho00, rho11, re, im, u2, v2: rho00 * u2 * 1e308 * 8.0  # noqa: E731
-        entries = _pure_entries(depolarizing(0.2))
-        objective = _FormObjective(entries, prob, numerator)
-        grid = _coarse_grid(16)
-        first = next((t1, t2, p0) for t1 in grid.theta for t2 in grid.theta
-                     for p0 in grid.phi if not math.isfinite(objective(t1, t2, p0)))
-        for face in (objective, _Objective(entries, prob, numerator),
-                     lambda *point: objective(*point)):
-            with np.errstate(over="ignore", invalid="ignore"), \
-                    pytest.raises(OptimizationError) as err:
-                maximize(face, grid_n=16)
-            assert err.value.point == PPSPoint(*first)
-            assert repr(err.value.value) == repr(objective(*first))
+        for family in FORM_FAMILIES:
+            for _ in range(2):
+                objective = _form_objective(family, rng.random(), target,
+                                            rng.uniform(0.005, 0.5))
+                angles, value = objective.postselected(_u(rng.uniform(0.05, math.pi - 0.05)))
+                assert objective(*angles) == value
+                t1, p0 = angles[0], angles[2]
+                # The rows at the probe's phase, a quarter period on, and
+                # their mirrors at phi0 + pi.
+                found = _scan_max(objective, t1, p0)
+                assert abs(value) * (1.0 - 1e-6) <= found <= abs(value) * (1.0 + 1e-13)
+                assert _scan_max(objective, t1, p0 + 0.5 * math.pi) <= abs(value) * (1.0 + 1e-13)
 
 
 def test_phase_reduction_is_sound():

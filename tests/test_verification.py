@@ -17,7 +17,7 @@ from weakamp.verification import (
 
 #: SHA-256 over the repr of every oracle result of ``run_verify(7, 1000)``,
 #: then its report text and adjudication CSV rows.
-ORACLE_DIGEST = "05ba14ccbf151e5a42cd33d723bc06bd742fc478f88caed1852e8a380dc5b618"
+ORACLE_DIGEST = "eb56df286c50f184cb9f746d0b0813e415480bdd92d4901087a298c1abb162ae"
 #: Oracle calls that ``run_verify(7, 1000)`` makes and completes.
 ORACLE_CALLS = 2080
 
