@@ -256,52 +256,6 @@ class TestMaximize:
         assert abs(reading.value) == pytest.approx(qubit_max_reading(0.0, 0.1).value,
                                                    rel=0.0, abs=1e-12)
 
-    def test_grid_start_is_the_first_largest_point(self):
-        probes = []
-
-        def objective(t1, t2, p0):
-            probes.append((t1, t2, p0))
-            return -1.0 if t2 > 1.0 else 0.5
-
-        maximize(objective, grid_n=16)
-        first_tie = next(i * math.pi / 15 for i in range(16) if i * math.pi / 15 > 1.0)
-        # The refinement starts there, its polar angles moved into the u box:
-        # theta1 = 0 to the box edge, theta2 round-tripped through u.
-        assert probes[16 ** 3] == _angles((-_U_MAX, _u(first_tie), 0.0))
-        assert probes[16 ** 3][1] == pytest.approx(first_tie, rel=1e-15)
-
-    @pytest.mark.parametrize("prob, numerator", NONFINITE_PIECES.values(), ids=NONFINITE_PIECES)
-    def test_nonfinite_grid_value_raises_at_the_first_nonfinite_point(self, prob, numerator):
-        # Each numerator adds 0 re, so it reads phi0 too.
-        objective = _Objective(_pure_entries(depolarizing(0.2)), prob, numerator)
-        grid = _coarse_grid(32)
-        first = next((t1, t2, p0) for t1 in grid.theta for t2 in grid.theta
-                     for p0 in grid.phi if not math.isfinite(objective(t1, t2, p0)))
-        value = objective(*first)
-        assert first[0] > 0.0  # earlier theta1 are finite
-        with pytest.raises(OptimizationError) as err:
-            maximize(lambda *point: objective(*point), grid_n=32)
-        assert err.value.point == PPSPoint(*first)
-        assert repr(err.value.value) == repr(value)
-
-    @pytest.mark.parametrize("prob, numerator", [
-        (lambda rho00, rho11, re, im, u2, v2: u2 + v2 + 0.1 * re,
-         lambda rho00, rho11, re, im, u2, v2: rho11 * u2 * v2 + re * re),
-        (lambda rho00, rho11, re, im, u2, v2: 1.0,
-         lambda rho00, rho11, re, im, u2, v2: rho00 * u2 - 0.5 + 0.0 * re),
-    ], ids=["quadratic", "constant"])
-    def test_other_objectives_evaluate_every_grid_point(self, prob, numerator):
-        objective = _Objective(_pure_entries(depolarizing(0.2)), prob, numerator)
-        calls = []
-
-        def plain(*point):
-            calls.append(point)
-            return objective(*point)
-
-        result = maximize(plain, grid_n=17)
-        assert len(calls) == result.evaluations == 17 ** 3 + result.refine_probes
-        assert result.grid_probes == 17 ** 3
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             maximize(lambda *a: 0.0, grid_n=8)
@@ -410,6 +364,80 @@ def test_coarse_grid_polar_axis_ends_at_pi():
         assert result.value == pytest.approx(math.pi, rel=1e-4)
 
 
+class TestSlabFace:
+    # The coarse grid of a plain callable, probed slab by slab: every
+    # (theta2, phi0) point at one theta1, then the next theta1.
+    def test_grid_start_is_the_first_largest_point(self):
+        probes = []
+
+        def objective(t1, t2, p0):
+            probes.append((t1, t2, p0))
+            return -1.0 if t2 > 1.0 else 0.5
+
+        maximize(objective, grid_n=16)
+        first_tie = next(i * math.pi / 15 for i in range(16) if i * math.pi / 15 > 1.0)
+        # The refinement starts there, its polar angles moved into the u box:
+        # theta1 = 0 to the box edge, theta2 round-tripped through u.
+        assert probes[16 ** 3] == _angles((-_U_MAX, _u(first_tie), 0.0))
+        assert probes[16 ** 3][1] == pytest.approx(first_tie, rel=1e-15)
+
+    @pytest.mark.parametrize("prob, numerator", NONFINITE_PIECES.values(), ids=NONFINITE_PIECES)
+    def test_nonfinite_grid_value_raises_at_the_first_nonfinite_point(self, prob, numerator):
+        # Each numerator adds 0 re, so it reads phi0 too.
+        objective = _Objective(_pure_entries(depolarizing(0.2)), prob, numerator)
+        grid = _coarse_grid(32)
+        first = next((t1, t2, p0) for t1 in grid.theta for t2 in grid.theta
+                     for p0 in grid.phi if not math.isfinite(objective(t1, t2, p0)))
+        value = objective(*first)
+        assert first[0] > 0.0  # earlier theta1 are finite
+        with pytest.raises(OptimizationError) as err:
+            maximize(lambda *point: objective(*point), grid_n=32)
+        assert err.value.point == PPSPoint(*first)
+        assert repr(err.value.value) == repr(value)
+
+
+class TestPrunedGrid:
+    # No grid point is pruned: a plain callable is probed at every one, and
+    # an _Objective skips the grid for its theta1 scan.
+    @pytest.mark.parametrize("prob, numerator", [
+        (lambda rho00, rho11, re, im, u2, v2: u2 + v2 + 0.1 * re,
+         lambda rho00, rho11, re, im, u2, v2: rho11 * u2 * v2 + re * re),
+        (lambda rho00, rho11, re, im, u2, v2: 1.0,
+         lambda rho00, rho11, re, im, u2, v2: rho00 * u2 - 0.5 + 0.0 * re),
+    ], ids=["quadratic", "constant"])
+    def test_other_objectives_evaluate_every_grid_point(self, prob, numerator):
+        objective = _Objective(_pure_entries(depolarizing(0.2)), prob, numerator)
+        calls = []
+
+        def plain(*point):
+            calls.append(point)
+            return objective(*point)
+
+        result = maximize(plain, grid_n=17)
+        assert len(calls) == result.evaluations == 17 ** 3 + result.refine_probes
+        assert result.grid_probes == 17 ** 3
+
+    def test_nonfinite_form_value_raises_where_the_full_scan_does(self):
+        # Linear pieces whose numerator overflows once rho00 u2 passes 0.2247:
+        # the full scan of a plain callable names the first non-finite grid
+        # point, and the theta1 scan of the _Objective raises at its first
+        # preselection, whose numerator form is already infinite.
+        prob = lambda rho00, rho11, re, im, u2, v2: rho00 * u2 + rho11 * v2  # noqa: E731
+        numerator = lambda rho00, rho11, re, im, u2, v2: rho00 * u2 * 1e308 * 8.0  # noqa: E731
+        objective = _Objective(_pure_entries(depolarizing(0.2)), prob, numerator)
+        grid = _coarse_grid(16)
+        first = next((t1, t2, p0) for t1 in grid.theta for t2 in grid.theta
+                     for p0 in grid.phi if not math.isfinite(objective(t1, t2, p0)))
+        with pytest.raises(OptimizationError) as err:
+            maximize(lambda *point: objective(*point), grid_n=16)
+        assert err.value.point == PPSPoint(*first)
+        assert repr(err.value.value) == repr(objective(*first))
+        with pytest.raises(OptimizationError) as err:
+            maximize(objective, grid_n=16)
+        assert err.value.point.theta1 == _theta(-_U_MAX)
+        assert not math.isfinite(err.value.value)
+
+
 def _capped(f, cap=500):
     """Plain callable f that records its probes and fails past ``cap`` of them."""
     calls = []
@@ -507,17 +535,6 @@ class TestLineSearch:
                 assert len(ts) > 64
                 assert all(ts[0] <= t <= ts[63] for t in ts[64:])
 
-    def test_first_largest_scan_point_wins_without_a_reprobe(self):
-        # Every scan value ties, so the first scan point is kept.
-        objective, calls = _capped(lambda t1, t2, p0: 1.0)
-        origin = (_u(1.0), _u(0.5), 0.3)
-        point, value, best, probes = _search(objective, origin, self.U2)
-        assert (point, value) == ((origin[0], -_U_MAX, 0.3), 1.0)
-        assert best == (_angles(point), 1.0)
-        # The probe is called once per point, the scan included.
-        assert calls[0] == _angles(point)
-        assert probes == len(calls)
-
     def test_scan_point_reports_the_probes_own_angles(self):
         # A probe may put its point anywhere, as the exact postselection puts
         # theta2 and phi0: the first of the tied scan points is kept as the
@@ -528,38 +545,6 @@ class TestLineSearch:
         _, value, best, _ = _line_search(probe, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 64)
         assert value == 0.7
         assert best == ((_theta(-_U_MAX), 2.0, 1.0), -0.7)
-
-    def test_nonfinite_scan_value_raises_at_its_point(self):
-        # v2 * 4e308 overflows once v2 passes 0.45, mid-way along theta2.
-        objective = _Objective(_pure_entries(depolarizing(0.2)),
-                               lambda rho00, rho11, re, im, u2, v2: u2 + v2,
-                               lambda rho00, rho11, re, im, u2, v2: v2 * 1e308 * 4.0)
-        origin, direction = (_u(1.0), -_U_MAX, 0.3), (0.0, 1.0, 0.0)
-        points = [_angles((origin[0], -_U_MAX + i * (2.0 * _U_MAX / 63), 0.3))
-                  for i in range(64)]
-        first_bad = next(p for p in points if not math.isfinite(objective(*p)))
-        assert 0.0 < first_bad[1] < math.pi
-        with pytest.raises(OptimizationError) as err:
-            _search(objective, origin, direction)
-        assert err.value.point == PPSPoint(*first_bad)
-        assert err.value.value == math.inf
-
-    def test_nan_brent_probe_raises_at_its_point(self):
-        # The value rises along theta2, so the scan's largest point is the
-        # segment end, and it is NaN strictly between the last two scan
-        # points, where the first Brent step lands.
-        origin, direction = (_u(1.0), -_U_MAX, 0.3), (0.0, 1.0, 0.0)
-        step = 2.0 * _U_MAX / 63
-        lo, hi = (math.sin(0.5 * _theta(-_U_MAX + i * step)) ** 2 for i in (62, 63))
-
-        def objective(t1, t2, p0):
-            v2 = math.sin(0.5 * t2) ** 2
-            return math.nan if lo < v2 < hi else v2
-
-        with pytest.raises(OptimizationError) as err:
-            _search(objective, origin, direction)
-        assert lo < math.sin(0.5 * err.value.point.theta2) ** 2 < hi
-        assert math.isnan(err.value.value)
 
     def test_battery_probe_counts(self):
         # Probe counts are deterministic: a slide back to wasteful line
@@ -581,6 +566,58 @@ class TestLineSearch:
                     assert result.grid_probes + result.refine_probes == result.evaluations
                     after_scan += result.refine_probes
         assert after_scan < 1100
+
+
+class TestLineFace:
+    # The scan of a line search: its probe mapped over n evenly spaced
+    # points, each value taken as the probe gave it.
+    U2 = TestLineSearch.U2
+
+    def test_first_largest_scan_point_wins_without_a_reprobe(self):
+        # Every scan value ties, so the first scan point is kept.
+        objective, calls = _capped(lambda t1, t2, p0: 1.0)
+        origin = (_u(1.0), _u(0.5), 0.3)
+        point, value, best, probes = _search(objective, origin, self.U2)
+        assert (point, value) == ((origin[0], -_U_MAX, 0.3), 1.0)
+        assert best == (_angles(point), 1.0)
+        # The probe is called once per point, the scan included.
+        assert calls[0] == _angles(point)
+        assert probes == len(calls)
+
+    def test_nonfinite_scan_value_raises_where_the_scalar_route_does(self):
+        # v2 * 4e308 overflows once v2 passes 0.45, mid-way along theta2.
+        objective = _Objective(_pure_entries(depolarizing(0.2)),
+                               lambda rho00, rho11, re, im, u2, v2: u2 + v2,
+                               lambda rho00, rho11, re, im, u2, v2: v2 * 1e308 * 4.0)
+        origin, direction = (_u(1.0), -_U_MAX, 0.3), (0.0, 1.0, 0.0)
+        points = [_angles((origin[0], -_U_MAX + i * (2.0 * _U_MAX / 63), 0.3))
+                  for i in range(64)]
+        first_bad = next(p for p in points if not math.isfinite(objective(*p)))
+        assert 0.0 < first_bad[1] < math.pi
+        with pytest.raises(OptimizationError) as err:
+            _search(objective, origin, direction)
+        assert err.value.point == PPSPoint(*first_bad)
+        assert err.value.value == math.inf
+
+
+class TestBoundLine:
+    # Brent's steps on a line bound to one probe.
+    def test_nan_brent_probe_raises_where_the_plain_callable_does(self):
+        # The value rises along theta2, so the scan's largest point is the
+        # segment end, and it is NaN strictly between the last two scan
+        # points, where the first Brent step lands.
+        origin, direction = (_u(1.0), -_U_MAX, 0.3), (0.0, 1.0, 0.0)
+        step = 2.0 * _U_MAX / 63
+        lo, hi = (math.sin(0.5 * _theta(-_U_MAX + i * step)) ** 2 for i in (62, 63))
+
+        def objective(t1, t2, p0):
+            v2 = math.sin(0.5 * t2) ** 2
+            return math.nan if lo < v2 < hi else v2
+
+        with pytest.raises(OptimizationError) as err:
+            _search(objective, origin, direction)
+        assert lo < math.sin(0.5 * err.value.point.theta2) ** 2 < hi
+        assert math.isnan(err.value.value)
 
 
 def _form_objective(family, strength, target, g):
