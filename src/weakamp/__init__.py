@@ -38,9 +38,7 @@ from .optimize import (
 )
 from .oracle import (
     AdjudicationReport,
-    PositionGrid,
     adjudicate_variants,
-    default_grid,
     gaussian_grid_evolve,
     qubit_joint_evolve,
     qubit_meter_marginal,
@@ -73,7 +71,6 @@ __all__ = [
     "OptimizationResult",
     "PPSPoint",
     "PROB_FLOOR",
-    "PositionGrid",
     "PureQubit",
     "QubitDensity",
     "QubitMeterReading",
@@ -88,7 +85,6 @@ __all__ = [
     "damped_reading_objective",
     "damped_shift_objective",
     "decompose",
-    "default_grid",
     "density_from_bloch",
     "depolarizing",
     "gaussian_grid_evolve",

@@ -63,6 +63,7 @@ from .channels import KrausChannel, amplitude_damping, depolarizing
 from .common import (PROB_FLOOR, GaussianMeter, MaxResult, _check_coupling,
                      _check_gamma, _check_kappa, _postselection_prob)
 from .gaussian import _dp_numerator, _dq_numerator, gaussian_max_shifts
+from .qubit import TWO_PI
 from .qubitmeter import _reading_numerator, qubit_max_reading
 
 Objective = Callable[[float, float, float], float]
@@ -85,7 +86,6 @@ _U_MAX = 10.0
 #: best |value| by less than this, or after _MAX_CYCLES cycles.
 _CYCLE_GAIN = 1e-12
 _MAX_CYCLES = 200
-_TWO_PI = 2.0 * math.pi
 
 
 class OptimizationError(RuntimeError):
@@ -368,7 +368,7 @@ def maximize(objective: Objective, grid_n: int = 64) -> OptimizationResult:
 
     (t1, t2, p0), value = best
     grid_probes = grid_n ** 3
-    return OptimizationResult(value, PPSPoint(t1, t2, p0 % _TWO_PI),
+    return OptimizationResult(value, PPSPoint(t1, t2, p0 % TWO_PI),
                               grid_probes + refine_probes, converged, grid_probes, refine_probes)
 
 
@@ -496,7 +496,7 @@ class _Objective:
         x0, x1 = _top_eigenvector(_hermitian(self.numerator, *entries),
                                   _hermitian(self.prob, *entries))
         angles = (t1, 2.0 * math.atan2(abs(x1), abs(x0)),
-                  cmath.phase(x0 * x1.conjugate()) % _TWO_PI)
+                  cmath.phase(x0 * x1.conjugate()) % TWO_PI)
         return angles, self(*angles)
 
 
@@ -584,9 +584,9 @@ def amplitude_damping_max(meter: GaussianMeter | Literal["qubit"], gamma: float,
     approaches it (``_approach_point``), with a relative gap of at most
     about 5e-5 gamma at the figures' coupling.  For gamma within about 5e-5
     of 1 that point's postselection probability falls below ``PROB_FLOOR``.
-    At gamma = 1 every state decays to |0>, so the values are g, 0 and
-    sin^2(g), attained at theta1 = theta2 = phi0 = 0; this degenerate case
-    warns.
+    At gamma = 1 every state decays to |0>, which has no coherence, so the
+    values are the kappa = 0 closed forms (g, 0 and sin^2(g)), attained at
+    theta1 = theta2 = phi0 = 0; this degenerate case warns.
 
     Proof.  Upper bound: every qubit state is kappa |psi><psi| + (1 - kappa)
     I / 2 with Bloch length kappa <= 1, so no damped state beats the
@@ -607,11 +607,10 @@ def amplitude_damping_max(meter: GaussianMeter | Literal["qubit"], gamma: float,
     if gamma == 1.0:
         warnings.warn("amplitude damping at gamma = 1 maps every state to |0>; "
                       "the amplification maxima collapse", stacklevel=2)
-        g = _check_coupling(g)
-        value = {"dp": g, "dq": 0.0, "reading": math.sin(g) ** 2}[which]
-        return MaxResult(value, 0.0, 0.0, 0.0)
+    kappa = 0.0 if gamma == 1.0 else 1.0
     if which == "reading":
-        closed = qubit_max_reading(1.0, g)
+        closed = qubit_max_reading(kappa, g)
     else:
-        closed = gaussian_max_shifts(1.0, g, meter)[("dp", "dq").index(which)]
-    return MaxResult(closed.value, *_approach_point(gamma, closed))
+        closed = gaussian_max_shifts(kappa, g, meter)[("dp", "dq").index(which)]
+    point = (0.0, 0.0, 0.0) if gamma == 1.0 else _approach_point(gamma, closed)
+    return MaxResult(closed.value, *point)

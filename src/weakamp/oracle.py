@@ -17,7 +17,7 @@ Two oracles, both built from the impulse interaction only:
   the moments come back as one read-only (3, 2, 2) array, and a state's
   three weighted sums are one contraction against it.
 
-The default grid has 256 points on a half-width of 10-14 pointer widths.
+The grid has 256 points on a half-width of 10-14 widths, set by (delta, g).
 The integrands are Gaussians of width delta (times phases), on which the
 trapezoid rule converges exponentially: its error is about
 exp(-2 pi^2 delta^2 / dx^2), far below double rounding at that spacing.
@@ -82,16 +82,11 @@ def qubit_meter_marginal(rho_s: QubitDensity, g: float) -> np.ndarray:
     return np.einsum("smsn->mn", evolved)
 
 
-def qubit_joint_evolve(rho_s: QubitDensity, psi_f: PureQubit | None,
+def qubit_joint_evolve(rho_s: QubitDensity, psi_f: PureQubit,
                        g: float) -> QubitMeterReading:
-    """Meter reading from the exact joint evolution.
-
-    With ``psi_f`` the system is projected onto it and the reading is
-    conditional; without it the plain marginal reading is returned with
-    probability 1.
-    """
-    if psi_f is None:
-        return QubitMeterReading(float(qubit_meter_marginal(rho_s, g)[1, 1].real), 1.0)
+    """Meter reading from the exact joint evolution, conditional on
+    projecting the system onto ``psi_f``; ``qubit_meter_marginal`` gives the
+    meter without postselection."""
     g = _check_coupling(g)
     evolved = _joint_evolved(rho_s, g).reshape(2, 2, 2, 2)
     amps = psi_f.amplitudes()
@@ -107,44 +102,27 @@ def qubit_joint_evolve(rho_s: QubitDensity, psi_f: PureQubit | None,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PositionGrid:
-    """Uniform symmetric position grid for the pointer wavefunction."""
-
-    half_width: float
-    points: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.half_width) and self.half_width > 0):
-            raise ValueError(f"half_width must be positive, got {self.half_width!r}")
-        if self.points < 16 or self.points & (self.points - 1):
-            raise ValueError(f"points must be a power of two >= 16, got {self.points}")
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.half_width / self.points
-
-    def positions(self) -> np.ndarray:
-        return -self.half_width + self.spacing * np.arange(self.points)
+#: Points of the grid oracle's position grid.
+_POINTS = 256
 
 
-def default_grid(meter: GaussianMeter, g: float) -> PositionGrid:
-    """Grid covering the envelope tails and the phase oscillations.
+def _half_width(meter: GaussianMeter, g: float) -> float:
+    """Grid half-width covering the envelope tails and the phase oscillations.
 
     The half-width 10 delta + 4 g delta^2 keeps the envelope's tail below
-    e^-25 of its peak.  256 points are enough at g delta <= 1: the spacing
-    dx <= 14 delta / 128 puts the trapezoid error, about
+    e^-25 of its peak.  ``_POINTS`` = 256 points are enough at g delta <= 1:
+    the spacing dx <= 14 delta / 128 puts the trapezoid error, about
     exp(-2 pi^2 delta^2 / dx^2), below e^-1600, and the branch spectra's
     tail at the Nyquist wavenumber pi / dx below exp(-(28.7 - 1)^2).
     """
-    return PositionGrid(10.0 * meter.delta + 4.0 * g * meter.delta ** 2, 256)
+    return 10.0 * meter.delta + 4.0 * g * meter.delta ** 2
 
 
 #: Branch-moment sets kept per process.  Callers that evaluate many states at
 #: a few couplings hit the cache; seeded batteries draw a fresh coupling per
 #: sample, so an unbounded cache would grow by one entry per sample.
 _BRANCH_CACHE_SIZE = 64
-#: Grid sizes whose index arrays are kept; every default grid has 256 points.
+#: Grid sizes whose index arrays are kept; the oracle itself uses ``_POINTS``.
 _INDEX_CACHE_SIZE = 8
 
 
@@ -170,15 +148,15 @@ def _branch_moments(g: float, delta: float, half_width: float, points: int):
     forms.  The envelope is real, so Phi_1 = conj(Phi_0) with spectrum
     F_1[k] = conj(F_0[-k]), and N00 = N11, Q00 = Q11.  P follows by Parseval:
     P[j, l] = (dx / points) sum_k conj(F_l[k]) k F_j[k].  Positions,
-    wavenumbers and F_1 are built from ``_grid_indices`` with the operations
-    of ``PositionGrid.positions`` and ``np.fft.fftfreq``.
+    wavenumbers and F_1 are built from ``_grid_indices``: q = -half_width + dx k
+    with dx = 2 half_width / points, and the operations of ``np.fft.fftfreq``.
 
     Raises GridTooSmallError when the spectrum exp(-delta^2 (k -+ g)^2)
     reaches above e^-36 at the Nyquist wavenumber, or when the norm is off
     by more than 1e-6 (a grid too short loses norm, one too coarse can
     over-count it).
     """
-    dx = PositionGrid(half_width, points).spacing
+    dx = 2.0 * half_width / points
     k, freqs, mirror = _grid_indices(points)
     q = -half_width + dx * k
     margin = delta * (math.pi / dx - g)
@@ -209,25 +187,19 @@ def _branch_moments(g: float, delta: float, half_width: float, points: int):
 
 
 def gaussian_grid_evolve(rho_s: QubitDensity, psi_f: PureQubit, g: float,
-                         meter: GaussianMeter,
-                         grid: PositionGrid | None = None) -> ShiftResult:
+                         meter: GaussianMeter) -> ShiftResult:
     """Pointer shifts from the gridded branch evolution.
 
-    Valid in the resolved-coupling regime g * delta <= 1.  Raises
-    GridTooSmallError when the envelope does not fit on the grid or its
-    spacing does not resolve the branch spectra, and
+    Valid at g * delta <= 1 (ValueError above), on ``_POINTS`` points over
+    ``_half_width(meter, g)``, where ``_branch_moments``'s guards cannot
+    fire: the half-width is at least 10 delta and the spectral margin
+    128 pi / (10 + 4 g delta) - g delta at least 27.7.  Raises
     VanishingPostselectionError below the probability floor.
     """
     g = _check_coupling(g)
     if g * meter.delta > 1.0 + 1e-12:
         raise ValueError(f"grid oracle requires g * delta <= 1, got {g * meter.delta}")
-    if grid is None:
-        grid = default_grid(meter, g)
-    if grid.half_width < 8.0 * meter.delta:
-        raise GridTooSmallError(
-            f"half_width {grid.half_width} covers fewer than 8 position deviations"
-        )
-    moments = _branch_moments(g, meter.delta, grid.half_width, grid.points)
+    moments = _branch_moments(g, meter.delta, _half_width(meter, g), _POINTS)
     # Branch-pair weights c[j, l] = rho[j, l] conj(psi_f[j]) psi_f[l].
     amps = psi_f.amplitudes()
     coeff = rho_s.matrix * np.outer(amps.conj(), amps)
@@ -372,8 +344,7 @@ def _moment_numerator(m00, m11, m10_re, m10_im, m01_re, m01_im,
 
 def _oracle_shift_objective(entries, g: float, meter: GaussianMeter, which: str):
     """Shift objective whose moments come from the grid, not a closed form."""
-    grid = default_grid(meter, g)
-    n_mat, q_mat, p_mat = _branch_moments(g, meter.delta, grid.half_width, grid.points)
+    n_mat, q_mat, p_mat = _branch_moments(g, meter.delta, _half_width(meter, g), _POINTS)
     moment = q_mat if which == "dq" else p_mat
     n10, m10, m01 = n_mat[1, 0], moment[1, 0], moment[0, 1]
     numerator = (moment[0, 0].real, moment[1, 1].real, m10.real, m10.imag, m01.real, m01.imag)

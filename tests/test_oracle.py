@@ -8,18 +8,16 @@ import weakamp.oracle
 from weakamp import (
     GaussianMeter,
     GridTooSmallError,
-    PositionGrid,
     VanishingPostselectionError,
     adjudicate_variants,
-    default_grid,
     gaussian_grid_evolve,
     gaussian_shifts,
     pure_state,
     qubit_joint_evolve,
     qubit_meter_marginal,
 )
-from weakamp.oracle import (_ATTEMPTS_PER_SAMPLE, _GENERATOR, _branch_moments, _grid_indices,
-                            _joint_evolved, _sample)
+from weakamp.oracle import (_ATTEMPTS_PER_SAMPLE, _GENERATOR, _POINTS, _branch_moments,
+                            _grid_indices, _half_width, _joint_evolved, _sample)
 from weakamp.oracle import _random_density as random_density
 from weakamp.oracle import _random_pure as random_pure
 
@@ -32,9 +30,9 @@ class TestQubitOracle:
         for g in (0.05, 0.1, 0.7):
             for _ in range(5):
                 rho = random_density(rng)
-                res = qubit_joint_evolve(rho, None, g)
-                assert abs(res.reading - math.sin(g) ** 2) < 1e-15
-                assert res.prob == 1.0
+                marginal = qubit_meter_marginal(rho, g)
+                assert abs(marginal[1, 1].real - math.sin(g) ** 2) < 1e-15
+                assert abs(np.trace(marginal).real - 1.0) < 1e-15
 
     def test_orthogonal_pair_reads_one(self):
         psi_i = pure_state(1.0, 0.3)
@@ -103,29 +101,30 @@ def _battery_couplings():
     return pairs
 
 
+def _oracle_grid(monkeypatch, half_width, points):
+    """Put ``gaussian_grid_evolve`` on another grid than its own."""
+    monkeypatch.setattr(weakamp.oracle, "_half_width", lambda meter, g: half_width)
+    monkeypatch.setattr(weakamp.oracle, "_POINTS", points)
+
+
 class TestGrid:
-    def test_points_must_be_power_of_two(self):
-        with pytest.raises(ValueError):
-            PositionGrid(10.0, 1000)
-        with pytest.raises(ValueError):
-            PositionGrid(-1.0, 4096)
-
     def test_default_covers_envelope(self):
-        grid = default_grid(METER, 0.2)
-        assert grid.half_width == pytest.approx(10.8)
+        assert _half_width(METER, 0.2) == pytest.approx(10.8)
 
+    # The edge g delta = 1 of the oracle's regime, at pointer widths 0.25 to
+    # 4: the grid scales with delta, so its guards pass at every width.
     @pytest.mark.parametrize("g, delta", _battery_couplings()
-                             + [(1.0 / delta, delta) for delta in (0.5, 1.0, 2.0)])
+                             + [(1.0 / delta, delta) for delta in (0.5, 1.0, 2.0, 0.25, 4.0)])
     def test_default_resolution_matches_a_fine_grid(self, g, delta):
-        grid = default_grid(GaussianMeter(delta), g)
-        fine = _branch_moments(g, delta, grid.half_width, 8192)
-        for got, want in zip(_branch_moments(g, delta, grid.half_width, grid.points), fine):
+        half_width = _half_width(GaussianMeter(delta), g)
+        fine = _branch_moments(g, delta, half_width, 8192)
+        for got, want in zip(_branch_moments(g, delta, half_width, _POINTS), fine):
             assert np.max(np.abs(got - want)) < 1e-13
 
     def test_default_grid_norm(self):
         for delta in (0.5, 1.0, 2.0):
-            grid = default_grid(GaussianMeter(delta), 0.1)
-            n_mat, _, _ = _branch_moments(0.1, delta, grid.half_width, grid.points)
+            half_width = _half_width(GaussianMeter(delta), 0.1)
+            n_mat, _, _ = _branch_moments(0.1, delta, half_width, _POINTS)
             assert abs(n_mat[0, 0].real - 1.0) < 1e-8
 
     def test_branch_moment_cache_is_bounded(self):
@@ -135,27 +134,28 @@ class TestGrid:
             assert cached.cache_info().maxsize is not None
 
     def test_cached_arrays_are_read_only(self):
-        grid = default_grid(METER, 0.2)
-        moments = _branch_moments(0.2, 1.0, grid.half_width, grid.points)
+        half_width = _half_width(METER, 0.2)
+        moments = _branch_moments(0.2, 1.0, half_width, _POINTS)
         before = moments.copy()
-        for array in (moments, moments[0], *_grid_indices(grid.points)):
+        for array in (moments, moments[0], *_grid_indices(_POINTS)):
             with pytest.raises(ValueError):
                 array.flat[0] = 2.0
-        assert np.array_equal(_branch_moments(0.2, 1.0, grid.half_width, grid.points), before)
+        assert np.array_equal(_branch_moments(0.2, 1.0, half_width, _POINTS), before)
 
     def test_too_small_grid_rejected(self):
-        rho = pure_state(1.0, 0.0).density()
-        with pytest.raises(GridTooSmallError):
-            gaussian_grid_evolve(rho, pure_state(0.5, 0), 0.1, METER,
-                                 PositionGrid(3.0, 4096))
+        # Three pointer widths lose norm.
+        with pytest.raises(GridTooSmallError, match="grid norm"):
+            _branch_moments(0.1, 1.0, 3.0, 4096)
 
-    def test_unresolved_spectrum_rejected(self):
+    def test_unresolved_spectrum_rejected(self, monkeypatch):
         # The norm of a 32-point grid is fine, but its Nyquist wavenumber
         # cuts the branch spectra: dq would be 4e-6 off the closed form.
         rho, psi_f, meter = pure_state(1.2, 0.4).density(), pure_state(2.0, 1.0), METER
+        _oracle_grid(monkeypatch, 14.0, 32)
         with pytest.raises(GridTooSmallError, match="branch spectra"):
-            gaussian_grid_evolve(rho, psi_f, 1.0, meter, PositionGrid(14.0, 32))
-        gridded = gaussian_grid_evolve(rho, psi_f, 1.0, meter, PositionGrid(14.0, 64))
+            gaussian_grid_evolve(rho, psi_f, 1.0, meter)
+        _oracle_grid(monkeypatch, 14.0, 64)
+        gridded = gaussian_grid_evolve(rho, psi_f, 1.0, meter)
         closed = gaussian_shifts(rho, psi_f, 1.0, meter)
         for field in ("dp_shift", "dq_shift", "prob"):
             assert abs(getattr(gridded, field) - getattr(closed, field)) < 1e-14
@@ -169,9 +169,8 @@ class TestGrid:
 def _two_branch_moments(g, delta, half_width, points):
     """Reference: both branches built explicitly, an FFT pair per branch for
     the momentum, and one quadrature per matrix entry."""
-    grid = PositionGrid(half_width, points)
-    q = grid.positions()
-    dx = grid.spacing
+    dx = 2.0 * half_width / points
+    q = -half_width + dx * np.arange(points)
     envelope = (2.0 * math.pi * delta ** 2) ** -0.25 * np.exp(-q ** 2 / (4.0 * delta ** 2))
     branches = (envelope * np.exp(1j * g * q), envelope * np.exp(-1j * g * q))
     wavenumbers = 2.0 * math.pi * np.fft.fftfreq(points, d=dx)
@@ -188,15 +187,13 @@ def _two_branch_moments(g, delta, half_width, points):
 class TestBranchMoments:
     @pytest.mark.parametrize("g, delta", _battery_couplings())
     def test_matches_two_branch_reference(self, g, delta):
-        grid = default_grid(GaussianMeter(delta), g)
-        args = (g, delta, grid.half_width, grid.points)
+        args = (g, delta, _half_width(GaussianMeter(delta), g), _POINTS)
         for got, want in zip(_branch_moments(*args), _two_branch_moments(*args)):
             assert np.max(np.abs(got - want)) < 1e-14
 
     @pytest.mark.parametrize("g, delta", _battery_couplings())
     def test_moment_matrices_are_hermitian(self, g, delta):
-        grid = default_grid(GaussianMeter(delta), g)
-        for mat in _branch_moments(g, delta, grid.half_width, grid.points):
+        for mat in _branch_moments(g, delta, _half_width(GaussianMeter(delta), g), _POINTS):
             assert np.array_equal(mat, mat.conj().T)
 
 
@@ -223,22 +220,22 @@ class TestGridOracle:
             gaussian_grid_evolve(pure_state(0, 0).density(),
                                  pure_state(math.pi, 0), 0.1, METER)
 
-    def test_grid_convergence(self):
+    def test_grid_convergence(self, monkeypatch):
         rng = np.random.default_rng(16)
-        coarse_grid = PositionGrid(10.5, 4096)
-        fine_grid = PositionGrid(10.5, 8192)
         checked = 0
         while checked < 15:
             rho = random_density(rng)
             psi_f = random_pure(rng)
             g = rng.uniform(0.01, 0.5)
+            _oracle_grid(monkeypatch, 10.5, 4096)
             try:
-                coarse = gaussian_grid_evolve(rho, psi_f, g, METER, coarse_grid)
+                coarse = gaussian_grid_evolve(rho, psi_f, g, METER)
             except VanishingPostselectionError:
                 continue
             if coarse.prob < 1e-3:
                 continue
-            fine = gaussian_grid_evolve(rho, psi_f, g, METER, fine_grid)
+            _oracle_grid(monkeypatch, 10.5, 8192)
+            fine = gaussian_grid_evolve(rho, psi_f, g, METER)
             assert abs(coarse.dp_shift - fine.dp_shift) < 1e-8
             assert abs(coarse.dq_shift - fine.dq_shift) < 1e-8
             assert abs(coarse.prob - fine.prob) < 1e-8
