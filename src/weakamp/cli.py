@@ -177,6 +177,8 @@ def cmd_shift(v: dict) -> int:
             raise ValueError("the qubit meter requires --g")
         if v["g_over_dp"] is not None:
             raise ValueError("--g-over-dp applies to the gaussian meter; use --g")
+    if v["channel"] == "none" and v["gamma"] != 0.0:
+        raise ValueError("--gamma applies to a noise channel; set --channel")
 
     rho = _preselection(v["theta1"], v["phi0"], v["r"], v["channel"], v["gamma"])
     psi_f = pure_state(v["theta2"], 0.0)

@@ -152,9 +152,9 @@ def _branch_moments(g: float, delta: float, half_width: float, points: int):
     with dx = 2 half_width / points, and the operations of ``np.fft.fftfreq``.
 
     Raises GridTooSmallError when the spectrum exp(-delta^2 (k -+ g)^2)
-    reaches above e^-36 at the Nyquist wavenumber, or when the norm is off
-    by more than 1e-6 (a grid too short loses norm, one too coarse can
-    over-count it).
+    reaches above e^-36 at the Nyquist wavenumber, or when the norm N00,
+    checked before the FFT, is off by more than 1e-6 (a grid too short
+    loses norm, one too coarse can over-count it).
     """
     dx = 2.0 * half_width / points
     k, freqs, mirror = _grid_indices(points)
@@ -166,19 +166,19 @@ def _branch_moments(g: float, delta: float, half_width: float, points: int):
             f"delta (pi / dx - g) = {margin:.3g} < 6"
         )
     envelope = (2.0 * math.pi * delta ** 2) ** -0.25 * np.exp(-q ** 2 / (4.0 * delta ** 2))
-    norm = dx * float(np.sum(envelope ** 2))
-    if abs(norm - 1.0) > 1e-6:
-        raise GridTooSmallError(
-            f"grid norm differs from 1 by {abs(norm - 1.0):.2e}"
-        )
     b0 = envelope * np.exp(1j * g * q)
+    # conj(b0) b0 rather than envelope**2: rounds like the two-branch quadrature.
+    n_diag = dx * np.vdot(b0, b0).real
+    if abs(n_diag - 1.0) > 1e-6:
+        raise GridTooSmallError(
+            f"grid norm differs from 1 by {abs(n_diag - 1.0):.2e}"
+        )
     spectrum = np.fft.fft(b0)
     mirrored = np.conj(spectrum[mirror])
     power = np.abs(spectrum) ** 2
     wavenumbers = 2.0 * math.pi * (freqs * (1.0 / (points * dx)))
     qb0 = q * b0
-    # conj(b0) b0 rather than envelope**2: rounds like the two-branch quadrature.
-    n_diag, q_diag = dx * np.vdot(b0, b0).real, dx * np.vdot(b0, qb0).real
+    q_diag = dx * np.vdot(b0, qb0).real
     p_diag = [dx / points * float(np.dot(wavenumbers, f)) for f in (power, power[mirror])]
     n_cross, q_cross = dx * np.dot(b0, b0), dx * np.dot(b0, qb0)
     p_cross = dx / points * np.vdot(mirrored, wavenumbers * spectrum)

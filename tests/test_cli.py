@@ -67,6 +67,17 @@ class TestShift:
         assert main(["bogus"]) == 2
         assert main([]) == 2  # no subcommand
 
+    def test_gamma_without_channel_is_usage_error(self, capsys):
+        argv = ["shift", "--meter", "qubit", "--gamma", "5", "--theta1", "1.2",
+                "--theta2", "0.4", "--g", "0.1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--gamma applies to a noise channel" in captured.err
+        assert main(argv[:3] + ["--channel", "none"] + argv[3:]) == 2
+        # Zero, the default, is still accepted without a channel.
+        assert main(argv[:4] + ["0"] + argv[5:]) == 0
+
     def test_help_exits_zero(self, capsys):
         assert main(["shift", "--help"]) == 0
         assert "--meter {gaussian,qubit}" in capsys.readouterr().out
