@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .common import _check_gamma
+from .common import _check_unit_interval
 from .qubit import IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, QubitDensity
 
 DEPOLARIZING = "depolarizing"
@@ -89,7 +89,7 @@ def _amplitude_damping_kraus(gamma: float) -> tuple[np.ndarray, ...]:
 
 def depolarizing(gamma: float) -> KrausChannel:
     """Channel that replaces the state with I/2 with probability gamma."""
-    gamma = _check_gamma(gamma)
+    gamma = _check_unit_interval("gamma", gamma)
     half = 0.5 * gamma
     return KrausChannel(DEPOLARIZING, gamma, ((1.0 - half, half), (half, 1.0 - half)),
                         1.0 - gamma, _depolarizing_kraus)
@@ -101,13 +101,13 @@ def phase_damping(gamma: float) -> KrausChannel:
     The trace-preserving Kraus pair is E_0 = diag(1, 1 - gamma),
     E_1 = diag(0, sqrt(gamma (2 - gamma))).
     """
-    gamma = _check_gamma(gamma)
+    gamma = _check_unit_interval("gamma", gamma)
     return KrausChannel(PHASE_DAMPING, gamma, ((1.0, 0.0), (0.0, 1.0)),
                         1.0 - gamma, _phase_damping_kraus)
 
 
 def amplitude_damping(gamma: float) -> KrausChannel:
     """Decay toward |0> with excited-state loss probability gamma."""
-    gamma = _check_gamma(gamma)
+    gamma = _check_unit_interval("gamma", gamma)
     return KrausChannel(AMPLITUDE_DAMPING, gamma, ((1.0, gamma), (0.0, 1.0 - gamma)),
                         math.sqrt(1.0 - gamma), _amplitude_damping_kraus)

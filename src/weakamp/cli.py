@@ -17,7 +17,7 @@ import sys
 from typing import Sequence
 
 from .channels import amplitude_damping, depolarizing, phase_damping
-from .common import GaussianMeter, VanishingPostselectionError
+from .common import GaussianMeter, VanishingPostselectionError, _check_unit_interval
 from .gaussian import gaussian_max_shifts, gaussian_shifts
 from .optimize import amplitude_damping_max
 from .qubit import BlochVector, density_from_bloch, pure_state
@@ -73,6 +73,23 @@ VERIFY_OPTS = (
 )
 
 _REGISTRY = {"shift": SHIFT_OPTS, "fig": FIG_OPTS, "verify": VERIFY_OPTS}
+
+#: The options only one meter reads, its coupling flag first.
+METER_OPTIONS = {"gaussian": ("--g-over-dp", "--delta"), "qubit": ("--g",)}
+
+
+def _check_meter_options(meter: str, v: dict) -> None:
+    """Require ``meter``'s coupling flag, if any, and reject other meters' changed options."""
+    opts = dict(_REGISTRY[v["command"]])
+    changed = {flag for flag in opts if v[flag[2:].replace("-", "_")] != opts[flag].get("default")}
+    coupling = METER_OPTIONS[meter][0]
+    if coupling in opts and coupling not in changed:
+        raise ValueError(f"the {meter} meter requires {coupling}")
+    for other, flags in METER_OPTIONS.items():
+        for flag in flags:
+            if other != meter and flag in changed:
+                use = f"; use {coupling}" if flag == flags[0] else ""
+                raise ValueError(f"{flag} applies to the {other} meter{use}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -156,8 +173,7 @@ def _csv_text(comments: list[str], header: list[str], rows: list[list]) -> str:
 
 
 def _preselection(theta1: float, phi0: float, r: float, channel: str, gamma: float):
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"--r must lie in [0, 1], got {r}")
+    r = _check_unit_interval("--r", r)
     b = pure_state(theta1, phi0).bloch()
     rho = density_from_bloch(BlochVector(r * b.rx, r * b.ry, r * b.rz))
     ctor = CHANNELS[channel]
@@ -167,16 +183,7 @@ def _preselection(theta1: float, phi0: float, r: float, channel: str, gamma: flo
 
 
 def cmd_shift(v: dict) -> int:
-    if v["meter"] == "gaussian":
-        if v["g_over_dp"] is None:
-            raise ValueError("the gaussian meter requires --g-over-dp")
-        if v["g"] is not None:
-            raise ValueError("--g applies to the qubit meter; use --g-over-dp")
-    else:
-        if v["g"] is None:
-            raise ValueError("the qubit meter requires --g")
-        if v["g_over_dp"] is not None:
-            raise ValueError("--g-over-dp applies to the gaussian meter; use --g")
+    _check_meter_options(v["meter"], v)
     if v["channel"] == "none" and v["gamma"] != 0.0:
         raise ValueError("--gamma applies to a noise channel; set --channel")
 
@@ -259,6 +266,7 @@ def fig_table(n: int, start: float, stop: float, steps: int,
 
 
 def cmd_fig(n: int, v: dict) -> int:
+    _check_meter_options("gaussian" if n % 2 else "qubit", v)  # odd figs: Gaussian pointer
     steps = v["steps"] if v["steps"] is not None else (21 if n in (5, 6) else 101)
     start = v["start"] if v["start"] is not None else 0.0
     stop = v["stop"] if v["stop"] is not None else (0.95 if n in (5, 6) else 1.0)

@@ -38,16 +38,10 @@ def _check_coupling(g: float) -> float:
     return float(g)
 
 
-def _check_kappa(kappa: float) -> float:
-    if not (math.isfinite(kappa) and 0.0 <= kappa <= 1.0):
-        raise ValueError(f"kappa must lie in [0, 1], got {kappa!r}")
-    return float(kappa)
-
-
-def _check_gamma(gamma: float) -> float:
-    if not (math.isfinite(gamma) and 0.0 <= gamma <= 1.0):
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
-    return float(gamma)
+def _check_unit_interval(name: str, value: float) -> float:
+    if not (math.isfinite(value) and 0.0 <= value <= 1.0):
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return float(value)
 
 
 class VanishingPostselectionError(ValueError):

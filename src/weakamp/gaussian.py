@@ -22,7 +22,7 @@ import math
 from .common import (
     PROB_FLOOR,
     _check_coupling,
-    _check_kappa,
+    _check_unit_interval,
     _postselection_prob,
     GaussianMeter,
     MaxResult,
@@ -87,7 +87,7 @@ def gaussian_max_shifts(kappa: float, g: float,
     delta = 1, |dp'|_max is off by 1.4e-9 relative at g = 1e-4, 1.1e-5 at
     1e-6, 4.0e-4 at 1e-7 and -5.1% at 1e-8; g = 1e-9 raises SingularLimitError.
     """
-    kappa = _check_kappa(kappa)
+    kappa = _check_unit_interval("kappa", kappa)
     g = _check_coupling(g)
     att = meter.coherence_factor(g)
     ke = kappa * att

@@ -61,7 +61,7 @@ from typing import Callable, Literal
 
 from .channels import KrausChannel, amplitude_damping, depolarizing
 from .common import (PROB_FLOOR, GaussianMeter, MaxResult, _check_coupling,
-                     _check_gamma, _check_kappa, _postselection_prob)
+                     _check_unit_interval, _postselection_prob)
 from .gaussian import _dp_numerator, _dq_numerator, gaussian_max_shifts
 from .qubit import TWO_PI
 from .qubitmeter import _reading_numerator, qubit_max_reading
@@ -404,7 +404,7 @@ def _modulus_channel(kappa: float) -> KrausChannel:
 
     The coherence factor is kappa itself rather than 1 - (1 - kappa).
     """
-    kappa = _check_kappa(kappa)
+    kappa = _check_unit_interval("kappa", kappa)
     return replace(depolarizing(1.0 - kappa), coherence=kappa)
 
 
@@ -602,7 +602,7 @@ def amplitude_damping_max(meter: GaussianMeter | Literal["qubit"], gamma: float,
     noiseless formula at (x*, phi0*) with every coherence term scaled by
     lambda = 1 - gamma eps^2 / 2 + O(eps^4): the gap is O(eps^2).
     """
-    gamma = _check_gamma(gamma)
+    gamma = _check_unit_interval("gamma", gamma)
     _check_target(meter, which)
     if gamma == 1.0:
         warnings.warn("amplitude damping at gamma = 1 maps every state to |0>; "

@@ -21,7 +21,7 @@ import math
 from .common import (
     PROB_FLOOR,
     _check_coupling,
-    _check_kappa,
+    _check_unit_interval,
     _postselection_prob,
     MaxResult,
     QubitMeterReading,
@@ -70,7 +70,7 @@ def qubit_max_reading(kappa: float, g: float) -> MaxResult:
     attained at orthogonal equatorial states: theta1 = theta2 = pi/2,
     phi0 = pi.  At kappa = 1 the maximum is 1 for any g > 0.
     """
-    kappa = _check_kappa(kappa)
+    kappa = _check_unit_interval("kappa", kappa)
     g = _check_coupling(g)
     s2 = math.sin(g) ** 2
     denom = (1.0 - kappa) + 2.0 * kappa * s2

@@ -204,9 +204,6 @@ def optimizer_battery(inject_fault: str | None = None) -> list[CheckRecord]:
                 if not result.converged:
                     records.append(CheckRecord(
                         "optimizer", f"converged {case}", 1.0, 0.0))
-                if closed == 0.0:
-                    records.append(CheckRecord("optimizer", case, numeric, 1e-12))
-                    continue
                 records.append(CheckRecord(
                     "optimizer", case, abs(numeric - closed) / closed, 1e-6))
                 overshoot = _nan_max(0.0, (numeric - closed) / closed)

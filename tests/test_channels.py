@@ -22,11 +22,11 @@ ALL_CHANNELS = (depolarizing, phase_damping, amplitude_damping)
 
 @pytest.mark.parametrize("ctor", ALL_CHANNELS)
 def test_gamma_domain(ctor):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^gamma must lie in \[0, 1\], got -0\.01$"):
         ctor(-0.01)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^gamma must lie in \[0, 1\], got 1\.01$"):
         ctor(1.01)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^gamma must lie in \[0, 1\], got nan$"):
         ctor(math.nan)
 
 

@@ -56,16 +56,40 @@ class TestShift:
         assert code == 3
 
     def test_usage_errors(self, capsys):
-        assert main(["shift", "--meter", "gaussian",
-                     "--theta1", "1", "--theta2", "1"]) == 2  # missing coupling
-        assert main(["shift", "--meter", "gaussian", "--theta1", "1",
-                     "--theta2", "1", "--g", "0.1"]) == 2  # wrong coupling flag
+        # (arguments after "shift --theta1 1 --theta2 1", the whole stderr)
+        for args, message in [
+            (["--meter", "gaussian"], "weakamp: the gaussian meter requires --g-over-dp"),
+            (["--meter", "gaussian", "--g-over-dp", "0.1", "--g", "0.1"],
+             "weakamp: --g applies to the qubit meter; use --g-over-dp"),
+            (["--meter", "qubit"], "weakamp: the qubit meter requires --g"),
+            (["--meter", "qubit", "--g", "0.1", "--g-over-dp", "0.1"],
+             "weakamp: --g-over-dp applies to the gaussian meter; use --g"),
+            # Both coupling flags missing or misplaced: the missing one is named.
+            (["--meter", "qubit", "--g-over-dp", "0.1"], "weakamp: the qubit meter requires --g"),
+            (["--meter", "qubit", "--g", "0.1", "--r", "1.5"],
+             "weakamp: --r must lie in [0, 1], got 1.5"),
+            (["--meter", "qubit", "--g", "0.1", "--r", "-0.25"],
+             "weakamp: --r must lie in [0, 1], got -0.25"),
+            (["--meter", "qubit", "--g", "0.1", "--r", "nan"],
+             "weakamp: --r must lie in [0, 1], got nan"),
+            (["--meter", "qubit", "--g", "0.1", "--channel", "depolarizing", "--gamma", "1.5"],
+             "weakamp: gamma must lie in [0, 1], got 1.5"),
+        ]:
+            assert main(["shift", "--theta1", "1", "--theta2", "1", *args]) == 2, args
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == message + "\n"
+        # argparse's own errors: a bad choice, an unparseable value, no subcommand.
         assert main(["shift", "--meter", "laser", "--theta1", "1",
-                     "--theta2", "1", "--g", "0.1"]) == 2  # bad choice
+                     "--theta2", "1", "--g", "0.1"]) == 2
+        assert "argument --meter: invalid choice: 'laser'" in capsys.readouterr().err
         assert main(["shift", "--meter", "qubit", "--theta1", "1",
-                     "--theta2", "1", "--g", "zero"]) == 2  # unparseable
+                     "--theta2", "1", "--g", "zero"]) == 2
+        assert "argument --g: invalid float value: 'zero'" in capsys.readouterr().err
         assert main(["bogus"]) == 2
-        assert main([]) == 2  # no subcommand
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert main([]) == 2
+        assert "the following arguments are required: command" in capsys.readouterr().err
 
     def test_gamma_without_channel_is_usage_error(self, capsys):
         argv = ["shift", "--meter", "qubit", "--gamma", "5", "--theta1", "1.2",
@@ -77,6 +101,21 @@ class TestShift:
         assert main(argv[:3] + ["--channel", "none"] + argv[3:]) == 2
         # Zero, the default, is still accepted without a channel.
         assert main(argv[:4] + ["0"] + argv[5:]) == 0
+
+    def test_delta_on_qubit_meter_is_usage_error(self, capsys, tmp_path):
+        argv = ["shift", "--meter", "qubit", "--channel", "phase-damping", "--gamma", "0.3",
+                "--theta1", "1.2", "--theta2", "0.4", "--g", "0.1"]
+        config = tmp_path / "run.cfg"
+        config.write_text("delta=7\n")
+        for extra in (["--delta", "7"], ["--delta", "nan"], ["--config", str(config)]):
+            assert main(argv + extra) == 2, extra
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "weakamp: --delta applies to the gaussian meter\n"
+        # The default width, given or not, is still echoed.
+        for extra in ([], ["--delta", "1"]):
+            assert main(argv + extra) == 0
+            assert "# delta=1\n" in capsys.readouterr().out
 
     def test_help_exits_zero(self, capsys):
         assert main(["shift", "--help"]) == 0
@@ -198,11 +237,37 @@ class TestFig:
         _, rows = _data_rows(out6.read_text())
         assert all(row[1] == qubit_max_reading(1.0, 0.1).value for row in rows)
 
-    def test_bad_range_rejected(self, tmp_path):
+    def test_bad_range_rejected(self, capsys, tmp_path):
         out = tmp_path / "fig.csv"
-        assert main(["fig", "1", "--output", str(out), "--start", "0.5",
-                     "--stop", "0.2"]) == 2
+        for args, message in [
+            (["1", "--start", "0.5", "--stop", "0.2"],
+             "weakamp: need start < stop, got 0.5 and 0.2"),
+            (["1", "--steps", "1"], "weakamp: --steps must be at least 2, got 1"),
+            (["3", "--start", "-0.5"], "weakamp: sweep range must stay inside [0, 1]"),
+            (["5", "--stop", "1.5"], "weakamp: sweep range must stay inside [0, 1]"),
+        ]:
+            assert main(["fig", *args, "--output", str(out)]) == 2, args
+            assert capsys.readouterr().err == message + "\n"
+            assert not out.exists()
         assert main(["fig", "7", "--output", str(out)]) == 2
+        assert "argument n: invalid choice: 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_delta_on_qubit_meter_is_usage_error(self, capsys, tmp_path, n):
+        out = tmp_path / "fig.csv"
+        config = tmp_path / "run.cfg"
+        config.write_text("delta=5\n")
+        for extra in (["--delta", "5"], ["--config", str(config)]):
+            assert main(["fig", str(n), "--output", str(out), *extra]) == 2, extra
+            assert capsys.readouterr().err == "weakamp: --delta applies to the gaussian meter\n"
+            assert not out.exists()
+        assert main(["fig", str(n), "--output", str(out), "--steps", "2", "--delta", "1"]) == 0
+        assert "# delta=1\n" in out.read_text()
+
+    def test_delta_on_gaussian_figure_is_echoed(self, tmp_path):
+        out = tmp_path / "fig.csv"
+        assert main(["fig", "1", "--output", str(out), "--steps", "2", "--delta", "2"]) == 0
+        assert "# delta=2\n" in out.read_text()
 
     def test_unwritable_output(self):
         assert main(["fig", "1", "--steps", "3",

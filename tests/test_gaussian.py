@@ -233,10 +233,18 @@ class TestMaxShifts:
             gaussian_max_shifts(1.0, 0.0, METER)
 
     def test_domain_checks(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^kappa must lie in \[0, 1\], got 1\.2$"):
             gaussian_max_shifts(1.2, 0.1, METER)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^kappa must lie in \[0, 1\], got inf$"):
+            gaussian_max_shifts(math.inf, 0.1, METER)
+        with pytest.raises(ValueError, match="^coupling must be finite and non-negative"):
             gaussian_max_shifts(0.5, -0.1, METER)
+
+    @pytest.mark.parametrize("delta,text", [(0, "0"), (-1.0, "-1.0"), (math.nan, "nan"),
+                                            (math.inf, "inf")])
+    def test_meter_width_validated(self, delta, text):
+        with pytest.raises(ValueError, match=f"^delta must be positive and finite, got {text}$"):
+            GaussianMeter(delta)
 
     @pytest.mark.parametrize("kappa", [0.05, 0.3, 0.7, 1.0])
     @pytest.mark.parametrize("g_over_dp", [0.03, 0.1, 0.5])

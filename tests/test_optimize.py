@@ -336,6 +336,14 @@ class TestObjectiveBuilders:
                 builder(g)
         assert builder(0.0)(1.0, 2.0, 0.5) == 0.0
 
+    def test_family_strength_validated(self):
+        with pytest.raises(ValueError, match=r"^kappa must lie in \[0, 1\], got 1\.5$"):
+            kappa_shift_objective(1.5, 0.05, METER, "dp")
+        with pytest.raises(ValueError, match=r"^kappa must lie in \[0, 1\], got -0\.5$"):
+            kappa_reading_objective(-0.5, 0.05)
+        with pytest.raises(ValueError, match=r"^gamma must lie in \[0, 1\], got inf$"):
+            damped_shift_objective(math.inf, 0.05, METER, "dq")
+
 
 def _targets():
     """Every family x target objective, plus the grid oracle's, by name."""
@@ -706,11 +714,13 @@ class TestAmplitudeDampingMax:
                    - reading) < 1e-6
 
     def test_meter_and_target_must_agree(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^'reading' requires the qubit meter$"):
             amplitude_damping_max(METER, 0.5, 0.1, "reading")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^'dp' requires a GaussianMeter$"):
             amplitude_damping_max("qubit", 0.5, 0.1, "dp")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^which must be 'dp' or 'dq', got 'dx'$"):
+            amplitude_damping_max(METER, 0.5, 0.1, "dx")
+        with pytest.raises(ValueError, match=r"^gamma must lie in \[0, 1\], got 1\.5$"):
             amplitude_damping_max(METER, 1.5, 0.1, "dp")
 
     def test_full_damping_warns_and_kills_position_shift(self):

@@ -1,5 +1,6 @@
 import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -268,6 +269,41 @@ def test_oracle_module_does_not_touch_closed_forms():
 @pytest.fixture(scope="module")
 def report():
     return adjudicate_variants(seed=7)
+
+
+@pytest.mark.parametrize("name,dispute,floor,field,missing", [
+    ("gaussian_grid_evolve", "position-shift-attenuation", 1e-2, "dq_shift", 0),
+    ("qubit_joint_evolve", "dephased-reading-numerator", 1e-3, "reading", 1),
+], ids=["dispute-1", "dispute-3"])
+def test_low_probability_dispute_input_is_not_compared(monkeypatch, report, name, dispute,
+                                                       floor, field, missing):
+    # The first pointwise oracle result reads just under the dispute's
+    # probability filter and 1 off its true value: compared, it would add
+    # a deviation of about 1 to both variants.  Dispute 1 draws another
+    # input in its place; dispute 3 decides on a fixed list of cases and
+    # counts the lost one as a shortfall.
+    real, calls = getattr(weakamp.oracle, name), []
+
+    def low_first(*args):
+        result = real(*args)
+        calls.append(result)
+        if len(calls) > 1:
+            return result
+        return replace(result, prob=floor / 2, **{field: getattr(result, field) + 1.0})
+
+    monkeypatch.setattr(weakamp.oracle, name, low_first)
+    patched = adjudicate_variants(seed=7)
+
+    def pointwise(rep):
+        """Deviations of the dispute's pointwise inputs, two per input."""
+        return [e.deviation for e in rep.entries
+                if e.dispute == dispute and e.input_id.startswith("point-")]
+
+    before, after = pointwise(report), pointwise(patched)
+    assert len(before) == 80 and not report.shortfalls
+    assert len(after) == 80 - 2 * missing
+    assert after[:78] == before[2:]
+    assert patched.shortfalls == (((dispute, missing),) if missing else ())
 
 
 class TestAdjudication:

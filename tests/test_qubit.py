@@ -115,6 +115,14 @@ class TestDensity:
             with pytest.raises(ValueError, match=message):
                 QubitDensity(*entries)
 
+    def test_from_matrix(self):
+        m = np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]])
+        assert QubitDensity.from_matrix(m) == QubitDensity(0.6, 0.1 + 0.2j, 0.1 - 0.2j, 0.4)
+        with pytest.raises(ValueError, match=r"^expected a 2x2 matrix, got shape \(3, 3\)$"):
+            QubitDensity.from_matrix(np.eye(3) / 3)
+        with pytest.raises(ValueError, match=r"^expected a 2x2 matrix, got shape \(4,\)$"):
+            QubitDensity.from_matrix([0.5, 0.0, 0.0, 0.5])
+
     @given(bloch_vectors())
     @settings(max_examples=200)
     def test_bloch_round_trip(self, v):

@@ -199,6 +199,12 @@ class TestMaxReading:
         with pytest.raises(SingularLimitError):
             qubit_max_reading(1.0, 0.0)
 
+    def test_domain_checks(self):
+        with pytest.raises(ValueError, match=r"^kappa must lie in \[0, 1\], got -0\.5$"):
+            qubit_max_reading(-0.5, 0.1)
+        with pytest.raises(ValueError, match=r"^kappa must lie in \[0, 1\], got nan$"):
+            qubit_max_reading(math.nan, 0.1)
+
     @pytest.mark.parametrize("kappa", [0.1, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("g", [0.03, 0.1, 0.8])
     def test_argmax_attains_maximum(self, kappa, g):

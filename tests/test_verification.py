@@ -56,6 +56,37 @@ class TestOracleBatteries:
             with pytest.raises(ValueError):
                 battery(np.random.default_rng(3), samples)
 
+    def test_low_probability_input_is_redrawn_not_compared(self, battery, section,
+                                                           monkeypatch):
+        # The first input's closed form reads just under the battery's
+        # probability filter and 1 off its true value: compared with the
+        # oracle, it would fail the battery; filtered, another is drawn.
+        closed_name, oracle_name, floor, field = {
+            "qubit-oracle": ("postselected_reading", "qubit_joint_evolve", 1e-4, "reading"),
+            "gaussian-oracle": ("gaussian_shifts", "gaussian_grid_evolve", 1e-3, "dq_shift"),
+        }[section]
+        real_closed, real_oracle = (getattr(verification, closed_name),
+                                    getattr(verification, oracle_name))
+        closed_inputs, oracle_inputs = [], []
+
+        def closed_form(rho, *args):
+            result = real_closed(rho, *args)
+            closed_inputs.append(rho)
+            if len(closed_inputs) > 1:
+                return result
+            return replace(result, prob=floor / 2, **{field: getattr(result, field) + 1.0})
+
+        def oracle_call(rho, *args):
+            oracle_inputs.append(rho)
+            return real_oracle(rho, *args)
+
+        monkeypatch.setattr(verification, closed_name, closed_form)
+        monkeypatch.setattr(verification, oracle_name, oracle_call)
+        records = battery(np.random.default_rng(3), SAMPLES)
+        assert all(r.ok and r.samples == SAMPLES for r in records)
+        assert len(oracle_inputs) == SAMPLES
+        assert all(rho is not closed_inputs[0] for rho in oracle_inputs)
+
     def test_exhausted_attempts_fail_the_battery(self, battery, section, monkeypatch):
         name = "postselected_reading" if section == "qubit-oracle" else "gaussian_shifts"
         _always_vanishing(monkeypatch, name)
@@ -211,6 +242,12 @@ def test_nan_closed_form_fails_verify_as_its_worst_offender(monkeypatch):
             "(tolerance 1e-06)") in text.splitlines()
     assert [r.case for r in report.failures] == ["reading-max kappa=0.5 g=0.05",
                                                  "dominance reading-max kappa=0.5 g=0.05"]
+
+
+def test_unknown_fault_rejected():
+    with pytest.raises(ValueError, match=r"^unknown fault 'dp_max', expected one of "
+                                         r"\('dp-max', 'dq-max', 'reading-max'\)$"):
+        optimizer_battery(inject_fault="dp_max")
 
 
 def test_run_verify_rejects_empty_batteries():
