@@ -52,7 +52,8 @@ SHIFT_OPTS = (
     ("--g-over-dp", dict(type=float, help="coupling in units of the momentum spread "
                                           "(gaussian meter only)")),
     ("--g", dict(type=float, help="absolute coupling (qubit meter only)")),
-    ("--delta", dict(type=float, default=1.0, help="pointer position spread")),
+    ("--delta", dict(type=float, default=1.0,
+                     help="pointer position spread (gaussian meter only)")),
 )
 
 FIG_OPTS = (
@@ -60,7 +61,8 @@ FIG_OPTS = (
     ("--steps", dict(type=int, help="sweep points (default 101; 21 for figs 5-6)")),
     ("--start", dict(type=float, help="sweep start (default 0)")),
     ("--stop", dict(type=float, help="sweep stop (default 1; 0.95 for figs 5-6)")),
-    ("--delta", dict(type=float, default=1.0, help="pointer position spread")),
+    ("--delta", dict(type=float, default=1.0,
+                     help="pointer position spread (gaussian meter only)")),
 )
 
 VERIFY_OPTS = (
@@ -224,7 +226,8 @@ def fig_table(n: int, start: float, stop: float, steps: int,
         raise ValueError(f"need start < stop, got {start} and {stop}")
     if start < 0.0 or stop > 1.0:
         raise ValueError("sweep range must stay inside [0, 1]")
-    meter = GaussianMeter(delta)
+    if n % 2:  # figs 1, 3 and 5 read the Gaussian pointer
+        meter = GaussianMeter(delta)
     parameter = "r" if n in (1, 2) else "gamma"
     xs = [start + (stop - start) * i / (steps - 1) for i in range(steps)]
     pairs = [("fig", n), ("parameter", parameter), ("start", start),

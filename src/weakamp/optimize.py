@@ -15,13 +15,14 @@ postselection products |alpha2|^2, |beta2|^2 and w = alpha2 conj(beta2), so
 its value is a ratio x.A x / x.B x of two Hermitian 2x2 forms in the
 postselection amplitudes x, B being the probability.  The largest |value| at
 that preselection is the generalized eigenvalue of largest modulus, det(A -
-lambda B) = 0, reached at its eigenvector (``_top_eigenvector``); the
-eigenvector gives theta2 exactly, and its phase folds into phi0
-(``_Objective.postselected``).  One line search over u1 then finds the best
-preselection.  The amplitude-damping suprema (``amplitude_damping_max``) are
-approached as theta1 runs into the pole 0, so those searches end at the edge
-of the u1 box, a relative gap of order exp(-2 _U_MAX) below the supremum,
-with theta2 within about 1e-4 of pi.  Those suprema are known in closed form,
+lambda B) = 0, reached at its eigenvector; the eigenvector gives theta2
+exactly, and its phase folds into phi0.  ``_Objective.postselected`` reads
+the two forms, solves the pencil and evaluates the value at one theta1 in one
+pass.  One line search over u1 then finds the best preselection.  The
+amplitude-damping suprema (``amplitude_damping_max``) are approached as
+theta1 runs into the pole 0, so those searches end at the edge of the u1
+box, a relative gap of order exp(-2 _U_MAX) below the supremum, with theta2
+within about 1e-4 of pi.  Those suprema are known in closed form,
 so such searches serve the independent numerical cross-check in the tests
 and the acceptance gate.
 
@@ -408,50 +409,6 @@ def _modulus_channel(kappa: float) -> KrausChannel:
     return replace(depolarizing(1.0 - kappa), coherence=kappa)
 
 
-def _hermitian(piece, rho00: float, rho11: float, re10: float, im10: float):
-    """(a00, a11, q) of the Hermitian form a00 |x0|^2 + a11 |x1|^2 + Re(q x0
-    conj(x1)) that ``piece`` gives on postselection amplitudes x = (x0, x1).
-
-    The piece is linear in (cross_re, cross_im, u2, v2), so the form is the
-    piece at unit inputs: u2 = |x0|^2, v2 = |x1|^2 and cross = rho10 w with
-    w = x0 conj(x1).  Its cross term is Re(q w), read at w = 1 and at w = i.
-    """
-    a00 = piece(rho00, rho11, 0.0, 0.0, 1.0, 0.0)
-    a11 = piece(rho00, rho11, 0.0, 0.0, 0.0, 1.0)
-    return a00, a11, complex(piece(rho00, rho11, re10, im10, 0.0, 0.0),
-                             -piece(rho00, rho11, -im10, re10, 0.0, 0.0))
-
-
-def _top_eigenvector(a, b) -> tuple[complex, complex]:
-    """Amplitudes x with the largest |x.A x| / x.B x, for the forms a and b
-    of ``_hermitian``, B positive semi-definite.
-
-    In matrix terms A = [[a00, conj(q) / 2], [q / 2, a11]], and x is an
-    eigenvector of the root lambda of largest modulus of det(A - lambda B) =
-    det(B) lambda^2 - beta lambda + det(A) = 0, with beta = a00 b11 + a11
-    b00 - Re(q_A conj(q_B)) / 2.  A singular B (at gamma = 1 every damped
-    state is |0><0|) gives instead the larger column of B, which spans its
-    range: B's null vector has probability 0, so the value is taken on the
-    range.  Otherwise x is the null vector of the larger row of A - lambda B,
-    or 0 where both rows vanish and every x is as good.
-    """
-    a00, a11, qa = a
-    b00, b11, qb = b
-    det_b = b00 * b11 - 0.25 * (qb.real * qb.real + qb.imag * qb.imag)
-    if det_b <= 0.0:
-        return max((b00, 0.5 * qb), (0.5 * qb.conjugate(), b11), key=_norm2)
-    beta = a00 * b11 + a11 * b00 - 0.5 * (qa * qb.conjugate()).real
-    det_a = a00 * a11 - 0.25 * (qa.real * qa.real + qa.imag * qa.imag)
-    root = math.sqrt(max(beta * beta - 4.0 * det_b * det_a, 0.0))
-    lam = (beta + math.copysign(root, beta)) / (det_b + det_b)
-    m00, m11, m10 = a00 - lam * b00, a11 - lam * b11, 0.5 * (qa - lam * qb)
-    return max((m10.conjugate(), -m00), (m11, -m10), key=_norm2)
-
-
-def _norm2(x) -> float:
-    return abs(x[0]) ** 2 + abs(x[1]) ** 2
-
-
 class _Objective:
     """Meter value over a family's ``entries``, postselected on pure_state(theta2, 0).
 
@@ -472,9 +429,12 @@ class _Objective:
 
     def __call__(self, t1: float, t2: float, p0: float) -> float:
         """The value at (theta1, theta2, phi0); 0 at or below the floor."""
+        return self._value(math.cos(0.5 * t1), math.sin(0.5 * t1), t2, p0)
+
+    def _value(self, ch1: float, sh1: float, t2: float, p0: float) -> float:
+        """The value at theta1's half-angle cosine and sine, theta2 and phi0."""
         ch, sh = math.cos(0.5 * t2), math.sin(0.5 * t2)
-        rho00, rho11, re10, im10 = self.entries(math.cos(0.5 * t1), math.sin(0.5 * t1),
-                                                math.cos(p0), math.sin(p0))
+        rho00, rho11, re10, im10 = self.entries(ch1, sh1, math.cos(p0), math.sin(p0))
         w = sh * ch
         args = (rho00, rho11, re10 * w, im10 * w, ch * ch, sh * sh)
         prob = self.prob(*args)
@@ -486,18 +446,54 @@ class _Objective:
         """The best postselection at theta1 = 2 atan(exp(u1)), as the probe
         u1 -> (angles, value).
 
-        The pieces at phi0 = 0 give the forms A and B of ``_hermitian``; the
-        top eigenvector x of the pencil gives theta2 = 2 atan2(|x1|, |x0|)
-        (0 for x = 0), and the phase of x0 conj(x1), mod 2 pi, is the
-        relative phase phi0.  The value is the call face's at those angles.
+        At phi0 = 0 each piece is a Hermitian form a00 |x0|^2 + a11 |x1|^2 +
+        Re(q x0 conj(x1)) in the postselection amplitudes x = (x0, x1): it is
+        linear in (cross_re, cross_im, u2, v2), so the form is the piece at
+        unit inputs, u2 = |x0|^2, v2 = |x1|^2 and cross = rho10 w with w = x0
+        conj(x1), its cross term Re(q w) read at w = 1 and at w = i.  The
+        numerator gives A and the probability B, positive semi-definite.
+
+        In matrix terms A = [[a00, conj(q) / 2], [q / 2, a11]], and the best x
+        is an eigenvector of the root lambda of largest modulus of det(A -
+        lambda B) = det(B) lambda^2 - beta lambda + det(A) = 0, with beta =
+        a00 b11 + a11 b00 - Re(q_A conj(q_B)) / 2: the null vector of the
+        larger row of A - lambda B, or 0 where both rows vanish and every x is
+        as good.  A singular B (at gamma = 1 every damped state is |0><0|)
+        gives instead the larger column of B, which spans its range: B's null
+        vector has probability 0, so the value is taken on the range.  Of two
+        rows of equal norm (or a NaN norm) the first is kept.
+
+        x gives theta2 = 2 atan2(|x1|, |x0|) (0 for x = 0), and the phase of
+        x0 conj(x1), mod 2 pi, is the relative phase phi0.  The value is the
+        call face's at those angles.
         """
         t1 = _theta(u1)
-        entries = self.entries(math.cos(0.5 * t1), math.sin(0.5 * t1), 1.0, 0.0)
-        x0, x1 = _top_eigenvector(_hermitian(self.numerator, *entries),
-                                  _hermitian(self.prob, *entries))
-        angles = (t1, 2.0 * math.atan2(abs(x1), abs(x0)),
-                  cmath.phase(x0 * x1.conjugate()) % TWO_PI)
-        return angles, self(*angles)
+        ch1, sh1 = math.cos(0.5 * t1), math.sin(0.5 * t1)
+        rho00, rho11, re10, im10 = self.entries(ch1, sh1, 1.0, 0.0)
+        num, prob = self.numerator, self.prob
+        a00 = num(rho00, rho11, 0.0, 0.0, 1.0, 0.0)
+        a11 = num(rho00, rho11, 0.0, 0.0, 0.0, 1.0)
+        qa = complex(num(rho00, rho11, re10, im10, 0.0, 0.0),
+                     -num(rho00, rho11, -im10, re10, 0.0, 0.0))
+        b00 = prob(rho00, rho11, 0.0, 0.0, 1.0, 0.0)
+        b11 = prob(rho00, rho11, 0.0, 0.0, 0.0, 1.0)
+        qb = complex(prob(rho00, rho11, re10, im10, 0.0, 0.0),
+                     -prob(rho00, rho11, -im10, re10, 0.0, 0.0))
+        det_b = b00 * b11 - 0.25 * (qb.real * qb.real + qb.imag * qb.imag)
+        if det_b <= 0.0:
+            x0, x1, y0, y1 = b00, 0.5 * qb, 0.5 * qb.conjugate(), b11
+        else:
+            beta = a00 * b11 + a11 * b00 - 0.5 * (qa * qb.conjugate()).real
+            det_a = a00 * a11 - 0.25 * (qa.real * qa.real + qa.imag * qa.imag)
+            root = math.sqrt(max(beta * beta - 4.0 * det_b * det_a, 0.0))
+            lam = (beta + math.copysign(root, beta)) / (det_b + det_b)
+            m00, m11, m10 = a00 - lam * b00, a11 - lam * b11, 0.5 * (qa - lam * qb)
+            x0, x1, y0, y1 = m10.conjugate(), -m00, m11, -m10
+        if abs(y0) ** 2 + abs(y1) ** 2 > abs(x0) ** 2 + abs(x1) ** 2:
+            x0, x1 = y0, y1
+        t2 = 2.0 * math.atan2(abs(x1), abs(x0))
+        p0 = cmath.phase(x0 * x1.conjugate()) % TWO_PI
+        return (t1, t2, p0), self._value(ch1, sh1, t2, p0)
 
 
 def _check_target(meter: GaussianMeter | Literal["qubit"],

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from weakamp import GaussianMeter, gaussian_max_shifts, qubit_max_reading, run_verify
+from weakamp import cli
 from weakamp.cli import main
 
 METER = GaussianMeter(1.0)
@@ -120,6 +121,12 @@ class TestShift:
     def test_help_exits_zero(self, capsys):
         assert main(["shift", "--help"]) == 0
         assert "--meter {gaussian,qubit}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["shift", "fig"])
+    def test_help_names_the_meter_of_delta(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--delta DELTA pointer position spread (gaussian meter only)" in help_text
 
     def test_domain_error_exit_code(self, capsys):
         assert main(["shift", "--meter", "qubit", "--channel", "depolarizing",
@@ -263,6 +270,15 @@ class TestFig:
             assert not out.exists()
         assert main(["fig", str(n), "--output", str(out), "--steps", "2", "--delta", "1"]) == 0
         assert "# delta=1\n" in out.read_text()
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_qubit_figures_build_no_gaussian_meter(self, monkeypatch, n):
+        def no_meter(delta):
+            raise AssertionError(f"fig {n} built a GaussianMeter")
+
+        monkeypatch.setattr(cli, "GaussianMeter", no_meter)
+        _, _, rows = cli.fig_table(n, 0.0, 0.5, 2, 1.0)
+        assert len(rows) == 2
 
     def test_delta_on_gaussian_figure_is_echoed(self, tmp_path):
         out = tmp_path / "fig.csv"

@@ -680,6 +680,38 @@ class TestRowBounds:
                 assert _scan_max(objective, t1, p0 + 0.5 * math.pi) <= abs(value) * (1.0 + 1e-13)
 
 
+class TestPostselectedProbe:
+    # The probe u1 -> (angles, value) of an exact-postselection search.
+    def test_angles_reproduce_the_value_at_every_scan_point(self):
+        # The 36 verify battery objectives, a gamma = 1 damped one (every
+        # state is |0><0|, so B is singular) and a grid-oracle one, at the
+        # 64 scan points of a search and at both box edges.
+        objectives = _battery_and_damped_objectives()[:36]
+        objectives += [damped_shift_objective(1.0, 0.1 * METER.dp, METER, "dp"),
+                       _form_objective("amplitude-damping", 0.5, "oracle-dq", 0.3)]
+        step = 2.0 * _U_MAX / 63
+        us = [-_U_MAX + i * step for i in range(64)] + [-_U_MAX, _U_MAX]
+        for objective in objectives:
+            for u1 in us:
+                (t1, t2, p0), value = objective.postselected(u1)
+                assert t1 == _theta(u1)
+                assert objective(t1, t2, p0) == value
+                assert 0.0 <= t2 <= math.pi and 0.0 <= p0 < 2.0 * math.pi
+
+    def test_rows_tied_in_norm_keep_the_first(self):
+        # Rows of a positive semi-definite pencil that tie in norm are
+        # parallel and give the same angles, so the rule shows only on an
+        # indefinite B, which no meter gives: B = [[1/2, 1], [1, 1/2]] has
+        # det(B) < 0, and its rows (1/2, 1) and (1, 1/2) tie in norm.
+        objective = _Objective(lambda ch, sh, c, s: (0.5, 0.5, 0.5 * c, 0.5 * s),
+                               lambda rho00, rho11, re, im, u2, v2:
+                                   rho00 * u2 + rho11 * v2 + 4.0 * re,
+                               lambda rho00, rho11, re, im, u2, v2: u2)
+        (t1, t2, p0), value = objective.postselected(0.0)
+        assert (t2, p0) == (2.0 * math.atan2(1.0, 0.5), 0.0)
+        assert objective(t1, t2, p0) == value
+
+
 def test_phase_reduction_is_sound():
     # a sparse scan over both azimuths separately never beats the
     # relative-phase-only search

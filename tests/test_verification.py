@@ -9,6 +9,9 @@ import weakamp.oracle as oracle
 import weakamp.verification as verification
 from weakamp import VanishingPostselectionError, run_verify
 from weakamp.verification import (
+    COUPLING_BATTERY,
+    FAULT_NAMES,
+    KAPPA_BATTERY,
     _oracle_battery,
     gaussian_oracle_battery,
     optimizer_battery,
@@ -242,6 +245,19 @@ def test_nan_closed_form_fails_verify_as_its_worst_offender(monkeypatch):
             "(tolerance 1e-06)") in text.splitlines()
     assert [r.case for r in report.failures] == ["reading-max kappa=0.5 g=0.05",
                                                  "dominance reading-max kappa=0.5 g=0.05"]
+
+
+@pytest.mark.parametrize("name", FAULT_NAMES)
+def test_injected_fault_fails_exactly_its_recovery_records(name):
+    # A closed form 0.1% too large fails each of its 12 recovery records, by
+    # the bump, as the searches still find the true maximum; its dominance
+    # records and every other target pass.
+    failures = [r for r in optimizer_battery(inject_fault=name) if not r.ok]
+    assert [r.case for r in failures] == [f"{name} kappa={kappa:g} g={c:g}"
+                                          for kappa in KAPPA_BATTERY
+                                          for c in COUPLING_BATTERY]
+    for r in failures:
+        assert r.deviation == pytest.approx(1.0 - 1.0 / 1.001, rel=1e-3)
 
 
 def test_unknown_fault_rejected():
