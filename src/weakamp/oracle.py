@@ -10,12 +10,12 @@ Two oracles, both built from the impulse interaction only:
   branches Phi(q) exp(+-i g q); position moments come from quadrature and
   momentum moments from a spectral (FFT) derivative.  The envelope Phi is
   real, so the second branch is the complex conjugate of the first: one
-  complex exponential and one FFT per coupling give both branches and both
-  spectra, and Parseval's theorem gives the momentum moments from the
-  spectra without inverse transforms.  The size-only index arrays (grid
+  real cosine and sine of g q and one FFT per coupling give both branches
+  and both spectra, and Parseval's theorem gives the momentum moments from
+  the spectra without inverse transforms.  The size-only index arrays (grid
   index, FFT frequencies, mirror index) come from a small per-size cache,
   the moments come back as one read-only (3, 2, 2) array, and a state's
-  three weighted sums are one contraction against it.
+  three weighted sums over its entries are taken in Python scalars.
 
 The grid has 256 points on a half-width of 10-14 widths, set by (delta, g).
 The integrands are Gaussians of width delta (times phases), on which the
@@ -66,9 +66,13 @@ _GENERATOR = np.kron(PAULI_Z, PAULI_X)
 _IDENTITY = np.eye(4, dtype=complex)
 
 
+def _propagator(g: float) -> np.ndarray:
+    return math.cos(g) * _IDENTITY + 1j * math.sin(g) * _GENERATOR
+
+
 def _joint_evolved(rho_s: QubitDensity, g: float) -> np.ndarray:
     """Evolved system x meter density matrix, meter starting in |0>."""
-    propagator = math.cos(g) * _IDENTITY + 1j * math.sin(g) * _GENERATOR
+    propagator = _propagator(g)
     # rho_s x |0><0|: the system entries sit at the even (meter |0>) indices.
     joint = np.zeros((4, 4), dtype=complex)
     joint[::2, ::2] = rho_s.matrix
@@ -88,13 +92,16 @@ def qubit_joint_evolve(rho_s: QubitDensity, psi_f: PureQubit,
     projecting the system onto ``psi_f``; ``qubit_meter_marginal`` gives the
     meter without postselection."""
     g = _check_coupling(g)
-    evolved = _joint_evolved(rho_s, g).reshape(2, 2, 2, 2)
-    amps = psi_f.amplitudes()
-    meter = np.einsum("s,smtn,t->mn", amps.conj(), evolved, amps)
-    prob = float(np.trace(meter).real)
+    # Row-major 2x2 read-out A = (<psi_f| x I) U (I x |0>), from U's even (meter |0>) columns.
+    a = (psi_f.amplitudes().conj() @ _propagator(g)[:, ::2].reshape(2, 4)).tolist()
+    # The diagonal of the meter state A rho A^dagger: row m of A rho against conj(A[m]).
+    m00, m11 = (((x * rho_s.rho00 + y * rho_s.rho10) * x.conjugate()
+                 + (x * rho_s.rho01 + y * rho_s.rho11) * y.conjugate()).real
+                for x, y in (a[:2], a[2:]))
+    prob = m00 + m11
     if prob <= PROB_FLOOR:
         raise VanishingPostselectionError(prob)
-    return QubitMeterReading(float((meter / prob)[1, 1].real), prob)
+    return QubitMeterReading(m11 / prob, prob)
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +135,11 @@ _INDEX_CACHE_SIZE = 8
 
 @lru_cache(maxsize=_INDEX_CACHE_SIZE)
 def _grid_indices(points: int):
-    """Read-only k = arange(points), the integer FFT frequencies of
-    ``np.fft.fftfreq`` and the mirror index (-k) % points."""
+    """Read-only k = arange(points) and the integer FFT frequencies of
+    ``np.fft.fftfreq``, both as floats, and the mirror index (-k) % points."""
     k = np.arange(points)
     freqs = np.where(k < (points + 1) // 2, k, k - points)
-    return tuple(map(_read_only, (k, freqs, -k % points)))
+    return tuple(map(_read_only, (k.astype(float), freqs.astype(float), -k % points)))
 
 
 @lru_cache(maxsize=_BRANCH_CACHE_SIZE)
@@ -150,6 +157,7 @@ def _branch_moments(g: float, delta: float, half_width: float, points: int):
     P[j, l] = (dx / points) sum_k conj(F_l[k]) k F_j[k].  Positions,
     wavenumbers and F_1 are built from ``_grid_indices``: q = -half_width + dx k
     with dx = 2 half_width / points, and the operations of ``np.fft.fftfreq``.
+    Phi_0 is written as envelope (cos(gq) + i sin(gq)), no complex exponential.
 
     Raises GridTooSmallError when the spectrum exp(-delta^2 (k -+ g)^2)
     reaches above e^-36 at the Nyquist wavenumber, or when the norm N00,
@@ -165,8 +173,11 @@ def _branch_moments(g: float, delta: float, half_width: float, points: int):
             f"spacing {dx:.3g} does not resolve the branch spectra: "
             f"delta (pi / dx - g) = {margin:.3g} < 6"
         )
-    envelope = (2.0 * math.pi * delta ** 2) ** -0.25 * np.exp(-q ** 2 / (4.0 * delta ** 2))
-    b0 = envelope * np.exp(1j * g * q)
+    envelope = (2.0 * math.pi * delta ** 2) ** -0.25 * np.exp(q * q / (-4.0 * delta ** 2))
+    phase, b0 = g * q, np.empty(points, dtype=complex)
+    np.cos(phase, out=b0.real)
+    np.sin(phase, out=b0.imag)
+    b0 *= envelope
     # conj(b0) b0 rather than envelope**2: rounds like the two-branch quadrature.
     n_diag = dx * np.vdot(b0, b0).real
     if abs(n_diag - 1.0) > 1e-6:
@@ -182,8 +193,11 @@ def _branch_moments(g: float, delta: float, half_width: float, points: int):
     p_diag = [dx / points * float(np.dot(wavenumbers, f)) for f in (power, power[mirror])]
     n_cross, q_cross = dx * np.dot(b0, b0), dx * np.dot(b0, qb0)
     p_cross = dx / points * np.vdot(mirrored, wavenumbers * spectrum)
-    return _read_only(np.array([[[a, c], [np.conj(c), b]] for a, c, b in (
-        (n_diag, n_cross, n_diag), (q_diag, q_cross, q_diag), (p_diag[0], p_cross, p_diag[1]))]))
+    moments = np.empty((3, 2, 2), dtype=complex)
+    moments[:, 0, 0], moments[:, 1, 1] = (n_diag, q_diag, p_diag[0]), (n_diag, q_diag, p_diag[1])
+    moments[:, 0, 1] = n_cross, q_cross, p_cross
+    moments[:, 1, 0] = np.conj(moments[:, 0, 1])
+    return _read_only(moments)
 
 
 def gaussian_grid_evolve(rho_s: QubitDensity, psi_f: PureQubit, g: float,
@@ -201,9 +215,11 @@ def gaussian_grid_evolve(rho_s: QubitDensity, psi_f: PureQubit, g: float,
         raise ValueError(f"grid oracle requires g * delta <= 1, got {g * meter.delta}")
     moments = _branch_moments(g, meter.delta, _half_width(meter, g), _POINTS)
     # Branch-pair weights c[j, l] = rho[j, l] conj(psi_f[j]) psi_f[l].
-    amps = psi_f.amplitudes()
-    coeff = rho_s.matrix * np.outer(amps.conj(), amps)
-    prob, q_sum, p_sum = (coeff * moments).sum(axis=(1, 2)).real.tolist()
+    a, b = psi_f.alpha, psi_f.beta
+    c00, c01 = rho_s.rho00 * (a.conjugate() * a), rho_s.rho01 * (a.conjugate() * b)
+    c10, c11 = rho_s.rho10 * (b.conjugate() * a), rho_s.rho11 * (b.conjugate() * b)
+    prob, q_sum, p_sum = ((c00 * m00 + c01 * m01 + c10 * m10 + c11 * m11).real
+                          for (m00, m01), (m10, m11) in moments.tolist())
     if prob <= PROB_FLOOR:
         raise VanishingPostselectionError(prob)
     # Initial means are zero, so the conditional means are the shifts.
@@ -318,9 +334,9 @@ class AdjudicationReport:
 
 def _random_density(rng: np.random.Generator) -> QubitDensity:
     direction = rng.normal(size=3)
-    direction /= math.sqrt(direction.dot(direction))
+    norm = math.sqrt(direction.dot(direction))  # numpy's dot: the battery inputs are pinned
     radius = rng.random() ** (1.0 / 3.0)
-    return density_from_bloch(BlochVector(*(radius * direction).tolist()))
+    return density_from_bloch(BlochVector(*(radius * (c / norm) for c in direction.tolist())))
 
 
 def _random_pure(rng: np.random.Generator) -> PureQubit:
@@ -344,12 +360,11 @@ def _moment_numerator(m00, m11, m10_re, m10_im, m01_re, m01_im,
 
 def _oracle_shift_objective(entries, g: float, meter: GaussianMeter, which: str):
     """Shift objective whose moments come from the grid, not a closed form."""
-    n_mat, q_mat, p_mat = _branch_moments(g, meter.delta, _half_width(meter, g), _POINTS)
-    moment = q_mat if which == "dq" else p_mat
-    n10, m10, m01 = n_mat[1, 0], moment[1, 0], moment[0, 1]
-    numerator = (moment[0, 0].real, moment[1, 1].real, m10.real, m10.imag, m01.real, m01.imag)
-    return _Objective(entries, partial(_moment_prob, float(n10.real), float(n10.imag)),
-                      partial(_moment_numerator, *map(float, numerator)))
+    n_mat, q_mat, p_mat = _branch_moments(g, meter.delta, _half_width(meter, g), _POINTS).tolist()
+    (m00, m01), (m10, m11) = q_mat if which == "dq" else p_mat
+    n10 = n_mat[1][0]
+    return _Objective(entries, partial(_moment_prob, n10.real, n10.imag), partial(
+        _moment_numerator, m00.real, m11.real, m10.real, m10.imag, m01.real, m01.imag))
 
 
 #: Pointwise inputs each sampled dispute decides on.

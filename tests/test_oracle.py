@@ -9,8 +9,10 @@ import weakamp.oracle
 from weakamp import (
     GaussianMeter,
     GridTooSmallError,
+    QubitDensity,
     VanishingPostselectionError,
     adjudicate_variants,
+    bloch_from_density,
     gaussian_grid_evolve,
     gaussian_shifts,
     pure_state,
@@ -83,6 +85,25 @@ class TestQubitOracle:
                  + abs(psi.beta) ** 2 * np.exp(-2j * g))
             expected = 0.5 * np.array([[1.0, x], [np.conj(x), 1.0]])
             assert np.max(np.abs(in_pm - expected)) < 1e-14
+
+    def test_read_out_matches_full_evolution(self):
+        # The 2x2 read-out against the 4x4 sandwich projected onto psi_f; and
+        # the postselections |0> and |1>, weighted by their probabilities,
+        # add up to the unpostselected meter: one propagator behind both faces.
+        rng = np.random.default_rng(19)
+        basis = (pure_state(0.0, 0.0), pure_state(math.pi, 0.0))
+        for _ in range(1000):
+            rho, psi_f, g = random_density(rng), random_pure(rng), rng.uniform(0.0, 1.5)
+            evolved = _joint_evolved(rho, g).reshape(2, 2, 2, 2)
+            amps = psi_f.amplitudes()
+            meter = np.einsum("s,smtn,t->mn", amps.conj(), evolved, amps)
+            prob = np.trace(meter).real
+            res = qubit_joint_evolve(rho, psi_f, g)
+            assert abs(res.prob - prob) < 1e-15
+            if prob >= 1e-4:
+                assert abs(res.reading - meter[1, 1].real / prob) < 1e-15
+            excited = sum(r.prob * r.reading for r in (qubit_joint_evolve(rho, s, g) for s in basis))
+            assert abs(excited - qubit_meter_marginal(rho, g)[1, 1].real) < 1e-15
 
     def test_postselection_floor_matches_closed_forms(self):
         # prob ~ 2.5e-19 here: defined for the oracle's arithmetic, but below
@@ -216,6 +237,26 @@ class TestGridOracle:
             assert abs(res.dq_shift) < 1e-10
             assert res.prob == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("fresh", [True, False], ids=["fresh-coupling", "cached-coupling"])
+    def test_contraction_matches_numpy_reference(self, fresh):
+        # The scalar contraction against a whole-array one on the moments the
+        # oracle reads, at a coupling drawn per input or one kept in the cache.
+        rng = np.random.default_rng(20)
+        _branch_moments(0.3, 1.0, _half_width(METER, 0.3), _POINTS)
+        for _ in range(200):
+            rho, psi_f = random_density(rng), random_pure(rng)
+            g = rng.uniform(0.0, 1.0) if fresh else 0.3
+            misses = _branch_moments.cache_info().misses
+            res = gaussian_grid_evolve(rho, psi_f, g, METER)
+            assert _branch_moments.cache_info().misses == misses + fresh
+            moments = _branch_moments(g, 1.0, _half_width(METER, g), _POINTS)
+            amps = psi_f.amplitudes()
+            prob, q_sum, p_sum = (rho.matrix * np.outer(amps.conj(), amps) * moments
+                                  ).sum(axis=(1, 2)).real
+            for got, want in ((res.prob, prob), (res.dq_shift, q_sum / prob),
+                              (res.dp_shift, p_sum / prob)):
+                assert abs(got - want) <= 1e-14 * abs(want)
+
     def test_vanishing_postselection(self):
         with pytest.raises(VanishingPostselectionError):
             gaussian_grid_evolve(pure_state(0, 0).density(),
@@ -255,6 +296,25 @@ def test_sample_stops_at_its_samples_or_its_attempt_cap():
     rejected = []
     assert list(_sample(lambda: rejected.append(0), 2)) == []
     assert len(rejected) == 2 * _ATTEMPTS_PER_SAMPLE
+
+
+def test_random_density_draws_three_normals_then_one_uniform():
+    # The batteries' inputs, and so their oracle calls, are pinned: each
+    # density takes exactly normal(size=3) and then random() from the stream,
+    # as the direction and the cube of the Bloch radius.
+    rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+    for _ in range(100):
+        rho = random_density(rng)
+        direction = twin.normal(size=3)
+        radius = twin.random() ** (1.0 / 3.0)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert isinstance(rho, QubitDensity)
+        bloch = bloch_from_density(rho)
+        expected = radius * direction / math.sqrt(direction.dot(direction))
+        assert np.max(np.abs([bloch.rx, bloch.ry, bloch.rz] - expected)) < 1e-15
+        assert abs(rho.rho00 + rho.rho11 - 1.0) < 1e-15
+        assert rho.rho01 == rho.rho10.conjugate()
+        assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-15
 
 
 def test_oracle_module_does_not_touch_closed_forms():
