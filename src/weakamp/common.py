@@ -1,5 +1,5 @@
-"""Shared value types, tolerances, parameter validators, and error classes,
-plus the postselection-probability piece of both closed-form meters."""
+"""Shared value types, tolerances, parameter validators and error classes,
+plus the one contraction that reads every meter value off its branch matrices."""
 
 from __future__ import annotations
 
@@ -10,13 +10,21 @@ from dataclasses import dataclass
 PROB_FLOOR = 1e-12
 
 
-def _postselection_prob(overlap, rho00, rho11, cross_re, cross_im, u2, v2):
-    """Pro = rho00 u2 + rho11 v2 + 2 overlap Re(rho10 w) for cross = rho10 w,
-    u2 = |alpha2|^2, v2 = |beta2|^2 and the meter's branch overlap: E =
-    exp(-2 delta^2 g^2) for the Gaussian meter, cos(2g) for the qubit meter.
-    Like every meter piece it is arithmetic only, so it runs on floats and
-    numpy arrays."""
-    return rho00 * u2 + rho11 * v2 + 2.0 * overlap * cross_re
+def _contract(k, c00, c11, c10_re, c10_im):
+    """Tr(Pi_f (rho o K)) for the branch matrix K = (scale, k00, k11, Re k10,
+    Im k10), meaning scale [[k00, conj k10], [k10, k11]], the postselection
+    Pi_f = |psi_f><psi_f| and the entrywise product o.
+
+    The trace is sum_jl c[j, l] K[j, l] over the branch-pair weights c[j, l]
+    = rho[j, l] conj(psi_j) psi_l: c00 = rho00 |alpha2|^2, c11 = rho11
+    |beta2|^2 and c10 = rho10 w with w = alpha2 conj(beta2).  A meter is two
+    such matrices, N, the overlaps of its two branches, and M, its read-out
+    between them; its value is the contraction with M over the one with N.
+    The scale stays outside the unit-shape entries, so each contraction
+    rounds like the meter's own formula.
+    """
+    scale, k00, k11, k10_re, k10_im = k
+    return scale * (c00 * k00 + c11 * k11 + 2.0 * (c10_re * k10_re - c10_im * k10_im))
 
 
 def _nan_max(a: float, b: float) -> float:

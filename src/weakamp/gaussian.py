@@ -9,10 +9,11 @@ and w = alpha2 * conj(beta2):
     dp'  = g (rho00 |alpha2|^2 - rho11 |beta2|^2) / Pro
     dq'  = 4 g delta^2 E Im(rho10 w) / Pro
 
-This formula exists once, as the pieces ``common._postselection_prob`` (at
-overlap E), ``_dp_numerator`` and ``_dq_numerator``, shared by
-``gaussian_shifts`` and the optimizer's objectives (``optimize._Objective``),
-which compute only the pieces they read.
+These are the contractions (``common._contract``) of the meter's branch
+matrices, which ``_branches`` builds once: the overlaps N = [[1, E], [E, 1]]
+and the read-outs M_dp = g diag(1, -1) and M_dq, whose off-diagonal entry
+k10 = -2i g delta^2 E.  ``gaussian_shifts`` and the optimizer's objectives
+(``optimize._Objective``) read the same matrices.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .common import (
     PROB_FLOOR,
     _check_coupling,
     _check_unit_interval,
-    _postselection_prob,
+    _contract,
     GaussianMeter,
     MaxResult,
     ShiftResult,
@@ -33,13 +34,11 @@ from .common import (
 from .qubit import PureQubit, QubitDensity
 
 
-def _dp_numerator(g, rho00, rho11, cross_re, cross_im, u2, v2):
-    return g * (rho00 * u2 - rho11 * v2)
-
-
-def _dq_numerator(dq_scale, rho00, rho11, cross_re, cross_im, u2, v2):
-    """dq' numerator for dq_scale = 4 g delta^2 E."""
-    return dq_scale * cross_im
+def _branches(g: float, meter: GaussianMeter):
+    """Branch matrices (N, M_dp, M_dq) at coupling g, in ``common._contract``'s form."""
+    att = meter.coherence_factor(g)
+    return ((1.0, 1.0, 1.0, att, 0.0), (g, 1.0, -1.0, 0.0, 0.0),
+            (4.0 * g * meter.delta ** 2 * att, 0.0, 0.0, 0.0, -0.5))
 
 
 def gaussian_shifts(rho_s: QubitDensity, psi_f: PureQubit, g: float,
@@ -49,21 +48,18 @@ def gaussian_shifts(rho_s: QubitDensity, psi_f: PureQubit, g: float,
     Raises VanishingPostselectionError when the postselection probability
     falls below PROB_FLOOR.
     """
-    g = _check_coupling(g)
-    att = meter.coherence_factor(g)
+    n, m_dp, m_dq = _branches(_check_coupling(g), meter)
     # Positional calls: unpacking an argument tuple costs the scalar API more.
     alpha = psi_f.alpha
     u2 = abs(alpha) ** 2
-    v2 = 1.0 - u2
-    rho00, rho11 = rho_s.rho00.real, rho_s.rho11.real
-    cross = rho_s.rho10 * (alpha * psi_f.beta.conjugate())
-    cross_re, cross_im = cross.real, cross.imag
-    prob = _postselection_prob(att, rho00, rho11, cross_re, cross_im, u2, v2)
+    c00, c11 = rho_s.rho00.real * u2, rho_s.rho11.real * (1.0 - u2)
+    c10 = rho_s.rho10 * (alpha * psi_f.beta.conjugate())
+    c10_re, c10_im = c10.real, c10.imag
+    prob = _contract(n, c00, c11, c10_re, c10_im)
     if prob <= PROB_FLOOR:
         raise VanishingPostselectionError(prob)
-    dq_scale = 4.0 * g * meter.delta ** 2 * att
-    return ShiftResult(_dp_numerator(g, rho00, rho11, cross_re, cross_im, u2, v2) / prob,
-                       _dq_numerator(dq_scale, rho00, rho11, cross_re, cross_im, u2, v2) / prob,
+    return ShiftResult(_contract(m_dp, c00, c11, c10_re, c10_im) / prob,
+                       _contract(m_dq, c00, c11, c10_re, c10_im) / prob,
                        prob)
 
 

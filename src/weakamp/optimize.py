@@ -10,10 +10,11 @@ atan(exp(u)) approaches the poles without reaching them.
 
 An ``_Objective``, the kind every objective builder here and the grid
 oracle's ``oracle._oracle_shift_objective`` return, is searched over theta1
-alone.  At a fixed preselection each of its pieces is linear in the
-postselection products |alpha2|^2, |beta2|^2 and w = alpha2 conj(beta2), so
-its value is a ratio x.A x / x.B x of two Hermitian 2x2 forms in the
-postselection amplitudes x, B being the probability.  The largest |value| at
+alone.  It holds a meter's two branch matrices, the overlaps N and a
+read-out M, so at a fixed preselection rho its value is a ratio x.A x / x.B x
+of the Hermitian 2x2 forms A = rho o M and B = rho o N (o the entrywise
+product) in the postselection amplitudes x, B being the probability.  The
+largest |value| at
 that preselection is the generalized eigenvalue of largest modulus, det(A -
 lambda B) = 0, reached at its eigenvector; the eigenvector gives theta2
 exactly, and its phase folds into phi0.  ``_Objective.postselected`` reads
@@ -38,11 +39,10 @@ Every family is a channel applied to pure_state(theta1, phi0), and one
 builder, ``_pure_entries``, turns any channel's entry map into the density
 entries: the modulus-kappa family is depolarizing at strength 1 - kappa, the
 damped family is amplitude damping.  An ``_Objective`` joins such a family to
-a meter's probability piece and the one numerator piece it divides by it
-(``common._postselection_prob`` at the meter's branch overlap, with
-``gaussian._dp_numerator`` or ``_dq_numerator`` or with
-``qubitmeter._reading_numerator``), the only copy of each meter formula.
-Calling it probes one point on Python floats with ``math`` trigonometry.
+a meter's branch matrices, ``gaussian._branches`` or ``qubitmeter._branches``,
+and reads them through ``common._contract``, the one copy of the meter
+formula.  Calling it probes one point on Python floats with ``math``
+trigonometry.
 
 Probes where the postselection probability falls below the usable floor
 evaluate to 0, letting the search traverse near-orthogonal regions where
@@ -57,15 +57,15 @@ import math
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Literal
 
 from .channels import KrausChannel, amplitude_damping, depolarizing
+from . import gaussian, qubitmeter
 from .common import (PROB_FLOOR, GaussianMeter, MaxResult, _check_coupling,
-                     _check_unit_interval, _postselection_prob)
-from .gaussian import _dp_numerator, _dq_numerator, gaussian_max_shifts
+                     _check_unit_interval, _contract)
+from .gaussian import gaussian_max_shifts
 from .qubit import TWO_PI
-from .qubitmeter import _reading_numerator, qubit_max_reading
+from .qubitmeter import qubit_max_reading
 
 Objective = Callable[[float, float, float], float]
 
@@ -413,19 +413,17 @@ class _Objective:
     """Meter value over a family's ``entries``, postselected on pure_state(theta2, 0).
 
     ``entries`` is a ``_pure_entries`` map, whose coherence turns with phi0
-    as exp(i phi0).  ``prob`` and ``numerator`` are a meter's probability
-    piece and one of its numerator pieces, each ``(rho00, rho11, cross_re,
-    cross_im, u2, v2)`` with the constants bound and linear in (cross_re,
-    cross_im, u2, v2), as every meter piece is; the value is numerator /
-    prob, computed from these two pieces only.
+    as exp(i phi0).  ``n`` and ``m`` are a meter's branch overlaps and one of
+    its read-outs, in ``common._contract``'s form (scale, k00, k11, Re k10,
+    Im k10); the value is the contraction with m over the one with n.
     """
 
-    __slots__ = ("entries", "prob", "numerator")
+    __slots__ = ("entries", "n", "m")
 
-    def __init__(self, entries, prob, numerator):
+    def __init__(self, entries, n, m):
         self.entries = entries
-        self.prob = prob
-        self.numerator = numerator
+        self.n = n
+        self.m = m
 
     def __call__(self, t1: float, t2: float, p0: float) -> float:
         """The value at (theta1, theta2, phi0); 0 at or below the floor."""
@@ -436,32 +434,34 @@ class _Objective:
         ch, sh = math.cos(0.5 * t2), math.sin(0.5 * t2)
         rho00, rho11, re10, im10 = self.entries(ch1, sh1, math.cos(p0), math.sin(p0))
         w = sh * ch
-        args = (rho00, rho11, re10 * w, im10 * w, ch * ch, sh * sh)
-        prob = self.prob(*args)
+        c00, c11, c10_re, c10_im = rho00 * (ch * ch), rho11 * (sh * sh), re10 * w, im10 * w
+        prob = _contract(self.n, c00, c11, c10_re, c10_im)
         if prob <= PROB_FLOOR:
             return 0.0
-        return self.numerator(*args) / prob
+        return _contract(self.m, c00, c11, c10_re, c10_im) / prob
 
     def postselected(self, u1: float) -> tuple[_Point, float]:
         """The best postselection at theta1 = 2 atan(exp(u1)), as the probe
         u1 -> (angles, value).
 
-        At phi0 = 0 each piece is a Hermitian form a00 |x0|^2 + a11 |x1|^2 +
-        Re(q x0 conj(x1)) in the postselection amplitudes x = (x0, x1): it is
-        linear in (cross_re, cross_im, u2, v2), so the form is the piece at
-        unit inputs, u2 = |x0|^2, v2 = |x1|^2 and cross = rho10 w with w = x0
-        conj(x1), its cross term Re(q w) read at w = 1 and at w = i.  The
-        numerator gives A and the probability B, positive semi-definite.
+        At phi0 = 0 the value is x.A x / x.B x in the postselection amplitudes
+        x = (x0, x1), with the Hermitian forms A = rho o M and B = rho o N: the
+        read-out and the branch overlaps weighted entrywise by rho.  A branch
+        matrix (s, k00, k11, Re k10, Im k10) gives the form's entries a00 = s
+        (rho00 k00), a11 = s (rho11 k11) and q = 2 s rho10 k10, twice the lower
+        off-diagonal entry; B, the probability, is positive semi-definite.
+        rho10 is real at phi0 = 0.  Where a part of q vanishes, its real part
+        is +0 and its imaginary part -0: these signs pick phi0 (0 or pi) at a
+        state without coherence, where every phi0 is as good.
 
-        In matrix terms A = [[a00, conj(q) / 2], [q / 2, a11]], and the best x
-        is an eigenvector of the root lambda of largest modulus of det(A -
-        lambda B) = det(B) lambda^2 - beta lambda + det(A) = 0, with beta =
-        a00 b11 + a11 b00 - Re(q_A conj(q_B)) / 2: the null vector of the
-        larger row of A - lambda B, or 0 where both rows vanish and every x is
-        as good.  A singular B (at gamma = 1 every damped state is |0><0|)
-        gives instead the larger column of B, which spans its range: B's null
-        vector has probability 0, so the value is taken on the range.  Of two
-        rows of equal norm (or a NaN norm) the first is kept.
+        The best x is an eigenvector of the root lambda of largest modulus of
+        det(A - lambda B) = det(B) lambda^2 - beta lambda + det(A) = 0, with
+        beta = a00 b11 + a11 b00 - Re(q_A conj(q_B)) / 2: the null vector of
+        the larger row of A - lambda B, or 0 where both rows vanish and every
+        x is as good.  A singular B (at gamma = 1 every damped state is
+        |0><0|) gives instead the larger column of B, which spans its range:
+        B's null vector has probability 0, so the value is taken on the range.
+        Of two rows of equal norm (or a NaN norm) the first is kept.
 
         x gives theta2 = 2 atan2(|x1|, |x0|) (0 for x = 0), and the phase of
         x0 conj(x1), mod 2 pi, is the relative phase phi0.  The value is the
@@ -469,16 +469,11 @@ class _Objective:
         """
         t1 = _theta(u1)
         ch1, sh1 = math.cos(0.5 * t1), math.sin(0.5 * t1)
-        rho00, rho11, re10, im10 = self.entries(ch1, sh1, 1.0, 0.0)
-        num, prob = self.numerator, self.prob
-        a00 = num(rho00, rho11, 0.0, 0.0, 1.0, 0.0)
-        a11 = num(rho00, rho11, 0.0, 0.0, 0.0, 1.0)
-        qa = complex(num(rho00, rho11, re10, im10, 0.0, 0.0),
-                     -num(rho00, rho11, -im10, re10, 0.0, 0.0))
-        b00 = prob(rho00, rho11, 0.0, 0.0, 1.0, 0.0)
-        b11 = prob(rho00, rho11, 0.0, 0.0, 0.0, 1.0)
-        qb = complex(prob(rho00, rho11, re10, im10, 0.0, 0.0),
-                     -prob(rho00, rho11, -im10, re10, 0.0, 0.0))
+        rho00, rho11, rho10, _ = self.entries(ch1, sh1, 1.0, 0.0)
+        (a00, a11, qa), (b00, b11, qb) = (
+            (s * (rho00 * k00), s * (rho11 * k11),
+             complex(s * (0.0 + 2.0 * k10_re * rho10), -(s * (0.0 - 2.0 * k10_im * rho10))))
+            for s, k00, k11, k10_re, k10_im in (self.m, self.n))
         det_b = b00 * b11 - 0.25 * (qb.real * qb.real + qb.imag * qb.imag)
         if det_b <= 0.0:
             x0, x1, y0, y1 = b00, 0.5 * qb, 0.5 * qb.conjugate(), b11
@@ -515,13 +510,9 @@ def _family_objective(entries, g: float, meter: GaussianMeter | Literal["qubit"]
     g = _check_coupling(g)
     _check_target(meter, which)
     if which == "reading":
-        return _Objective(entries, partial(_postselection_prob, math.cos(2.0 * g)),
-                          partial(_reading_numerator, math.sin(g) ** 2))
-    att = meter.coherence_factor(g)
-    if which == "dp":
-        return _Objective(entries, partial(_postselection_prob, att), partial(_dp_numerator, g))
-    return _Objective(entries, partial(_postselection_prob, att),
-                      partial(_dq_numerator, 4.0 * g * meter.delta ** 2 * att))
+        return _Objective(entries, *qubitmeter._branches(g))
+    n, m_dp, m_dq = gaussian._branches(g, meter)
+    return _Objective(entries, n, m_dp if which == "dp" else m_dq)
 
 
 def kappa_shift_objective(kappa: float, g: float, meter: GaussianMeter,

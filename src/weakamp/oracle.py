@@ -26,8 +26,14 @@ spacing must also keep them inside the Nyquist band:
 ``_branch_moments`` raises GridTooSmallError unless
 delta (pi / dx - g) >= 6, where the spectral tail is e^-36, about 2e-16.
 
-Nothing here calls the closed-form meter modules or uses their formulas;
-agreement between the two routes is what the verification batteries check.
+The moments N, Q and P are the Gaussian meter's branch matrices, the
+objects that the closed forms write down analytically:
+``_oracle_shift_objective`` hands the grid's own N with its Q or P to the
+optimizer as a meter.  Nothing here calls the closed-form meter modules,
+their branch matrices or the contraction that reads them (only the optimizer
+does, for every meter alike): ``gaussian_grid_evolve`` sums its own weighted
+moments.  Agreement between the two routes is what the verification
+batteries check.
 ``adjudicate_variants`` additionally pits disputed formula variants
 (transcribed locally) against these oracles to decide which is normative.
 """
@@ -36,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -344,27 +350,14 @@ def _random_pure(rng: np.random.Generator) -> PureQubit:
                       2.0 * math.pi * rng.random())
 
 
-def _moment_prob(n10_re, n10_im, rho00, rho11, cross_re, cross_im, u2, v2):
-    """Postselection probability rho00 u2 + rho11 v2 + 2 Re(c N10), with the cross
-    term c = rho10 w and the grid's branch overlap N10; arithmetic only."""
-    return rho00 * u2 + rho11 * v2 + 2.0 * (cross_re * n10_re - cross_im * n10_im)
-
-
-def _moment_numerator(m00, m11, m10_re, m10_im, m01_re, m01_im,
-                      rho00, rho11, cross_re, cross_im, u2, v2):
-    """Branch-moment numerator rho00 u2 M00 + rho11 v2 M11 + Re(c M10 + conj(c) M01),
-    with the moment matrix M of the grid."""
-    return rho00 * u2 * m00 + rho11 * v2 * m11 \
-        + ((cross_re * m10_re - cross_im * m10_im) + (cross_re * m01_re + cross_im * m01_im))
-
-
 def _oracle_shift_objective(entries, g: float, meter: GaussianMeter, which: str):
-    """Shift objective whose moments come from the grid, not a closed form."""
+    """Shift objective whose branch matrices come from the grid, not a closed
+    form: the grid's overlap N10 and its Q or P, as (1, k00, k11, Re k10, Im k10)."""
     n_mat, q_mat, p_mat = _branch_moments(g, meter.delta, _half_width(meter, g), _POINTS).tolist()
-    (m00, m01), (m10, m11) = q_mat if which == "dq" else p_mat
+    (m00, _), (m10, m11) = q_mat if which == "dq" else p_mat
     n10 = n_mat[1][0]
-    return _Objective(entries, partial(_moment_prob, n10.real, n10.imag), partial(
-        _moment_numerator, m00.real, m11.real, m10.real, m10.imag, m01.real, m01.imag))
+    return _Objective(entries, (1.0, 1.0, 1.0, n10.real, n10.imag),
+                      (1.0, m00.real, m11.real, m10.real, m10.imag))
 
 
 #: Pointwise inputs each sampled dispute decides on.

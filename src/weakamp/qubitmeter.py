@@ -8,10 +8,12 @@ the Gaussian case, one formula covers arbitrary preselection states:
     Pro  = rho00 |alpha2|^2 + rho11 |beta2|^2 + 2 cos(2g) Re(rho10 w)
     <O>' = sin^2(g) (rho00 |alpha2|^2 + rho11 |beta2|^2 - 2 Re(rho10 w)) / Pro
 
-with w = alpha2 * conj(beta2).  This formula exists once, as the pieces
-``common._postselection_prob`` (at overlap cos(2g)) and
-``_reading_numerator``, shared by ``postselected_reading`` and the
-optimizer's objectives (``optimize._Objective``).
+with w = alpha2 * conj(beta2).  These are the contractions
+(``common._contract``) of the meter's branch matrices, which ``_branches``
+builds once: the overlaps N = [[1, cos 2g], [cos 2g, 1]] of the branches
+cos(g)|0> +- i sin(g)|1>, and the read-out M = sin^2(g) [[1, -1], [-1, 1]]
+of |1><1| between them.  ``postselected_reading`` and the optimizer's
+objectives (``optimize._Objective``) read the same matrices.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .common import (
     PROB_FLOOR,
     _check_coupling,
     _check_unit_interval,
-    _postselection_prob,
+    _contract,
     MaxResult,
     QubitMeterReading,
     SingularLimitError,
@@ -37,26 +39,25 @@ def ordinary_reading(g: float) -> float:
     return math.sin(g) ** 2
 
 
-def _reading_numerator(s2, rho00, rho11, cross_re, cross_im, u2, v2):
-    """<O>' numerator for s2 = sin^2(g)."""
-    return s2 * (rho00 * u2 + rho11 * v2 - 2.0 * cross_re)
+def _branches(g: float):
+    """Branch matrices (N, M) at coupling g, in ``common._contract``'s form."""
+    return (1.0, 1.0, 1.0, math.cos(2.0 * g), 0.0), (math.sin(g) ** 2, 1.0, 1.0, -1.0, 0.0)
 
 
 def postselected_reading(rho_s: QubitDensity, psi_f: PureQubit,
                          g: float) -> QubitMeterReading:
     """Reading conditioned on postselecting the system onto ``psi_f``."""
-    g = _check_coupling(g)
+    n, m = _branches(_check_coupling(g))
     alpha = psi_f.alpha
     u2 = abs(alpha) ** 2
-    v2 = 1.0 - u2
-    rho00, rho11 = rho_s.rho00.real, rho_s.rho11.real
-    cross = rho_s.rho10 * (alpha * psi_f.beta.conjugate())
-    cross_re, cross_im = cross.real, cross.imag
-    prob = _postselection_prob(math.cos(2.0 * g), rho00, rho11, cross_re, cross_im, u2, v2)
+    c00, c11 = rho_s.rho00.real * u2, rho_s.rho11.real * (1.0 - u2)
+    c10 = rho_s.rho10 * (alpha * psi_f.beta.conjugate())
+    c10_re, c10_im = c10.real, c10.imag
+    prob = _contract(n, c00, c11, c10_re, c10_im)
     if prob <= PROB_FLOOR:
         raise VanishingPostselectionError(prob)
-    num = _reading_numerator(math.sin(g) ** 2, rho00, rho11, cross_re, cross_im, u2, v2)
-    return QubitMeterReading(num / prob, prob)
+    return QubitMeterReading(_contract(m, c00, c11, c10_re, c10_im) / prob,
+                             prob)
 
 
 def qubit_max_reading(kappa: float, g: float) -> MaxResult:

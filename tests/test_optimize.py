@@ -108,25 +108,22 @@ PLAIN_TARGETS = ("kappa-dp", "kappa-dq", "kappa-reading", "damped-dq", "oracle-d
 PLAIN_RESULTS_DIGEST = "3e9a9b271ec8af2f746e143345f65c6ed0ea08b425730fadcd01101c8ac19ca7"
 
 
-#: Pieces whose grid values turn non-finite part-way through, by name.
-NONFINITE_PIECES = {
-    # Probability 0 at theta2 = 0, ahead of a value that overflows to -inf
-    # once rho11 v2 passes 0.2247.
-    "floor-then-minus-inf": (
-        lambda rho00, rho11, re, im, u2, v2: v2,
-        lambda rho00, rho11, re, im, u2, v2: -v2 * rho11 * 1e308 * 8.0 + 0.0 * re),
-    # inf - inf: a NaN probability wherever rho11 v2 passes 0.2247, and
-    # probability 0 at theta2 = 0, where only the floor keeps the value
-    # finite.
-    "nan-probability": (
-        lambda rho00, rho11, re, im, u2, v2:
-            v2 + (rho11 * v2 * 1e308 * 8.0 - rho11 * v2 * 1e308 * 8.0),
-        lambda rho00, rho11, re, im, u2, v2: rho00 + 0.0 * re),
-    # Every value is -inf once rho11 passes 0.2247, and -inf / inf is a NaN
-    # near theta2 = pi: the largest |value| is a NaN behind the -inf.
-    "minus-inf-then-nan": (
-        lambda rho00, rho11, re, im, u2, v2: 1.0 + rho11 * v2 * 1e308 * 8.0,
-        lambda rho00, rho11, re, im, u2, v2: -rho11 * 1e308 * 8.0 + 0.0 * re),
+#: Branch matrices (n, m) whose grid values turn non-finite part-way through,
+#: by name.  A contraction scaled by 1e308 overflows once its bracket passes
+#: 1.797, so 8 rho11 v2 overflows once rho11 v2 passes 0.2247.
+NONFINITE_BRANCHES = {
+    # Probability 8 rho11 v2, 0 at theta2 = 0, ahead of a value, -1e308
+    # elsewhere, that overflows to -inf once rho11 v2 passes 0.2247.
+    "floor-then-minus-inf": ((1.0, 0.0, 8.0, 0.0, 0.0), (1e308, 0.0, -8.0, 0.0, 0.0)),
+    # inf / inf: a NaN value wherever rho11 v2 passes 0.2247 and both
+    # contractions overflow, and probability 0 at theta2 = 0, where only the
+    # floor keeps the value finite.
+    "nan-from-infinite-probability": ((1e308, 0.0, 8.0, 0.0, 0.0),
+                                      (1e308, 0.0, 8.0, 0.0, 0.0)),
+    # The value is -inf once rho11 v2 passes 0.2247, and -inf / inf is a NaN
+    # once rho00 u2 + 4 rho11 v2 passes 1.797 too, near theta2 = pi: the
+    # largest |value| is a NaN behind the -inf.
+    "minus-inf-then-nan": ((1e308, 1.0, 4.0, 0.0, 0.0), (1e308, 0.0, -8.0, 0.0, 0.0)),
 }
 
 
@@ -389,10 +386,9 @@ class TestSlabFace:
         assert probes[16 ** 3] == _angles((-_U_MAX, _u(first_tie), 0.0))
         assert probes[16 ** 3][1] == pytest.approx(first_tie, rel=1e-15)
 
-    @pytest.mark.parametrize("prob, numerator", NONFINITE_PIECES.values(), ids=NONFINITE_PIECES)
-    def test_nonfinite_grid_value_raises_at_the_first_nonfinite_point(self, prob, numerator):
-        # Each numerator adds 0 re, so it reads phi0 too.
-        objective = _Objective(_pure_entries(depolarizing(0.2)), prob, numerator)
+    @pytest.mark.parametrize("n, m", NONFINITE_BRANCHES.values(), ids=NONFINITE_BRANCHES)
+    def test_nonfinite_grid_value_raises_at_the_first_nonfinite_point(self, n, m):
+        objective = _Objective(_pure_entries(depolarizing(0.2)), n, m)
         grid = _coarse_grid(32)
         first = next((t1, t2, p0) for t1 in grid.theta for t2 in grid.theta
                      for p0 in grid.phi if not math.isfinite(objective(t1, t2, p0)))
@@ -407,14 +403,14 @@ class TestSlabFace:
 class TestPrunedGrid:
     # No grid point is pruned: a plain callable is probed at every one, and
     # an _Objective skips the grid for its theta1 scan.
-    @pytest.mark.parametrize("prob, numerator", [
-        (lambda rho00, rho11, re, im, u2, v2: u2 + v2 + 0.1 * re,
-         lambda rho00, rho11, re, im, u2, v2: rho11 * u2 * v2 + re * re),
-        (lambda rho00, rho11, re, im, u2, v2: 1.0,
-         lambda rho00, rho11, re, im, u2, v2: rho00 * u2 - 0.5 + 0.0 * re),
+    @pytest.mark.parametrize("n, m", [
+        ((1.0, 1.0, 1.0, 0.05, 0.0), (1.0, 0.5, 2.0, 0.3, -0.4)),
+        ((1.0, 1.0, 1.0, 0.5, 0.0), (1.0, 1.0, 1.0, 0.5, 0.0)),
     ], ids=["quadratic", "constant"])
-    def test_other_objectives_evaluate_every_grid_point(self, prob, numerator):
-        objective = _Objective(_pure_entries(depolarizing(0.2)), prob, numerator)
+    def test_other_objectives_evaluate_every_grid_point(self, n, m):
+        # A ratio of two quadratic forms in the postselection, and one whose
+        # forms coincide, so that its value is 1 at every point.
+        objective = _Objective(_pure_entries(depolarizing(0.2)), n, m)
         calls = []
 
         def plain(*point):
@@ -426,13 +422,12 @@ class TestPrunedGrid:
         assert result.grid_probes == 17 ** 3
 
     def test_nonfinite_form_value_raises_where_the_full_scan_does(self):
-        # Linear pieces whose numerator overflows once rho00 u2 passes 0.2247:
+        # A read-out whose contraction overflows once rho00 u2 passes 0.2247:
         # the full scan of a plain callable names the first non-finite grid
         # point, and the theta1 scan of the _Objective raises at its first
-        # preselection, whose numerator form is already infinite.
-        prob = lambda rho00, rho11, re, im, u2, v2: rho00 * u2 + rho11 * v2  # noqa: E731
-        numerator = lambda rho00, rho11, re, im, u2, v2: rho00 * u2 * 1e308 * 8.0  # noqa: E731
-        objective = _Objective(_pure_entries(depolarizing(0.2)), prob, numerator)
+        # preselection, whose read-out form is already infinite.
+        objective = _Objective(_pure_entries(depolarizing(0.2)),
+                               (1.0, 1.0, 1.0, 0.0, 0.0), (1e308, 8.0, 0.0, 0.0, 0.0))
         grid = _coarse_grid(16)
         first = next((t1, t2, p0) for t1 in grid.theta for t2 in grid.theta
                      for p0 in grid.phi if not math.isfinite(objective(t1, t2, p0)))
@@ -593,10 +588,10 @@ class TestLineFace:
         assert probes == len(calls)
 
     def test_nonfinite_scan_value_raises_where_the_scalar_route_does(self):
-        # v2 * 4e308 overflows once v2 passes 0.45, mid-way along theta2.
+        # 8e308 rho11 v2 overflows once rho11 v2 passes 0.2247, mid-way along
+        # theta2.
         objective = _Objective(_pure_entries(depolarizing(0.2)),
-                               lambda rho00, rho11, re, im, u2, v2: u2 + v2,
-                               lambda rho00, rho11, re, im, u2, v2: v2 * 1e308 * 4.0)
+                               (1.0, 1.0, 1.0, 0.0, 0.0), (1e308, 0.0, 8.0, 0.0, 0.0))
         origin, direction = (_u(1.0), -_U_MAX, 0.3), (0.0, 1.0, 0.0)
         points = [_angles((origin[0], -_U_MAX + i * (2.0 * _U_MAX / 63), 0.3))
                   for i in range(64)]
@@ -702,11 +697,10 @@ class TestPostselectedProbe:
         # Rows of a positive semi-definite pencil that tie in norm are
         # parallel and give the same angles, so the rule shows only on an
         # indefinite B, which no meter gives: B = [[1/2, 1], [1, 1/2]] has
-        # det(B) < 0, and its rows (1/2, 1) and (1, 1/2) tie in norm.
+        # det(B) < 0, and its rows (1/2, 1) and (1, 1/2) tie in norm.  A =
+        # [[1, 0], [0, 0]].
         objective = _Objective(lambda ch, sh, c, s: (0.5, 0.5, 0.5 * c, 0.5 * s),
-                               lambda rho00, rho11, re, im, u2, v2:
-                                   rho00 * u2 + rho11 * v2 + 4.0 * re,
-                               lambda rho00, rho11, re, im, u2, v2: u2)
+                               (1.0, 1.0, 1.0, 2.0, 0.0), (1.0, 2.0, 0.0, 0.0, 0.0))
         (t1, t2, p0), value = objective.postselected(0.0)
         assert (t2, p0) == (2.0 * math.atan2(1.0, 0.5), 0.0)
         assert objective(t1, t2, p0) == value

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import weakamp.oracle
+from weakamp import gaussian, qubitmeter
 from weakamp import (
     GaussianMeter,
     GridTooSmallError,
@@ -20,7 +21,7 @@ from weakamp import (
     qubit_meter_marginal,
 )
 from weakamp.oracle import (_ATTEMPTS_PER_SAMPLE, _GENERATOR, _POINTS, _branch_moments,
-                            _grid_indices, _half_width, _joint_evolved, _sample)
+                            _grid_indices, _half_width, _joint_evolved, _propagator, _sample)
 from weakamp.oracle import _random_density as random_density
 from weakamp.oracle import _random_pure as random_pure
 
@@ -219,6 +220,41 @@ class TestBranchMoments:
             assert np.array_equal(mat, mat.conj().T)
 
 
+def _branch_matrix(k):
+    """The 2x2 matrix scale [[k00, conj k10], [k10, k11]] of a branch tuple."""
+    scale, k00, k11, k10_re, k10_im = k
+    return scale * np.array([[k00, complex(k10_re, -k10_im)], [complex(k10_re, k10_im), k11]])
+
+
+class TestClosedFormBranches:
+    # The closed forms' branch matrices are the oracles' objects: a sign or
+    # conjugation slip in k10 shows here.
+    def test_gaussian_branches_are_the_grid_moments(self):
+        rng = np.random.default_rng(22)
+        for _ in range(100):
+            delta = rng.uniform(0.3, 3.0)
+            g = rng.uniform(0.0, 1.0 / delta)
+            meter = GaussianMeter(delta)
+            n, m_dp, m_dq = gaussian._branches(g, meter)
+            grid_n, grid_q, grid_p = _branch_moments(g, delta, _half_width(meter, g), _POINTS)
+            for k, moments in ((n, grid_n), (m_dq, grid_q), (m_dp, grid_p)):
+                assert np.max(np.abs(_branch_matrix(k) - moments)) <= 1e-14
+
+    def test_qubit_branches_are_the_propagator_overlaps(self):
+        # Column 2j of U is |j> x Phi_j, the meter branch that system state
+        # |j> leaves from meter |0>: N[j, l] = <Phi_l|Phi_j> and M[j, l] =
+        # <Phi_l|1><1|Phi_j>.
+        for g in np.random.default_rng(23).uniform(0.0, 1.5, 100):
+            u = _propagator(g)
+            phi = [u[2 * j:2 * j + 2, 2 * j] for j in (0, 1)]
+            overlaps = np.array([[np.vdot(phi[l], phi[j]) for l in (0, 1)] for j in (0, 1)])
+            readout = np.array([[phi[l][1].conjugate() * phi[j][1] for l in (0, 1)]
+                                for j in (0, 1)])
+            n, m = qubitmeter._branches(g)
+            assert np.max(np.abs(_branch_matrix(n) - overlaps)) <= 1e-15
+            assert np.max(np.abs(_branch_matrix(m) - readout)) <= 1e-15
+
+
 class TestGridOracle:
     def test_zero_coupling(self):
         rng = np.random.default_rng(15)
@@ -318,11 +354,14 @@ def test_random_density_draws_three_normals_then_one_uniform():
 
 
 def test_oracle_module_does_not_touch_closed_forms():
+    # Nor the closed forms' branch matrices or the contraction they share with
+    # the optimizer: gaussian_grid_evolve sums its own c[j, l] moments, so a
+    # contraction bug cannot pass the Gaussian oracle battery unseen.
     source = inspect.getsource(weakamp.oracle)
-    for forbidden in ("from .gaussian", "from .qubitmeter",
-                      "gaussian_shifts", "gaussian_max_shifts",
+    for forbidden in ("from .gaussian", "from .qubitmeter", "import gaussian",
+                      "import qubitmeter", "gaussian_shifts", "gaussian_max_shifts",
                       "ordinary_reading", "postselected_reading",
-                      "qubit_max_reading"):
+                      "qubit_max_reading", "_branches", "_contract"):
         assert forbidden not in source
 
 
