@@ -352,12 +352,11 @@ def _random_pure(rng: np.random.Generator) -> PureQubit:
 
 def _oracle_shift_objective(entries, g: float, meter: GaussianMeter, which: str):
     """Shift objective whose branch matrices come from the grid, not a closed
-    form: the grid's overlap N10 and its Q or P, as (1, k00, k11, Re k10, Im k10)."""
+    form: the grid's N and its Q or P, each as (1, k00, k11, Re k10, Im k10)."""
     n_mat, q_mat, p_mat = _branch_moments(g, meter.delta, _half_width(meter, g), _POINTS).tolist()
-    (m00, _), (m10, m11) = q_mat if which == "dq" else p_mat
-    n10 = n_mat[1][0]
-    return _Objective(entries, (1.0, 1.0, 1.0, n10.real, n10.imag),
-                      (1.0, m00.real, m11.real, m10.real, m10.imag))
+    n, m = ((1.0, k00.real, k11.real, k10.real, k10.imag)
+            for (k00, _), (k10, k11) in (n_mat, q_mat if which == "dq" else p_mat))
+    return _Objective(entries, n, m)
 
 
 #: Pointwise inputs each sampled dispute decides on.

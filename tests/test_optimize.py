@@ -97,7 +97,7 @@ def _battery_and_damped_objectives():
 #: searches of ``adjudicate_variants()`` (grid_n = 32).  Recorded with
 #: CPython 3.11 and numpy 2.4 on x86-64 Linux; a speed-up that moves any
 #: value, point or probe count changes it.
-RESULTS_DIGEST = "88ceac370c8b64fd84e8ded633fe4bb75df4e0f84c362c9ebe052ebba66f4bd7"
+RESULTS_DIGEST = "3d9bba48cefecea082fea93ff9d8393db5b0e1e64c0f6cee6f1ae00339cfc86d"
 
 #: ``TARGETS`` whose searches as plain callables are pinned.
 PLAIN_TARGETS = ("kappa-dp", "kappa-dq", "kappa-reading", "damped-dq", "oracle-dq")
@@ -105,7 +105,7 @@ PLAIN_TARGETS = ("kappa-dp", "kappa-dq", "kappa-reading", "damped-dq", "oracle-d
 #: ``maximize(lambda *a: objective(*a), grid_n=16)`` over ``PLAIN_TARGETS``:
 #: the coarse grid and cyclic refinement.  Recorded with CPython 3.11 and
 #: numpy 2.4 on x86-64 Linux.
-PLAIN_RESULTS_DIGEST = "3e9a9b271ec8af2f746e143345f65c6ed0ea08b425730fadcd01101c8ac19ca7"
+PLAIN_RESULTS_DIGEST = "ce9a8fc03a0e99377478bef422a25dc8c7bc8e6d0538415d232d859b9d863928"
 
 
 #: Branch matrices (n, m) whose grid values turn non-finite part-way through,

@@ -13,15 +13,20 @@ from weakamp import (
     QubitDensity,
     VanishingPostselectionError,
     adjudicate_variants,
+    amplitude_damping,
     bloch_from_density,
+    depolarizing,
     gaussian_grid_evolve,
     gaussian_shifts,
+    phase_damping,
     pure_state,
     qubit_joint_evolve,
     qubit_meter_marginal,
 )
+from weakamp.optimize import _pure_entries
 from weakamp.oracle import (_ATTEMPTS_PER_SAMPLE, _GENERATOR, _POINTS, _branch_moments,
-                            _grid_indices, _half_width, _joint_evolved, _propagator, _sample)
+                            _grid_indices, _half_width, _joint_evolved,
+                            _oracle_shift_objective, _propagator, _sample)
 from weakamp.oracle import _random_density as random_density
 from weakamp.oracle import _random_pure as random_pure
 
@@ -292,6 +297,30 @@ class TestGridOracle:
             for got, want in ((res.prob, prob), (res.dq_shift, q_sum / prob),
                               (res.dp_shift, p_sum / prob)):
                 assert abs(got - want) <= 1e-14 * abs(want)
+
+    def test_shift_objective_matches_the_grid_evolution(self):
+        # The grid's branch matrices read by the optimizer's objective give
+        # the shifts that gaussian_grid_evolve sums from the same moments, at
+        # the objective's own preselection and postselection.
+        rng = np.random.default_rng(24)
+        channels = (depolarizing, phase_damping, amplitude_damping)
+        compared = 0
+        for i in range(300):
+            channel = channels[i % 3](rng.random())
+            delta = rng.uniform(0.5, 2.0)
+            g = rng.uniform(0.0, 1.0 / delta)
+            meter = GaussianMeter(delta)
+            t1, t2, p0 = rng.uniform(0.0, math.pi, 2).tolist() + [rng.uniform(0.0, 2.0 * math.pi)]
+            try:
+                res = gaussian_grid_evolve(channel.apply(pure_state(t1, p0).density()),
+                                           pure_state(t2, 0.0), g, meter)
+            except VanishingPostselectionError:
+                continue
+            for which, want in (("dp", res.dp_shift), ("dq", res.dq_shift)):
+                got = _oracle_shift_objective(_pure_entries(channel), g, meter, which)(t1, t2, p0)
+                assert abs(got - want) <= 1e-13 * abs(want)
+            compared += 1
+        assert compared > 250
 
     def test_vanishing_postselection(self):
         with pytest.raises(VanishingPostselectionError):

@@ -20,7 +20,7 @@ from weakamp.verification import (
 
 #: SHA-256 over the repr of every oracle result of ``run_verify(7, 1000)``,
 #: then its report text and adjudication CSV rows.
-ORACLE_DIGEST = "1f7f0c69965051f34a9acf952e93fbf26f04ba123eb7407d83dea1c8625a35a0"
+ORACLE_DIGEST = "8652bcee6486f0f16dc05773719c1ef1f6be2a5e6117e6e8e8832217f3de749a"
 #: Oracle calls that ``run_verify(7, 1000)`` makes and completes.
 ORACLE_CALLS = 2080
 
