@@ -192,13 +192,13 @@ def _branch_moments(g: float, delta: float, half_width: float, points: int):
         )
     spectrum = np.fft.fft(b0)
     mirrored = np.conj(spectrum[mirror])
-    power = np.abs(spectrum) ** 2
     wavenumbers = 2.0 * math.pi * (freqs * (1.0 / (points * dx)))
-    qb0 = q * b0
+    qb0, kf0 = q * b0, wavenumbers * spectrum
     q_diag = dx * np.vdot(b0, qb0).real
-    p_diag = [dx / points * float(np.dot(wavenumbers, f)) for f in (power, power[mirror])]
+    p_diag = (dx / points * np.vdot(spectrum, kf0).real,
+              dx / points * np.vdot(mirrored, wavenumbers * mirrored).real)
     n_cross, q_cross = dx * np.dot(b0, b0), dx * np.dot(b0, qb0)
-    p_cross = dx / points * np.vdot(mirrored, wavenumbers * spectrum)
+    p_cross = dx / points * np.vdot(mirrored, kf0)
     moments = np.empty((3, 2, 2), dtype=complex)
     moments[:, 0, 0], moments[:, 1, 1] = (n_diag, q_diag, p_diag[0]), (n_diag, q_diag, p_diag[1])
     moments[:, 0, 1] = n_cross, q_cross, p_cross

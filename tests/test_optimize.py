@@ -97,7 +97,7 @@ def _battery_and_damped_objectives():
 #: searches of ``adjudicate_variants()`` (grid_n = 32).  Recorded with
 #: CPython 3.11 and numpy 2.4 on x86-64 Linux; a speed-up that moves any
 #: value, point or probe count changes it.
-RESULTS_DIGEST = "3d9bba48cefecea082fea93ff9d8393db5b0e1e64c0f6cee6f1ae00339cfc86d"
+RESULTS_DIGEST = "a6f2d2227b579d26e64e6bffe9d7675bf81941e87059f9a10da633fd17b61afa"
 
 #: ``TARGETS`` whose searches as plain callables are pinned.
 PLAIN_TARGETS = ("kappa-dp", "kappa-dq", "kappa-reading", "damped-dq", "oracle-dq")

@@ -20,7 +20,7 @@ from weakamp.verification import (
 
 #: SHA-256 over the repr of every oracle result of ``run_verify(7, 1000)``,
 #: then its report text and adjudication CSV rows.
-ORACLE_DIGEST = "8652bcee6486f0f16dc05773719c1ef1f6be2a5e6117e6e8e8832217f3de749a"
+ORACLE_DIGEST = "b5effc8ca1974f29b1fd32712b49f924e0782efb97d1828f5abdc9b47845db2a"
 #: Oracle calls that ``run_verify(7, 1000)`` makes and completes.
 ORACLE_CALLS = 2080
 
