@@ -14,18 +14,17 @@ alone.  It holds a meter's two branch matrices, the overlaps N and a
 read-out M, so at a fixed preselection rho its value is a ratio x.A x / x.B x
 of the Hermitian 2x2 forms A = rho o M and B = rho o N (o the entrywise
 product) in the postselection amplitudes x, B being the probability.  The
-largest |value| at
-that preselection is the generalized eigenvalue of largest modulus, det(A -
-lambda B) = 0, reached at its eigenvector; the eigenvector gives theta2
-exactly, and its phase folds into phi0.  ``_Objective.postselected`` reads
-the two forms, solves the pencil and evaluates the value at one theta1 in one
-pass.  One line search over u1 then finds the best preselection.  The
-amplitude-damping suprema (``amplitude_damping_max``) are approached as
-theta1 runs into the pole 0, so those searches end at the edge of the u1
-box, a relative gap of order exp(-2 _U_MAX) below the supremum, with theta2
-within about 1e-4 of pi.  Those suprema are known in closed form,
-so such searches serve the independent numerical cross-check in the tests
-and the acceptance gate.
+largest |value| at that preselection is the generalized eigenvalue of
+largest modulus, det(A - lambda B) = 0, reached at its eigenvector; the
+eigenvector gives theta2 exactly, and its phase folds into phi0.
+``_Objective.postselected`` reads the two forms, solves the pencil and
+evaluates the value at one theta1 in one pass.  One line search over u1
+then finds the best preselection.  The amplitude-damping suprema
+(``amplitude_damping_max``) are approached as theta1 runs into the pole 0,
+so those searches end at the edge of the u1 box, a relative gap of order
+exp(-2 _U_MAX) below the supremum, with theta2 within about 1e-4 of pi.
+Those suprema are known in closed form, so such searches serve the
+independent numerical cross-check in the tests and the acceptance gate.
 
 Any other callable is probed point by point: a coarse grid of grid_n^3
 points picks a start, then cyclic line searches along the coordinates and
