@@ -36,13 +36,7 @@ from .optimize import (
     kappa_shift_objective,
     maximize,
 )
-from .oracle import (
-    AdjudicationReport,
-    adjudicate_variants,
-    gaussian_grid_evolve,
-    qubit_joint_evolve,
-    qubit_meter_marginal,
-)
+from .oracle import gaussian_grid_evolve, qubit_joint_evolve, qubit_meter_marginal
 from .qubit import (
     BlochVector,
     Decomposition,
@@ -55,7 +49,7 @@ from .qubit import (
     pure_state,
 )
 from .qubitmeter import ordinary_reading, postselected_reading, qubit_max_reading
-from .verification import VerifyReport, run_verify
+from .verification import AdjudicationReport, VerifyReport, adjudicate_variants, run_verify
 
 __version__ = "0.1.0"
 

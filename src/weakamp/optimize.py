@@ -9,8 +9,8 @@ angles in u = log tan(theta / 2) on the box |u| <= ``_U_MAX``, so theta = 2
 atan(exp(u)) approaches the poles without reaching them.
 
 An ``_Objective``, the kind every objective builder here and the grid
-oracle's ``oracle._oracle_shift_objective`` return, is searched over theta1
-alone.  It holds a meter's two branch matrices, the overlaps N and a
+oracle's ``verification._oracle_shift_objective`` return, is searched over
+theta1 alone.  It holds a meter's two branch matrices, the overlaps N and a
 read-out M, so at a fixed preselection rho its value is a ratio x.A x / x.B x
 of the Hermitian 2x2 forms A = rho o M and B = rho o N (o the entrywise
 product) in the postselection amplitudes x, B being the probability.  The

@@ -11,9 +11,14 @@ Three batteries, all seeded and deterministic:
   maxima on a (kappa, g) battery (tolerance 1e-6 relative), including the
   dominance check that the optimizer never exceeds a closed form; a search
   that stops without converging fails on its own record;
-* variant adjudication, plus the consistency check that the shipped
-  formulas equal the adjudicated normative variants; a dispute decided on
-  fewer pointwise samples than requested fails on its own record.
+* variant adjudication: ``adjudicate_variants`` pits disputed formula
+  variants (transcribed locally) against the oracles and the optimizer,
+  and the shipped formulas must equal the normative variants; a dispute
+  decided on fewer pointwise samples than requested fails on its own record.
+
+Every input is drawn by the seeded samplers ``_random_density``,
+``_random_pure`` and the attempt-capped ``_sample``.  This is the one module
+that joins closed forms, oracles and optimizer.
 
 ``inject_fault`` perturbs one closed form inside the comparisons (never in
 the library) so the battery's ability to catch a wrong formula is itself
@@ -24,21 +29,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
+from .channels import phase_damping
 from .common import GaussianMeter, VanishingPostselectionError, _nan_max
 from .gaussian import gaussian_max_shifts, gaussian_shifts
-from .optimize import kappa_reading_objective, kappa_shift_objective, maximize
-from .oracle import (
-    AdjudicationReport,
-    _random_density,
-    _random_pure,
-    _sample,
-    adjudicate_variants,
-    gaussian_grid_evolve,
-    qubit_joint_evolve,
-)
+from .optimize import (_modulus_channel, _Objective, _pure_entries, kappa_reading_objective,
+                       kappa_shift_objective, maximize)
+from .oracle import _grid_moments, gaussian_grid_evolve, qubit_joint_evolve
+from .qubit import BlochVector, PureQubit, QubitDensity, density_from_bloch, pure_state
 from .qubitmeter import postselected_reading, qubit_max_reading
 
 FAULT_NAMES = ("dp-max", "dq-max", "reading-max")
@@ -116,7 +117,7 @@ def _oracle_battery(section: str, samples: int, tolerance: float,
     """Worst deviations per key over ``samples`` accepted random inputs.
 
     ``compare()`` draws one input and returns its deviations in ``keys``
-    order, or None to reject it.  It is drawn by ``oracle._sample``, which
+    order, or None to reject it.  It is drawn by ``_sample``, which
     stops after ``_ATTEMPTS_PER_SAMPLE * samples`` draws; a shortfall fails
     the battery.
     """
@@ -210,6 +211,274 @@ def optimizer_battery(inject_fault: str | None = None) -> list[CheckRecord]:
                 records.append(CheckRecord(
                     "optimizer", f"dominance {case}", overshoot, 1e-8))
     return records
+
+
+# ---------------------------------------------------------------------------
+# Variant adjudication
+# ---------------------------------------------------------------------------
+
+#: Rejection-sampling attempts allowed per requested sample; a sampler that
+#: runs out of attempts reports a shortfall instead of looping forever.
+_ATTEMPTS_PER_SAMPLE = 100
+
+
+def _sample(draw, samples: int):
+    """Yield the results of ``draw()`` that are not None, drawing until
+    ``samples`` are accepted or ``_ATTEMPTS_PER_SAMPLE * samples`` draws are
+    spent."""
+    accepted = 0
+    for _ in range(_ATTEMPTS_PER_SAMPLE * samples):
+        if accepted == samples:
+            return
+        result = draw()
+        if result is not None:
+            accepted += 1
+            yield result
+
+
+#: A variant agreeing with the oracle must stay within this deviation.
+ADJUDICATION_TOLERANCE = 1e-6
+#: ...and the rejected variant must exceed tolerance by this factor somewhere.
+REJECTION_FACTOR = 10.0
+
+
+@dataclass(frozen=True)
+class AdjudicationEntry:
+    dispute: str
+    variant: str
+    input_id: str
+    deviation: float
+
+
+@dataclass(frozen=True)
+class DisputeVerdict:
+    dispute: str
+    normative_variant: str
+    rejected_variant: str
+    normative_worst: float
+    rejected_worst: float
+
+    def checks(self) -> tuple[tuple[str, float, float], ...]:
+        """(case, deviation, tolerance) of the two checks the verdict passes
+        when each deviation is within its tolerance: the normative worst, and
+        the shortfall of the rejected worst from ``REJECTION_FACTOR``
+        tolerances.  A NaN worst fails its check."""
+        shortfall = _nan_max(0.0, REJECTION_FACTOR * ADJUDICATION_TOLERANCE
+                             - self.rejected_worst)
+        return ((f"{self.dispute}/normative", self.normative_worst, ADJUDICATION_TOLERANCE),
+                (f"{self.dispute}/separation", shortfall, 0.0))
+
+    @property
+    def confirmed(self) -> bool:
+        return all(deviation <= tolerance for _, deviation, tolerance in self.checks())
+
+    @property
+    def conclusive(self) -> bool:
+        # A NaN worst deviation is conclusive: the verdict fails.
+        worst = _nan_max(self.normative_worst, self.rejected_worst)
+        return not worst < REJECTION_FACTOR * ADJUDICATION_TOLERANCE
+
+
+@dataclass(frozen=True)
+class AdjudicationReport:
+    seed: int
+    entries: tuple[AdjudicationEntry, ...]
+    verdicts: tuple[DisputeVerdict, ...]
+    #: "dispute/input_id" of each oracle maximum whose search did not converge.
+    unconverged: tuple[str, ...] = ()
+    #: (dispute, samples missing) of each dispute that decided on fewer than
+    #: the requested pointwise samples.
+    shortfalls: tuple[tuple[str, int], ...] = ()
+
+    @property
+    def all_confirmed(self) -> bool:
+        return all(v.confirmed for v in self.verdicts)
+
+    def to_text(self) -> str:
+        lines = [
+            f"variant adjudication (seed={self.seed}, "
+            f"tolerance={ADJUDICATION_TOLERANCE:g}, "
+            f"rejection factor={REJECTION_FACTOR:g})",
+        ]
+        for v in self.verdicts:
+            status = "confirmed" if v.confirmed else (
+                "inconclusive" if not v.conclusive else "FAILED")
+            lines.append(f"  [{status}] {v.dispute}: keep '{v.normative_variant}' "
+                         f"(worst {v.normative_worst:.3e}), reject "
+                         f"'{v.rejected_variant}' (worst {v.rejected_worst:.3e})")
+        return "\n".join(lines)
+
+    def csv_rows(self) -> list[str]:
+        rows = ["variant,input_id,deviation"]
+        for e in self.entries:
+            rows.append(f"{e.dispute}/{e.variant},{e.input_id},{e.deviation:.17g}")
+        return rows
+
+    def write_csv(self, path) -> None:
+        with open(path, "w", newline="\n") as fh:
+            fh.write("\n".join(self.csv_rows()) + "\n")
+
+
+def _random_density(rng: np.random.Generator) -> QubitDensity:
+    direction = rng.normal(size=3)
+    norm = math.sqrt(direction.dot(direction))  # numpy's dot: the battery inputs are pinned
+    radius = rng.random() ** (1.0 / 3.0)
+    return density_from_bloch(BlochVector(*(radius * (c / norm) for c in direction.tolist())))
+
+
+def _random_pure(rng: np.random.Generator) -> PureQubit:
+    return pure_state(math.acos(1.0 - 2.0 * rng.random()),
+                      2.0 * math.pi * rng.random())
+
+
+def _oracle_shift_objective(entries, g: float, meter: GaussianMeter, which: str):
+    """Shift objective whose branch matrices come from the grid, not a closed
+    form: the grid's N and its Q or P, each as (1, k00, k11, Re k10, Im k10)."""
+    n_mat, q_mat, p_mat = _grid_moments(g, meter).tolist()
+    n, m = ((1.0, k00.real, k11.real, k10.real, k10.imag)
+            for (k00, _), (k10, k11) in (n_mat, q_mat if which == "dq" else p_mat))
+    return _Objective(entries, n, m)
+
+
+#: Pointwise inputs each sampled dispute decides on.
+_POINTWISE_SAMPLES = 40
+#: ``grid_n`` of the oracle-maximum searches: their theta1 scans' points.
+_OPTIMIZER_GRID_N = 32
+
+
+def _point_rows(deviations) -> list[tuple]:
+    """(input_id, normative, rejected) rows of pointwise deviation pairs."""
+    return [(f"point-{i:03d}", *pair) for i, pair in enumerate(deviations)]
+
+
+def adjudicate_variants(seed: int = 7) -> AdjudicationReport:
+    """Decide disputed formula variants against the oracles.
+
+    Three disputes are evaluated on a seeded input battery:
+
+    1. whether the conditional position shift (and its maximum) carries the
+       branch-overlap factor exp(-2 delta^2 g^2);
+    2. whether the maximal momentum shift under dephasing attenuates the
+       coherence linearly or quadratically inside the square root;
+    3. whether the dephased qubit-meter reading numerator weighs the
+       postselection ground amplitude or repeats the excited one.
+
+    Each dispute is one table of rows (input_id, normative deviation,
+    rejected deviation) from the oracle: the report's entries are its cells
+    row by row, and a verdict's worsts are its columns' largest (a NaN wins;
+    inf for a table without rows).  A dispute is confirmed when the
+    normative variant stays within tolerance while the rejected one reaches
+    ten times the tolerance somewhere.  An oracle maximum whose search did
+    not converge is named in the report's ``unconverged``, and a dispute
+    left short of its ``_POINTWISE_SAMPLES`` inputs by its attempt cap or by
+    rejected cases in ``shortfalls``.  The oracle maxima are searched with
+    the exact postselection, from a ``_OPTIMIZER_GRID_N``-point theta1 scan.
+    """
+    rng = np.random.default_rng(seed)
+    meter = GaussianMeter(1.0)
+    unconverged: list[str] = []
+    disputes = []  # (dispute, (normative, rejected), rows, pointwise samples missing)
+
+    def max_row(dispute, i, objective, normative, rejected):
+        """The row of two closed-form maxima against the oracle's maximum."""
+        input_id = f"max-{i:03d}"
+        result = maximize(objective, grid_n=_OPTIMIZER_GRID_N)
+        if not result.converged:
+            unconverged.append(f"{dispute}/{input_id}")
+        found = abs(result.value)
+        return input_id, abs(normative - found), abs(rejected - found)
+
+    # -- dispute 1: attenuation factor in the position shift ----------------
+    dispute = "position-shift-attenuation"
+
+    def attenuation_deviations():
+        rho = _random_density(rng)
+        psi_f = _random_pure(rng)
+        g = rng.uniform(0.15, 0.5)
+        try:
+            oracle = gaussian_grid_evolve(rho, psi_f, g, meter)
+        except VanishingPostselectionError:
+            return None
+        if oracle.prob < 1e-2 or abs(oracle.dq_shift) < 1e-3:
+            return None
+        att = meter.coherence_factor(g)
+        u2 = abs(psi_f.alpha) ** 2
+        w = psi_f.alpha * psi_f.beta.conjugate()
+        cross = rho.rho10 * w
+        prob = rho.rho00.real * u2 + rho.rho11.real * (1.0 - u2) \
+            + 2.0 * att * cross.real
+        dq_with = 4.0 * g * att * cross.imag / prob
+        dq_without = 4.0 * g * cross.imag / prob
+        return abs(dq_with - oracle.dq_shift), abs(dq_without - oracle.dq_shift)
+
+    rows = _point_rows(_sample(attenuation_deviations, _POINTWISE_SAMPLES))
+    missing = _POINTWISE_SAMPLES - len(rows)
+    max_inputs = [(1.0, 0.3)] + [(rng.uniform(0.5, 1.0), rng.uniform(0.15, 0.45))
+                                 for _ in range(2)]
+    for i, (kappa, g) in enumerate(max_inputs):
+        objective = _oracle_shift_objective(
+            _pure_entries(_modulus_channel(kappa)), g, meter, "dq")
+        att = meter.coherence_factor(g)
+        root = math.sqrt(1.0 - (kappa * att) ** 2)
+        rows.append(max_row(dispute, i, objective, 2.0 * kappa * g * att / root,
+                            2.0 * kappa * g / root))
+    disputes.append((dispute, ("attenuated", "unattenuated"), rows, missing))
+
+    # -- dispute 2: coherence power in the dephased momentum maximum --------
+    dispute = "dephased-momentum-max"
+    max_inputs = [(0.5, 0.3)] + [(rng.uniform(0.2, 0.8), rng.uniform(0.15, 0.45))
+                                 for _ in range(2)]
+    rows = []
+    for i, (gamma, g) in enumerate(max_inputs):
+        objective = _oracle_shift_objective(
+            _pure_entries(phase_damping(gamma)), g, meter, "dp")
+        coh = (1.0 - gamma) * meter.coherence_factor(g)
+        squared = g / math.sqrt(1.0 - coh * coh)
+        unsquared = g / math.sqrt(1.0 - (1.0 - gamma) * meter.coherence_factor(g) ** 2)
+        rows.append(max_row(dispute, i, objective, squared, unsquared))
+    disputes.append((dispute, ("squared-coherence", "unsquared-coherence"), rows, 0))
+
+    # -- dispute 3: dephased qubit-meter reading numerator -------------------
+    dispute = "dephased-reading-numerator"
+    cases = [(pure_state(2.0, 0.5), pure_state(1.2, 4.0), 0.4, 0.3)]
+    cases += [(_random_pure(rng), _random_pure(rng), rng.uniform(0.05, 0.95),
+               rng.uniform(0.05, 0.6)) for _ in range(_POINTWISE_SAMPLES - 1)]
+    deviations = []
+    for psi_i, psi_f, gamma, g in cases:
+        rho = phase_damping(gamma).apply(psi_i.density())
+        try:
+            oracle = qubit_joint_evolve(rho, psi_f, g)
+        except VanishingPostselectionError:
+            continue
+        if oracle.prob < 1e-3:
+            continue
+        a1sq = abs(psi_i.alpha) ** 2
+        b1sq = 1.0 - a1sq
+        a2sq = abs(psi_f.alpha) ** 2
+        b2sq = 1.0 - a2sq
+        cross = (psi_i.alpha.conjugate() * psi_i.beta
+                 * psi_f.alpha * psi_f.beta.conjugate()).real
+        denom = a1sq * a2sq + b1sq * b2sq \
+            + 2.0 * (1.0 - gamma) * cross * math.cos(2.0 * g)
+        s2 = math.sin(g) ** 2
+        corrected = (a1sq * a2sq + b1sq * b2sq - 2.0 * (1.0 - gamma) * cross) * s2 / denom
+        printed = (a1sq * b2sq + b1sq * b2sq - 2.0 * (1.0 - gamma) * cross) * s2 / denom
+        deviations.append((abs(corrected - oracle.reading), abs(printed - oracle.reading)))
+    disputes.append((dispute, ("ground-weighted", "printed"), _point_rows(deviations),
+                     _POINTWISE_SAMPLES - len(deviations)))
+
+    entries: list[AdjudicationEntry] = []
+    verdicts: list[DisputeVerdict] = []
+    shortfalls: list[tuple[str, int]] = []
+    for dispute, variants, rows, missing in disputes:
+        entries += (AdjudicationEntry(dispute, variant, input_id, deviation)
+                    for input_id, *pair in rows for variant, deviation in zip(variants, pair))
+        worsts = [reduce(_nan_max, column) for column in list(zip(*rows))[1:]]
+        verdicts.append(DisputeVerdict(dispute, *variants, *(worsts or (math.inf, math.inf))))
+        if missing:
+            shortfalls.append((dispute, missing))
+    return AdjudicationReport(seed, tuple(entries), tuple(verdicts), tuple(unconverged),
+                              tuple(shortfalls))
 
 
 def adjudication_battery(seed: int) -> tuple[list[CheckRecord], AdjudicationReport]:

@@ -30,7 +30,7 @@ from weakamp import (
     pure_state,
     qubit_max_reading,
 )
-from weakamp import optimize, oracle
+from weakamp import optimize, verification
 from weakamp.optimize import (
     _DIRECTIONS,
     _LINE_WIDTH,
@@ -46,8 +46,7 @@ from weakamp.optimize import (
     _theta,
     _u,
 )
-from weakamp.oracle import _oracle_shift_objective
-from weakamp.verification import COUPLING_BATTERY, KAPPA_BATTERY
+from weakamp.verification import COUPLING_BATTERY, KAPPA_BATTERY, _oracle_shift_objective
 
 METER = GaussianMeter(1.0)
 
@@ -209,14 +208,14 @@ class TestMaximize:
 
     def test_results_are_pinned(self, monkeypatch):
         results = [maximize(objective) for objective in _battery_and_damped_objectives()]
-        real_maximize = oracle.maximize
+        real_maximize = verification.maximize
 
         def recorded(objective, **kwargs):
             results.append(real_maximize(objective, **kwargs))
             return results[-1]
 
-        monkeypatch.setattr(oracle, "maximize", recorded)
-        oracle.adjudicate_variants()
+        monkeypatch.setattr(verification, "maximize", recorded)
+        verification.adjudicate_variants()
         assert len(results) == 51
         text = "\n".join(map(repr, results))
         assert hashlib.sha256(text.encode()).hexdigest() == RESULTS_DIGEST

@@ -1,6 +1,7 @@
+import ast
+import importlib
 import inspect
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +11,8 @@ from weakamp import gaussian, qubitmeter
 from weakamp import (
     GaussianMeter,
     GridTooSmallError,
-    QubitDensity,
     VanishingPostselectionError,
-    adjudicate_variants,
     amplitude_damping,
-    bloch_from_density,
     depolarizing,
     gaussian_grid_evolve,
     gaussian_shifts,
@@ -24,11 +22,11 @@ from weakamp import (
     qubit_meter_marginal,
 )
 from weakamp.optimize import _pure_entries
-from weakamp.oracle import (_ATTEMPTS_PER_SAMPLE, _GENERATOR, _POINTS, _branch_moments,
-                            _grid_indices, _half_width, _joint_evolved,
-                            _oracle_shift_objective, _propagator, _sample)
-from weakamp.oracle import _random_density as random_density
-from weakamp.oracle import _random_pure as random_pure
+from weakamp.oracle import (_GENERATOR, _POINTS, _branch_moments, _grid_indices, _half_width,
+                            _joint_evolved, _propagator)
+from weakamp.verification import _oracle_shift_objective
+from weakamp.verification import _random_density as random_density
+from weakamp.verification import _random_pure as random_pure
 
 METER = GaussianMeter(1.0)
 
@@ -349,39 +347,6 @@ class TestGridOracle:
             checked += 1
 
 
-def test_sample_stops_at_its_samples_or_its_attempt_cap():
-    draws = []
-
-    def every_third():
-        draws.append(len(draws))
-        return draws[-1] if draws[-1] % 3 == 0 else None
-
-    assert list(_sample(every_third, 4)) == [0, 3, 6, 9]
-    assert len(draws) == 10
-    rejected = []
-    assert list(_sample(lambda: rejected.append(0), 2)) == []
-    assert len(rejected) == 2 * _ATTEMPTS_PER_SAMPLE
-
-
-def test_random_density_draws_three_normals_then_one_uniform():
-    # The batteries' inputs, and so their oracle calls, are pinned: each
-    # density takes exactly normal(size=3) and then random() from the stream,
-    # as the direction and the cube of the Bloch radius.
-    rng, twin = np.random.default_rng(21), np.random.default_rng(21)
-    for _ in range(100):
-        rho = random_density(rng)
-        direction = twin.normal(size=3)
-        radius = twin.random() ** (1.0 / 3.0)
-        assert rng.bit_generator.state == twin.bit_generator.state
-        assert isinstance(rho, QubitDensity)
-        bloch = bloch_from_density(rho)
-        expected = radius * direction / math.sqrt(direction.dot(direction))
-        assert np.max(np.abs([bloch.rx, bloch.ry, bloch.rz] - expected)) < 1e-15
-        assert abs(rho.rho00 + rho.rho11 - 1.0) < 1e-15
-        assert rho.rho01 == rho.rho10.conjugate()
-        assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-15
-
-
 def test_oracle_module_does_not_touch_closed_forms():
     # Nor the closed forms' branch matrices or the contraction they share with
     # the optimizer: gaussian_grid_evolve sums its own c[j, l] moments, so a
@@ -394,91 +359,30 @@ def test_oracle_module_does_not_touch_closed_forms():
         assert forbidden not in source
 
 
-@pytest.fixture(scope="module")
-def report():
-    return adjudicate_variants(seed=7)
+def _package_imports(module):
+    """Names of the weakamp modules that ``module``'s source imports."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("weakamp"):
+            names.add(node.module)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names if a.name.startswith("weakamp"))
+    return names
 
 
-@pytest.mark.parametrize("name,dispute,floor,field,missing", [
-    ("gaussian_grid_evolve", "position-shift-attenuation", 1e-2, "dq_shift", 0),
-    ("qubit_joint_evolve", "dephased-reading-numerator", 1e-3, "reading", 1),
-], ids=["dispute-1", "dispute-3"])
-def test_low_probability_dispute_input_is_not_compared(monkeypatch, report, name, dispute,
-                                                       floor, field, missing):
-    # The first pointwise oracle result reads just under the dispute's
-    # probability filter and 1 off its true value: compared, it would add
-    # a deviation of about 1 to both variants.  Dispute 1 draws another
-    # input in its place; dispute 3 decides on a fixed list of cases and
-    # counts the lost one as a shortfall.
-    real, calls = getattr(weakamp.oracle, name), []
-
-    def low_first(*args):
-        result = real(*args)
-        calls.append(result)
-        if len(calls) > 1:
-            return result
-        return replace(result, prob=floor / 2, **{field: getattr(result, field) + 1.0})
-
-    monkeypatch.setattr(weakamp.oracle, name, low_first)
-    patched = adjudicate_variants(seed=7)
-
-    def pointwise(rep):
-        """Deviations of the dispute's pointwise inputs, two per input."""
-        return [e.deviation for e in rep.entries
-                if e.dispute == dispute and e.input_id.startswith("point-")]
-
-    before, after = pointwise(report), pointwise(patched)
-    assert len(before) == 80 and not report.shortfalls
-    assert len(after) == 80 - 2 * missing
-    assert after[:78] == before[2:]
-    assert patched.shortfalls == (((dispute, missing),) if missing else ())
+def test_oracle_imports_only_the_value_types():
+    # The reference cannot call the code it checks: no optimizer, no channel,
+    # and no random inputs of its own, which the verification module draws.
+    assert _package_imports(weakamp.oracle) == {"common", "qubit"}
+    source = inspect.getsource(weakamp.oracle)
+    for forbidden in ("maximize", "_Objective", "default_rng", "Generator"):
+        assert forbidden not in source
 
 
-class TestAdjudication:
-
-    def test_all_disputes_confirmed(self, report):
-        assert report.all_confirmed
-        assert len(report.verdicts) == 3
-        for verdict in report.verdicts:
-            assert verdict.confirmed
-            assert verdict.normative_worst < 1e-6
-            assert verdict.rejected_worst >= 1e-5
-
-    def test_pinned_strong_coupling_inputs_present(self, report):
-        by_key = {(e.dispute, e.variant, e.input_id): e.deviation
-                  for e in report.entries}
-        # the pinned max-battery inputs run at g = 0.3, delta = 1
-        assert by_key[("position-shift-attenuation", "attenuated", "max-000")] < 1e-6
-        assert by_key[("position-shift-attenuation", "unattenuated", "max-000")] >= 1e-5
-        assert by_key[("dephased-momentum-max", "squared-coherence", "max-000")] < 1e-6
-        assert by_key[("dephased-momentum-max", "unsquared-coherence", "max-000")] >= 1e-5
-
-    def test_entries_are_one_table_per_dispute(self):
-        # Each input carries one normative then one rejected entry, and the
-        # verdict's worsts are the largest deviation of each variant.
-        report = adjudicate_variants(seed=11)
-        for verdict in report.verdicts:
-            entries = [e for e in report.entries if e.dispute == verdict.dispute]
-            variants = (verdict.normative_variant, verdict.rejected_variant)
-            assert [e.variant for e in entries] == list(variants) * (len(entries) // 2)
-            ids = [e.input_id for e in entries[::2]]
-            assert ids == [e.input_id for e in entries[1::2]]
-            assert len(set(ids)) == len(ids)
-            worsts = tuple(max(e.deviation for e in entries if e.variant == v)
-                           for v in variants)
-            assert (verdict.normative_worst, verdict.rejected_worst) == worsts
-
-    def test_deterministic(self, report):
-        again = adjudicate_variants(seed=7)
-        assert again.to_text() == report.to_text()
-        assert again.csv_rows() == report.csv_rows()
-
-    def test_csv_shape(self, report, tmp_path):
-        rows = report.csv_rows()
-        assert rows[0] == "variant,input_id,deviation"
-        assert all(row.count(",") == 2 for row in rows)
-        path = tmp_path / "adjudication.csv"
-        report.write_csv(path)
-        text = path.read_bytes()
-        assert b"\r" not in text
-        assert text.decode().splitlines() == rows
+@pytest.mark.parametrize("name", ["common", "qubit", "channels", "gaussian", "qubitmeter",
+                                  "optimize"])
+def test_checked_modules_do_not_import_the_checks(name):
+    imported = _package_imports(importlib.import_module(f"weakamp.{name}"))
+    assert not imported & {"oracle", "verification", "weakamp.oracle", "weakamp.verification"}

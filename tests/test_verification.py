@@ -5,18 +5,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import weakamp.oracle as oracle
 import weakamp.verification as verification
-from weakamp import VanishingPostselectionError, run_verify
+from weakamp import QubitDensity, VanishingPostselectionError, bloch_from_density, run_verify
 from weakamp.verification import (
+    _ATTEMPTS_PER_SAMPLE,
     COUPLING_BATTERY,
     FAULT_NAMES,
     KAPPA_BATTERY,
     _oracle_battery,
+    _sample,
+    adjudicate_variants,
     gaussian_oracle_battery,
     optimizer_battery,
     qubit_oracle_battery,
 )
+from weakamp.verification import _random_density as random_density
 
 #: SHA-256 over the repr of every oracle result of ``run_verify(7, 1000)``,
 #: then its report text and adjudication CSV rows.
@@ -115,12 +118,18 @@ def test_unconverged_search_is_its_own_failure(monkeypatch):
 
 
 def test_unconverged_adjudication_search_fails_verify(monkeypatch):
-    real = oracle.maximize
+    # Only the adjudication's oracle-maximum searches, which scan a
+    # ``_OPTIMIZER_GRID_N``-point grid, report no convergence; the optimizer
+    # battery's searches take the default grid and converge.
+    real = verification.maximize
 
     def unconverged(objective, **kwargs):
-        return replace(real(objective, **kwargs), converged=False)
+        result = real(objective, **kwargs)
+        if kwargs.get("grid_n") != verification._OPTIMIZER_GRID_N:
+            return result
+        return replace(result, converged=False)
 
-    monkeypatch.setattr(oracle, "maximize", unconverged)
+    monkeypatch.setattr(verification, "maximize", unconverged)
     report = run_verify(seed=7, samples=5)
     assert not report.ok
     failures = [r for r in report.records if not r.ok]
@@ -148,7 +157,7 @@ def test_adjudication_sample_shortfall_fails_verify(monkeypatch, every):
         return oracle_call
 
     for name in ("gaussian_grid_evolve", "qubit_joint_evolve"):
-        monkeypatch.setattr(oracle, name, vanishing(getattr(oracle, name)))
+        monkeypatch.setattr(verification, name, vanishing(getattr(verification, name)))
     records, report = verification.adjudication_battery(7)
     missing = {1: (("position-shift-attenuation", 40), ("dephased-reading-numerator", 40)),
                2: (("dephased-reading-numerator", 20),)}[every]
@@ -188,14 +197,14 @@ def test_nan_optimizer_value_fails_both_of_its_records(monkeypatch):
 def test_nan_adjudication_deviation_fails_its_verdict(monkeypatch):
     # The second pointwise case of dispute 3 reads NaN: a NaN behind the
     # first deviation of both variants, which max() would drop.
-    real, calls = oracle.qubit_joint_evolve, []
+    real, calls = verification.qubit_joint_evolve, []
 
     def nan_second_reading(*args, **kwargs):
         result = real(*args, **kwargs)
         calls.append(result)
         return replace(result, reading=math.nan) if len(calls) == 2 else result
 
-    monkeypatch.setattr(oracle, "qubit_joint_evolve", nan_second_reading)
+    monkeypatch.setattr(verification, "qubit_joint_evolve", nan_second_reading)
     records, report = verification.adjudication_battery(7)
     verdict = next(v for v in report.verdicts if v.dispute == "dephased-reading-numerator")
     assert math.isnan(verdict.normative_worst) and math.isnan(verdict.rejected_worst)
@@ -212,16 +221,16 @@ def test_verdict_and_its_records_agree_at_the_tolerance(monkeypatch):
     # pass both the verdict and the check records that verify counts; a NaN
     # worst fails its own check, an inf one fails the normative check and
     # clears the separation bar.
-    tolerance = oracle.ADJUDICATION_TOLERANCE
-    bar = oracle.REJECTION_FACTOR * tolerance
+    tolerance = verification.ADJUDICATION_TOLERANCE
+    bar = verification.REJECTION_FACTOR * tolerance
     worsts_and_oks = [((tolerance, bar), [True, True]),
                       ((math.nan, bar), [False, True]),
                       ((tolerance, math.nan), [True, False]),
                       ((math.inf, bar), [False, True]),
                       ((tolerance, math.inf), [True, True])]
     for worsts, oks in worsts_and_oks:
-        verdict = oracle.DisputeVerdict("edge", "kept", "rejected", *worsts)
-        report = oracle.AdjudicationReport(7, (), (verdict,))
+        verdict = verification.DisputeVerdict("edge", "kept", "rejected", *worsts)
+        report = verification.AdjudicationReport(7, (), (verdict,))
         monkeypatch.setattr(verification, "adjudicate_variants", lambda seed: report)
         records, _ = verification.adjudication_battery(7)
         assert [r.ok for r in records if r.case.startswith("edge/")] == oks
@@ -271,6 +280,130 @@ def test_run_verify_rejects_empty_batteries():
         run_verify(seed=7, samples=0)
 
 
+def test_sample_stops_at_its_samples_or_its_attempt_cap():
+    draws = []
+
+    def every_third():
+        draws.append(len(draws))
+        return draws[-1] if draws[-1] % 3 == 0 else None
+
+    assert list(_sample(every_third, 4)) == [0, 3, 6, 9]
+    assert len(draws) == 10
+    rejected = []
+    assert list(_sample(lambda: rejected.append(0), 2)) == []
+    assert len(rejected) == 2 * _ATTEMPTS_PER_SAMPLE
+
+
+def test_random_density_draws_three_normals_then_one_uniform():
+    # The batteries' inputs, and so their oracle calls, are pinned: each
+    # density takes exactly normal(size=3) and then random() from the stream,
+    # as the direction and the cube of the Bloch radius.
+    rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+    for _ in range(100):
+        rho = random_density(rng)
+        direction = twin.normal(size=3)
+        radius = twin.random() ** (1.0 / 3.0)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert isinstance(rho, QubitDensity)
+        bloch = bloch_from_density(rho)
+        expected = radius * direction / math.sqrt(direction.dot(direction))
+        assert np.max(np.abs([bloch.rx, bloch.ry, bloch.rz] - expected)) < 1e-15
+        assert abs(rho.rho00 + rho.rho11 - 1.0) < 1e-15
+        assert rho.rho01 == rho.rho10.conjugate()
+        assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-15
+
+
+
+@pytest.fixture(scope="module")
+def report():
+    return adjudicate_variants(seed=7)
+
+
+@pytest.mark.parametrize("name,dispute,floor,field,missing", [
+    ("gaussian_grid_evolve", "position-shift-attenuation", 1e-2, "dq_shift", 0),
+    ("qubit_joint_evolve", "dephased-reading-numerator", 1e-3, "reading", 1),
+], ids=["dispute-1", "dispute-3"])
+def test_low_probability_dispute_input_is_not_compared(monkeypatch, report, name, dispute,
+                                                       floor, field, missing):
+    # The first pointwise oracle result reads just under the dispute's
+    # probability filter and 1 off its true value: compared, it would add
+    # a deviation of about 1 to both variants.  Dispute 1 draws another
+    # input in its place; dispute 3 decides on a fixed list of cases and
+    # counts the lost one as a shortfall.
+    real, calls = getattr(verification, name), []
+
+    def low_first(*args):
+        result = real(*args)
+        calls.append(result)
+        if len(calls) > 1:
+            return result
+        return replace(result, prob=floor / 2, **{field: getattr(result, field) + 1.0})
+
+    monkeypatch.setattr(verification, name, low_first)
+    patched = adjudicate_variants(seed=7)
+
+    def pointwise(rep):
+        """Deviations of the dispute's pointwise inputs, two per input."""
+        return [e.deviation for e in rep.entries
+                if e.dispute == dispute and e.input_id.startswith("point-")]
+
+    before, after = pointwise(report), pointwise(patched)
+    assert len(before) == 80 and not report.shortfalls
+    assert len(after) == 80 - 2 * missing
+    assert after[:78] == before[2:]
+    assert patched.shortfalls == (((dispute, missing),) if missing else ())
+
+
+class TestAdjudication:
+
+    def test_all_disputes_confirmed(self, report):
+        assert report.all_confirmed
+        assert len(report.verdicts) == 3
+        for verdict in report.verdicts:
+            assert verdict.confirmed
+            assert verdict.normative_worst < 1e-6
+            assert verdict.rejected_worst >= 1e-5
+
+    def test_pinned_strong_coupling_inputs_present(self, report):
+        by_key = {(e.dispute, e.variant, e.input_id): e.deviation
+                  for e in report.entries}
+        # the pinned max-battery inputs run at g = 0.3, delta = 1
+        assert by_key[("position-shift-attenuation", "attenuated", "max-000")] < 1e-6
+        assert by_key[("position-shift-attenuation", "unattenuated", "max-000")] >= 1e-5
+        assert by_key[("dephased-momentum-max", "squared-coherence", "max-000")] < 1e-6
+        assert by_key[("dephased-momentum-max", "unsquared-coherence", "max-000")] >= 1e-5
+
+    def test_entries_are_one_table_per_dispute(self):
+        # Each input carries one normative then one rejected entry, and the
+        # verdict's worsts are the largest deviation of each variant.
+        report = adjudicate_variants(seed=11)
+        for verdict in report.verdicts:
+            entries = [e for e in report.entries if e.dispute == verdict.dispute]
+            variants = (verdict.normative_variant, verdict.rejected_variant)
+            assert [e.variant for e in entries] == list(variants) * (len(entries) // 2)
+            ids = [e.input_id for e in entries[::2]]
+            assert ids == [e.input_id for e in entries[1::2]]
+            assert len(set(ids)) == len(ids)
+            worsts = tuple(max(e.deviation for e in entries if e.variant == v)
+                           for v in variants)
+            assert (verdict.normative_worst, verdict.rejected_worst) == worsts
+
+    def test_deterministic(self, report):
+        again = adjudicate_variants(seed=7)
+        assert again.to_text() == report.to_text()
+        assert again.csv_rows() == report.csv_rows()
+
+    def test_csv_shape(self, report, tmp_path):
+        rows = report.csv_rows()
+        assert rows[0] == "variant,input_id,deviation"
+        assert all(row.count(",") == 2 for row in rows)
+        path = tmp_path / "adjudication.csv"
+        report.write_csv(path)
+        text = path.read_bytes()
+        assert b"\r" not in text
+        assert text.decode().splitlines() == rows
+
+
 def test_oracle_results_are_pinned(monkeypatch):
     results = []
 
@@ -281,9 +414,8 @@ def test_oracle_results_are_pinned(monkeypatch):
             return result
         return oracle_call
 
-    for module in (verification, oracle):
-        for name in ("gaussian_grid_evolve", "qubit_joint_evolve"):
-            monkeypatch.setattr(module, name, recorded(getattr(oracle, name)))
+    for name in ("gaussian_grid_evolve", "qubit_joint_evolve"):
+        monkeypatch.setattr(verification, name, recorded(getattr(verification, name)))
     report = run_verify(seed=7, samples=1000)
     assert len(results) == ORACLE_CALLS
     text = "\n".join(results + [report.to_text()] + report.adjudication.csv_rows())
