@@ -320,10 +320,11 @@ class AdjudicationReport:
 
 
 def _random_density(rng: np.random.Generator) -> QubitDensity:
-    direction = rng.normal(size=3)
-    norm = math.sqrt(direction.dot(direction))  # numpy's dot: the battery inputs are pinned
+    x, y, z = rng.normal(size=3).tolist()
+    # A float sum, not numpy's dot: the pinned inputs round alike under any BLAS.
+    norm = math.sqrt(x * x + y * y + z * z)
     radius = rng.random() ** (1.0 / 3.0)
-    return density_from_bloch(BlochVector(*(radius * (c / norm) for c in direction.tolist())))
+    return density_from_bloch(BlochVector(*(radius * (c / norm) for c in (x, y, z))))
 
 
 def _random_pure(rng: np.random.Generator) -> PureQubit:

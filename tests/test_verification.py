@@ -23,7 +23,7 @@ from weakamp.verification import _random_density as random_density
 
 #: SHA-256 over the repr of every oracle result of ``run_verify(7, 1000)``,
 #: then its report text and adjudication CSV rows.
-ORACLE_DIGEST = "b5effc8ca1974f29b1fd32712b49f924e0782efb97d1828f5abdc9b47845db2a"
+ORACLE_DIGEST = "78db8ef24771e2df05df25de9dddbb94dcb5c197d0592f0819d932ff9b3ebbfc"
 #: Oracle calls that ``run_verify(7, 1000)`` makes and completes.
 ORACLE_CALLS = 2080
 
