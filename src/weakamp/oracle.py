@@ -229,4 +229,3 @@ def gaussian_grid_evolve(rho_s: QubitDensity, psi_f: PureQubit, g: float,
         raise VanishingPostselectionError(prob)
     # Initial means are zero, so the conditional means are the shifts.
     return ShiftResult(p_sum / prob, q_sum / prob, prob)
-
