@@ -17,14 +17,17 @@ product) in the postselection amplitudes x, B being the probability.  The
 largest |value| at that preselection is the generalized eigenvalue of
 largest modulus, det(A - lambda B) = 0, reached at its eigenvector; the
 eigenvector gives theta2 exactly, and its phase folds into phi0.
-``_Objective.postselected`` reads the two forms, solves the pencil and
-evaluates the value at one theta1 in one pass.  One line search over u1
-then finds the best preselection.  The amplitude-damping suprema
-(``amplitude_damping_max``) are approached as theta1 runs into the pole 0,
-so those searches end at the edge of the u1 box, a relative gap of order
-exp(-2 _U_MAX) below the supremum, with theta2 within about 1e-4 of pi.
-Those suprema are known in closed form, so such searches serve the
-independent numerical cross-check in the tests and the acceptance gate.
+``_Objective._pencil`` reads the two forms and solves the pencil at one
+theta1.  One line search over u1 then finds the best preselection: its
+probes (``_Objective.scored``) compare the Rayleigh quotient x.A x / x.B x
+at the eigenvector, which is the value but for rounding, and the angles and
+the value itself (``_Objective.postselected``) are read once, at the final
+u1.  The amplitude-damping suprema (``amplitude_damping_max``) are
+approached as theta1 runs into the pole 0, so those searches end at the
+edge of the u1 box, a relative gap of order exp(-2 _U_MAX) below the
+supremum, with theta2 within about 1e-4 of pi.  Those suprema are known in
+closed form, so such searches serve the independent numerical cross-check
+in the tests and the acceptance gate.
 
 Any other callable is probed point by point: a coarse grid of grid_n^3
 points picks a start, then cyclic line searches along the coordinates and
@@ -50,7 +53,6 @@ the conditional shift is only defined in the limit.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import warnings
@@ -113,9 +115,11 @@ class OptimizationResult:
     ``evaluations`` counts the probes the search made, and splits into the
     probes that locate the start and those that refine it (``grid_probes +
     refine_probes``).  For an ``_Objective`` a probe is one preselection
-    theta1 with its exact best postselection: ``grid_probes`` is the grid_n
-    points of the theta1 scan and ``refine_probes`` the Brent steps after
-    it.  For any other callable a probe is one objective value:
+    theta1 scored at its exact best postselection by the Rayleigh quotient:
+    ``grid_probes`` is the grid_n points of the theta1 scan and
+    ``refine_probes`` the Brent steps after it.  ``value`` and ``argmax``
+    are read once, at the final theta1, and that read-out is not counted.
+    For any other callable a probe is one objective value:
     ``grid_probes`` is the grid_n^3 points of the coarse grid and
     ``refine_probes`` the probes of the cyclic refinement.
     """
@@ -184,24 +188,25 @@ _DIRECTIONS = (
 
 
 def _line_search(probe, origin: _Point, direction: _Point,
-                 n: int) -> tuple[_Point, float, tuple[_Point, float], int]:
+                 n: int) -> tuple[_Point, float, tuple[_Point | None, float], int]:
     """Scan the segment of the u-line through ``origin`` inside the box, then
     refine its first largest point by Brent's method.
 
     ``probe`` maps t to the (angles, signed value) of the line's point
-    origin + t direction.  Brent's method (Brent 1973, ch. 5) keeps the best
-    point x, the second best w and the previous w as v; it steps to the
-    vertex of the parabola through them when that vertex lies inside the
-    bracket and the step is less than half the one before last, and takes a
-    golden-section step into the larger part of the bracket otherwise.  The
-    bracket is the scan step on either side of x; the scan's neighbours of x
-    are the first w and v, so the first parabola costs no probe.  A scan
-    maximum at a segment end has no neighbour beyond it and starts with a
-    golden-section step.  The scan maps ``probe`` over n evenly spaced
-    points, and a non-finite value raises OptimizationError at the first
-    such point, after the scan, or at its own point during Brent's method
-    (``_checked``).  x moves only to a strictly larger |value|, so it is the
-    first largest of the line's probes.
+    origin + t direction; a probe whose values are always finite may give
+    None for the angles (``_Objective.scored``).  Brent's method (Brent
+    1973, ch. 5) keeps the best point x, the second best w and the previous
+    w as v; it steps to the vertex of the parabola through them when that
+    vertex lies inside the bracket and the step is less than half the one
+    before last, and takes a golden-section step into the larger part of the
+    bracket otherwise.  The bracket is the scan step on either side of x;
+    the scan's neighbours of x are the first w and v, so the first parabola
+    costs no probe.  A scan maximum at a segment end has no neighbour beyond
+    it and starts with a golden-section step.  The scan maps ``probe`` over
+    n evenly spaced points, and a non-finite value raises OptimizationError
+    at the first such point, after the scan, or at its own point during
+    Brent's method (``_checked``).  x moves only to a strictly larger
+    |value|, so it is the first largest of the line's probes.
 
     Returns x in u, its |value|, its probe's (angles, signed value) and the
     number of probes the line made.
@@ -311,12 +316,14 @@ def _grid_start(objective: Objective, grid_n: int) -> _Point:
 def maximize(objective: Objective, grid_n: int = 64) -> OptimizationResult:
     """Maximize |objective| over the angle domain.
 
-    An ``_Objective`` is searched over theta1 alone, each probe taking the
-    exact best postselection at its theta1 (``_Objective.postselected``):
-    one line search, a grid_n-point scan of u1 = log tan(theta1 / 2) across
-    |u1| <= ``_U_MAX`` and then Brent's method, which ends once its bracket
-    is ``_LINE_WIDTH`` wide.  Such a search always converges, and theta2 may
-    lie anywhere in [0, pi].
+    An ``_Objective`` is searched over theta1 alone, each probe scoring the
+    exact best postselection at its theta1 by the Rayleigh quotient there
+    (``_Objective.scored``): one line search, a grid_n-point scan of u1 =
+    log tan(theta1 / 2) across |u1| <= ``_U_MAX`` and then Brent's method,
+    which ends once its bracket is ``_LINE_WIDTH`` wide.  The angles and the
+    value are then read once, at the final u1 (``_Objective.postselected``),
+    so the value reported is the objective's own at the reported point.
+    Such a search always converges, and theta2 may lie anywhere in [0, pi].
 
     Any other callable is probed point by point.  A coarse grid of grid_n^3
     samples over the angles locates the basin of the global maximum; it
@@ -342,9 +349,10 @@ def maximize(objective: Objective, grid_n: int = 64) -> OptimizationResult:
     if grid_n < 16:
         raise ValueError(f"grid_n must be at least 16, got {grid_n}")
     if isinstance(objective, _Objective):
-        # The one line: u1 across the box.
-        _, _, ((t1, t2, p0), value), probes = _line_search(
-            objective.postselected, (0.0, 0.0, 0.0), _DIRECTIONS[0], grid_n)
+        # The one line: u1 across the box, scored; then one read-out.
+        (u1, _, _), _, _, probes = _line_search(
+            objective.scored, (0.0, 0.0, 0.0), _DIRECTIONS[0], grid_n)
+        (t1, t2, p0), value = objective.postselected(u1)
         return OptimizationResult(value, PPSPoint(t1, t2, p0), probes, True,
                                   grid_n, probes - grid_n)
 
@@ -417,12 +425,16 @@ class _Objective:
     Im k10); the value is the contraction with m over the one with n.
     """
 
-    __slots__ = ("entries", "n", "m")
+    __slots__ = ("entries", "n", "m", "_branches")
 
     def __init__(self, entries, n, m):
         self.entries = entries
         self.n = n
         self.m = m
+        # M then N as one flat tuple for the pencil, each off-diagonal entry
+        # doubled (exactly) as its q takes it.
+        self._branches = tuple(x for s, k00, k11, k10_re, k10_im in (m, n)
+                               for x in (s, k00, k11, 2.0 * k10_re, 2.0 * k10_im))
 
     def __call__(self, t1: float, t2: float, p0: float) -> float:
         """The value at (theta1, theta2, phi0); 0 at or below the floor."""
@@ -439,9 +451,11 @@ class _Objective:
             return 0.0
         return _contract(self.m, c00, c11, c10_re, c10_im) / prob
 
-    def postselected(self, u1: float) -> tuple[_Point, float]:
-        """The best postselection at theta1 = 2 atan(exp(u1)), as the probe
-        u1 -> (angles, value).
+    def _pencil(self, u1: float):
+        """The best postselection at theta1 = 2 atan(exp(u1)): (theta1, its
+        half-angle cosine and sine, lead, pivot, Re v, Im v, score), where the
+        postselection amplitudes are x = (pivot, v) if lead, else (conj v,
+        pivot).
 
         At phi0 = 0 the value is x.A x / x.B x in the postselection amplitudes
         x = (x0, x1), with the Hermitian forms A = rho o M and B = rho o N: the
@@ -449,44 +463,90 @@ class _Objective:
         matrix (s, k00, k11, Re k10, Im k10) gives the form's entries a00 = s
         (rho00 k00), a11 = s (rho11 k11) and q = 2 s rho10 k10, twice the lower
         off-diagonal entry; B, the probability, is positive semi-definite.
-        rho10 is real at phi0 = 0.  Where a part of q vanishes, its real part
-        is +0 and its imaginary part -0: these signs pick phi0 (0 or pi) at a
-        state without coherence, where every phi0 is as good.
+        rho10 is real at phi0 = 0.
 
         The best x is an eigenvector of the root lambda of largest modulus of
         det(A - lambda B) = det(B) lambda^2 - beta lambda + det(A) = 0, with
         beta = a00 b11 + a11 b00 - Re(q_A conj(q_B)) / 2: the null vector of
-        the larger row of A - lambda B, or 0 where both rows vanish and every
-        x is as good.  A singular B (at gamma = 1 every damped state is
-        |0><0|) gives instead the larger column of B, which spans its range:
+        the row of A - lambda B whose diagonal entry, the pivot, is the larger
+        in modulus, or 0 where both rows vanish and every x is as good.  A
+        singular B (at gamma = 1 every damped state is |0><0|) gives instead
+        the column of B with the larger diagonal entry, which spans its range:
         B's null vector has probability 0, so the value is taken on the range.
-        Of two rows of equal norm (or a NaN norm) the first is kept.
+        Of two rows or columns that tie (or a NaN) the first is kept.
 
-        x gives theta2 = 2 atan2(|x1|, |x0|) (0 for x = 0), and the phase of
-        x0 conj(x1), mod 2 pi, is the relative phase phi0.  The value is the
-        call face's at those angles.
+        The score is the Rayleigh quotient x.A x / x.B x at that x, 0 where
+        x's normalised probability x.B x / |x|^2 is at or below the floor, as
+        the call face's is.  It is taken at x / pivot, (1, z) or (conj z, 1)
+        with z = v / pivot and |z| about 1 or less, so no square of x can
+        overflow or underflow.  Unlike lambda itself, it is second-order in
+        x's rounding: at a double root (A proportional to B) the quadratic
+        gives lambda to only about sqrt(eps).  It is NaN where x is
+        degenerate: a singular B (det B <= 0), or a zero pivot, where both
+        rows of A - lambda B vanish but for rounding.
         """
         t1 = _theta(u1)
         ch1, sh1 = math.cos(0.5 * t1), math.sin(0.5 * t1)
         rho00, rho11, rho10, _ = self.entries(ch1, sh1, 1.0, 0.0)
-        (a00, a11, qa), (b00, b11, qb) = (
-            (s * (rho00 * k00), s * (rho11 * k11),
-             complex(s * (0.0 + 2.0 * k10_re * rho10), -(s * (0.0 - 2.0 * k10_im * rho10))))
-            for s, k00, k11, k10_re, k10_im in (self.m, self.n))
-        det_b = b00 * b11 - 0.25 * (qb.real * qb.real + qb.imag * qb.imag)
+        ms, m00, m11, m10_re, m10_im, ns, n00, n11, n10_re, n10_im = self._branches
+        a00, a11 = ms * (rho00 * m00), ms * (rho11 * m11)
+        qa_re, qa_im = ms * (m10_re * rho10), ms * (m10_im * rho10)
+        b00, b11 = ns * (rho00 * n00), ns * (rho11 * n11)
+        qb_re, qb_im = ns * (n10_re * rho10), ns * (n10_im * rho10)
+        det_b = b00 * b11 - 0.25 * (qb_re * qb_re + qb_im * qb_im)
         if det_b <= 0.0:
-            x0, x1, y0, y1 = b00, 0.5 * qb, 0.5 * qb.conjugate(), b11
+            # The columns (b00, q_B / 2) and (conj q_B / 2, b11).
+            lead = not abs(b11) > abs(b00)
+            return (t1, ch1, sh1, lead, b00 if lead else b11, 0.5 * qb_re, 0.5 * qb_im,
+                    math.nan)
+        beta = a00 * b11 + a11 * b00 - 0.5 * (qa_re * qb_re + qa_im * qb_im)
+        det_a = a00 * a11 - 0.25 * (qa_re * qa_re + qa_im * qa_im)
+        root = math.sqrt(max(beta * beta - 4.0 * det_b * det_a, 0.0))
+        lam = (beta + math.copysign(root, beta)) / (det_b + det_b)
+        r00, r11 = a00 - lam * b00, a11 - lam * b11
+        r10_re, r10_im = 0.5 * (qa_re - lam * qb_re), 0.5 * (qa_im - lam * qb_im)
+        # The null vectors (conj r10, -r00) and (r11, -r10) of the two rows.
+        lead = abs(r11) > abs(r00)
+        if lead:
+            pivot, v_re, v_im = r11, -r10_re, -r10_im
         else:
-            beta = a00 * b11 + a11 * b00 - 0.5 * (qa * qb.conjugate()).real
-            det_a = a00 * a11 - 0.25 * (qa.real * qa.real + qa.imag * qa.imag)
-            root = math.sqrt(max(beta * beta - 4.0 * det_b * det_a, 0.0))
-            lam = (beta + math.copysign(root, beta)) / (det_b + det_b)
-            m00, m11, m10 = a00 - lam * b00, a11 - lam * b11, 0.5 * (qa - lam * qb)
-            x0, x1, y0, y1 = m10.conjugate(), -m00, m11, -m10
-        if abs(y0) ** 2 + abs(y1) ** 2 > abs(x0) ** 2 + abs(x1) ** 2:
-            x0, x1 = y0, y1
-        t2 = 2.0 * math.atan2(abs(x1), abs(x0))
-        p0 = cmath.phase(x0 * x1.conjugate()) % TWO_PI
+            pivot, v_re, v_im = -r00, r10_re, r10_im
+        if pivot == 0.0:
+            return t1, ch1, sh1, lead, pivot, v_re, v_im, math.nan
+        z_re, z_im = v_re / pivot, v_im / pivot
+        zz = z_re * z_re + z_im * z_im
+        # |x0|^2 and |x1|^2 over pivot^2; x0 conj(x1) over pivot^2 is conj(z).
+        e0, e1 = (1.0, zz) if lead else (zz, 1.0)
+        prob = b00 * e0 + b11 * e1 + (qb_re * z_re + qb_im * z_im)
+        if prob / (1.0 + zz) <= PROB_FLOOR:
+            return t1, ch1, sh1, lead, pivot, v_re, v_im, 0.0
+        value = a00 * e0 + a11 * e1 + (qa_re * z_re + qa_im * z_im)
+        return t1, ch1, sh1, lead, pivot, v_re, v_im, value / prob
+
+    def scored(self, u1: float) -> tuple[_Point | None, float]:
+        """The scoring probe of a theta1 search: u1 -> (None, score), the
+        Rayleigh quotient at the best postselection (``_pencil``), which is the
+        call face's value there but for rounding.  A score that is degenerate
+        or not finite defers to ``postselected(u1)``, so that a non-finite
+        value is reported at the probe's own angles."""
+        score = self._pencil(u1)[7]
+        if math.isfinite(score):
+            return None, score
+        return self.postselected(u1)
+
+    def postselected(self, u1: float) -> tuple[_Point, float]:
+        """The best postselection at theta1 = 2 atan(exp(u1)), as the probe
+        u1 -> (angles, value).
+
+        x (``_pencil``) gives theta2 = 2 atan2(|x1|, |x0|) (0 for x = 0), and
+        the phase of x0 conj(x1) = pivot conj(v), mod 2 pi, is the relative
+        phase phi0.  The value is the call face's at those angles.
+        """
+        t1, ch1, sh1, lead, pivot, v_re, v_im, _ = self._pencil(u1)
+        near, far = abs(pivot), math.hypot(v_re, v_im)
+        t2 = 2.0 * (math.atan2(far, near) if lead else math.atan2(near, far))
+        sign = math.copysign(1.0, pivot)
+        p0 = math.atan2(-sign * v_im, sign * v_re) % TWO_PI
         return (t1, t2, p0), self._value(ch1, sh1, t2, p0)
 
 

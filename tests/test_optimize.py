@@ -96,7 +96,7 @@ def _battery_and_damped_objectives():
 #: searches of ``adjudicate_variants()`` (grid_n = 32).  Recorded with
 #: CPython 3.11 and numpy 2.4 on x86-64 Linux; a speed-up that moves any
 #: value, point or probe count changes it.
-RESULTS_DIGEST = "a6f2d2227b579d26e64e6bffe9d7675bf81941e87059f9a10da633fd17b61afa"
+RESULTS_DIGEST = "af152104e670feb7bfd2113a7b8f375f5473a177cdfc59b0a2ae214e76941d3e"
 
 #: ``TARGETS`` whose searches as plain callables are pinned.
 PLAIN_TARGETS = ("kappa-dp", "kappa-dq", "kappa-reading", "damped-dq", "oracle-dq")
@@ -551,7 +551,7 @@ class TestLineSearch:
     def test_battery_probe_counts(self):
         # Probe counts are deterministic: a slide back to wasteful line
         # searches shows here without any timing.  These 36 searches each
-        # scan 64 preselections, then make 916 Brent probes between them,
+        # scan 64 preselections, then make 953 Brent probes between them,
         # against 33180 probes after the 64^3 grid when they searched all
         # three angles.
         meter = GaussianMeter(1.0)
@@ -703,6 +703,118 @@ class TestPostselectedProbe:
         (t1, t2, p0), value = objective.postselected(0.0)
         assert (t2, p0) == (2.0 * math.atan2(1.0, 0.5), 0.0)
         assert objective(t1, t2, p0) == value
+
+
+def _score_objectives():
+    """Objectives whose scoring probe is checked against the call face, by
+    name: the 36 verify battery ones, kappa = 0 (dp's tied roots, dq's zero
+    read-out form and the reading's A proportional to B), damped ones at
+    gamma = 0, 0.5, 0.999 (whose best postselection sits at the floor at
+    some theta1) and 1 (a singular B), two grid-oracle ones and a coupling of
+    1e-160, whose forms' squares underflow."""
+    out = {f"battery-{i}": objective
+           for i, objective in enumerate(_battery_and_damped_objectives()[:36])}
+    g = 0.1 * METER.dp
+    for family, builders in (("kappa", (kappa_shift_objective, kappa_reading_objective)),
+                             ("damped", (damped_shift_objective, damped_reading_objective))):
+        for strength in ((0.0,) if family == "kappa" else (0.0, 0.5, 0.999, 1.0)):
+            shift, reading = builders
+            out[f"{family}-{strength}-dp"] = shift(strength, g, METER, "dp")
+            out[f"{family}-{strength}-dq"] = shift(strength, g, METER, "dq")
+            out[f"{family}-{strength}-reading"] = reading(strength, 0.1)
+    out["oracle-damped-dq"] = _form_objective("amplitude-damping", 0.5, "oracle-dq", 0.3)
+    out["oracle-depolarized-dp"] = _form_objective("depolarizing", 0.6, "oracle-dp", 0.2)
+    out["tiny-coupling-dp"] = kappa_shift_objective(0.5, 1e-160, METER, "dp")
+    return out
+
+
+def _score_points():
+    """The 64 scan points of a search, both box edges and 200 seeded u1."""
+    step = 2.0 * _U_MAX / 63
+    rng = np.random.default_rng(24)
+    return ([-_U_MAX + i * step for i in range(64)] + [-_U_MAX, _U_MAX]
+            + rng.uniform(-_U_MAX, _U_MAX, size=200).tolist())
+
+
+class TestScoringProbe:
+    # The probe u1 -> (None, score) that a theta1 search compares, and the
+    # one read-out of angles and value at its end.
+    def test_score_matches_the_call_face(self):
+        us = _score_points()
+        for name, objective in _score_objectives().items():
+            for u1 in us:
+                angles, value = objective.postselected(u1)
+                assert objective(*angles) == value
+                _, score = objective.scored(u1)
+                if value == 0.0:
+                    assert score == 0.0, (name, u1)
+                else:
+                    assert abs(score - value) <= 1e-12 * abs(value), (name, u1)
+
+    @pytest.mark.parametrize("objective, degenerate", [
+        (damped_shift_objective(1.0, 0.1 * METER.dp, METER, "dp"), "singular B"),
+        (kappa_shift_objective(0.0, 0.1 * METER.dp, METER, "dq"), "zero read-out form"),
+        (kappa_reading_objective(0.0, 0.1), "A proportional to B"),
+    ], ids=["singular-b", "zero-form", "proportional"])
+    def test_degenerate_scores_defer_to_postselected(self, objective, degenerate):
+        deferred = 0
+        for u1 in _score_points():
+            if math.isnan(objective._pencil(u1)[7]):
+                deferred += 1
+                assert objective.scored(u1) == objective.postselected(u1)
+            else:
+                assert objective.scored(u1)[0] is None
+        assert deferred > 0, degenerate
+
+    def test_each_search_reads_its_point_once(self, monkeypatch):
+        # The 51 searches of RESULTS_DIGEST: the scan and Brent probes are
+        # scored, and postselected runs once, at the final u1, for the
+        # reported angles and value.
+        calls = []
+        real_postselected = _Objective.postselected
+
+        def counted(self, u1):
+            calls.append(u1)
+            return real_postselected(self, u1)
+
+        monkeypatch.setattr(_Objective, "postselected", counted)
+        searches = []
+        real_maximize = verification.maximize
+
+        def recorded(objective, **kwargs):
+            before = len(calls)
+            result = real_maximize(objective, **kwargs)
+            searches.append((objective, result, len(calls) - before))
+            return result
+
+        for objective in _battery_and_damped_objectives():
+            recorded(objective)
+        monkeypatch.setattr(verification, "maximize", recorded)
+        verification.adjudicate_variants()
+        assert len(searches) == 51
+        for objective, result, reads in searches:
+            assert reads == 1
+            point = result.argmax
+            assert objective(point.theta1, point.theta2, point.phi0) == result.value
+            assert result.evaluations == result.grid_probes + result.refine_probes
+            assert result.converged
+
+    @pytest.mark.parametrize("n, m", NONFINITE_BRANCHES.values(), ids=NONFINITE_BRANCHES)
+    def test_nonfinite_search_raises_at_the_probes_angles(self, n, m):
+        # A non-finite or degenerate score defers to postselected, so the
+        # theta1 search raises at the first scan point whose read-out is not
+        # finite, with that read-out's own (theta1, theta2, phi0), NaNs
+        # included.  (The squares of the pencil's rows used to overflow into
+        # an OverflowError on "nan-from-infinite-probability".)
+        objective = _Objective(_pure_entries(depolarizing(0.2)), n, m)
+        step = 2.0 * _U_MAX / 31
+        first, value = next(
+            found for found in (objective.postselected(-_U_MAX + i * step) for i in range(32))
+            if not math.isfinite(found[1]))
+        with pytest.raises(OptimizationError) as err:
+            maximize(objective, grid_n=32)
+        assert repr(err.value.point) == repr(PPSPoint(*first))
+        assert repr(err.value.value) == repr(value)
 
 
 def test_phase_reduction_is_sound():

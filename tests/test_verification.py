@@ -23,7 +23,7 @@ from weakamp.verification import _random_density as random_density
 
 #: SHA-256 over the repr of every oracle result of ``run_verify(7, 1000)``,
 #: then its report text and adjudication CSV rows.
-ORACLE_DIGEST = "78db8ef24771e2df05df25de9dddbb94dcb5c197d0592f0819d932ff9b3ebbfc"
+ORACLE_DIGEST = "7e536d7bdf1339fcdfc04b6befbafa8ab05d5dd9ada99f3ceacdc6f263770306"
 #: Oracle calls that ``run_verify(7, 1000)`` makes and completes.
 ORACLE_CALLS = 2080
 
