@@ -34,12 +34,6 @@ def _nan_max(a: float, b: float) -> float:
     return a if a != a or a >= b else b
 
 
-def _read_only(array):
-    """``array`` with its writeable flag cleared, for arrays a cache hands out."""
-    array.flags.writeable = False
-    return array
-
-
 def _check_coupling(g: float) -> float:
     if not (math.isfinite(g) and g >= 0.0):
         raise ValueError(f"coupling must be finite and non-negative, got {g!r}")

@@ -432,9 +432,17 @@ class _Objective:
         self.n = n
         self.m = m
         # M then N as one flat tuple for the pencil, each off-diagonal entry
-        # doubled (exactly) as its q takes it.
-        self._branches = tuple(x for s, k00, k11, k10_re, k10_im in (m, n)
-                               for x in (s, k00, k11, 2.0 * k10_re, 2.0 * k10_im))
+        # doubled (exactly) as its q takes it, then the unit 2^e: M's scale
+        # enters the pencil divided by this power of two, so that squares of
+        # a tiny read-out scale (g = 1e-160) cannot underflow, and the score
+        # gets it back in one exact multiply.  e <= 0: a scale of 1 or more
+        # is kept whole (2^1024 is no float), so that its overflows still
+        # surface in the pencil as they do in the call face.
+        e = min(math.frexp(m[0])[1], 0)
+        scaled = (math.ldexp(m[0], -e), *m[1:])
+        self._branches = tuple(x for s, k00, k11, k10_re, k10_im in (scaled, n)
+                               for x in (s, k00, k11, 2.0 * k10_re, 2.0 * k10_im)
+                               ) + (math.ldexp(1.0, e),)
 
     def __call__(self, t1: float, t2: float, p0: float) -> float:
         """The value at (theta1, theta2, phi0); 0 at or below the floor."""
@@ -463,7 +471,9 @@ class _Objective:
         matrix (s, k00, k11, Re k10, Im k10) gives the form's entries a00 = s
         (rho00 k00), a11 = s (rho11 k11) and q = 2 s rho10 k10, twice the lower
         off-diagonal entry; B, the probability, is positive semi-definite.
-        rho10 is real at phi0 = 0.
+        rho10 is real at phi0 = 0.  M's scale enters divided by the power of
+        two ``unit`` (``__init__``), which scales A, lambda and the rows below
+        exactly and leaves x as it is; only the score is multiplied back.
 
         The best x is an eigenvector of the root lambda of largest modulus of
         det(A - lambda B) = det(B) lambda^2 - beta lambda + det(A) = 0, with
@@ -488,7 +498,7 @@ class _Objective:
         t1 = _theta(u1)
         ch1, sh1 = math.cos(0.5 * t1), math.sin(0.5 * t1)
         rho00, rho11, rho10, _ = self.entries(ch1, sh1, 1.0, 0.0)
-        ms, m00, m11, m10_re, m10_im, ns, n00, n11, n10_re, n10_im = self._branches
+        ms, m00, m11, m10_re, m10_im, ns, n00, n11, n10_re, n10_im, unit = self._branches
         a00, a11 = ms * (rho00 * m00), ms * (rho11 * m11)
         qa_re, qa_im = ms * (m10_re * rho10), ms * (m10_im * rho10)
         b00, b11 = ns * (rho00 * n00), ns * (rho11 * n11)
@@ -521,7 +531,7 @@ class _Objective:
         if prob / (1.0 + zz) <= PROB_FLOOR:
             return t1, ch1, sh1, lead, pivot, v_re, v_im, 0.0
         value = a00 * e0 + a11 * e1 + (qa_re * z_re + qa_im * z_im)
-        return t1, ch1, sh1, lead, pivot, v_re, v_im, value / prob
+        return t1, ch1, sh1, lead, pivot, v_re, v_im, value / prob * unit
 
     def scored(self, u1: float) -> tuple[_Point | None, float]:
         """The scoring probe of a theta1 search: u1 -> (None, score), the

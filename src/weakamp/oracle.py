@@ -34,6 +34,11 @@ the closed-form meter modules, their branch matrices, the contraction that
 reads them or the optimizer that checks them: ``gaussian_grid_evolve`` sums
 its own weighted moments.  Agreement between the two routes is what the
 verification batteries check.
+
+This module and ``verification`` are the package's only numpy users.  The
+value types and channels hold plain scalars, so the qubit oracle builds its
+arrays from their fields: the system density from rho's four entries and the
+postselection bra from psi_f's two amplitudes.
 """
 
 from __future__ import annotations
@@ -51,9 +56,14 @@ from .common import (
     ShiftResult,
     VanishingPostselectionError,
     _check_coupling,
-    _read_only,
 )
-from .qubit import PAULI_X, PAULI_Z, PureQubit, QubitDensity
+from .qubit import PureQubit, QubitDensity
+
+
+def _read_only(array):
+    """``array`` with its writeable flag cleared, for arrays a cache hands out."""
+    array.flags.writeable = False
+    return array
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +72,7 @@ from .qubit import PAULI_X, PAULI_Z, PureQubit, QubitDensity
 
 
 #: The coupling generator sigma_z x sigma_x.
-_GENERATOR = np.kron(PAULI_Z, PAULI_X)
+_GENERATOR = np.kron(np.diag([1.0, -1.0]), [[0.0, 1.0], [1.0, 0.0]]).astype(complex)
 _IDENTITY = np.eye(4, dtype=complex)
 
 
@@ -75,7 +85,7 @@ def _joint_evolved(rho_s: QubitDensity, g: float) -> np.ndarray:
     propagator = _propagator(g)
     # rho_s x |0><0|: the system entries sit at the even (meter |0>) indices.
     joint = np.zeros((4, 4), dtype=complex)
-    joint[::2, ::2] = rho_s.matrix
+    joint[::2, ::2] = ((rho_s.rho00, rho_s.rho01), (rho_s.rho10, rho_s.rho11))
     return propagator @ joint @ propagator.conj().T
 
 
@@ -93,7 +103,8 @@ def qubit_joint_evolve(rho_s: QubitDensity, psi_f: PureQubit,
     meter without postselection."""
     g = _check_coupling(g)
     # Row-major 2x2 read-out A = (<psi_f| x I) U (I x |0>), from U's even (meter |0>) columns.
-    a = (psi_f.amplitudes().conj() @ _propagator(g)[:, ::2].reshape(2, 4)).tolist()
+    bra = np.array([psi_f.alpha.conjugate(), psi_f.beta.conjugate()])
+    a = (bra @ _propagator(g)[:, ::2].reshape(2, 4)).tolist()
     # The diagonal of the meter state A rho A^dagger: row m of A rho against conj(A[m]).
     m00, m11 = (((x * rho_s.rho00 + y * rho_s.rho10) * x.conjugate()
                  + (x * rho_s.rho01 + y * rho_s.rho11) * y.conjugate()).real

@@ -2,6 +2,9 @@
 
 Every matrix in this package is written in the eigenbasis of the measured
 system observable, so the measurement axis itself never needs to be stored.
+The types hold plain Python scalars: a pure state its two angles, a density
+matrix its four entries.  Array forms of them are built only where they are
+the brute-force reference, in the oracles and the tests.
 """
 
 from __future__ import annotations
@@ -11,17 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 #: Tolerance for algebraic identities (hermiticity, trace, normalization).
 ATOL = 1e-12
 
 TWO_PI = 2.0 * math.pi
-
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY = np.eye(2, dtype=complex)
 
 #: Stores a field of a frozen state type once, from its ``__init__``.  Unlike
 #: a write to ``self.__dict__``, it keeps CPython's compact per-instance
@@ -70,9 +66,6 @@ class PureQubit:
     @property
     def beta(self) -> complex:
         return cmath.exp(1j * self.phi) * math.sin(0.5 * self.theta)
-
-    def amplitudes(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta], dtype=complex)
 
     def density(self) -> "QubitDensity":
         a, b = self.alpha, self.beta
@@ -144,23 +137,6 @@ class QubitDensity:
         _store(self, "rho01", r01)
         _store(self, "rho10", r10)
         _store(self, "rho11", r11)
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "QubitDensity":
-        m = np.asarray(m, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.rho00, self.rho01], [self.rho10, self.rho11]],
-                        dtype=complex)
-
-    def expectation(self, psi: PureQubit) -> float:
-        """<psi| rho |psi>, real by hermiticity."""
-        v = psi.amplitudes()
-        return float(np.vdot(v, self.matrix @ v).real)
 
 
 def density_from_bloch(v: BlochVector) -> QubitDensity:

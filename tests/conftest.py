@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 from hypothesis import strategies as st
 
 from weakamp import BlochVector, PureQubit, QubitDensity, density_from_bloch, pure_state
@@ -34,3 +35,13 @@ def densities() -> st.SearchStrategy[QubitDensity]:
 
 def gammas():
     return st.floats(min_value=0.0, max_value=1.0)
+
+
+def matrix(rho: QubitDensity) -> np.ndarray:
+    """``rho`` as a 2x2 complex array, the brute-force references' form."""
+    return np.array([[rho.rho00, rho.rho01], [rho.rho10, rho.rho11]], dtype=complex)
+
+
+def amplitudes(psi: PureQubit) -> np.ndarray:
+    """``psi``'s amplitudes (alpha, beta) as a complex array."""
+    return np.array([psi.alpha, psi.beta], dtype=complex)

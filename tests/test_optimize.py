@@ -751,6 +751,17 @@ class TestScoringProbe:
                 else:
                     assert abs(score - value) <= 1e-12 * abs(value), (name, u1)
 
+    @pytest.mark.parametrize("g", [1e-160, 1e-300])
+    def test_tiny_coupling_keeps_the_maxima(self, g):
+        # The read-out scale is about g: the pencil's squares of it would
+        # underflow (the search landed 1.5e-8 below the dp maximum and 2.1e-7
+        # below the dq one at g = 1e-160) unless it runs on the scale's
+        # mantissa.
+        meter = GaussianMeter(1.0)
+        for which, closed in zip(("dp", "dq"), gaussian_max_shifts(0.5, g, meter)):
+            value = maximize(kappa_shift_objective(0.5, g, meter, which)).value
+            assert abs(abs(value) - closed.value) <= 1e-12 * closed.value, which
+
     @pytest.mark.parametrize("objective, degenerate", [
         (damped_shift_objective(1.0, 0.1 * METER.dp, METER, "dp"), "singular B"),
         (kappa_shift_objective(0.0, 0.1 * METER.dp, METER, "dq"), "zero read-out form"),

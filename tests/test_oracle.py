@@ -2,10 +2,12 @@ import ast
 import importlib
 import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+from conftest import amplitudes, matrix
 import weakamp.oracle
 from weakamp import gaussian, qubitmeter
 from weakamp import (
@@ -53,7 +55,8 @@ class TestQubitOracle:
         psi_f = random_pure(rng)
         res = qubit_joint_evolve(rho, psi_f, 0.0)
         assert res.reading == 0.0
-        assert res.prob == pytest.approx(rho.expectation(psi_f), abs=1e-15)
+        v = amplitudes(psi_f)
+        assert res.prob == pytest.approx(np.vdot(v, matrix(rho) @ v).real, abs=1e-15)
 
     def test_trace_and_hermiticity_exact(self):
         rng = np.random.default_rng(13)
@@ -70,7 +73,7 @@ class TestQubitOracle:
             g = rng.uniform(0.0, 1.5)
             propagator = math.cos(g) * np.eye(4) \
                 + 1j * math.sin(g) * np.kron(np.diag([1.0, -1.0]), np.array([[0, 1], [1, 0]]))
-            joint = np.kron(rho.matrix, meter0)
+            joint = np.kron(matrix(rho), meter0)
             expected = propagator @ joint @ propagator.conj().T
             assert np.max(np.abs(_joint_evolved(rho, g) - expected)) < 1e-15
         assert np.array_equal(_GENERATOR @ _GENERATOR, np.eye(4))
@@ -99,7 +102,7 @@ class TestQubitOracle:
         for _ in range(1000):
             rho, psi_f, g = random_density(rng), random_pure(rng), rng.uniform(0.0, 1.5)
             evolved = _joint_evolved(rho, g).reshape(2, 2, 2, 2)
-            amps = psi_f.amplitudes()
+            amps = amplitudes(psi_f)
             meter = np.einsum("s,smtn,t->mn", amps.conj(), evolved, amps)
             prob = np.trace(meter).real
             res = qubit_joint_evolve(rho, psi_f, g)
@@ -266,7 +269,8 @@ class TestGridOracle:
         res = gaussian_grid_evolve(rho, psi_f, 0.0, METER)
         assert abs(res.dp_shift) < 1e-10
         assert abs(res.dq_shift) < 1e-10
-        assert res.prob == pytest.approx(rho.expectation(psi_f), abs=1e-10)
+        v = amplitudes(psi_f)
+        assert res.prob == pytest.approx(np.vdot(v, matrix(rho) @ v).real, abs=1e-10)
 
     def test_single_branch_momentum_kick(self):
         psi = pure_state(0.0, 0.0)
@@ -289,8 +293,8 @@ class TestGridOracle:
             res = gaussian_grid_evolve(rho, psi_f, g, METER)
             assert _branch_moments.cache_info().misses == misses + fresh
             moments = _branch_moments(g, 1.0, _half_width(METER, g), _POINTS)
-            amps = psi_f.amplitudes()
-            prob, q_sum, p_sum = (rho.matrix * np.outer(amps.conj(), amps) * moments
+            amps = amplitudes(psi_f)
+            prob, q_sum, p_sum = (matrix(rho) * np.outer(amps.conj(), amps) * moments
                                   ).sum(axis=(1, 2)).real
             for got, want in ((res.prob, prob), (res.dq_shift, q_sum / prob),
                               (res.dp_shift, p_sum / prob)):
@@ -386,8 +390,31 @@ def test_oracle_imports_only_the_value_types():
         assert forbidden not in source
 
 
+def _imports_numpy(module):
+    """Whether ``module``'s source imports numpy or a numpy submodule."""
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] == "numpy" for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] == "numpy":
+                return True
+    return False
+
+
 @pytest.mark.parametrize("name", ["common", "qubit", "channels", "gaussian", "qubitmeter",
                                   "optimize"])
 def test_checked_modules_do_not_import_the_checks(name):
-    imported = _package_imports(importlib.import_module(f"weakamp.{name}"))
-    assert not imported & {"oracle", "verification"}
+    # Nor numpy: the value types, channels, closed forms and optimizer are
+    # scalar code, and arrays belong to the brute-force references.
+    module = importlib.import_module(f"weakamp.{name}")
+    assert not _package_imports(module) & {"oracle", "verification"}
+    assert not _imports_numpy(module)
+
+
+def test_only_the_oracles_and_verification_import_numpy():
+    names = ["__init__"] + [m.name for m in pkgutil.iter_modules(weakamp.__path__)]
+    modules = {name: importlib.import_module("weakamp" if name == "__init__" else f"weakamp.{name}")
+               for name in names}
+    assert {name for name, module in modules.items() if _imports_numpy(module)} \
+        == {"oracle", "verification"}

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import bloch_vectors, densities, pure_states
+from conftest import amplitudes, bloch_vectors, densities, matrix, pure_states
 from weakamp import (
     BlochVector,
     PureQubit,
@@ -115,14 +115,6 @@ class TestDensity:
             with pytest.raises(ValueError, match=message):
                 QubitDensity(*entries)
 
-    def test_from_matrix(self):
-        m = np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]])
-        assert QubitDensity.from_matrix(m) == QubitDensity(0.6, 0.1 + 0.2j, 0.1 - 0.2j, 0.4)
-        with pytest.raises(ValueError, match=r"^expected a 2x2 matrix, got shape \(3, 3\)$"):
-            QubitDensity.from_matrix(np.eye(3) / 3)
-        with pytest.raises(ValueError, match=r"^expected a 2x2 matrix, got shape \(4,\)$"):
-            QubitDensity.from_matrix([0.5, 0.0, 0.0, 0.5])
-
     @given(bloch_vectors())
     @settings(max_examples=200)
     def test_bloch_round_trip(self, v):
@@ -134,7 +126,7 @@ class TestDensity:
     @given(densities())
     @settings(max_examples=200)
     def test_eigenvalues_in_unit_interval(self, rho):
-        eigs = np.linalg.eigvalsh(rho.matrix)
+        eigs = np.linalg.eigvalsh(matrix(rho))
         assert eigs.min() >= -1e-12
         assert eigs.max() <= 1.0 + 1e-12
 
@@ -248,9 +240,9 @@ class TestDecompose:
     @settings(max_examples=200)
     def test_reconstruction(self, rho):
         r, direction, _ = decompose(rho)
-        v = direction.amplitudes()
+        v = amplitudes(direction)
         rebuilt = (1.0 - r) * np.eye(2) / 2.0 + r * np.outer(v, v.conj())
-        assert np.max(np.abs(rebuilt - rho.matrix)) < 1e-10
+        assert np.max(np.abs(rebuilt - matrix(rho))) < 1e-10
 
 
 class TestOverlap:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import matrix
 import weakamp.verification as verification
 from weakamp import QubitDensity, VanishingPostselectionError, bloch_from_density, run_verify
 from weakamp.verification import (
@@ -310,7 +311,7 @@ def test_random_density_draws_three_normals_then_one_uniform():
         assert np.max(np.abs([bloch.rx, bloch.ry, bloch.rz] - expected)) < 1e-15
         assert abs(rho.rho00 + rho.rho11 - 1.0) < 1e-15
         assert rho.rho01 == rho.rho10.conjugate()
-        assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-15
+        assert np.linalg.eigvalsh(matrix(rho)).min() >= -1e-15
 
 
 
