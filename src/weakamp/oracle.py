@@ -14,8 +14,17 @@ Two oracles, both built from the impulse interaction only:
   and both spectra, and Parseval's theorem gives the momentum moments from
   the spectra without inverse transforms.  The size-only index arrays (grid
   index, FFT frequencies, mirror index) come from a small per-size cache,
-  the moments come back as one read-only (3, 2, 2) array, and a state's
-  three weighted sums over its entries are taken in Python scalars.
+  and a state's three weighted sums over the moments are taken in Python
+  scalars by ``_grid_shifts``.
+
+One kernel, ``_moment_kernel``, does the grid arithmetic.  It is
+shape-generic: given one grid's floats it returns one (3, 2, 2) set of
+moments, and given n grids' floats as arrays it evaluates the grids as n rows
+of the same arrays and returns n sets, each equal bit for bit to its one-grid
+call.  ``_branch_moments`` is its one-grid call behind a bounded cache, which
+``gaussian_grid_evolve`` and the verification module's oracle objectives use.
+``_grid_pass`` is its many-grid call, outside the cache: the Gaussian oracle
+battery draws a fresh coupling per sample and evaluates them in passes.
 
 The grid has 256 points on a half-width of 10-14 widths, set by (delta, g).
 The integrands are Gaussians of width delta (times phases), on which the
@@ -137,8 +146,9 @@ def _half_width(meter: GaussianMeter, g: float) -> float:
 
 
 #: Branch-moment sets kept per process.  Callers that evaluate many states at
-#: a few couplings hit the cache; seeded batteries draw a fresh coupling per
-#: sample, so an unbounded cache would grow by one entry per sample.
+#: a few couplings hit the cache; the adjudication draws a fresh coupling per
+#: pointwise input, so an unbounded cache would grow by one entry per input.
+#: The Gaussian oracle battery, which does the same per sample, bypasses it.
 _BRANCH_CACHE_SIZE = 64
 #: Grid sizes whose index arrays are kept; the oracle itself uses ``_POINTS``.
 _INDEX_CACHE_SIZE = 8
@@ -153,6 +163,84 @@ def _grid_indices(points: int):
     return tuple(map(_read_only, (k.astype(float), freqs.astype(float), -k % points)))
 
 
+def _grid_floats(g: float, delta: float, half_width: float, points: int):
+    """One grid's floats, in Python arithmetic: the grid's (g, half_width, dx,
+    (2 pi delta^2)^-1/4, -4 delta^2, 1 / (points dx)) and the quadrature
+    weights (dx, dx / points), with dx = 2 half_width / points.
+
+    numpy's array power rounds (2 pi delta^2)^-1/4 differently from Python's
+    for some delta, so a pass of grids takes its floats from here too.
+    Raises GridTooSmallError when the branch spectra exp(-delta^2 (k -+ g)^2)
+    reach above e^-36 at the Nyquist wavenumber: delta (pi / dx - g) < 6.
+    """
+    dx = 2.0 * half_width / points
+    margin = delta * (math.pi / dx - g)
+    if margin < 6.0:
+        raise GridTooSmallError(
+            f"spacing {dx:.3g} does not resolve the branch spectra: "
+            f"delta (pi / dx - g) = {margin:.3g} < 6"
+        )
+    grid = (g, half_width, dx, (2.0 * math.pi * delta ** 2) ** -0.25, -4.0 * delta ** 2,
+            1.0 / (points * dx))
+    return grid, (dx, dx / points)
+
+
+def _moment_kernel(points: int, grid, weights):
+    """Branch moments N, Q, P of one grid, or of a pass of grids.
+
+    ``grid`` and ``weights`` are ``_grid_floats``' two tuples.  As Python
+    floats they give one (3, 2, 2) array.  For n grids, ``grid`` holds (n, 1)
+    columns and ``weights`` (n,) rows, and the result is (3, 2, 2, n): its
+    [..., i] equals the one-grid result at the i-th grid's floats, bit for
+    bit: each grid is a row of points, the elementwise operations act on each
+    row alone, and each quadrature is one BLAS dot of two contiguous rows,
+    whichever numpy function hands them over.  Raises GridTooSmallError when
+    a grid's norm N00 is off 1 by more than 1e-6 (a grid too short loses
+    norm, one too coarse can over-count it), checked before the FFT.
+    """
+    g, half_width, dx, prefactor, width, inv_span = grid
+    q_weight, p_weight = weights
+    k, freqs, mirror = _grid_indices(points)
+    q = -half_width + dx * k
+    # One grid's sums are np.vdot and np.dot, plain calls of BLAS's zdotc and
+    # zdotu; a pass's are the gufunc np.vecdot, the same zdotc row by row, on
+    # the conjugate where the sum is unconjugated.
+    cdot, udot = ((np.vdot, np.dot) if q.ndim == 1
+                  else (np.vecdot, lambda a, b: np.vecdot(np.conj(a), b)))
+    phase = g * q
+    # The FFT writes into a buffer of ours; its own output allocation costs more.
+    buffers = np.empty((2,) + q.shape, dtype=complex)
+    b0, spectrum = buffers[0], buffers[1]
+    np.cos(phase, out=b0.real)
+    np.sin(phase, out=b0.imag)
+    b0 *= prefactor * np.exp(q * q / width)
+    # conj(b0) b0 rather than envelope**2: rounds like the two-branch quadrature.
+    n_diag = q_weight * cdot(b0, b0).real
+    norms = n_diag.tolist()
+    for norm in norms if isinstance(norms, list) else [norms]:
+        if abs(norm - 1.0) > 1e-6:
+            raise GridTooSmallError(f"grid norm differs from 1 by {abs(norm - 1.0):.2e}")
+    qb0 = q * b0
+    q_diag = q_weight * cdot(b0, qb0).real
+    n_cross, q_cross = q_weight * udot(b0, b0), q_weight * udot(b0, qb0)
+    np.fft.fft(b0, out=spectrum)
+    # take, not fancy indexing: a pass's rows stay contiguous, so vecdot keeps BLAS.
+    mirrored = spectrum.take(mirror, axis=-1)
+    np.conj(mirrored, out=mirrored)
+    # 2 pi (freqs / (points dx)) and the weighted spectra go into spent buffers:
+    # fewer live arrays keep a pass's peak memory down.
+    wavenumbers = np.multiply(freqs, inv_span, out=phase)
+    wavenumbers *= 2.0 * math.pi
+    weighted = np.multiply(wavenumbers, spectrum, out=qb0)
+    p_diag0, p_cross = p_weight * cdot(spectrum, weighted).real, p_weight * cdot(mirrored, weighted)
+    p_diag1 = p_weight * cdot(mirrored, np.multiply(wavenumbers, mirrored, out=weighted)).real
+    # N, Q, P row-major; the (1, 0) entries are the conjugates of the (0, 1).
+    moments = np.array([n_diag, n_cross, n_cross, n_diag, q_diag, q_cross, q_cross, q_diag,
+                        p_diag0, p_cross, p_cross, p_diag1], dtype=complex)
+    np.conj(moments[1::4], out=moments[2::4])
+    return moments.reshape((3, 2, 2) + q.shape[:-1])
+
+
 @lru_cache(maxsize=_BRANCH_CACHE_SIZE)
 def _branch_moments(g: float, delta: float, half_width: float, points: int):
     """Norm, position, and momentum moments between the two meter branches.
@@ -160,7 +248,8 @@ def _branch_moments(g: float, delta: float, half_width: float, points: int):
     Returns one read-only (3, 2, 2) complex array, shared by every caller at
     these arguments, that unpacks into N, Q, P with
     N[j, l] = <Phi_l|Phi_j>, Q[j, l] = <Phi_l|q|Phi_j>, P[j, l] = <Phi_l|p|Phi_j>
-    where Phi_0/Phi_1 are the envelope times exp(+igq)/exp(-igq).
+    where Phi_0/Phi_1 are the envelope times exp(+igq)/exp(-igq).  It is
+    ``_moment_kernel``'s one-grid call.
 
     Grid quadrature plus a spectral derivative, independent of the closed
     forms.  The envelope is real, so Phi_1 = conj(Phi_0) with spectrum
@@ -172,48 +261,48 @@ def _branch_moments(g: float, delta: float, half_width: float, points: int):
 
     Raises GridTooSmallError when the spectrum exp(-delta^2 (k -+ g)^2)
     reaches above e^-36 at the Nyquist wavenumber, or when the norm N00,
-    checked before the FFT, is off by more than 1e-6 (a grid too short
-    loses norm, one too coarse can over-count it).
+    checked before the FFT, is off by more than 1e-6.
     """
-    dx = 2.0 * half_width / points
-    k, freqs, mirror = _grid_indices(points)
-    q = -half_width + dx * k
-    margin = delta * (math.pi / dx - g)
-    if margin < 6.0:
-        raise GridTooSmallError(
-            f"spacing {dx:.3g} does not resolve the branch spectra: "
-            f"delta (pi / dx - g) = {margin:.3g} < 6"
-        )
-    envelope = (2.0 * math.pi * delta ** 2) ** -0.25 * np.exp(q * q / (-4.0 * delta ** 2))
-    phase, b0 = g * q, np.empty(points, dtype=complex)
-    np.cos(phase, out=b0.real)
-    np.sin(phase, out=b0.imag)
-    b0 *= envelope
-    # conj(b0) b0 rather than envelope**2: rounds like the two-branch quadrature.
-    n_diag = dx * np.vdot(b0, b0).real
-    if abs(n_diag - 1.0) > 1e-6:
-        raise GridTooSmallError(
-            f"grid norm differs from 1 by {abs(n_diag - 1.0):.2e}"
-        )
-    spectrum = np.fft.fft(b0)
-    mirrored = np.conj(spectrum[mirror])
-    wavenumbers = 2.0 * math.pi * (freqs * (1.0 / (points * dx)))
-    qb0, kf0 = q * b0, wavenumbers * spectrum
-    q_diag = dx * np.vdot(b0, qb0).real
-    p_diag = (dx / points * np.vdot(spectrum, kf0).real,
-              dx / points * np.vdot(mirrored, wavenumbers * mirrored).real)
-    n_cross, q_cross = dx * np.dot(b0, b0), dx * np.dot(b0, qb0)
-    p_cross = dx / points * np.vdot(mirrored, kf0)
-    moments = np.empty((3, 2, 2), dtype=complex)
-    moments[:, 0, 0], moments[:, 1, 1] = (n_diag, q_diag, p_diag[0]), (n_diag, q_diag, p_diag[1])
-    moments[:, 0, 1] = n_cross, q_cross, p_cross
-    moments[:, 1, 0] = np.conj(moments[:, 0, 1])
-    return _read_only(moments)
+    return _read_only(_moment_kernel(points, *_grid_floats(g, delta, half_width, points)))
+
+
+def _grid_args(g: float, meter: GaussianMeter):
+    """``_branch_moments``' arguments at the oracle's grid for coupling g,
+    which must lie in the regime g * delta <= 1 (ValueError otherwise)."""
+    g = _check_coupling(g)
+    if g * meter.delta > 1.0 + 1e-12:
+        raise ValueError(f"grid oracle requires g * delta <= 1, got {g * meter.delta}")
+    return g, meter.delta, _half_width(meter, g), _POINTS
 
 
 def _grid_moments(g: float, meter: GaussianMeter):
     """``_branch_moments`` on ``_POINTS`` points over ``_half_width(meter, g)``."""
-    return _branch_moments(g, meter.delta, _half_width(meter, g), _POINTS)
+    return _branch_moments(*_grid_args(g, meter))
+
+
+def _grid_pass(couplings):
+    """The oracle's branch moments at each (g, meter) of ``couplings`` from one
+    kernel call, as an (n, 3, 2, 2) array: row i equals ``_grid_moments`` at
+    the i-th coupling, bit for bit, and nothing is cached."""
+    grid, weights = zip(*(_grid_floats(*_grid_args(g, meter)) for g, meter in couplings))
+    moments = _moment_kernel(_POINTS, np.array(grid).T[..., None], np.array(weights).T)
+    return moments.transpose(3, 0, 1, 2)
+
+
+def _grid_shifts(rho_s: QubitDensity, psi_f: PureQubit, moments) -> ShiftResult:
+    """Pointer shifts of (rho_s, psi_f) from one grid's moments, given as the
+    nested lists N, Q, P of ``.tolist()``; VanishingPostselectionError below
+    the probability floor."""
+    # Branch-pair weights c[j, l] = rho[j, l] conj(psi_f[j]) psi_f[l].
+    a, b = psi_f.alpha, psi_f.beta
+    c00, c01 = rho_s.rho00 * (a.conjugate() * a), rho_s.rho01 * (a.conjugate() * b)
+    c10, c11 = rho_s.rho10 * (b.conjugate() * a), rho_s.rho11 * (b.conjugate() * b)
+    prob, q_sum, p_sum = [(c00 * m00 + c01 * m01 + c10 * m10 + c11 * m11).real
+                          for (m00, m01), (m10, m11) in moments]
+    if prob <= PROB_FLOOR:
+        raise VanishingPostselectionError(prob)
+    # Initial means are zero, so the conditional means are the shifts.
+    return ShiftResult(p_sum / prob, q_sum / prob, prob)
 
 
 def gaussian_grid_evolve(rho_s: QubitDensity, psi_f: PureQubit, g: float,
@@ -226,17 +315,4 @@ def gaussian_grid_evolve(rho_s: QubitDensity, psi_f: PureQubit, g: float,
     128 pi / (10 + 4 g delta) - g delta at least 27.7.  Raises
     VanishingPostselectionError below the probability floor.
     """
-    g = _check_coupling(g)
-    if g * meter.delta > 1.0 + 1e-12:
-        raise ValueError(f"grid oracle requires g * delta <= 1, got {g * meter.delta}")
-    moments = _grid_moments(g, meter)
-    # Branch-pair weights c[j, l] = rho[j, l] conj(psi_f[j]) psi_f[l].
-    a, b = psi_f.alpha, psi_f.beta
-    c00, c01 = rho_s.rho00 * (a.conjugate() * a), rho_s.rho01 * (a.conjugate() * b)
-    c10, c11 = rho_s.rho10 * (b.conjugate() * a), rho_s.rho11 * (b.conjugate() * b)
-    prob, q_sum, p_sum = ((c00 * m00 + c01 * m01 + c10 * m10 + c11 * m11).real
-                          for (m00, m01), (m10, m11) in moments.tolist())
-    if prob <= PROB_FLOOR:
-        raise VanishingPostselectionError(prob)
-    # Initial means are zero, so the conditional means are the shifts.
-    return ShiftResult(p_sum / prob, q_sum / prob, prob)
+    return _grid_shifts(rho_s, psi_f, _grid_moments(g, meter).tolist())

@@ -24,8 +24,8 @@ from weakamp import (
     qubit_meter_marginal,
 )
 from weakamp.optimize import _pure_entries
-from weakamp.oracle import (_GENERATOR, _POINTS, _branch_moments, _grid_indices, _half_width,
-                            _joint_evolved, _propagator)
+from weakamp.oracle import (_GENERATOR, _POINTS, _branch_moments, _grid_indices, _grid_moments,
+                            _grid_pass, _half_width, _joint_evolved, _propagator)
 from weakamp.verification import _oracle_shift_objective
 from weakamp.verification import _random_density as random_density
 from weakamp.verification import _random_pure as random_pure
@@ -224,6 +224,41 @@ class TestBranchMoments:
     def test_moment_matrices_are_hermitian(self, g, delta):
         for mat in _branch_moments(g, delta, _half_width(GaussianMeter(delta), g), _POINTS):
             assert np.array_equal(mat, mat.conj().T)
+
+
+def _pass_couplings(rows, seed):
+    """(g, meter) pairs at mixed pointer widths delta in [0.5, 2] and g delta <= 1."""
+    rng = np.random.default_rng(seed)
+    meters = [GaussianMeter(delta) for delta in rng.uniform(0.5, 2.0, rows).tolist()]
+    return [(x / m.delta, m) for x, m in zip(rng.uniform(0.0, 1.0, rows).tolist(), meters)]
+
+
+class TestGridPass:
+    # One kernel call over a pass of grids gives each grid's moments exactly as
+    # the one-grid call does, on either side of the battery's pass size.
+    @pytest.mark.parametrize("rows", [1, 15, 16, 17, 40])
+    def test_rows_equal_the_per_coupling_moments(self, rows):
+        couplings = _pass_couplings(rows, seed=rows)
+        moments = _grid_pass(couplings)
+        assert moments.shape == (rows, 3, 2, 2)
+        for row, (g, meter) in zip(moments, couplings):
+            assert np.array_equal(row, _grid_moments(g, meter))
+
+    @pytest.mark.parametrize("widths, match", [(2.0, "grid norm"), (400.0, "branch spectra")])
+    def test_guard_failing_mid_pass_raises_the_one_grid_message(self, monkeypatch, widths, match):
+        # The ninth of 17 grids spans two pointer widths each way, too short
+        # for its norm, or 400, too coarse for its spectra.
+        couplings = _pass_couplings(17, seed=5)
+        bad_g, bad_meter = couplings[8]
+        half_width = widths * bad_meter.delta
+        with pytest.raises(GridTooSmallError, match=match) as one:
+            _branch_moments.__wrapped__(bad_g, bad_meter.delta, half_width, _POINTS)
+        real = weakamp.oracle._half_width
+        monkeypatch.setattr(weakamp.oracle, "_half_width",
+                            lambda meter, g: half_width if g == bad_g else real(meter, g))
+        with pytest.raises(GridTooSmallError) as batch:
+            _grid_pass(couplings)
+        assert str(batch.value) == str(one.value)
 
 
 def _branch_matrix(k):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import matrix
+import weakamp.oracle as oracle
 import weakamp.verification as verification
 from weakamp import QubitDensity, VanishingPostselectionError, bloch_from_density, run_verify
 from weakamp.verification import (
@@ -70,7 +71,7 @@ class TestOracleBatteries:
         # oracle, it would fail the battery; filtered, another is drawn.
         closed_name, oracle_name, floor, field = {
             "qubit-oracle": ("postselected_reading", "qubit_joint_evolve", 1e-4, "reading"),
-            "gaussian-oracle": ("gaussian_shifts", "gaussian_grid_evolve", 1e-3, "dq_shift"),
+            "gaussian-oracle": ("gaussian_shifts", "_grid_shifts", 1e-3, "dq_shift"),
         }[section]
         real_closed, real_oracle = (getattr(verification, closed_name),
                                     getattr(verification, oracle_name))
@@ -102,6 +103,34 @@ class TestOracleBatteries:
         assert [r.case for r in failed] == ["samples"]
         assert failed[0].samples == 0
         assert all(r.samples == 0 for r in records)
+
+
+def test_gaussian_battery_reads_each_accepted_input_once_in_draw_order(monkeypatch):
+    # The grids are evaluated in passes outside the moment cache, and every
+    # accepted input (prob >= 1e-3 by the closed form) reaches the per-input
+    # contraction once, in the order the stream drew it.
+    real_closed, real_shifts = verification.gaussian_shifts, verification._grid_shifts
+    closed, contracted = [], []
+
+    def closed_form(rho, *args):
+        result = real_closed(rho, *args)
+        closed.append((rho, result.prob))
+        return result
+
+    def contraction(rho, *args):
+        contracted.append(rho)
+        return real_shifts(rho, *args)
+
+    monkeypatch.setattr(verification, "gaussian_shifts", closed_form)
+    monkeypatch.setattr(verification, "_grid_shifts", contraction)
+    before = oracle._branch_moments.cache_info()
+    records = gaussian_oracle_battery(np.random.default_rng(3), 3 * verification._GRID_PASS + 1)
+    assert oracle._branch_moments.cache_info() == before
+    assert all(r.ok for r in records)
+    accepted = [rho for rho, prob in closed if prob >= 1e-3]
+    assert len(accepted) == 3 * verification._GRID_PASS + 1
+    assert len(contracted) == len(accepted)
+    assert all(got is want for got, want in zip(contracted, accepted))
 
 
 def test_unconverged_search_is_its_own_failure(monkeypatch):
@@ -172,8 +201,7 @@ def test_adjudication_sample_shortfall_fails_verify(monkeypatch, every):
 
 def test_nan_deviation_fails_its_oracle_record():
     # max(1e-15, nan) keeps 1e-15: the NaN must stick through later samples.
-    deviations = iter([(1e-15,), (math.nan,), (2e-15,)])
-    records = _oracle_battery("section", 3, 1e-12, ("key",), lambda: next(deviations))
+    records = _oracle_battery("section", 3, 1e-12, ("key",), [(1e-15,), (math.nan,), (2e-15,)])
     assert len(records) == 1
     assert records[0].samples == 3 and math.isnan(records[0].deviation)
     assert not records[0].ok and records[0].severity == math.inf
@@ -415,8 +443,11 @@ def test_oracle_results_are_pinned(monkeypatch):
             return result
         return oracle_call
 
-    for name in ("gaussian_grid_evolve", "qubit_joint_evolve"):
-        monkeypatch.setattr(verification, name, recorded(getattr(verification, name)))
+    # Every Gaussian oracle result, the battery's and gaussian_grid_evolve's,
+    # is read through the per-input contraction.
+    for module, name in ((verification, "_grid_shifts"), (oracle, "_grid_shifts"),
+                         (verification, "qubit_joint_evolve")):
+        monkeypatch.setattr(module, name, recorded(getattr(module, name)))
     report = run_verify(seed=7, samples=1000)
     assert len(results) == ORACLE_CALLS
     text = "\n".join(results + [report.to_text()] + report.adjudication.csv_rows())
