@@ -36,16 +36,13 @@ from .optimize import (
     kappa_shift_objective,
     maximize,
 )
-from .oracle import gaussian_grid_evolve, qubit_joint_evolve, qubit_meter_marginal
+from .oracle import gaussian_grid_evolve, qubit_joint_evolve
 from .qubit import (
     BlochVector,
-    Decomposition,
     PureQubit,
     QubitDensity,
     bloch_from_density,
-    decompose,
     density_from_bloch,
-    overlap,
     pure_state,
 )
 from .qubitmeter import ordinary_reading, postselected_reading, qubit_max_reading
@@ -56,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdjudicationReport",
     "BlochVector",
-    "Decomposition",
     "GaussianMeter",
     "GridTooSmallError",
     "KrausChannel",
@@ -78,7 +74,6 @@ __all__ = [
     "bloch_from_density",
     "damped_reading_objective",
     "damped_shift_objective",
-    "decompose",
     "density_from_bloch",
     "depolarizing",
     "gaussian_grid_evolve",
@@ -88,12 +83,10 @@ __all__ = [
     "kappa_shift_objective",
     "maximize",
     "ordinary_reading",
-    "overlap",
     "phase_damping",
     "postselected_reading",
     "pure_state",
     "qubit_joint_evolve",
     "qubit_max_reading",
-    "qubit_meter_marginal",
     "run_verify",
 ]

@@ -4,6 +4,7 @@ plus the one contraction that reads every meter value off its branch matrices.""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 #: Conditional readings are undefined below this postselection probability.
@@ -69,7 +70,9 @@ class GaussianMeter:
     """Minimum-uncertainty Gaussian pointer centered at q = p = 0.
 
     ``delta`` is the position standard deviation.  The momentum spread is
-    fixed by the uncertainty relation (hbar = 1), so dq * dp = 1/2.
+    fixed by the uncertainty relation (hbar = 1), so dq * dp = 1/2.  The
+    closed forms and the grid square delta, so delta^2 must be a normal
+    float: about 1.5e-154 <= delta <= 1.3e154.
     """
 
     delta: float
@@ -77,6 +80,10 @@ class GaussianMeter:
     def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
+        delta = float(self.delta)
+        if not sys.float_info.min <= delta * delta <= sys.float_info.max:
+            raise ValueError(f"delta^2 must be a normal float (delta about 1.5e-154 to "
+                             f"1.3e154), got delta = {self.delta!r}")
 
     @property
     def dq(self) -> float:

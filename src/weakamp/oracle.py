@@ -2,9 +2,10 @@
 
 Two oracles, both built from the impulse interaction only:
 
-* ``qubit_joint_evolve``: exact 4x4 evolution of system x qubit meter.  The
-  coupling generator squares to the identity, so the propagator is
-  cos(g) I + i sin(g) (sigma_z x sigma_x) with no approximation.
+* ``qubit_joint_evolve``: exact evolution of system x qubit meter.  The
+  coupling generator squares to the identity, so the 4x4 propagator is
+  cos(g) I + i sin(g) (sigma_z x sigma_x) with no approximation, and the
+  meter is read out through the 2x2 operator (<psi_f| x I) U (I x |0>).
 * ``gaussian_grid_evolve``: the Gaussian pointer on a position grid.  The
   interaction is diagonal in the system basis, so the meter splits into two
   branches Phi(q) exp(+-i g q); position moments come from quadrature and
@@ -46,8 +47,8 @@ verification batteries check.
 
 This module and ``verification`` are the package's only numpy users.  The
 value types and channels hold plain scalars, so the qubit oracle builds its
-arrays from their fields: the system density from rho's four entries and the
-postselection bra from psi_f's two amplitudes.
+one state array, the postselection bra, from psi_f's two amplitudes and
+reads rho's four entries as scalars.
 """
 
 from __future__ import annotations
@@ -89,27 +90,10 @@ def _propagator(g: float) -> np.ndarray:
     return math.cos(g) * _IDENTITY + 1j * math.sin(g) * _GENERATOR
 
 
-def _joint_evolved(rho_s: QubitDensity, g: float) -> np.ndarray:
-    """Evolved system x meter density matrix, meter starting in |0>."""
-    propagator = _propagator(g)
-    # rho_s x |0><0|: the system entries sit at the even (meter |0>) indices.
-    joint = np.zeros((4, 4), dtype=complex)
-    joint[::2, ::2] = ((rho_s.rho00, rho_s.rho01), (rho_s.rho10, rho_s.rho11))
-    return propagator @ joint @ propagator.conj().T
-
-
-def qubit_meter_marginal(rho_s: QubitDensity, g: float) -> np.ndarray:
-    """Reduced meter state after the interaction, no postselection."""
-    g = _check_coupling(g)
-    evolved = _joint_evolved(rho_s, g).reshape(2, 2, 2, 2)
-    return np.einsum("smsn->mn", evolved)
-
-
 def qubit_joint_evolve(rho_s: QubitDensity, psi_f: PureQubit,
                        g: float) -> QubitMeterReading:
     """Meter reading from the exact joint evolution, conditional on
-    projecting the system onto ``psi_f``; ``qubit_meter_marginal`` gives the
-    meter without postselection."""
+    projecting the system onto ``psi_f``."""
     g = _check_coupling(g)
     # Row-major 2x2 read-out A = (<psi_f| x I) U (I x |0>), from U's even (meter |0>) columns.
     bra = np.array([psi_f.alpha.conjugate(), psi_f.beta.conjugate()])
@@ -175,7 +159,7 @@ def _grid_floats(g: float, delta: float, half_width: float, points: int):
     """
     dx = 2.0 * half_width / points
     margin = delta * (math.pi / dx - g)
-    if margin < 6.0:
+    if not margin >= 6.0:  # a NaN margin fails too
         raise GridTooSmallError(
             f"spacing {dx:.3g} does not resolve the branch spectra: "
             f"delta (pi / dx - g) = {margin:.3g} < 6"
@@ -218,7 +202,7 @@ def _moment_kernel(points: int, grid, weights):
     n_diag = q_weight * cdot(b0, b0).real
     norms = n_diag.tolist()
     for norm in norms if isinstance(norms, list) else [norms]:
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:  # a NaN norm fails too
             raise GridTooSmallError(f"grid norm differs from 1 by {abs(norm - 1.0):.2e}")
     qb0 = q * b0
     q_diag = q_weight * cdot(b0, qb0).real

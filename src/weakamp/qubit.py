@@ -4,7 +4,8 @@ Every matrix in this package is written in the eigenbasis of the measured
 system observable, so the measurement axis itself never needs to be stored.
 The types hold plain Python scalars: a pure state its two angles, a density
 matrix its four entries.  Array forms of them are built only where they are
-the brute-force reference, in the oracles and the tests.
+a brute-force reference: the tests' matrices, and the qubit oracle's
+postselection bra.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 #: Tolerance for algebraic identities (hermiticity, trace, normalization).
 ATOL = 1e-12
@@ -148,33 +148,3 @@ def density_from_bloch(v: BlochVector) -> QubitDensity:
 def bloch_from_density(rho: QubitDensity) -> BlochVector:
     return BlochVector(2.0 * rho.rho01.real, -2.0 * rho.rho01.imag,
                        rho.rho00.real - rho.rho11.real)
-
-
-class Decomposition(NamedTuple):
-    """Convex split rho = (1 - r) I/2 + r |psi><psi|.
-
-    ``degenerate`` marks the maximally mixed input, where the direction is a
-    convention (|0> is returned).
-    """
-
-    modulus: float
-    state: PureQubit
-    degenerate: bool
-
-
-def decompose(rho: QubitDensity) -> Decomposition:
-    """Split a density matrix into its mixed part and a pure direction."""
-    v = bloch_from_density(rho)
-    r = v.modulus
-    if r == 0.0:
-        return Decomposition(0.0, pure_state(0.0, 0.0), True)
-    # atan2 stays well-conditioned near the poles, where acos(rz / r) would
-    # round a tiny transverse component away entirely.
-    theta = math.atan2(math.hypot(v.rx, v.ry), v.rz)
-    phi = math.atan2(v.ry, v.rx) % TWO_PI
-    return Decomposition(r, pure_state(theta, phi), False)
-
-
-def overlap(a: PureQubit, b: PureQubit) -> complex:
-    """Inner product <a|b>."""
-    return complex(a.alpha.conjugate() * b.alpha + a.beta.conjugate() * b.beta)

@@ -45,3 +45,17 @@ def matrix(rho: QubitDensity) -> np.ndarray:
 def amplitudes(psi: PureQubit) -> np.ndarray:
     """``psi``'s amplitudes (alpha, beta) as a complex array."""
     return np.array([psi.alpha, psi.beta], dtype=complex)
+
+
+def kron_propagator(g: float) -> np.ndarray:
+    """exp(i g sigma_z x sigma_x) = cos(g) I + i sin(g) sigma_z x sigma_x, from np.kron."""
+    generator = np.kron(np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    return math.cos(g) * np.eye(4) + 1j * math.sin(g) * generator
+
+
+def joint_evolved(rho: QubitDensity, g: float) -> np.ndarray:
+    """U (rho x |0><0|) U^dagger as a 4x4 array, system index first: the
+    brute-force reference of the qubit oracle ``qubit_joint_evolve``."""
+    propagator = kron_propagator(g)
+    joint = np.kron(matrix(rho), np.diag([1.0, 0.0]))
+    return propagator @ joint @ propagator.conj().T

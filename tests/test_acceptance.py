@@ -11,9 +11,9 @@ from weakamp import (
     GaussianMeter,
     adjudicate_variants,
     amplitude_damping_max,
+    bloch_from_density,
     damped_reading_objective,
     damped_shift_objective,
-    decompose,
     depolarizing,
     gaussian_max_shifts,
     maximize,
@@ -146,8 +146,8 @@ def test_criterion_7_depolarizing_dephasing_coincidence():
     equatorial = pure_state(math.pi / 2, 0.777)
     worst = 0.0
     for gamma in np.linspace(0.0, 1.0, 51):
-        k_dep = decompose(depolarizing(gamma).apply(psi.density())).modulus
-        k_deph = decompose(phase_damping(gamma).apply(equatorial.density())).modulus
+        k_dep = bloch_from_density(depolarizing(gamma).apply(psi.density())).modulus
+        k_deph = bloch_from_density(phase_damping(gamma).apply(equatorial.density())).modulus
         dep_dp, dep_dq = gaussian_max_shifts(k_dep, g, METER)
         deph_dp, deph_dq = gaussian_max_shifts(k_deph, g, METER)
         worst = max(worst,

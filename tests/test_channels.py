@@ -9,10 +9,8 @@ from weakamp import (
     BlochVector,
     amplitude_damping,
     bloch_from_density,
-    decompose,
     density_from_bloch,
     depolarizing,
-    overlap,
     phase_damping,
     pure_state,
 )
@@ -107,9 +105,8 @@ class TestDepolarizing:
 
     def test_shrinks_pure_state_preserving_direction(self):
         psi = pure_state(2.0, 0.5)
-        r, direction, _ = decompose(depolarizing(0.4).apply(psi.density()))
-        assert r == pytest.approx(0.6, abs=1e-12)
-        assert abs(abs(overlap(direction, psi)) - 1.0) < 1e-12
+        v, w = bloch_from_density(depolarizing(0.4).apply(psi.density())), psi.bloch()
+        assert (v.rx, v.ry, v.rz) == pytest.approx((0.6 * w.rx, 0.6 * w.ry, 0.6 * w.rz), abs=1e-12)
 
     def test_halves_pole_vector(self):
         out = depolarizing(0.5).apply(density_from_bloch(BlochVector(0, 0, 1)))

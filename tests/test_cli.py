@@ -118,6 +118,16 @@ class TestShift:
             assert main(argv + extra) == 0
             assert "# delta=1\n" in capsys.readouterr().out
 
+    def test_unrepresentable_delta_is_usage_error(self, capsys):
+        argv = ["shift", "--meter", "gaussian", "--theta1", "1", "--theta2", "2",
+                "--g-over-dp", "0.1", "--delta"]
+        for delta in ("1e200", "1e-170"):
+            assert main(argv + [delta]) == 2, delta
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("weakamp: delta^2 must be a normal float")
+            assert captured.err.count("\n") == 1
+
     def test_help_exits_zero(self, capsys):
         assert main(["shift", "--help"]) == 0
         assert "--meter {gaussian,qubit}" in capsys.readouterr().out
@@ -279,6 +289,14 @@ class TestFig:
         monkeypatch.setattr(cli, "GaussianMeter", no_meter)
         _, _, rows = cli.fig_table(n, 0.0, 0.5, 2, 1.0)
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("n, delta", [(1, "1e200"), (3, "1e-170"), (5, "1e200")])
+    def test_unrepresentable_delta_is_usage_error(self, capsys, tmp_path, n, delta):
+        out = tmp_path / "fig.csv"
+        assert main(["fig", str(n), "--output", str(out), "--steps", "2", "--delta", delta]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("weakamp: delta^2 must be a normal float") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_delta_on_gaussian_figure_is_echoed(self, tmp_path):
         out = tmp_path / "fig.csv"

@@ -1,6 +1,8 @@
 import cmath
 import hashlib
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from weakamp import (
     SingularLimitError,
     VanishingPostselectionError,
     amplitude_damping,
+    bloch_from_density,
     density_from_bloch,
     depolarizing,
     gaussian_grid_evolve,
@@ -249,6 +252,24 @@ class TestMaxShifts:
         with pytest.raises(ValueError, match=f"^delta must be positive and finite, got {text}$"):
             GaussianMeter(delta)
 
+    @pytest.mark.parametrize("delta", [1e-200, 1e-158, 1.4e-154, 1.35e154, 1e200])
+    def test_meter_width_square_must_be_normal(self, delta):
+        # A subnormal delta^2 loses digits in the closed forms; an overflowing
+        # one raised OverflowError or gave NaN or 0 shifts.
+        with pytest.raises(ValueError, match=r"^delta\^2 must be a normal float .*"
+                                             + re.escape(f"got delta = {delta!r}") + "$"):
+            GaussianMeter(delta)
+
+    @pytest.mark.parametrize("delta", [math.sqrt(sys.float_info.min),
+                                       math.sqrt(sys.float_info.max)])
+    def test_maxima_scale_with_the_meter_up_to_the_range_ends(self, delta):
+        # In units of dp and dq the maxima do not depend on delta.
+        unit_dp, unit_dq = gaussian_max_shifts(0.5, 0.1 * METER.dp, METER)
+        meter = GaussianMeter(delta)
+        dp_max, dq_max = gaussian_max_shifts(0.5, 0.1 * meter.dp, meter)
+        assert dp_max.value / meter.dp == pytest.approx(unit_dp.value / METER.dp, rel=1e-15)
+        assert dq_max.value / meter.dq == pytest.approx(unit_dq.value / METER.dq, rel=1e-15)
+
     @pytest.mark.parametrize("kappa", [0.05, 0.3, 0.7, 1.0])
     @pytest.mark.parametrize("g_over_dp", [0.03, 0.1, 0.5])
     def test_argmax_attains_maximum(self, kappa, g_over_dp):
@@ -276,10 +297,8 @@ class TestMaxShifts:
         g = 0.1 * METER.dp
         psi = pure_state(1.234, 0.777)
         for gamma in np.linspace(0.0, 1.0, 11):
-            from weakamp import decompose
-
-            k_dep = decompose(depolarizing(gamma).apply(psi.density())).modulus
-            k_deph = decompose(
+            k_dep = bloch_from_density(depolarizing(gamma).apply(psi.density())).modulus
+            k_deph = bloch_from_density(
                 phase_damping(gamma).apply(pure_state(math.pi / 2, 0.777).density())
             ).modulus
             if k_dep == 0.0 and k_deph == 0.0:

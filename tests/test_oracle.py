@@ -7,7 +7,7 @@ import pkgutil
 import numpy as np
 import pytest
 
-from conftest import amplitudes, matrix
+from conftest import amplitudes, joint_evolved, kron_propagator, matrix
 import weakamp.oracle
 from weakamp import gaussian, qubitmeter
 from weakamp import (
@@ -18,14 +18,14 @@ from weakamp import (
     depolarizing,
     gaussian_grid_evolve,
     gaussian_shifts,
+    ordinary_reading,
     phase_damping,
     pure_state,
     qubit_joint_evolve,
-    qubit_meter_marginal,
 )
 from weakamp.optimize import _pure_entries
-from weakamp.oracle import (_GENERATOR, _POINTS, _branch_moments, _grid_indices, _grid_moments,
-                            _grid_pass, _half_width, _joint_evolved, _propagator)
+from weakamp.oracle import (_GENERATOR, _POINTS, _branch_moments, _grid_floats, _grid_indices,
+                            _grid_moments, _grid_pass, _half_width, _propagator)
 from weakamp.verification import _oracle_shift_objective
 from weakamp.verification import _random_density as random_density
 from weakamp.verification import _random_pure as random_pure
@@ -35,13 +35,16 @@ METER = GaussianMeter(1.0)
 
 class TestQubitOracle:
     def test_marginal_reading_is_state_independent(self):
+        # The postselections |0> and |1>, weighted by their probabilities, add
+        # up to the unpostselected reading sin^2(g) whatever the system state.
         rng = np.random.default_rng(11)
+        basis = (pure_state(0.0, 0.0), pure_state(math.pi, 0.0))
         for g in (0.05, 0.1, 0.7):
             for _ in range(5):
                 rho = random_density(rng)
-                marginal = qubit_meter_marginal(rho, g)
-                assert abs(marginal[1, 1].real - math.sin(g) ** 2) < 1e-15
-                assert abs(np.trace(marginal).real - 1.0) < 1e-15
+                results = [qubit_joint_evolve(rho, s, g) for s in basis]
+                assert abs(sum(r.prob * r.reading for r in results) - ordinary_reading(g)) < 1e-15
+                assert abs(sum(r.prob for r in results) - 1.0) < 1e-15
 
     def test_orthogonal_pair_reads_one(self):
         psi_i = pure_state(1.0, 0.3)
@@ -59,34 +62,29 @@ class TestQubitOracle:
         assert res.prob == pytest.approx(np.vdot(v, matrix(rho) @ v).real, abs=1e-15)
 
     def test_trace_and_hermiticity_exact(self):
+        # Of the test reference: the sandwich keeps rho's trace and hermiticity.
         rng = np.random.default_rng(13)
         for _ in range(20):
-            evolved = _joint_evolved(random_density(rng), rng.uniform(0, 1.5))
+            evolved = joint_evolved(random_density(rng), rng.uniform(0, 1.5))
             assert abs(np.trace(evolved).real - 1.0) < 1e-15
             assert np.max(np.abs(evolved - evolved.conj().T)) < 1e-15
 
     def test_joint_evolution_matches_kron_reference(self):
-        rng = np.random.default_rng(17)
-        meter0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-        for _ in range(20):
-            rho = random_density(rng)
-            g = rng.uniform(0.0, 1.5)
-            propagator = math.cos(g) * np.eye(4) \
-                + 1j * math.sin(g) * np.kron(np.diag([1.0, -1.0]), np.array([[0, 1], [1, 0]]))
-            joint = np.kron(matrix(rho), meter0)
-            expected = propagator @ joint @ propagator.conj().T
-            assert np.max(np.abs(_joint_evolved(rho, g) - expected)) < 1e-15
+        # The oracle's propagator is the reference's, and its generator
+        # squares to the identity exactly, so cos(g) I + i sin(g) G is exact.
+        for g in np.random.default_rng(17).uniform(0.0, 1.5, 20):
+            assert np.max(np.abs(_propagator(g) - kron_propagator(g))) < 1e-15
         assert np.array_equal(_GENERATOR @ _GENERATOR, np.eye(4))
 
     def test_marginal_matches_phase_structure(self):
-        # the reduced meter state in the +/- basis carries e^{+-2ig} phases
-        # weighted by the preselection populations
+        # Of the test reference: the reduced meter state in the +/- basis
+        # carries e^{+-2ig} phases weighted by the preselection populations.
         rng = np.random.default_rng(14)
         hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
         for _ in range(20):
             psi = random_pure(rng)
             g = rng.uniform(0.0, 1.5)
-            marginal = qubit_meter_marginal(psi.density(), g)
+            marginal = np.einsum("smsn->mn", joint_evolved(psi.density(), g).reshape(2, 2, 2, 2))
             in_pm = hadamard.conj().T @ marginal @ hadamard
             x = (abs(psi.alpha) ** 2 * np.exp(2j * g)
                  + abs(psi.beta) ** 2 * np.exp(-2j * g))
@@ -94,14 +92,14 @@ class TestQubitOracle:
             assert np.max(np.abs(in_pm - expected)) < 1e-14
 
     def test_read_out_matches_full_evolution(self):
-        # The 2x2 read-out against the 4x4 sandwich projected onto psi_f; and
-        # the postselections |0> and |1>, weighted by their probabilities,
-        # add up to the unpostselected meter: one propagator behind both faces.
+        # The 2x2 read-out against the reference's 4x4 sandwich projected onto
+        # psi_f; and the postselections |0> and |1>, weighted by their
+        # probabilities, add up to the reference's unpostselected meter.
         rng = np.random.default_rng(19)
         basis = (pure_state(0.0, 0.0), pure_state(math.pi, 0.0))
         for _ in range(1000):
             rho, psi_f, g = random_density(rng), random_pure(rng), rng.uniform(0.0, 1.5)
-            evolved = _joint_evolved(rho, g).reshape(2, 2, 2, 2)
+            evolved = joint_evolved(rho, g).reshape(2, 2, 2, 2)
             amps = amplitudes(psi_f)
             meter = np.einsum("s,smtn,t->mn", amps.conj(), evolved, amps)
             prob = np.trace(meter).real
@@ -110,7 +108,7 @@ class TestQubitOracle:
             if prob >= 1e-4:
                 assert abs(res.reading - meter[1, 1].real / prob) < 1e-15
             excited = sum(r.prob * r.reading for r in (qubit_joint_evolve(rho, s, g) for s in basis))
-            assert abs(excited - qubit_meter_marginal(rho, g)[1, 1].real) < 1e-15
+            assert abs(excited - np.einsum("smsn->mn", evolved)[1, 1].real) < 1e-15
 
     def test_postselection_floor_matches_closed_forms(self):
         # prob ~ 2.5e-19 here: defined for the oracle's arithmetic, but below
@@ -188,6 +186,20 @@ class TestGrid:
         closed = gaussian_shifts(rho, psi_f, 1.0, meter)
         for field in ("dp_shift", "dq_shift", "prob"):
             assert abs(getattr(gridded, field) - getattr(closed, field)) < 1e-14
+
+    def test_nan_fails_the_guards(self):
+        # A NaN compares false either way, so each guard must test that the
+        # value passes rather than that it fails.
+        with pytest.raises(GridTooSmallError, match="branch spectra"):
+            _grid_floats(math.nan, 1.0, 10.0, _POINTS)
+        # On this pointer's grid q * q overflows, and the norm reads NaN.
+        meter = GaussianMeter(1.3e154)
+        rho, psi_f, g = pure_state(1.0, 0.3).density(), pure_state(2.0, 0.0), 0.5 / meter.delta
+        for evolve in (lambda: gaussian_grid_evolve(rho, psi_f, g, meter),
+                       lambda: _grid_pass([(g, meter)])):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(GridTooSmallError, match="grid norm differs from 1 by nan"):
+                    evolve()
 
     def test_coupling_regime_enforced(self):
         rho = pure_state(1.0, 0.0).density()

@@ -13,10 +13,7 @@ from weakamp import (
     PureQubit,
     QubitDensity,
     bloch_from_density,
-    decompose,
     density_from_bloch,
-    depolarizing,
-    overlap,
     pure_state,
 )
 
@@ -37,7 +34,7 @@ class TestPureState:
         state = pure_state(math.pi / 2, math.pi)
         assert abs(state.alpha - 1 / math.sqrt(2)) < 1e-15
         assert abs(state.beta + 1 / math.sqrt(2)) < 1e-12
-        assert abs(overlap(pure_state(math.pi / 2, 0.0), state)) < 1e-12
+        assert abs(np.vdot(amplitudes(pure_state(math.pi / 2, 0.0)), amplitudes(state))) < 1e-12
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match=r"angles must be finite, got \(nan, 0\.0\)"):
@@ -51,11 +48,11 @@ class TestPureState:
         b = pure_state(0.4, 1.0 + math.pi)
         assert a.theta == pytest.approx(b.theta)
         assert a.phi == pytest.approx(b.phi)
-        assert abs(abs(overlap(a, b)) - 1.0) < 1e-12
+        assert abs(abs(np.vdot(amplitudes(a), amplitudes(b))) - 1.0) < 1e-12
         # theta beyond pi folds back
-        c = pure_state(math.pi + 0.3, 0.5)
+        c, d = pure_state(math.pi + 0.3, 0.5), pure_state(math.pi - 0.3, 0.5 + math.pi)
         assert 0.0 <= c.theta <= math.pi
-        assert abs(abs(overlap(c, pure_state(math.pi - 0.3, 0.5 + math.pi))) - 1) < 1e-12
+        assert abs(abs(np.vdot(amplitudes(c), amplitudes(d))) - 1) < 1e-12
 
     @given(pure_states())
     def test_normalized(self, psi):
@@ -63,10 +60,9 @@ class TestPureState:
 
     @given(pure_states())
     def test_pure_density_has_unit_modulus(self, psi):
-        r, direction, degenerate = decompose(psi.density())
-        assert not degenerate
-        assert abs(r - 1.0) < 1e-10
-        assert abs(abs(overlap(direction, psi)) - 1.0) < 1e-10
+        v, w = bloch_from_density(psi.density()), psi.bloch()
+        assert abs(v.modulus - 1.0) < 1e-10
+        assert (v.rx, v.ry, v.rz) == pytest.approx((w.rx, w.ry, w.rz), abs=1e-10)
 
 
 class TestDensity:
@@ -213,51 +209,3 @@ class TestConstructorInputs:
         assert (v.rx, v.ry, v.rz) == (0.1, 0.25, 0)
         assert [type(x) for x in (v.rx, v.ry, v.rz)] == [np.float64, np.float32, np.int64]
         assert v.modulus == pytest.approx(math.hypot(0.1, 0.25), abs=1e-15)
-
-
-class TestDecompose:
-    def test_maximally_mixed_is_degenerate(self):
-        r, direction, degenerate = decompose(density_from_bloch(BlochVector(0, 0, 0)))
-        assert r == 0.0
-        assert degenerate
-        assert direction.theta == 0.0  # |0> by convention
-
-    def test_pole(self):
-        r, direction, degenerate = decompose(pure_state(0.0, 0.0).density())
-        assert r == pytest.approx(1.0)
-        assert not degenerate
-        assert direction.theta == 0.0
-
-    def test_depolarized_state_keeps_direction(self):
-        psi = pure_state(1.1, 2.2)
-        noisy = depolarizing(0.4).apply(psi.density())
-        r, direction, degenerate = decompose(noisy)
-        assert not degenerate
-        assert r == pytest.approx(0.6, abs=1e-12)
-        assert abs(abs(overlap(direction, psi)) - 1.0) < 1e-12
-
-    @given(densities())
-    @settings(max_examples=200)
-    def test_reconstruction(self, rho):
-        r, direction, _ = decompose(rho)
-        v = amplitudes(direction)
-        rebuilt = (1.0 - r) * np.eye(2) / 2.0 + r * np.outer(v, v.conj())
-        assert np.max(np.abs(rebuilt - matrix(rho))) < 1e-10
-
-
-class TestOverlap:
-    @given(pure_states())
-    def test_self_overlap(self, psi):
-        assert abs(overlap(psi, psi) - 1.0) < 1e-12
-
-    def test_orthogonal_poles(self):
-        assert abs(overlap(pure_state(0, 0), pure_state(math.pi, 0))) < 1e-12
-
-    def test_quarter_turn(self):
-        value = overlap(pure_state(math.pi / 2, 0), pure_state(math.pi / 2, math.pi / 2))
-        assert abs(value - (0.5 + 0.5j)) < 1e-12
-        assert abs(abs(value) - 1 / math.sqrt(2)) < 1e-12
-
-    @given(pure_states(), pure_states())
-    def test_modulus_bounded(self, a, b):
-        assert abs(overlap(a, b)) <= 1.0 + 1e-12
