@@ -62,7 +62,8 @@ class SingularLimitError(ValueError):
 
 
 class GridTooSmallError(ValueError):
-    """The position grid does not contain the meter wavefunction."""
+    """The position grid does not contain the meter wavefunction, or cannot
+    at this pointer width without overflow."""
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,10 @@ reads them or the optimizer that checks them: ``gaussian_grid_evolve`` sums
 its own weighted moments.  Agreement between the two routes is what the
 verification batteries check.
 
-This module and ``verification`` are the package's only numpy users.  The
-value types and channels hold plain scalars, so the qubit oracle builds its
-one state array, the postselection bra, from psi_f's two amplitudes and
-reads rho's four entries as scalars.
+This module is the package's only numpy user.  The value types and channels
+hold plain scalars, so the qubit oracle builds its one state array, the
+postselection bra, from psi_f's two amplitudes and reads rho's four entries
+as scalars.
 """
 
 from __future__ import annotations
@@ -250,12 +250,23 @@ def _branch_moments(g: float, delta: float, half_width: float, points: int):
     return _read_only(_moment_kernel(points, *_grid_floats(g, delta, half_width, points)))
 
 
+#: Pointer widths the grid oracle accepts.  Its sums overflow outside about
+#: 3.6e-153 <= delta <= 9.6e152 (a scan at g * delta from 0 to 1); the bounds
+#: keep a margin of more than two decades at each end.
+_DELTA_RANGE = (1e-150, 1e150)
+
+
 def _grid_args(g: float, meter: GaussianMeter):
     """``_branch_moments``' arguments at the oracle's grid for coupling g,
-    which must lie in the regime g * delta <= 1 (ValueError otherwise)."""
+    which must lie in the regime g * delta <= 1 (ValueError otherwise), for a
+    pointer width in ``_DELTA_RANGE`` (GridTooSmallError otherwise)."""
     g = _check_coupling(g)
     if g * meter.delta > 1.0 + 1e-12:
         raise ValueError(f"grid oracle requires g * delta <= 1, got {g * meter.delta}")
+    low, high = _DELTA_RANGE
+    if not low <= meter.delta <= high:
+        raise GridTooSmallError(f"grid oracle requires {low:g} <= delta <= {high:g}, "
+                                f"got delta = {meter.delta!r}")
     return g, meter.delta, _half_width(meter, g), _POINTS
 
 
@@ -293,7 +304,8 @@ def gaussian_grid_evolve(rho_s: QubitDensity, psi_f: PureQubit, g: float,
                          meter: GaussianMeter) -> ShiftResult:
     """Pointer shifts from the gridded branch evolution.
 
-    Valid at g * delta <= 1 (ValueError above), on ``_POINTS`` points over
+    Valid at g * delta <= 1 (ValueError above) and for delta in
+    ``_DELTA_RANGE`` (GridTooSmallError outside), on ``_POINTS`` points over
     ``_half_width(meter, g)``, where ``_branch_moments``'s guards cannot
     fire: the half-width is at least 10 delta and the spectral margin
     128 pi / (10 + 4 g delta) - g delta at least 27.7.  Raises

@@ -16,9 +16,14 @@ Three batteries, all seeded and deterministic:
   and the shipped formulas must equal the normative variants; a dispute
   decided on fewer pointwise samples than requested fails on its own record.
 
-Every input is drawn by the seeded samplers ``_random_density``,
-``_random_pure`` and the attempt-capped ``_sample``.  This is the one module
-that joins closed forms, oracles and optimizer.
+Every input is drawn from a ``random.Random(seed)`` stream, one for the
+oracle batteries and one for the adjudication.  Python keeps its ``random()``
+sequence the same across versions, so the pinned inputs hang on no
+third-party release.  Each number drawn is one ``random()`` value, in this
+order: ``_random_pure`` takes theta then phi, ``_random_density`` theta, phi,
+then the Bloch radius, and ``_uniform`` maps one value onto an interval.
+``_sample`` caps the attempts.  This is the one module that joins closed
+forms, oracles and optimizer.
 
 ``inject_fault`` perturbs one closed form inside the comparisons (never in
 the library) so the battery's ability to catch a wrong formula is itself
@@ -28,11 +33,11 @@ testable.
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
-
-import numpy as np
 
 from .channels import phase_damping
 from .common import GaussianMeter, VanishingPostselectionError, _nan_max
@@ -139,12 +144,12 @@ def _oracle_battery(section: str, samples: int, tolerance: float,
     return records
 
 
-def qubit_oracle_battery(rng: np.random.Generator, samples: int) -> list[CheckRecord]:
+def qubit_oracle_battery(rng: random.Random, samples: int) -> list[CheckRecord]:
     """Closed-form qubit readings against the exact joint evolution."""
     def compare():
         rho = _random_density(rng)
         psi_f = _random_pure(rng)
-        g = rng.uniform(0.01, 1.5)
+        g = _uniform(rng, 0.01, 1.5)
         try:
             closed = postselected_reading(rho, psi_f, g)
         except VanishingPostselectionError:
@@ -164,7 +169,7 @@ def qubit_oracle_battery(rng: np.random.Generator, samples: int) -> list[CheckRe
 _GRID_PASS = 8
 
 
-def gaussian_oracle_battery(rng: np.random.Generator, samples: int) -> list[CheckRecord]:
+def gaussian_oracle_battery(rng: random.Random, samples: int) -> list[CheckRecord]:
     """Closed-form Gaussian shifts against the grid evolution.
 
     The closed form alone accepts an input, so the inputs are drawn and
@@ -174,9 +179,9 @@ def gaussian_oracle_battery(rng: np.random.Generator, samples: int) -> list[Chec
     through ``_grid_shifts``, as ``gaussian_grid_evolve`` reads them.
     """
     def draw():
-        delta = rng.uniform(0.5, 2.0)
+        delta = _uniform(rng, 0.5, 2.0)
         meter = GaussianMeter(delta)
-        g = rng.uniform(0.02, 0.5) / delta
+        g = _uniform(rng, 0.02, 0.5) / delta
         rho = _random_density(rng)
         psi_f = _random_pure(rng)
         try:
@@ -343,17 +348,36 @@ class AdjudicationReport:
             fh.write("\n".join(self.csv_rows()) + "\n")
 
 
-def _random_density(rng: np.random.Generator) -> QubitDensity:
-    x, y, z = rng.normal(size=3).tolist()
-    # A float sum, not numpy's dot: the pinned inputs round alike under any BLAS.
-    norm = math.sqrt(x * x + y * y + z * z)
-    radius = rng.random() ** (1.0 / 3.0)
-    return density_from_bloch(BlochVector(*(radius * (c / norm) for c in (x, y, z))))
+def _stream(seed: int) -> random.Random:
+    """The batteries' input stream.  ``random.Random`` seeds from |seed| and
+    hashes a float or a string, so a negative seed, which would repeat its
+    positive twin, is a ValueError, and a seed that is not an integer a
+    TypeError."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return random.Random(seed)
 
 
-def _random_pure(rng: np.random.Generator) -> PureQubit:
+def _uniform(rng: random.Random, a: float, b: float) -> float:
+    """Uniform on [a, b) from one ``rng.random()``."""
+    return a + (b - a) * rng.random()
+
+
+def _random_pure(rng: random.Random) -> PureQubit:
+    """Uniform on the Bloch sphere from two ``rng.random()`` values u:
+    theta = acos(1 - 2u), then phi = 2 pi u."""
     return pure_state(math.acos(1.0 - 2.0 * rng.random()),
                       2.0 * math.pi * rng.random())
+
+
+def _random_density(rng: random.Random) -> QubitDensity:
+    """Uniform in the Bloch ball from three ``rng.random()`` values: the
+    direction of ``_random_pure`` (theta, then phi), then the radius u^(1/3)."""
+    direction = _random_pure(rng).bloch()
+    radius = rng.random() ** (1.0 / 3.0)
+    return density_from_bloch(BlochVector(radius * direction.rx, radius * direction.ry,
+                                          radius * direction.rz))
 
 
 def _oracle_shift_objective(entries, g: float, meter: GaussianMeter, which: str):
@@ -398,8 +422,9 @@ def adjudicate_variants(seed: int = 7) -> AdjudicationReport:
     left short of its ``_POINTWISE_SAMPLES`` inputs by its attempt cap or by
     rejected cases in ``shortfalls``.  The oracle maxima are searched with
     the exact postselection, from a ``_OPTIMIZER_GRID_N``-point theta1 scan.
+    A negative ``seed`` is a ValueError, one that is not an integer a TypeError.
     """
-    rng = np.random.default_rng(seed)
+    rng = _stream(seed)
     meter = GaussianMeter(1.0)
     unconverged: list[str] = []
     disputes = []  # (dispute, (normative, rejected), rows, pointwise samples missing)
@@ -419,7 +444,7 @@ def adjudicate_variants(seed: int = 7) -> AdjudicationReport:
     def attenuation_deviations():
         rho = _random_density(rng)
         psi_f = _random_pure(rng)
-        g = rng.uniform(0.15, 0.5)
+        g = _uniform(rng, 0.15, 0.5)
         try:
             oracle = gaussian_grid_evolve(rho, psi_f, g, meter)
         except VanishingPostselectionError:
@@ -438,7 +463,7 @@ def adjudicate_variants(seed: int = 7) -> AdjudicationReport:
 
     rows = _point_rows(_sample(attenuation_deviations, _POINTWISE_SAMPLES))
     missing = _POINTWISE_SAMPLES - len(rows)
-    max_inputs = [(1.0, 0.3)] + [(rng.uniform(0.5, 1.0), rng.uniform(0.15, 0.45))
+    max_inputs = [(1.0, 0.3)] + [(_uniform(rng, 0.5, 1.0), _uniform(rng, 0.15, 0.45))
                                  for _ in range(2)]
     for i, (kappa, g) in enumerate(max_inputs):
         objective = _oracle_shift_objective(
@@ -451,7 +476,7 @@ def adjudicate_variants(seed: int = 7) -> AdjudicationReport:
 
     # -- dispute 2: coherence power in the dephased momentum maximum --------
     dispute = "dephased-momentum-max"
-    max_inputs = [(0.5, 0.3)] + [(rng.uniform(0.2, 0.8), rng.uniform(0.15, 0.45))
+    max_inputs = [(0.5, 0.3)] + [(_uniform(rng, 0.2, 0.8), _uniform(rng, 0.15, 0.45))
                                  for _ in range(2)]
     rows = []
     for i, (gamma, g) in enumerate(max_inputs):
@@ -466,8 +491,8 @@ def adjudicate_variants(seed: int = 7) -> AdjudicationReport:
     # -- dispute 3: dephased qubit-meter reading numerator -------------------
     dispute = "dephased-reading-numerator"
     cases = [(pure_state(2.0, 0.5), pure_state(1.2, 4.0), 0.4, 0.3)]
-    cases += [(_random_pure(rng), _random_pure(rng), rng.uniform(0.05, 0.95),
-               rng.uniform(0.05, 0.6)) for _ in range(_POINTWISE_SAMPLES - 1)]
+    cases += [(_random_pure(rng), _random_pure(rng), _uniform(rng, 0.05, 0.95),
+               _uniform(rng, 0.05, 0.6)) for _ in range(_POINTWISE_SAMPLES - 1)]
     deviations = []
     for psi_i, psi_f, gamma, g in cases:
         rho = phase_damping(gamma).apply(psi_i.density())
@@ -535,10 +560,10 @@ def run_verify(seed: int = 7, samples: int = 1000,
                inject_fault: str | None = None) -> VerifyReport:
     """Run every battery and collect a deterministic report.
 
-    Raises ValueError when ``samples`` is below 1; the first battery rejects
-    it before drawing any input.
+    Raises ValueError when ``seed`` is negative or ``samples`` below 1, and
+    TypeError when ``seed`` is not an integer, before any input is drawn.
     """
-    rng = np.random.default_rng(seed)
+    rng = _stream(seed)
     records: list[CheckRecord] = []
     records.extend(qubit_oracle_battery(rng, samples))
     records.extend(gaussian_oracle_battery(rng, samples))

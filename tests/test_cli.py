@@ -377,6 +377,15 @@ class TestVerify:
         assert code == 2
         assert "overall" not in capsys.readouterr().out
 
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path):
+        csv = tmp_path / "adj.csv"
+        code = main(["verify", "--seed", "-1", "--adjudication-csv", str(csv)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "weakamp: seed must be non-negative, got -1\n"
+        assert not csv.exists()
+
     def test_deterministic_report(self):
         first = run_verify(seed=11, samples=20)
         second = run_verify(seed=11, samples=20)

@@ -96,7 +96,7 @@ def _battery_and_damped_objectives():
 #: searches of ``adjudicate_variants()`` (grid_n = 32).  Recorded with
 #: CPython 3.11 and numpy 2.4 on x86-64 Linux; a speed-up that moves any
 #: value, point or probe count changes it.
-RESULTS_DIGEST = "af152104e670feb7bfd2113a7b8f375f5473a177cdfc59b0a2ae214e76941d3e"
+RESULTS_DIGEST = "f4317bae951c5e0e846f3cc02095e17defb913b8d5454201aa5ad2783ee58d75"
 
 #: ``TARGETS`` whose searches as plain callables are pinned.
 PLAIN_TARGETS = ("kappa-dp", "kappa-dq", "kappa-reading", "damped-dq", "oracle-dq")

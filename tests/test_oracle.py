@@ -3,6 +3,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from weakamp import (
 )
 from weakamp.optimize import _pure_entries
 from weakamp.oracle import (_GENERATOR, _POINTS, _branch_moments, _grid_floats, _grid_indices,
-                            _grid_moments, _grid_pass, _half_width, _propagator)
+                            _grid_moments, _grid_pass, _grid_shifts, _half_width, _propagator)
 from weakamp.verification import _oracle_shift_objective
 from weakamp.verification import _random_density as random_density
 from weakamp.verification import _random_pure as random_pure
@@ -187,12 +188,15 @@ class TestGrid:
         for field in ("dp_shift", "dq_shift", "prob"):
             assert abs(getattr(gridded, field) - getattr(closed, field)) < 1e-14
 
-    def test_nan_fails_the_guards(self):
+    def test_nan_fails_the_guards(self, monkeypatch):
         # A NaN compares false either way, so each guard must test that the
         # value passes rather than that it fails.
         with pytest.raises(GridTooSmallError, match="branch spectra"):
             _grid_floats(math.nan, 1.0, 10.0, _POINTS)
-        # On this pointer's grid q * q overflows, and the norm reads NaN.
+        # On this pointer's grid q * q overflows, and the norm reads NaN.  The
+        # oracle rejects so wide a pointer before its grid; lifting the bounds
+        # reaches the kernel's own guard.
+        monkeypatch.setattr(weakamp.oracle, "_DELTA_RANGE", (0.0, math.inf))
         meter = GaussianMeter(1.3e154)
         rho, psi_f, g = pure_state(1.0, 0.3).density(), pure_state(2.0, 0.0), 0.5 / meter.delta
         for evolve in (lambda: gaussian_grid_evolve(rho, psi_f, g, meter),
@@ -205,6 +209,32 @@ class TestGrid:
         rho = pure_state(1.0, 0.0).density()
         with pytest.raises(ValueError):
             gaussian_grid_evolve(rho, pure_state(0.5, 0), 1.5, METER)
+
+    def test_extreme_widths_give_finite_shifts_or_are_rejected(self):
+        # Outside about 3.6e-153 <= delta <= 9.6e152 the grid's sums overflow:
+        # a NaN dp_shift or a failed norm check.  No errstate here: under the
+        # suite's -W error a numpy overflow warning fails the test too.
+        rho, psi_f = pure_state(1.0, 0.3).density(), pure_state(2.0, 0.4)
+        low, high = weakamp.oracle._DELTA_RANGE
+        for exponent in range(-154, 155):
+            for mantissa in (1.3, 1.5, 3.0, 7.0):
+                delta = mantissa * 10.0 ** exponent
+                try:
+                    meter = GaussianMeter(delta)
+                except ValueError:
+                    continue  # delta^2 is not a normal float
+                g = 0.1 * meter.dp
+                evolves = (lambda: gaussian_grid_evolve(rho, psi_f, g, meter),
+                           lambda: _grid_shifts(rho, psi_f, _grid_pass([(g, meter)])[0].tolist()))
+                for evolve in evolves:
+                    if low <= delta <= high:
+                        shifts = evolve()
+                        assert all(map(math.isfinite,
+                                       (shifts.dp_shift, shifts.dq_shift, shifts.prob)))
+                    else:
+                        message = re.escape(f"delta = {delta!r}")
+                        with pytest.raises(GridTooSmallError, match=message):
+                            evolve()
 
 
 def _two_branch_moments(g, delta, half_width, points):
@@ -459,9 +489,12 @@ def test_checked_modules_do_not_import_the_checks(name):
     assert not _imports_numpy(module)
 
 
-def test_only_the_oracles_and_verification_import_numpy():
+def test_only_the_oracle_imports_numpy():
+    # The verification module imports the oracle, so it cannot join the
+    # modules above; this covers it instead: its inputs come from the
+    # standard library's random, not from numpy.
     names = ["__init__"] + [m.name for m in pkgutil.iter_modules(weakamp.__path__)]
     modules = {name: importlib.import_module("weakamp" if name == "__init__" else f"weakamp.{name}")
                for name in names}
     assert {name for name, module in modules.items() if _imports_numpy(module)} \
-        == {"oracle", "verification"}
+        == {"oracle"}

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from conftest import matrix
 import weakamp.oracle as oracle
 import weakamp.verification as verification
-from weakamp import QubitDensity, VanishingPostselectionError, bloch_from_density, run_verify
+from weakamp import (QubitDensity, VanishingPostselectionError, bloch_from_density,
+                     pure_state, run_verify)
 from weakamp.verification import (
     _ATTEMPTS_PER_SAMPLE,
     COUPLING_BATTERY,
@@ -25,7 +27,7 @@ from weakamp.verification import _random_density as random_density
 
 #: SHA-256 over the repr of every oracle result of ``run_verify(7, 1000)``,
 #: then its report text and adjudication CSV rows.
-ORACLE_DIGEST = "7e536d7bdf1339fcdfc04b6befbafa8ab05d5dd9ada99f3ceacdc6f263770306"
+ORACLE_DIGEST = "6f06f1b49020e4b6755fd68e6db61971557dc522cea5ff3f8533cb0b66f85402"
 #: Oracle calls that ``run_verify(7, 1000)`` makes and completes.
 ORACLE_CALLS = 2080
 
@@ -54,7 +56,7 @@ def _always_vanishing(monkeypatch, name):
 ])
 class TestOracleBatteries:
     def test_records_carry_samples_produced(self, battery, section):
-        records = battery(np.random.default_rng(3), SAMPLES)
+        records = battery(random.Random(3), SAMPLES)
         assert records
         assert all(r.section == section and r.samples == SAMPLES for r in records)
         assert all(r.ok for r in records)
@@ -62,7 +64,7 @@ class TestOracleBatteries:
     def test_nonpositive_samples_rejected(self, battery, section):
         for samples in (0, -3):
             with pytest.raises(ValueError):
-                battery(np.random.default_rng(3), samples)
+                battery(random.Random(3), samples)
 
     def test_low_probability_input_is_redrawn_not_compared(self, battery, section,
                                                            monkeypatch):
@@ -90,7 +92,7 @@ class TestOracleBatteries:
 
         monkeypatch.setattr(verification, closed_name, closed_form)
         monkeypatch.setattr(verification, oracle_name, oracle_call)
-        records = battery(np.random.default_rng(3), SAMPLES)
+        records = battery(random.Random(3), SAMPLES)
         assert all(r.ok and r.samples == SAMPLES for r in records)
         assert len(oracle_inputs) == SAMPLES
         assert all(rho is not closed_inputs[0] for rho in oracle_inputs)
@@ -98,7 +100,7 @@ class TestOracleBatteries:
     def test_exhausted_attempts_fail_the_battery(self, battery, section, monkeypatch):
         name = "postselected_reading" if section == "qubit-oracle" else "gaussian_shifts"
         _always_vanishing(monkeypatch, name)
-        records = battery(np.random.default_rng(3), SAMPLES)
+        records = battery(random.Random(3), SAMPLES)
         failed = [r for r in records if not r.ok]
         assert [r.case for r in failed] == ["samples"]
         assert failed[0].samples == 0
@@ -124,7 +126,7 @@ def test_gaussian_battery_reads_each_accepted_input_once_in_draw_order(monkeypat
     monkeypatch.setattr(verification, "gaussian_shifts", closed_form)
     monkeypatch.setattr(verification, "_grid_shifts", contraction)
     before = oracle._branch_moments.cache_info()
-    records = gaussian_oracle_battery(np.random.default_rng(3), 3 * verification._GRID_PASS + 1)
+    records = gaussian_oracle_battery(random.Random(3), 3 * verification._GRID_PASS + 1)
     assert oracle._branch_moments.cache_info() == before
     assert all(r.ok for r in records)
     accepted = [rho for rho, prob in closed if prob >= 1e-3]
@@ -323,24 +325,36 @@ def test_sample_stops_at_its_samples_or_its_attempt_cap():
     assert len(rejected) == 2 * _ATTEMPTS_PER_SAMPLE
 
 
-def test_random_density_draws_three_normals_then_one_uniform():
+def test_random_density_draws_theta_phi_then_radius():
     # The batteries' inputs, and so their oracle calls, are pinned: each
-    # density takes exactly normal(size=3) and then random() from the stream,
-    # as the direction and the cube of the Bloch radius.
-    rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+    # density takes exactly three random() values from the stream, theta and
+    # phi of its direction, then the cube of its Bloch radius.
+    rng, twin = random.Random(21), random.Random(21)
     for _ in range(100):
         rho = random_density(rng)
-        direction = twin.normal(size=3)
+        theta, phi = math.acos(1.0 - 2.0 * twin.random()), 2.0 * math.pi * twin.random()
         radius = twin.random() ** (1.0 / 3.0)
-        assert rng.bit_generator.state == twin.bit_generator.state
+        assert rng.getstate() == twin.getstate()
         assert isinstance(rho, QubitDensity)
-        bloch = bloch_from_density(rho)
-        expected = radius * direction / math.sqrt(direction.dot(direction))
-        assert np.max(np.abs([bloch.rx, bloch.ry, bloch.rz] - expected)) < 1e-15
+        bloch, direction = bloch_from_density(rho), pure_state(theta, phi).bloch()
+        expected = [radius * direction.rx, radius * direction.ry, radius * direction.rz]
+        assert math.dist((bloch.rx, bloch.ry, bloch.rz), expected) < 1e-15
         assert abs(rho.rho00 + rho.rho11 - 1.0) < 1e-15
         assert rho.rho01 == rho.rho10.conjugate()
         assert np.linalg.eigvalsh(matrix(rho)).min() >= -1e-15
 
+
+def test_seed_must_be_a_non_negative_integer():
+    # random.Random(-s) repeats Random(s), and Random(2.5) hashes its seed;
+    # both are errors instead.
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        run_verify(seed=-1)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        adjudicate_variants(-1)
+    for seed in (2.5, "7"):
+        with pytest.raises(TypeError):
+            adjudicate_variants(seed)
+    assert adjudicate_variants(np.int64(11)).csv_rows() == adjudicate_variants(11).csv_rows()
 
 
 @pytest.fixture(scope="module")
