@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .common import _check_unit_interval
+from .common import _check_unit_interval, _store
 from .qubit import QubitDensity
 
 DEPOLARIZING = "depolarizing"
@@ -25,20 +25,28 @@ PHASE_DAMPING = "phase_damping"
 AMPLITUDE_DAMPING = "amplitude_damping"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class KrausChannel:
     """A qubit channel, stored as its action on the density entries.
 
     ``transfer`` is ((t00, t01), (t10, t11)) with rho00' = t00 rho00 + t01 rho11
     and rho11' = t10 rho00 + t11 rho11; rho10 and rho01 are scaled by
     ``coherence``.  This entry map is the channel's operator sum
-    sum_k E_k rho E_k^dag for its Kraus operators E_k, written out.
+    sum_k E_k rho E_k^dag for its Kraus operators E_k, written out.  Each
+    field is stored once.
     """
 
     name: str
     gamma: float
     transfer: tuple[tuple[float, float], tuple[float, float]]
     coherence: float
+
+    def __init__(self, name: str, gamma: float,
+                 transfer: tuple[tuple[float, float], tuple[float, float]], coherence: float):
+        _store(self, "name", name)
+        _store(self, "gamma", gamma)
+        _store(self, "transfer", transfer)
+        _store(self, "coherence", coherence)
 
     def apply(self, rho: QubitDensity) -> QubitDensity:
         (t00, t01), (t10, t11) = self.transfer

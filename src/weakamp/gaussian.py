@@ -18,6 +18,7 @@ k10 = -2i g delta^2 E.  ``gaussian_shifts`` and the optimizer's objectives
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from .common import (
@@ -50,10 +51,12 @@ def gaussian_shifts(rho_s: QubitDensity, psi_f: PureQubit, g: float,
     """
     n, m_dp, m_dq = _branches(_check_coupling(g), meter)
     # Positional calls: unpacking an argument tuple costs the scalar API more.
-    alpha = psi_f.alpha
+    half = 0.5 * psi_f.theta
+    alpha = complex(math.cos(half))
+    beta = cmath.exp(1j * psi_f.phi) * math.sin(half)
     u2 = abs(alpha) ** 2
     c00, c11 = rho_s.rho00.real * u2, rho_s.rho11.real * (1.0 - u2)
-    c10 = rho_s.rho10 * (alpha * psi_f.beta.conjugate())
+    c10 = rho_s.rho10 * (alpha * beta.conjugate())
     c10_re, c10_im = c10.real, c10.imag
     prob = _contract(n, c00, c11, c10_re, c10_im)
     if prob <= PROB_FLOOR:
@@ -93,16 +96,9 @@ def gaussian_max_shifts(kappa: float, g: float,
             "maximum shift diverges at full coherence and zero coupling"
         )
     root = math.sqrt(under)
-    dp_max = MaxResult(
-        value=g / root,
-        theta1=0.5 * math.pi,
-        theta2=math.asin(ke),
-        phi0=math.pi,
-    )
-    dq_max = MaxResult(
-        value=2.0 * kappa * g * meter.delta ** 2 * att / root,
-        theta1=0.5 * math.pi,
-        theta2=0.5 * math.pi,
-        phi0=math.acos(-ke),
-    )
+    # Positional, as (value, theta1, theta2, phi0): keyword arguments cost the
+    # scalar API more.
+    dp_max = MaxResult(g / root, 0.5 * math.pi, math.asin(ke), math.pi)
+    dq_max = MaxResult(2.0 * kappa * g * meter.delta ** 2 * att / root,
+                       0.5 * math.pi, 0.5 * math.pi, math.acos(-ke))
     return dp_max, dq_max

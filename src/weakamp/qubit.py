@@ -14,29 +14,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from .common import _store
+
 #: Tolerance for algebraic identities (hermiticity, trace, normalization).
 ATOL = 1e-12
 
 TWO_PI = 2.0 * math.pi
-
-#: Stores a field of a frozen state type once, from its ``__init__``.  Unlike
-#: a write to ``self.__dict__``, it keeps CPython's compact per-instance
-#: attribute storage: a materialized ``__dict__`` adds about 64 bytes per
-#: state and, on Python 3.11, about doubles the cost of a field read.
-_store = object.__setattr__
-
-
-def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
-    # Fold theta into [0, pi]; crossing a pole flips the azimuth by pi.
-    theta = theta % TWO_PI
-    if theta > math.pi:
-        theta = TWO_PI - theta
-        phi = phi + math.pi
-    phi = phi % TWO_PI
-    # At the poles the azimuth is pure gauge; pin it to zero.
-    if theta == 0.0 or theta == math.pi:
-        phi = 0.0
-    return theta, phi
 
 
 @dataclass(frozen=True, init=False)
@@ -55,7 +38,15 @@ class PureQubit:
     def __init__(self, theta: float, phi: float):
         if not (math.isfinite(theta) and math.isfinite(phi)):
             raise ValueError(f"angles must be finite, got ({theta!r}, {phi!r})")
-        theta, phi = _canonical_angles(theta, phi)
+        # Fold theta into [0, pi]; crossing a pole flips the azimuth by pi.
+        theta, phi = float(theta) % TWO_PI, float(phi)
+        if theta > math.pi:
+            theta = TWO_PI - theta
+            phi = phi + math.pi
+        phi = phi % TWO_PI
+        # At the poles the azimuth is pure gauge; pin it to zero.
+        if theta == 0.0 or theta == math.pi:
+            phi = 0.0
         _store(self, "theta", theta)
         _store(self, "phi", phi)
 
@@ -68,7 +59,8 @@ class PureQubit:
         return cmath.exp(1j * self.phi) * math.sin(0.5 * self.theta)
 
     def density(self) -> "QubitDensity":
-        a, b = self.alpha, self.beta
+        half = 0.5 * self.theta
+        a, b = complex(math.cos(half)), cmath.exp(1j * self.phi) * math.sin(half)
         return QubitDensity(a * a.conjugate(), a * b.conjugate(),
                             b * a.conjugate(), b * b.conjugate())
 
@@ -121,17 +113,18 @@ class QubitDensity:
 
     def __init__(self, rho00: complex, rho01: complex, rho10: complex, rho11: complex):
         r00, r01, r10, r11 = complex(rho00), complex(rho01), complex(rho10), complex(rho11)
-        if not (cmath.isfinite(r00) and cmath.isfinite(r01)
-                and cmath.isfinite(r10) and cmath.isfinite(r11)):
+        isfinite = cmath.isfinite
+        if not (isfinite(r00) and isfinite(r01) and isfinite(r10) and isfinite(r11)):
             raise ValueError("density matrix entries must be finite")
         if abs(r00.imag) > ATOL or abs(r11.imag) > ATOL:
             raise ValueError("diagonal entries must be real")
         if abs(r01 - r10.conjugate()) > ATOL:
             raise ValueError("matrix is not Hermitian")
-        if abs(r00.real + r11.real - 1.0) > ATOL:
+        p0, p1 = r00.real, r11.real
+        if abs(p0 + p1 - 1.0) > ATOL:
             raise ValueError("trace must equal 1")
-        det = r00.real * r11.real - (r01 * r10).real
-        if r00.real < -ATOL or r11.real < -ATOL or det < -ATOL:
+        det = p0 * p1 - (r01 * r10).real
+        if p0 < -ATOL or p1 < -ATOL or det < -ATOL:
             raise ValueError("matrix is not positive semidefinite")
         _store(self, "rho00", r00)
         _store(self, "rho01", r01)

@@ -18,6 +18,7 @@ objectives (``optimize._Objective``) read the same matrices.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from .common import (
@@ -48,10 +49,12 @@ def postselected_reading(rho_s: QubitDensity, psi_f: PureQubit,
                          g: float) -> QubitMeterReading:
     """Reading conditioned on postselecting the system onto ``psi_f``."""
     n, m = _branches(_check_coupling(g))
-    alpha = psi_f.alpha
+    half = 0.5 * psi_f.theta
+    alpha = complex(math.cos(half))
+    beta = cmath.exp(1j * psi_f.phi) * math.sin(half)
     u2 = abs(alpha) ** 2
     c00, c11 = rho_s.rho00.real * u2, rho_s.rho11.real * (1.0 - u2)
-    c10 = rho_s.rho10 * (alpha * psi_f.beta.conjugate())
+    c10 = rho_s.rho10 * (alpha * beta.conjugate())
     c10_re, c10_im = c10.real, c10.imag
     prob = _contract(n, c00, c11, c10_re, c10_im)
     if prob <= PROB_FLOOR:
@@ -79,9 +82,4 @@ def qubit_max_reading(kappa: float, g: float) -> MaxResult:
         raise SingularLimitError(
             "maximum reading is undefined at full coherence and zero coupling"
         )
-    return MaxResult(
-        value=(1.0 + kappa) * s2 / denom,
-        theta1=0.5 * math.pi,
-        theta2=0.5 * math.pi,
-        phi0=math.pi,
-    )
+    return MaxResult((1.0 + kappa) * s2 / denom, 0.5 * math.pi, 0.5 * math.pi, math.pi)

@@ -1,6 +1,7 @@
 import cmath
 import hashlib
 import math
+import random
 import re
 import sys
 
@@ -15,6 +16,7 @@ from weakamp import (
     SingularLimitError,
     VanishingPostselectionError,
     amplitude_damping,
+    amplitude_damping_max,
     bloch_from_density,
     density_from_bloch,
     depolarizing,
@@ -26,6 +28,7 @@ from weakamp import (
     phase_damping,
     postselected_reading,
     pure_state,
+    qubit_max_reading,
 )
 
 METER = GaussianMeter(1.0)
@@ -344,3 +347,34 @@ def test_scalar_api_results_are_pinned():
                 lines.append(" ".join(v.hex() for v in vars(result).values()))
     assert len(lines) == 4000
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SCALAR_DIGEST
+
+
+#: SHA-256 of the ``float.hex`` of the value and the three angles of every
+#: ``gaussian_max_shifts``, ``qubit_max_reading`` and ``amplitude_damping_max``
+#: result at the ``_maxima_inputs``, one result a line.  The figures print the
+#: values alone, so this is what pins the angles: a swapped argument in a
+#: ``MaxResult`` moves it.  Recorded with CPython 3.11 on x86-64 Linux.
+MAXIMA_DIGEST = "923b492632b8ef20b4666a9b3ebc6820cffe99d18d9cbe743f935d978568a9f9"
+
+
+def _maxima_inputs(n=2000, seed=2029):
+    """n seeded (kappa, gamma, g, delta): kappa and gamma in [0, 1), g in
+    [0.01, 2) and delta in [0.3, 3)."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        yield (rng.random(), rng.random(), 0.01 + 1.99 * rng.random(),
+               0.3 + 2.7 * rng.random())
+
+
+def test_maxima_values_and_angles_are_pinned():
+    lines = []
+    for kappa, gamma, g, delta in _maxima_inputs():
+        meter = GaussianMeter(delta)
+        results = (*gaussian_max_shifts(kappa, g, meter), qubit_max_reading(kappa, g),
+                   amplitude_damping_max(meter, gamma, g, "dp"),
+                   amplitude_damping_max(meter, gamma, g, "dq"),
+                   amplitude_damping_max("qubit", gamma, g, "reading"))
+        lines.extend(" ".join(v.hex() for v in (r.value, r.theta1, r.theta2, r.phi0))
+                     for r in results)
+    assert len(lines) == 12000
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == MAXIMA_DIGEST

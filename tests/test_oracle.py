@@ -4,6 +4,7 @@ import inspect
 import math
 import pkgutil
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from weakamp import (
     amplitude_damping,
     depolarizing,
     gaussian_grid_evolve,
+    gaussian_max_shifts,
     gaussian_shifts,
     ordinary_reading,
     phase_damping,
@@ -339,6 +341,20 @@ class TestClosedFormBranches:
 
 
 class TestGridOracle:
+    def test_float32_inputs_give_python_floats_without_warnings(self):
+        # The grid's range check compares the width with 1e150, which a
+        # float32 width would overflow in the cast.
+        meter = GaussianMeter(np.float32(0.3))
+        rho = pure_state(np.float32(1.0), np.float32(0.5)).density()
+        psi_f = pure_state(np.float32(2.0), np.float32(0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = (gaussian_shifts(rho, psi_f, 0.1, meter),
+                       *gaussian_max_shifts(0.5, 0.1, meter),
+                       gaussian_grid_evolve(rho, psi_f, 0.1, meter))
+        for result in results:
+            assert all(type(v) is float for v in vars(result).values()), result
+
     def test_zero_coupling(self):
         rng = np.random.default_rng(15)
         rho = random_density(rng)

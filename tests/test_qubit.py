@@ -10,8 +10,13 @@ from hypothesis import given, settings
 from conftest import amplitudes, bloch_vectors, densities, matrix, pure_states
 from weakamp import (
     BlochVector,
+    GaussianMeter,
+    KrausChannel,
+    MaxResult,
     PureQubit,
     QubitDensity,
+    QubitMeterReading,
+    ShiftResult,
     bloch_from_density,
     density_from_bloch,
     pure_state,
@@ -138,8 +143,23 @@ CONSTRUCTORS = [
     (QubitDensity, (0.6, 0.1 + 0.2j, 0.1 - 0.2j, 0.4),
      "QubitDensity(rho00=(0.6+0j), rho01=(0.1+0.2j), rho10=(0.1-0.2j), rho11=(0.4+0j))",
      {"rho01": 0.1 - 0.2j, "rho10": 0.1 + 0.2j}, {"rho01": 0.3}, "matrix is not Hermitian"),
+    (GaussianMeter, (0.3,), "GaussianMeter(delta=0.3)", {"delta": 2.0}, {"delta": -1.0},
+     r"delta must be positive and finite, got -1\.0"),
 ]
 _IDS = [row[0].__name__ for row in CONSTRUCTORS]
+
+
+def _check_keyword_and_positional_agree(cls, args):
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert vars(cls(**dict(zip(names, args)))) == vars(cls(*args))
+
+
+def _check_arity(cls, args):
+    # As a generated __init__ does: a missing, extra or unknown argument.
+    for call in (lambda: cls(*args[:-1]), lambda: cls(*args, args[-1]),
+                 lambda: cls(*args, extra=args[-1])):
+        with pytest.raises(TypeError):
+            call()
 
 
 @pytest.mark.parametrize("cls,args,text,good,bad,message", CONSTRUCTORS, ids=_IDS)
@@ -183,6 +203,73 @@ class TestConstructorContract:
             assert back == obj and hash(back) == hash(obj) and repr(back) == text
             assert vars(back) == vars(obj)
 
+    def test_keyword_and_positional_agree(self, cls, args, text, good, bad, message):
+        _check_keyword_and_positional_agree(cls, args)
+
+    def test_missing_or_extra_argument_is_a_type_error(self, cls, args, text, good, bad, message):
+        _check_arity(cls, args)
+
+
+#: (type, valid arguments, their repr, a replacement) for the value types
+#: that store their fields as given.  KrausChannel compares by identity.
+VALUES = [
+    (ShiftResult, (0.1, -0.2, 0.3), "ShiftResult(dp_shift=0.1, dq_shift=-0.2, prob=0.3)",
+     {"prob": 0.5}),
+    (QubitMeterReading, (0.25, 0.5), "QubitMeterReading(reading=0.25, prob=0.5)",
+     {"reading": 0.75}),
+    (MaxResult, (2.0, 0.5, 1.0, 3.0), "MaxResult(value=2.0, theta1=0.5, theta2=1.0, phi0=3.0)",
+     {"theta2": 0.25}),
+    (KrausChannel, ("phase_damping", 0.25, ((1.0, 0.0), (0.0, 1.0)), 0.75),
+     "KrausChannel(name='phase_damping', gamma=0.25, transfer=((1.0, 0.0), (0.0, 1.0)), "
+     "coherence=0.75)", {"coherence": 0.5}),
+]
+
+
+@pytest.mark.parametrize("cls,args,text,good", VALUES, ids=[row[0].__name__ for row in VALUES])
+class TestValueContract:
+    def test_fields_are_frozen(self, cls, args, text, good):
+        obj = cls(*args)
+        for f in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, f.name, 0.5)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, f.name)
+
+    def test_eq_hash_repr(self, cls, args, text, good):
+        a, b = cls(*args), cls(*args)
+        assert repr(a) == repr(b) == text
+        if cls.__dataclass_params__.eq:
+            assert a == b and a is not b
+            assert hash(a) == hash(b) == hash(dataclasses.astuple(a))
+            assert a != dataclasses.replace(a, **good)
+        else:
+            assert a == a and a != b and hash(a) == object.__hash__(a)
+        assert a != dataclasses.astuple(a)
+
+    def test_replace_keeps_the_other_fields(self, cls, args, text, good):
+        obj = cls(*args)
+        assert vars(dataclasses.replace(obj)) == vars(obj)
+        assert vars(dataclasses.replace(obj, **good)) == {**vars(obj), **good}
+
+    @pytest.mark.skipif(not hasattr(copy, "replace"), reason="copy.replace needs Python 3.13")
+    def test_copy_replace_keeps_the_other_fields(self, cls, args, text, good):
+        obj = cls(*args)
+        assert vars(copy.replace(obj)) == vars(obj)
+        assert vars(copy.replace(obj, **good)) == {**vars(obj), **good}
+
+    def test_pickle_round_trip(self, cls, args, text, good):
+        obj = cls(*args)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(obj, protocol))
+            assert repr(back) == text and vars(back) == vars(obj)
+            assert (back == obj) is cls.__dataclass_params__.eq
+
+    def test_keyword_and_positional_agree(self, cls, args, text, good):
+        _check_keyword_and_positional_agree(cls, args)
+
+    def test_missing_or_extra_argument_is_a_type_error(self, cls, args, text, good):
+        _check_arity(cls, args)
+
 
 class TestConstructorInputs:
     def test_density_entries_become_complex(self):
@@ -201,6 +288,27 @@ class TestConstructorInputs:
         assert type(ints.theta) is float and type(ints.phi) is float
         at_pole = pure_state(np.int64(0), 2.5)
         assert (at_pole.theta, at_pole.phi) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("theta,phi,delta", [
+        (np.float32(-0.4), np.float32(1.0), np.float32(0.3)),
+        (np.float64(-0.4), np.float64(1.0), np.float64(0.3)),
+        (np.int64(-4), 7, 3),
+    ], ids=["float32", "float64", "int"])
+    def test_angles_and_width_become_python_floats(self, theta, phi, delta):
+        state = pure_state(theta, phi)
+        assert state == pure_state(float(theta), float(phi))
+        assert type(state.theta) is float and type(state.phi) is float
+        meter = GaussianMeter(delta)
+        assert meter == GaussianMeter(float(delta)) and type(meter.delta) is float
+
+    def test_int_width_is_stored_as_a_float(self):
+        assert repr(GaussianMeter(1)) == "GaussianMeter(delta=1.0)"
+
+    def test_strings_are_not_parsed(self):
+        for build in (lambda: pure_state("0.4", 1.0), lambda: pure_state(0.4, "1.0"),
+                      lambda: GaussianMeter("0.3")):
+            with pytest.raises(TypeError):
+                build()
 
     def test_bloch_components_are_kept_as_given(self):
         v = BlochVector(0, 0, 1)
