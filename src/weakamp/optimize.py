@@ -17,9 +17,11 @@ product) in the postselection amplitudes x, B being the probability.  The
 largest |value| at that preselection is the generalized eigenvalue of
 largest modulus, det(A - lambda B) = 0, reached at its eigenvector; the
 eigenvector gives theta2 exactly, and its phase folds into phi0.
-``_Objective._pencil`` reads the two forms and solves the pencil at one
-theta1.  One line search over u1 then finds the best preselection: its
-probes (``_Objective.scored``) compare the Rayleigh quotient x.A x / x.B x
+``_Objective._pencils`` reads the two forms and solves the pencil at each
+theta1 it is given.  One line search over u1 then finds the best
+preselection: its scan is the same for every such search (``_u1_scan``) and
+is scored in one pass (``_Objective.scan``), and its probes
+(``_Objective.scored``) compare the Rayleigh quotient x.A x / x.B x
 at the eigenvector, which is the value but for rounding, and the angles and
 the value itself (``_Objective.postselected``) are read once, at the final
 u1.  The amplitude-damping suprema (``amplitude_damping_max``) are
@@ -53,6 +55,7 @@ the conditional shift is only defined in the limit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -140,6 +143,12 @@ def _theta(u: float) -> float:
     return 2.0 * math.atan(math.exp(u))
 
 
+def _preselection(u1: float) -> _Point:
+    """(theta1, cos(theta1 / 2), sin(theta1 / 2)) at u1 = log tan(theta1 / 2)."""
+    t1 = _theta(u1)
+    return t1, math.cos(0.5 * t1), math.sin(0.5 * t1)
+
+
 def _u(theta: float) -> float:
     """u = log tan(theta / 2) of a polar angle, clamped into the box."""
     if theta <= 0.0:
@@ -187,30 +196,9 @@ _DIRECTIONS = (
 )
 
 
-def _line_search(probe, origin: _Point, direction: _Point,
-                 n: int) -> tuple[_Point, float, tuple[_Point | None, float], int]:
-    """Scan the segment of the u-line through ``origin`` inside the box, then
-    refine its first largest point by Brent's method.
-
-    ``probe`` maps t to the (angles, signed value) of the line's point
-    origin + t direction; a probe whose values are always finite may give
-    None for the angles (``_Objective.scored``).  Brent's method (Brent
-    1973, ch. 5) keeps the best point x, the second best w and the previous
-    w as v; it steps to the vertex of the parabola through them when that
-    vertex lies inside the bracket and the step is less than half the one
-    before last, and takes a golden-section step into the larger part of the
-    bracket otherwise.  The bracket is the scan step on either side of x;
-    the scan's neighbours of x are the first w and v, so the first parabola
-    costs no probe.  A scan maximum at a segment end has no neighbour beyond
-    it and starts with a golden-section step.  The scan maps ``probe`` over
-    n evenly spaced points, and a non-finite value raises OptimizationError
-    at the first such point, after the scan, or at its own point during
-    Brent's method (``_checked``).  x moves only to a strictly larger
-    |value|, so it is the first largest of the line's probes.
-
-    Returns x in u, its |value|, its probe's (angles, signed value) and the
-    number of probes the line made.
-    """
+def _segment(origin: _Point, direction: _Point, n: int) -> tuple[float, float, float]:
+    """(t_lo, t_hi, step): the t range of the u-line origin + t direction
+    inside the box, and the spacing of its n-point scan."""
     t_lo, t_hi = -math.inf, math.inf
     for i in (0, 1):
         d = direction[i]
@@ -224,13 +212,61 @@ def _line_search(probe, origin: _Point, direction: _Point,
         # Pure phase direction: one full period around the current point.
         half = math.pi / abs(direction[2])
         t_lo, t_hi = -half, half
+    return t_lo, t_hi, (t_hi - t_lo) / (n - 1)
 
-    step = (t_hi - t_lo) / (n - 1)
+
+def _line_search(probe, origin: _Point, direction: _Point,
+                 n: int) -> tuple[_Point, float, tuple[_Point | None, float], int]:
+    """Scan the segment of the u-line through ``origin`` inside the box, then
+    refine its first largest point by Brent's method (``_brent``).
+
+    ``probe`` maps t to the (angles, signed value) of the line's point
+    origin + t direction.  The scan maps it over n evenly spaced points, and
+    a non-finite value raises OptimizationError at the first such point,
+    after the scan (``_checked``).
+
+    Returns x in u, its |value|, its probe's (angles, signed value) and the
+    number of probes the line made.
+    """
+    segment = _segment(origin, direction, n)
+    t_lo, _, step = segment
     ts = [t_lo + i * step for i in range(n)]
     scan = [probe(t) for t in ts]
     magnitudes = [_checked(*found) for found in scan]
+    x, fx, best, probes = _brent(probe, segment, ts, magnitudes, scan)
+    return _along(origin, direction, x), fx, best, probes
+
+
+def _brent(probe, segment: tuple[float, float, float], ts, magnitudes: list[float],
+           scan) -> tuple[float, float, tuple[_Point | None, float] | None, int]:
+    """Refine the first largest of a line's scan by Brent's method.
+
+    ``magnitudes`` are the |values| of the scan at ``ts``, the n points of
+    ``segment`` (``_segment``), and ``scan`` holds their probes' results, or
+    is None where only the magnitudes were scored.  ``probe`` maps t to an
+    (angles, signed value); a probe whose values are always finite may give
+    None for the angles (``_Objective.scored``).  Brent's method (Brent
+    1973, ch. 5) keeps the best point x, the second best w and the previous
+    w as v; it steps to the vertex of the parabola through them when that
+    vertex lies inside the bracket and the step is less than half the one
+    before last, and takes a golden-section step into the larger part of the
+    bracket otherwise.  The bracket is the scan step on either side of x;
+    the scan's neighbours of x are the first w and v, so the first parabola
+    costs no probe.  A scan maximum at a segment end has no neighbour beyond
+    it and starts with a golden-section step.  A non-finite value raises
+    OptimizationError at its own point (``_checked``).  x moves only to a
+    strictly larger |value|, so it is the first largest of the line's
+    probes.
+
+    Returns x, its |value|, its probe's (angles, signed value) (None for a
+    scan point of a None ``scan``) and the number of probes the line made,
+    the scan's included.
+    """
+    t_lo, t_hi, step = segment
+    n = len(ts)
     i = magnitudes.index(max(magnitudes))
-    x, fx, best = ts[i], magnitudes[i], scan[i]
+    x, fx = ts[i], magnitudes[i]
+    best = None if scan is None else scan[i]
     a, b = max(t_lo, x - step), min(t_hi, x + step)
     if 0 < i < n - 1:
         (fw, w), (fv, v) = sorted([(magnitudes[i - 1], ts[i - 1]),
@@ -284,7 +320,22 @@ def _line_search(probe, origin: _Point, direction: _Point,
                 v, fv, w, fw = w, fw, u, fu
             elif fu >= fv or v == x or v == w:
                 v, fv = u, fu
-    return _along(origin, direction, x), fx, best, probes
+    return x, fx, best, probes
+
+
+#: grid_n values whose theta1 scans are kept; maximize's default is 64.
+_SCAN_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_SCAN_CACHE_SIZE)
+def _u1_scan(n: int):
+    """The n-point scan of a theta1 search, the same for every ``_Objective``:
+    the u1 segment across the box (``_segment``), its points t = u1 and
+    their ``_preselection`` triples, as tuples."""
+    segment = _segment((0.0, 0.0, 0.0), _DIRECTIONS[0], n)
+    t_lo, _, step = segment
+    ts = tuple(t_lo + i * step for i in range(n))
+    return segment, ts, tuple(map(_preselection, ts))
 
 
 #: The axes of the coarse grid: polar angles over [0, pi], phases over [0, 2 pi).
@@ -350,8 +401,8 @@ def maximize(objective: Objective, grid_n: int = 64) -> OptimizationResult:
         raise ValueError(f"grid_n must be at least 16, got {grid_n}")
     if isinstance(objective, _Objective):
         # The one line: u1 across the box, scored; then one read-out.
-        (u1, _, _), _, _, probes = _line_search(
-            objective.scored, (0.0, 0.0, 0.0), _DIRECTIONS[0], grid_n)
+        segment, ts, points = _u1_scan(grid_n)
+        u1, _, _, probes = _brent(objective.scored, segment, ts, objective.scan(points), None)
         (t1, t2, p0), value = objective.postselected(u1)
         return OptimizationResult(value, PPSPoint(t1, t2, p0), probes, True,
                                   grid_n, probes - grid_n)
@@ -459,11 +510,12 @@ class _Objective:
             return 0.0
         return _contract(self.m, c00, c11, c10_re, c10_im) / prob
 
-    def _pencil(self, u1: float):
-        """The best postselection at theta1 = 2 atan(exp(u1)): (theta1, its
-        half-angle cosine and sine, lead, pivot, Re v, Im v, score), where the
+    def _pencils(self, points):
+        """The best postselection at each (theta1, cos(theta1 / 2), sin(theta1 /
+        2)) of ``points`` (``_preselection``), in one pass: the list of their
+        scores, and the last point's (lead, pivot, Re v, Im v), where the
         postselection amplitudes are x = (pivot, v) if lead, else (conj v,
-        pivot).
+        pivot).  Every search's scores and read-outs come from this loop.
 
         At phi0 = 0 the value is x.A x / x.B x in the postselection amplitudes
         x = (x0, x1), with the Hermitian forms A = rho o M and B = rho o N: the
@@ -495,64 +547,92 @@ class _Objective:
         degenerate: a singular B (det B <= 0), or a zero pivot, where both
         rows of A - lambda B vanish but for rounding.
         """
-        t1 = _theta(u1)
-        ch1, sh1 = math.cos(0.5 * t1), math.sin(0.5 * t1)
-        rho00, rho11, rho10, _ = self.entries(ch1, sh1, 1.0, 0.0)
+        entries = self.entries
         ms, m00, m11, m10_re, m10_im, ns, n00, n11, n10_re, n10_im, unit = self._branches
-        a00, a11 = ms * (rho00 * m00), ms * (rho11 * m11)
-        qa_re, qa_im = ms * (m10_re * rho10), ms * (m10_im * rho10)
-        b00, b11 = ns * (rho00 * n00), ns * (rho11 * n11)
-        qb_re, qb_im = ns * (n10_re * rho10), ns * (n10_im * rho10)
-        det_b = b00 * b11 - 0.25 * (qb_re * qb_re + qb_im * qb_im)
-        if det_b <= 0.0:
-            # The columns (b00, q_B / 2) and (conj q_B / 2, b11).
-            lead = not abs(b11) > abs(b00)
-            return (t1, ch1, sh1, lead, b00 if lead else b11, 0.5 * qb_re, 0.5 * qb_im,
-                    math.nan)
-        beta = a00 * b11 + a11 * b00 - 0.5 * (qa_re * qb_re + qa_im * qb_im)
-        det_a = a00 * a11 - 0.25 * (qa_re * qa_re + qa_im * qa_im)
-        root = math.sqrt(max(beta * beta - 4.0 * det_b * det_a, 0.0))
-        lam = (beta + math.copysign(root, beta)) / (det_b + det_b)
-        r00, r11 = a00 - lam * b00, a11 - lam * b11
-        r10_re, r10_im = 0.5 * (qa_re - lam * qb_re), 0.5 * (qa_im - lam * qb_im)
-        # The null vectors (conj r10, -r00) and (r11, -r10) of the two rows.
-        lead = abs(r11) > abs(r00)
-        if lead:
-            pivot, v_re, v_im = r11, -r10_re, -r10_im
-        else:
-            pivot, v_re, v_im = -r00, r10_re, r10_im
-        if pivot == 0.0:
-            return t1, ch1, sh1, lead, pivot, v_re, v_im, math.nan
-        z_re, z_im = v_re / pivot, v_im / pivot
-        zz = z_re * z_re + z_im * z_im
-        # |x0|^2 and |x1|^2 over pivot^2; x0 conj(x1) over pivot^2 is conj(z).
-        e0, e1 = (1.0, zz) if lead else (zz, 1.0)
-        prob = b00 * e0 + b11 * e1 + (qb_re * z_re + qb_im * z_im)
-        if prob / (1.0 + zz) <= PROB_FLOOR:
-            return t1, ch1, sh1, lead, pivot, v_re, v_im, 0.0
-        value = a00 * e0 + a11 * e1 + (qa_re * z_re + qa_im * z_im)
-        return t1, ch1, sh1, lead, pivot, v_re, v_im, value / prob * unit
+        scores = []
+        append, nan, floor = scores.append, math.nan, PROB_FLOOR
+        sqrt, copysign = math.sqrt, math.copysign
+        for _, ch1, sh1 in points:
+            rho00, rho11, rho10, _ = entries(ch1, sh1, 1.0, 0.0)
+            a00, a11 = ms * (rho00 * m00), ms * (rho11 * m11)
+            qa_re, qa_im = ms * (m10_re * rho10), ms * (m10_im * rho10)
+            b00, b11 = ns * (rho00 * n00), ns * (rho11 * n11)
+            qb_re, qb_im = ns * (n10_re * rho10), ns * (n10_im * rho10)
+            det_b = b00 * b11 - 0.25 * (qb_re * qb_re + qb_im * qb_im)
+            if det_b <= 0.0:
+                # The columns (b00, q_B / 2) and (conj q_B / 2, b11).
+                lead = not abs(b11) > abs(b00)
+                pivot, v_re, v_im = b00 if lead else b11, 0.5 * qb_re, 0.5 * qb_im
+                append(nan)
+                continue
+            beta = a00 * b11 + a11 * b00 - 0.5 * (qa_re * qb_re + qa_im * qb_im)
+            det_a = a00 * a11 - 0.25 * (qa_re * qa_re + qa_im * qa_im)
+            root = sqrt(max(beta * beta - 4.0 * det_b * det_a, 0.0))
+            lam = (beta + copysign(root, beta)) / (det_b + det_b)
+            r00, r11 = a00 - lam * b00, a11 - lam * b11
+            r10_re, r10_im = 0.5 * (qa_re - lam * qb_re), 0.5 * (qa_im - lam * qb_im)
+            # The null vectors (conj r10, -r00) and (r11, -r10) of the two rows.
+            lead = abs(r11) > abs(r00)
+            if lead:
+                pivot, v_re, v_im = r11, -r10_re, -r10_im
+            else:
+                pivot, v_re, v_im = -r00, r10_re, r10_im
+            if pivot == 0.0:
+                append(nan)
+                continue
+            z_re, z_im = v_re / pivot, v_im / pivot
+            zz = z_re * z_re + z_im * z_im
+            # |x0|^2 and |x1|^2 over pivot^2; x0 conj(x1) over pivot^2 is conj(z).
+            e0, e1 = (1.0, zz) if lead else (zz, 1.0)
+            prob = b00 * e0 + b11 * e1 + (qb_re * z_re + qb_im * z_im)
+            if prob / (1.0 + zz) <= floor:
+                append(0.0)
+                continue
+            value = a00 * e0 + a11 * e1 + (qa_re * z_re + qa_im * z_im)
+            append(value / prob * unit)
+        return scores, (lead, pivot, v_re, v_im)
+
+    def scan(self, points) -> list[float]:
+        """|score| at each ``_preselection`` point of a theta1 scan, scored in
+        one pass (``_pencils``).  A score that is degenerate or not finite
+        defers to the read-out at its point, as ``scored`` does, and a
+        non-finite value there raises OptimizationError at the first such
+        point, with its angles."""
+        scores, _ = self._pencils(points)
+        magnitudes = list(map(abs, scores))
+        # The sum is finite unless a score is not (or the sum overflows, in
+        # which case the check below finds nothing to defer).
+        if not math.isfinite(sum(magnitudes)):
+            for k, score in enumerate(scores):
+                if not math.isfinite(score):
+                    magnitudes[k] = _checked(*self._read(*points[k]))
+        return magnitudes
 
     def scored(self, u1: float) -> tuple[_Point | None, float]:
         """The scoring probe of a theta1 search: u1 -> (None, score), the
-        Rayleigh quotient at the best postselection (``_pencil``), which is the
-        call face's value there but for rounding.  A score that is degenerate
-        or not finite defers to ``postselected(u1)``, so that a non-finite
-        value is reported at the probe's own angles."""
-        score = self._pencil(u1)[7]
+        Rayleigh quotient at the best postselection (``_pencils``), which is
+        the call face's value there but for rounding.  A score that is
+        degenerate or not finite defers to ``postselected(u1)``, so that a
+        non-finite value is reported at the probe's own angles."""
+        point = _preselection(u1)
+        (score,), _ = self._pencils((point,))
         if math.isfinite(score):
             return None, score
-        return self.postselected(u1)
+        return self._read(*point)
 
     def postselected(self, u1: float) -> tuple[_Point, float]:
         """The best postselection at theta1 = 2 atan(exp(u1)), as the probe
         u1 -> (angles, value).
 
-        x (``_pencil``) gives theta2 = 2 atan2(|x1|, |x0|) (0 for x = 0), and
+        x (``_pencils``) gives theta2 = 2 atan2(|x1|, |x0|) (0 for x = 0), and
         the phase of x0 conj(x1) = pivot conj(v), mod 2 pi, is the relative
         phase phi0.  The value is the call face's at those angles.
         """
-        t1, ch1, sh1, lead, pivot, v_re, v_im, _ = self._pencil(u1)
+        return self._read(*_preselection(u1))
+
+    def _read(self, t1: float, ch1: float, sh1: float) -> tuple[_Point, float]:
+        """``postselected`` at a ``_preselection`` point."""
+        _, (lead, pivot, v_re, v_im) = self._pencils(((t1, ch1, sh1),))
         near, far = abs(pivot), math.hypot(v_re, v_im)
         t2 = 2.0 * (math.atan2(far, near) if lead else math.atan2(near, far))
         sign = math.copysign(1.0, pivot)

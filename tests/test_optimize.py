@@ -37,14 +37,17 @@ from weakamp.optimize import (
     _U_MAX,
     _angles,
     _approach_point,
+    _brent,
     _coarse_grid,
     _family_objective,
     _line_search,
     _loop_bind,
     _Objective,
+    _preselection,
     _pure_entries,
     _theta,
     _u,
+    _u1_scan,
 )
 from weakamp.verification import COUPLING_BATTERY, KAPPA_BATTERY, _oracle_shift_objective
 
@@ -770,12 +773,43 @@ class TestScoringProbe:
     def test_degenerate_scores_defer_to_postselected(self, objective, degenerate):
         deferred = 0
         for u1 in _score_points():
-            if math.isnan(objective._pencil(u1)[7]):
+            if math.isnan(objective._pencils((_preselection(u1),))[0][0]):
                 deferred += 1
                 assert objective.scored(u1) == objective.postselected(u1)
             else:
                 assert objective.scored(u1)[0] is None
         assert deferred > 0, degenerate
+
+    @pytest.mark.parametrize("grid_n", [16, 17, 32, 64])
+    def test_scan_scores_match_the_scoring_probe(self, grid_n):
+        # The one-pass scan of a theta1 search against its scoring probe,
+        # point by point, and the search refined from it against the search
+        # that scans with the probe: bit for bit, on every family and target,
+        # grid-oracle forms and degenerate scores included.
+        segment, ts, points = _u1_scan(grid_n)
+        objectives = {**_score_objectives(),
+                      **{name: build() for name, build in TARGETS.items()}}
+        for name, objective in objectives.items():
+            magnitudes = objective.scan(points)
+            expected = [abs(objective.scored(t)[1]) for t in ts]
+            assert list(map(repr, magnitudes)) == list(map(repr, expected)), name
+            (u1, _, _), value, _, probes = _line_search(
+                objective.scored, (0.0, 0.0, 0.0), _DIRECTIONS[0], grid_n)
+            x, fx, _, one_pass = _brent(objective.scored, segment, ts, magnitudes, None)
+            assert (repr(x), repr(fx), one_pass) == (repr(u1), repr(value), probes), name
+
+    @pytest.mark.parametrize("n, m", NONFINITE_BRANCHES.values(), ids=NONFINITE_BRANCHES)
+    def test_scan_raises_at_the_first_nonfinite_value(self, n, m):
+        # Scored one point at a time, the first probe whose value is not
+        # finite names the point; the one-pass scan raises there too.
+        objective = _Objective(_pure_entries(depolarizing(0.2)), n, m)
+        _, ts, points = _u1_scan(32)
+        first, value = next(found for found in map(objective.scored, ts)
+                            if not math.isfinite(found[1]))
+        with pytest.raises(OptimizationError) as err:
+            objective.scan(points)
+        assert repr(err.value.point) == repr(PPSPoint(*first))
+        assert repr(err.value.value) == repr(value)
 
     def test_each_search_reads_its_point_once(self, monkeypatch):
         # The 51 searches of RESULTS_DIGEST: the scan and Brent probes are
