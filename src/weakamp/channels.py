@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .common import _check_unit_interval, _store
-from .qubit import QubitDensity
+from .qubit import ATOL, QubitDensity
 
 DEPOLARIZING = "depolarizing"
 PHASE_DAMPING = "phase_damping"
@@ -34,6 +34,13 @@ class KrausChannel:
     ``coherence``.  This entry map is the channel's operator sum
     sum_k E_k rho E_k^dag for its Kraus operators E_k, written out.  Each
     field is stored once.
+
+    Such an entry map is a channel exactly when ``transfer`` is non-negative
+    and column-stochastic (it preserves the trace and the populations'
+    signs) and |coherence|^2 <= t00 t11, which makes its Choi matrix
+    positive semidefinite; amplitude damping meets the last with equality.
+    Construction checks both to within ``ATOL`` and raises ValueError
+    otherwise, so a map that is no channel fails where it is built.
     """
 
     name: str
@@ -43,6 +50,16 @@ class KrausChannel:
 
     def __init__(self, name: str, gamma: float,
                  transfer: tuple[tuple[float, float], tuple[float, float]], coherence: float):
+        (t00, t01), (t10, t11) = transfer
+        # Negated, so that a NaN is rejected: a NaN entry makes its column sum NaN.
+        if not (min(t00, t01, t10, t11) >= -ATOL and abs(t00 + t10 - 1.0) <= ATOL
+                and abs(t01 + t11 - 1.0) <= ATOL):
+            raise ValueError("transfer must be non-negative and column-stochastic, "
+                             f"got {transfer!r}")
+        c = abs(coherence)
+        if not c * c <= t00 * t11 + ATOL:
+            raise ValueError("coherence must satisfy |coherence|^2 <= t00 t11 (complete "
+                             f"positivity), got {coherence!r} with transfer {transfer!r}")
         _store(self, "name", name)
         _store(self, "gamma", gamma)
         _store(self, "transfer", transfer)

@@ -4,9 +4,10 @@ The search domain is (theta1, theta2, phi0) in [0, pi]^2 x [0, 2 pi): the two
 polar angles plus the single relative phase the conditional shifts depend on.
 ``maximize`` maximizes |objective| and is derivative-free and deterministic:
 identical inputs give identical outputs.  Its line searches scan a segment,
-then refine its first largest point by Brent's method, and they move polar
-angles in u = log tan(theta / 2) on the box |u| <= ``_U_MAX``, so theta = 2
-atan(exp(u)) approaches the poles without reaching them.
+then refine its first largest point by Brent's method until further probes
+cannot resolve the peak or the bracket is ``_LINE_WIDTH`` wide, and they
+move polar angles in u = log tan(theta / 2) on the box |u| <= ``_U_MAX``,
+so theta = 2 atan(exp(u)) approaches the poles without reaching them.
 
 An ``_Objective``, the kind every objective builder here and the grid
 oracle's ``verification._oracle_shift_objective`` return, is searched over
@@ -75,11 +76,16 @@ Objective = Callable[[float, float, float], float]
 
 #: Golden-section fraction of Brent's fallback step, (3 - sqrt(5)) / 2.
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
-#: Bracket width at which a line search stops.
+#: Bracket width at which a line search stops, if the flat stop
+#: (``_FLAT_ULPS``) has not stopped it first.
 _LINE_WIDTH = 1e-11
 #: Brent's smallest step: the search stops once the best point lies within
 #: two of these of both bracket ends, so the bracket is at most _LINE_WIDTH.
 _STEP_TOL = _LINE_WIDTH / 4.0
+#: Brent's method also stops once x, w and v are distinct and fw and fv lie
+#: within this many ulp of fx: the parabola through them is then fitted to
+#: the objective's rounding, and further probes cannot resolve the peak.
+_FLAT_ULPS = 4.0
 #: Half-width of the search box in u = log tan(theta / 2).  Its edge keeps
 #: each polar angle it bounds about 2 exp(-_U_MAX) = 9e-5 from its pole,
 #: which leaves a relative gap of order exp(-2 _U_MAX) on a supremum
@@ -258,6 +264,14 @@ def _brent(probe, segment: tuple[float, float, float], ts, magnitudes: list[floa
     strictly larger |value|, so it is the first largest of the line's
     probes.
 
+    The method stops at the objective's resolution (Brent 1973, ch. 5):
+    once x, w and v are distinct points whose |values| fw and fv lie within
+    ``_FLAT_ULPS`` ulp of fx, the parabola through them is fitted to
+    rounding, and more probes would only shrink the bracket among values
+    equal but for it.  Otherwise it stops once x lies within two
+    ``_STEP_TOL`` of both bracket ends, a bracket at most ``_LINE_WIDTH``
+    wide.
+
     Returns x, its |value|, its probe's (angles, signed value) (None for a
     scan point of a None ``scan``) and the number of probes the line made,
     the scan's included.
@@ -280,7 +294,10 @@ def _brent(probe, segment: tuple[float, float, float], ts, magnitudes: list[floa
     probes = n
     copysign, step_tol, cgold, checked = math.copysign, _STEP_TOL, _CGOLD, _checked
     two_tol = 2.0 * step_tol
-    while x - a > two_tol or b - x > two_tol:
+    ulp, flat_ulps = math.ulp, _FLAT_ULPS
+    flat = flat_ulps * ulp(fx)
+    while (x - a > two_tol or b - x > two_tol) and not (
+            fx - fv <= flat and fx - fw <= flat and x != w != v != x):
         xm = 0.5 * (a + b)
         golden = True
         if abs(e) > step_tol:
@@ -311,6 +328,7 @@ def _brent(probe, segment: tuple[float, float, float], ts, magnitudes: list[floa
                 b = x
             v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
             best = angles, value
+            flat = flat_ulps * ulp(fx)
         else:
             if u < x:
                 a = u
@@ -371,8 +389,10 @@ def maximize(objective: Objective, grid_n: int = 64) -> OptimizationResult:
     exact best postselection at its theta1 by the Rayleigh quotient there
     (``_Objective.scored``): one line search, a grid_n-point scan of u1 =
     log tan(theta1 / 2) across |u1| <= ``_U_MAX`` and then Brent's method,
-    which ends once its bracket is ``_LINE_WIDTH`` wide.  The angles and the
-    value are then read once, at the final u1 (``_Objective.postselected``),
+    which ends once its best three probes agree to within ``_FLAT_ULPS`` ulp
+    or its bracket is ``_LINE_WIDTH`` wide (``_brent``).  The scan is the
+    same for every such search (``_u1_scan``) and is scored in one pass
+    (``_Objective.scan``).  The angles and the value are then read once, at the final u1 (``_Objective.postselected``),
     so the value reported is the objective's own at the reported point.
     Such a search always converges, and theta2 may lie anywhere in [0, pi].
 

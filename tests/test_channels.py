@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from conftest import densities, gammas, matrix, pure_states
 from weakamp import (
     BlochVector,
+    KrausChannel,
     amplitude_damping,
     bloch_from_density,
     density_from_bloch,
@@ -49,6 +50,58 @@ KRAUS = {"depolarizing": _depolarizing_kraus, "phase_damping": _phase_damping_kr
 def kraus_operators(channel):
     """The reference Kraus operators of ``channel``, by its name and gamma."""
     return KRAUS[channel.name](channel.gamma)
+
+
+def _entry_map(kraus):
+    """(transfer, coherence) of the operator sum of ``kraus``: the images of
+    |0><0| and |1><1| give transfer's columns, and that of |1><0| the
+    coherence."""
+    def image(m):
+        return sum(e @ np.array(m, dtype=complex) @ e.conj().T for e in kraus)
+
+    e00, e11, e10 = image([[1, 0], [0, 0]]), image([[0, 0], [0, 1]]), image([[0, 0], [1, 0]])
+    transfer = ((e00[0, 0].real, e11[0, 0].real), (e00[1, 1].real, e11[1, 1].real))
+    return transfer, e10[1, 0].real
+
+
+@pytest.mark.parametrize("ctor", ALL_CHANNELS)
+@pytest.mark.parametrize("gamma", [0.0, 1e-9, 0.3, 0.5, 1.0 - 1e-9, 1.0])
+def test_kraus_reference_maps_are_channels(ctor, gamma):
+    # The entry map of each reference operator sum builds, and it is the
+    # builder's, to rounding.
+    channel = ctor(gamma)
+    transfer, coherence = _entry_map(kraus_operators(channel))
+    reference = KrausChannel(channel.name, gamma, transfer, coherence)
+    assert np.allclose(reference.transfer, channel.transfer, rtol=0.0, atol=1e-15)
+    assert abs(reference.coherence - channel.coherence) < 1e-15
+
+
+def test_dephasing_entry_map_under_any_name_is_a_channel():
+    # Stored as given: the map is a channel, a dephasing of strength 0.5,
+    # whatever its name and gamma say.
+    channel = KrausChannel("x", 0.5, ((1.0, 0.0), (0.0, 1.0)), 0.5)
+    rho = pure_state(1.3, 0.4).density()
+    assert matrix(channel.apply(rho)).tolist() == matrix(phase_damping(0.5).apply(rho)).tolist()
+
+
+@pytest.mark.parametrize("transfer, coherence", [
+    (((1.0, 0.0), (0.0, 1.0)), 1.5),
+    # Amplitude damping at gamma = 0.3 meets |coherence|^2 <= t00 t11 with
+    # equality; a coherence 1e-9 larger breaks it.
+    (((1.0, 0.3), (0.0, 0.7)), math.sqrt(0.7) * (1.0 + 1e-9)),
+    (((1.0, 0.0), (0.0, 1.0)), -1.5),
+    (((1.1, 0.0), (-0.1, 1.0)), 0.0),
+    (((0.9, 0.0), (0.0, 1.0)), 0.0),
+    (((1.0, 0.5), (0.0, 0.6)), 0.0),
+    (((math.nan, 0.0), (0.0, 1.0)), 0.0),
+    (((1.0, 0.0), (0.0, 1.0)), math.nan),
+], ids=["coherence-above-one", "amplitude-damping-edge", "negative-coherence",
+        "negative-entry", "column-short", "column-long", "nan-entry", "nan-coherence"])
+def test_maps_that_are_no_channel_are_rejected(transfer, coherence):
+    # Such a map would fail only later, in apply, or give a state that is
+    # no density matrix.
+    with pytest.raises(ValueError, match=r"^(transfer|coherence) must "):
+        KrausChannel("bogus", 0.5, transfer, coherence)
 
 
 @pytest.mark.parametrize("ctor", ALL_CHANNELS)

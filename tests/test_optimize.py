@@ -99,7 +99,7 @@ def _battery_and_damped_objectives():
 #: searches of ``adjudicate_variants()`` (grid_n = 32).  Recorded with
 #: CPython 3.11 and numpy 2.4 on x86-64 Linux; a speed-up that moves any
 #: value, point or probe count changes it.
-RESULTS_DIGEST = "f4317bae951c5e0e846f3cc02095e17defb913b8d5454201aa5ad2783ee58d75"
+RESULTS_DIGEST = "96356669b5124e44f72d0ba79d43e60c63cd11f48e09ad9fe3a5f007e77eba52"
 
 #: ``TARGETS`` whose searches as plain callables are pinned.
 PLAIN_TARGETS = ("kappa-dp", "kappa-dq", "kappa-reading", "damped-dq", "oracle-dq")
@@ -107,7 +107,7 @@ PLAIN_TARGETS = ("kappa-dp", "kappa-dq", "kappa-reading", "damped-dq", "oracle-d
 #: ``maximize(lambda *a: objective(*a), grid_n=16)`` over ``PLAIN_TARGETS``:
 #: the coarse grid and cyclic refinement.  Recorded with CPython 3.11 and
 #: numpy 2.4 on x86-64 Linux.
-PLAIN_RESULTS_DIGEST = "ce9a8fc03a0e99377478bef422a25dc8c7bc8e6d0538415d232d859b9d863928"
+PLAIN_RESULTS_DIGEST = "824669fd94a313641e6ac883f7c6bfc4bd8c81616183b70acdea2addd0f794a4"
 
 
 #: Branch matrices (n, m) whose grid values turn non-finite part-way through,
@@ -554,9 +554,9 @@ class TestLineSearch:
     def test_battery_probe_counts(self):
         # Probe counts are deterministic: a slide back to wasteful line
         # searches shows here without any timing.  These 36 searches each
-        # scan 64 preselections, then make 953 Brent probes between them,
-        # against 33180 probes after the 64^3 grid when they searched all
-        # three angles.
+        # scan 64 preselections, then make 627 Brent probes between them
+        # (953 when only the bracket width stopped them), against 33180
+        # probes after the 64^3 grid when they searched all three angles.
         meter = GaussianMeter(1.0)
         after_scan = 0
         for kappa in KAPPA_BATTERY:
@@ -570,7 +570,37 @@ class TestLineSearch:
                     assert result.grid_probes == 64
                     assert result.grid_probes + result.refine_probes == result.evaluations
                     after_scan += result.refine_probes
-        assert after_scan < 1100
+        assert after_scan <= 18 * 36
+
+
+    def test_flat_stop_only_cuts_the_search_short(self, monkeypatch):
+        # The 45 battery and damped searches against the same searches
+        # stopped by the bracket width alone (no difference is at most
+        # -inf ulp).  Brent's method is deterministic, so the flat stop
+        # makes the first probes of the full search and ends earlier; what
+        # the later probes add is the scores' rounding near the peak.
+        # Reading-max kappa = 0.8, g = 0.1 moves most: the full search's
+        # value comes from a lone probe 5 ulp above the scores within 1e-8
+        # of it in u1, so the bound is 8 ulp rather than the stop's 4.
+        objectives = _battery_and_damped_objectives()
+        segment, ts, points = _u1_scan(64)
+
+        def traced(objective):
+            probes = []
+
+            def probe(u1):
+                probes.append(u1)
+                return objective.scored(u1)
+
+            x, _, _, _ = _brent(probe, segment, ts, objective.scan(points), None)
+            return probes, abs(objective.postselected(x)[1])
+
+        flat = [traced(objective) for objective in objectives]
+        monkeypatch.setattr(optimize, "_FLAT_ULPS", -math.inf)
+        for (probes, value), objective in zip(flat, objectives):
+            full_probes, full_value = traced(objective)
+            assert full_probes[:len(probes)] == probes
+            assert abs(value - full_value) <= 8 * math.ulp(full_value)
 
 
 class TestLineFace:
