@@ -51,13 +51,12 @@ class KrausChannel:
     def __init__(self, name: str, gamma: float,
                  transfer: tuple[tuple[float, float], tuple[float, float]], coherence: float):
         (t00, t01), (t10, t11) = transfer
-        # Negated, so that a NaN is rejected: a NaN entry makes its column sum NaN.
-        if not (min(t00, t01, t10, t11) >= -ATOL and abs(t00 + t10 - 1.0) <= ATOL
-                and abs(t01 + t11 - 1.0) <= ATOL):
+        # Negated, so that a NaN, which fails every comparison, is rejected.
+        if not (t00 >= -ATOL and t01 >= -ATOL and t10 >= -ATOL and t11 >= -ATOL
+                and -ATOL <= t00 + t10 - 1.0 <= ATOL and -ATOL <= t01 + t11 - 1.0 <= ATOL):
             raise ValueError("transfer must be non-negative and column-stochastic, "
                              f"got {transfer!r}")
-        c = abs(coherence)
-        if not c * c <= t00 * t11 + ATOL:
+        if not coherence * coherence <= t00 * t11 + ATOL:
             raise ValueError("coherence must satisfy |coherence|^2 <= t00 t11 (complete "
                              f"positivity), got {coherence!r} with transfer {transfer!r}")
         _store(self, "name", name)

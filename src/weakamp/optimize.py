@@ -392,8 +392,9 @@ def maximize(objective: Objective, grid_n: int = 64) -> OptimizationResult:
     which ends once its best three probes agree to within ``_FLAT_ULPS`` ulp
     or its bracket is ``_LINE_WIDTH`` wide (``_brent``).  The scan is the
     same for every such search (``_u1_scan``) and is scored in one pass
-    (``_Objective.scan``).  The angles and the value are then read once, at the final u1 (``_Objective.postselected``),
-    so the value reported is the objective's own at the reported point.
+    (``_Objective.scan``).  The angles and the value are then read once, at
+    the final u1 (``_Objective.postselected``), so the value reported is the
+    objective's own at the reported point.
     Such a search always converges, and theta2 may lie anywhere in [0, pi].
 
     Any other callable is probed point by point.  A coarse grid of grid_n^3
@@ -625,7 +626,7 @@ class _Objective:
         if not math.isfinite(sum(magnitudes)):
             for k, score in enumerate(scores):
                 if not math.isfinite(score):
-                    magnitudes[k] = _checked(*self._read(*points[k]))
+                    magnitudes[k] = _checked(*self._read(points[k]))
         return magnitudes
 
     def scored(self, u1: float) -> tuple[_Point | None, float]:
@@ -638,7 +639,7 @@ class _Objective:
         (score,), _ = self._pencils((point,))
         if math.isfinite(score):
             return None, score
-        return self._read(*point)
+        return self._read(point)
 
     def postselected(self, u1: float) -> tuple[_Point, float]:
         """The best postselection at theta1 = 2 atan(exp(u1)), as the probe
@@ -648,11 +649,12 @@ class _Objective:
         the phase of x0 conj(x1) = pivot conj(v), mod 2 pi, is the relative
         phase phi0.  The value is the call face's at those angles.
         """
-        return self._read(*_preselection(u1))
+        return self._read(_preselection(u1))
 
-    def _read(self, t1: float, ch1: float, sh1: float) -> tuple[_Point, float]:
+    def _read(self, point: _Point) -> tuple[_Point, float]:
         """``postselected`` at a ``_preselection`` point."""
-        _, (lead, pivot, v_re, v_im) = self._pencils(((t1, ch1, sh1),))
+        _, (lead, pivot, v_re, v_im) = self._pencils((point,))
+        t1, ch1, sh1 = point
         near, far = abs(pivot), math.hypot(v_re, v_im)
         t2 = 2.0 * (math.atan2(far, near) if lead else math.atan2(near, far))
         sign = math.copysign(1.0, pivot)
