@@ -572,7 +572,6 @@ class TestLineSearch:
                     after_scan += result.refine_probes
         assert after_scan <= 18 * 36
 
-
     def test_flat_stop_only_cuts_the_search_short(self, monkeypatch):
         # The 45 battery and damped searches against the same searches
         # stopped by the bracket width alone (no difference is at most
