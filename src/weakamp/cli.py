@@ -288,8 +288,10 @@ def cmd_fig(n: int, v: dict) -> int:
 def cmd_verify(v: dict) -> int:
     report = run_verify(seed=v["seed"], samples=v["samples"],
                         inject_fault=v["inject_fault"])
-    report.adjudication.write_csv(v["adjudication_csv"])
+    # The report comes first, so that a CSV path that cannot be written
+    # (exit 4) does not lose it.
     sys.stdout.write(report.to_text() + "\n")
+    report.adjudication.write_csv(v["adjudication_csv"])
     return 0 if report.ok else 1
 
 

@@ -23,9 +23,10 @@ theta1 it is given.  One line search over u1 then finds the best
 preselection: its scan is the same for every such search (``_u1_scan``) and
 is scored in one pass (``_Objective.scan``), and its probes
 (``_Objective.scored``) compare the Rayleigh quotient x.A x / x.B x
-at the eigenvector, which is the value but for rounding, and the angles and
-the value itself (``_Objective.postselected``) are read once, at the final
-u1.  The amplitude-damping suprema (``amplitude_damping_max``) are
+at the eigenvector, which is the value but for rounding.  The angles and the
+value itself are read once, at the final u1, by the one read-out
+(``_Objective.postselected``), which also stands in for a degenerate score.
+The amplitude-damping suprema (``amplitude_damping_max``) are
 approached as theta1 runs into the pole 0, so those searches end at the
 edge of the u1 box, a relative gap of order exp(-2 _U_MAX) below the
 supremum, with theta2 within about 1e-4 of pi.  Those suprema are known in
@@ -40,14 +41,13 @@ objective is discontinuous, which the (1, -1) diagonal follows to the box
 edge.
 
 Objective builders for the standard preselection families live here too.
-Every family is a channel applied to pure_state(theta1, phi0), and one
-builder, ``_pure_entries``, turns any channel's entry map into the density
-entries: the modulus-kappa family is depolarizing at strength 1 - kappa, the
-damped family is amplitude damping.  An ``_Objective`` joins such a family to
-a meter's branch matrices, ``gaussian._branches`` or ``qubitmeter._branches``,
-and reads them through ``common._contract``, the one copy of the meter
-formula.  Calling it probes one point on Python floats with ``math``
-trigonometry.
+Every family is a ``KrausChannel`` applied to pure_state(theta1, phi0): the
+modulus-kappa family is depolarizing at strength 1 - kappa, the damped family
+is amplitude damping.  An ``_Objective`` joins the channel itself to a
+meter's branch matrices, ``gaussian._branches`` or ``qubitmeter._branches``:
+it reads the channel's entry map once (``_Objective._entries``) and the
+meter through ``common._contract``, the one copy of the meter formula.
+Calling it probes one point on Python floats with ``math`` trigonometry.
 
 Probes where the postselection probability falls below the usable floor
 evaluate to 0, letting the search traverse near-orthogonal regions where
@@ -424,7 +424,7 @@ def maximize(objective: Objective, grid_n: int = 64) -> OptimizationResult:
         # The one line: u1 across the box, scored; then one read-out.
         segment, ts, points = _u1_scan(grid_n)
         u1, _, _, probes = _brent(objective.scored, segment, ts, objective.scan(points), None)
-        (t1, t2, p0), value = objective.postselected(u1)
+        (t1, t2, p0), value = objective.postselected(_preselection(u1))
         return OptimizationResult(value, PPSPoint(t1, t2, p0), probes, True,
                                   grid_n, probes - grid_n)
 
@@ -457,28 +457,6 @@ def maximize(objective: Objective, grid_n: int = 64) -> OptimizationResult:
 # ---------------------------------------------------------------------------
 
 
-def _pure_entries(channel: KrausChannel):
-    """Density entries of ``channel`` applied to pure_state(theta1, phi0).
-
-    ``entries(cos(theta1/2), sin(theta1/2), cos(phi0), sin(phi0))`` returns
-    (rho00, rho11, Re rho10, Im rho10): the channel's entry map on the pure
-    state's half-angle products.  Populations come out as sums of
-    non-negative terms, never as 1 - x, so the small entries stay accurate
-    near the poles, where the conditional shifts live right above the
-    probability floor.
-    """
-    (t00, t01), (t10, t11) = channel.transfer
-    coherence = channel.coherence
-
-    def entries(ch, sh, cos_p0, sin_p0):
-        c2, s2 = ch * ch, sh * sh
-        half_perp = coherence * sh * ch
-        return (t00 * c2 + t01 * s2, t10 * c2 + t11 * s2,
-                half_perp * cos_p0, half_perp * sin_p0)
-
-    return entries
-
-
 def _modulus_channel(kappa: float) -> KrausChannel:
     """Depolarizing at strength 1 - kappa, which leaves Bloch modulus kappa.
 
@@ -489,18 +467,20 @@ def _modulus_channel(kappa: float) -> KrausChannel:
 
 
 class _Objective:
-    """Meter value over a family's ``entries``, postselected on pure_state(theta2, 0).
+    """Meter value on ``channel`` applied to pure_state(theta1, phi0),
+    postselected on pure_state(theta2, 0).
 
-    ``entries`` is a ``_pure_entries`` map, whose coherence turns with phi0
-    as exp(i phi0).  ``n`` and ``m`` are a meter's branch overlaps and one of
-    its read-outs, in ``common._contract``'s form (scale, k00, k11, Re k10,
-    Im k10); the value is the contraction with m over the one with n.
+    ``n`` and ``m`` are a meter's branch overlaps and one of its read-outs,
+    in ``common._contract``'s form (scale, k00, k11, Re k10, Im k10); the
+    value is the contraction with m over the one with n.  The channel's
+    entry map is read once, when the objective is built (``_entries``).
     """
 
-    __slots__ = ("entries", "n", "m", "_branches")
+    __slots__ = ("n", "m", "_family", "_branches")
 
-    def __init__(self, entries, n, m):
-        self.entries = entries
+    def __init__(self, channel: KrausChannel, n, m):
+        (t00, t01), (t10, t11) = channel.transfer
+        self._family = (t00, t01, t10, t11, channel.coherence)
         self.n = n
         self.m = m
         # M then N as one flat tuple for the pencil, each off-diagonal entry
@@ -520,12 +500,26 @@ class _Objective:
         """The value at (theta1, theta2, phi0); 0 at or below the floor."""
         return self._value(math.cos(0.5 * t1), math.sin(0.5 * t1), t2, p0)
 
+    def _entries(self, ch: float, sh: float) -> _Point:
+        """(rho00, rho11, r) of the channel applied to pure_state(theta1, phi0),
+        at theta1's half-angle cosine and sine, with rho10 = r exp(i phi0) (r
+        = |rho10| for a non-negative coherence factor): the entry map on the
+        pure state's half-angle products.  Populations come out as sums of
+        non-negative terms, never as 1 - x, so the small entries stay
+        accurate near the poles, where the conditional shifts live right
+        above the probability floor.
+        """
+        t00, t01, t10, t11, coherence = self._family
+        c2, s2 = ch * ch, sh * sh
+        return t00 * c2 + t01 * s2, t10 * c2 + t11 * s2, coherence * sh * ch
+
     def _value(self, ch1: float, sh1: float, t2: float, p0: float) -> float:
         """The value at theta1's half-angle cosine and sine, theta2 and phi0."""
         ch, sh = math.cos(0.5 * t2), math.sin(0.5 * t2)
-        rho00, rho11, re10, im10 = self.entries(ch1, sh1, math.cos(p0), math.sin(p0))
+        rho00, rho11, rho10 = self._entries(ch1, sh1)
         w = sh * ch
-        c00, c11, c10_re, c10_im = rho00 * (ch * ch), rho11 * (sh * sh), re10 * w, im10 * w
+        c00, c11 = rho00 * (ch * ch), rho11 * (sh * sh)
+        c10_re, c10_im = rho10 * math.cos(p0) * w, rho10 * math.sin(p0) * w
         prob = _contract(self.n, c00, c11, c10_re, c10_im)
         if prob <= PROB_FLOOR:
             return 0.0
@@ -568,13 +562,13 @@ class _Objective:
         degenerate: a singular B (det B <= 0), or a zero pivot, where both
         rows of A - lambda B vanish but for rounding.
         """
-        entries = self.entries
+        entries = self._entries
         ms, m00, m11, m10_re, m10_im, ns, n00, n11, n10_re, n10_im, unit = self._branches
         scores = []
         append, nan, floor = scores.append, math.nan, PROB_FLOOR
         sqrt, copysign = math.sqrt, math.copysign
         for _, ch1, sh1 in points:
-            rho00, rho11, rho10, _ = entries(ch1, sh1, 1.0, 0.0)
+            rho00, rho11, rho10 = entries(ch1, sh1)
             a00, a11 = ms * (rho00 * m00), ms * (rho11 * m11)
             qa_re, qa_im = ms * (m10_re * rho10), ms * (m10_im * rho10)
             b00, b11 = ns * (rho00 * n00), ns * (rho11 * n11)
@@ -626,33 +620,29 @@ class _Objective:
         if not math.isfinite(sum(magnitudes)):
             for k, score in enumerate(scores):
                 if not math.isfinite(score):
-                    magnitudes[k] = _checked(*self._read(points[k]))
+                    magnitudes[k] = _checked(*self.postselected(points[k]))
         return magnitudes
 
     def scored(self, u1: float) -> tuple[_Point | None, float]:
         """The scoring probe of a theta1 search: u1 -> (None, score), the
         Rayleigh quotient at the best postselection (``_pencils``), which is
         the call face's value there but for rounding.  A score that is
-        degenerate or not finite defers to ``postselected(u1)``, so that a
+        degenerate or not finite defers to ``postselected``, so that a
         non-finite value is reported at the probe's own angles."""
         point = _preselection(u1)
         (score,), _ = self._pencils((point,))
         if math.isfinite(score):
             return None, score
-        return self._read(point)
+        return self.postselected(point)
 
-    def postselected(self, u1: float) -> tuple[_Point, float]:
-        """The best postselection at theta1 = 2 atan(exp(u1)), as the probe
-        u1 -> (angles, value).
+    def postselected(self, point: _Point) -> tuple[_Point, float]:
+        """The best postselection at a ``_preselection`` point, (theta1,
+        cos(theta1 / 2), sin(theta1 / 2)), read out as (angles, value).
 
         x (``_pencils``) gives theta2 = 2 atan2(|x1|, |x0|) (0 for x = 0), and
         the phase of x0 conj(x1) = pivot conj(v), mod 2 pi, is the relative
         phase phi0.  The value is the call face's at those angles.
         """
-        return self._read(_preselection(u1))
-
-    def _read(self, point: _Point) -> tuple[_Point, float]:
-        """``postselected`` at a ``_preselection`` point."""
         _, (lead, pivot, v_re, v_im) = self._pencils((point,))
         t1, ch1, sh1 = point
         near, far = abs(pivot), math.hypot(v_re, v_im)
@@ -675,37 +665,37 @@ def _check_target(meter: GaussianMeter | Literal["qubit"],
         raise ValueError(f"which must be 'dp' or 'dq', got {which!r}")
 
 
-def _family_objective(entries, g: float, meter: GaussianMeter | Literal["qubit"],
+def _family_objective(channel: KrausChannel, g: float, meter: GaussianMeter | Literal["qubit"],
                       which: Literal["dp", "dq", "reading"]) -> _Objective:
-    """The ``which`` objective of ``meter`` over the family ``entries``."""
+    """The ``which`` objective of ``meter`` over ``channel``'s pure family."""
     g = _check_coupling(g)
     _check_target(meter, which)
     if which == "reading":
-        return _Objective(entries, *qubitmeter._branches(g))
+        return _Objective(channel, *qubitmeter._branches(g))
     n, m_dp, m_dq = gaussian._branches(g, meter)
-    return _Objective(entries, n, m_dp if which == "dp" else m_dq)
+    return _Objective(channel, n, m_dp if which == "dp" else m_dq)
 
 
 def kappa_shift_objective(kappa: float, g: float, meter: GaussianMeter,
                           which: Literal["dp", "dq"]) -> Objective:
     """|dp'| or |dq'| objective for the modulus-kappa preselection family."""
-    return _family_objective(_pure_entries(_modulus_channel(kappa)), g, meter, which)
+    return _family_objective(_modulus_channel(kappa), g, meter, which)
 
 
 def kappa_reading_objective(kappa: float, g: float) -> Objective:
     """Qubit-meter reading objective for the modulus-kappa family."""
-    return _family_objective(_pure_entries(_modulus_channel(kappa)), g, "qubit", "reading")
+    return _family_objective(_modulus_channel(kappa), g, "qubit", "reading")
 
 
 def damped_shift_objective(gamma: float, g: float, meter: GaussianMeter,
                            which: Literal["dp", "dq"]) -> Objective:
     """Pointer-shift objective with an amplitude-damped pure preselection."""
-    return _family_objective(_pure_entries(amplitude_damping(gamma)), g, meter, which)
+    return _family_objective(amplitude_damping(gamma), g, meter, which)
 
 
 def damped_reading_objective(gamma: float, g: float) -> Objective:
     """Qubit-meter reading objective with an amplitude-damped pure preselection."""
-    return _family_objective(_pure_entries(amplitude_damping(gamma)), g, "qubit", "reading")
+    return _family_objective(amplitude_damping(gamma), g, "qubit", "reading")
 
 
 #: Half-angle theta1 / 2 of the point ``amplitude_damping_max`` returns: the

@@ -39,10 +39,10 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
 
-from .channels import phase_damping
+from .channels import KrausChannel, phase_damping
 from .common import GaussianMeter, VanishingPostselectionError, _nan_max
 from .gaussian import gaussian_max_shifts, gaussian_shifts
-from .optimize import (_modulus_channel, _Objective, _pure_entries, kappa_reading_objective,
+from .optimize import (_modulus_channel, _Objective, kappa_reading_objective,
                        kappa_shift_objective, maximize)
 from .oracle import (_grid_moments, _grid_pass, _grid_shifts, gaussian_grid_evolve,
                      qubit_joint_evolve)
@@ -380,13 +380,13 @@ def _random_density(rng: random.Random) -> QubitDensity:
                                           radius * direction.rz))
 
 
-def _oracle_shift_objective(entries, g: float, meter: GaussianMeter, which: str):
+def _oracle_shift_objective(channel: KrausChannel, g: float, meter: GaussianMeter, which: str):
     """Shift objective whose branch matrices come from the grid, not a closed
     form: the grid's N and its Q or P, each as (1, k00, k11, Re k10, Im k10)."""
     n_mat, q_mat, p_mat = _grid_moments(g, meter).tolist()
     n, m = ((1.0, k00.real, k11.real, k10.real, k10.imag)
             for (k00, _), (k10, k11) in (n_mat, q_mat if which == "dq" else p_mat))
-    return _Objective(entries, n, m)
+    return _Objective(channel, n, m)
 
 
 #: Pointwise inputs each sampled dispute decides on.
@@ -466,8 +466,7 @@ def adjudicate_variants(seed: int = 7) -> AdjudicationReport:
     max_inputs = [(1.0, 0.3)] + [(_uniform(rng, 0.5, 1.0), _uniform(rng, 0.15, 0.45))
                                  for _ in range(2)]
     for i, (kappa, g) in enumerate(max_inputs):
-        objective = _oracle_shift_objective(
-            _pure_entries(_modulus_channel(kappa)), g, meter, "dq")
+        objective = _oracle_shift_objective(_modulus_channel(kappa), g, meter, "dq")
         att = meter.coherence_factor(g)
         root = math.sqrt(1.0 - (kappa * att) ** 2)
         rows.append(max_row(dispute, i, objective, 2.0 * kappa * g * att / root,
@@ -480,8 +479,7 @@ def adjudicate_variants(seed: int = 7) -> AdjudicationReport:
                                  for _ in range(2)]
     rows = []
     for i, (gamma, g) in enumerate(max_inputs):
-        objective = _oracle_shift_objective(
-            _pure_entries(phase_damping(gamma)), g, meter, "dp")
+        objective = _oracle_shift_objective(phase_damping(gamma), g, meter, "dp")
         coh = (1.0 - gamma) * meter.coherence_factor(g)
         squared = g / math.sqrt(1.0 - coh * coh)
         unsquared = g / math.sqrt(1.0 - (1.0 - gamma) * meter.coherence_factor(g) ** 2)

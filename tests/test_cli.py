@@ -386,6 +386,16 @@ class TestVerify:
         assert captured.err == "weakamp: seed must be non-negative, got -1\n"
         assert not csv.exists()
 
+    def test_unwritable_csv_keeps_the_report(self, capsys, tmp_path):
+        csv = tmp_path / "missing" / "adj.csv"
+        code = main(["verify", "--seed", "7", "--samples", "5",
+                     "--adjudication-csv", str(csv)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out.endswith("overall: PASS\n")
+        assert captured.err.startswith("weakamp: ")
+        assert not csv.exists()
+
     def test_deterministic_report(self):
         first = run_verify(seed=11, samples=20)
         second = run_verify(seed=11, samples=20)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,7 +45,6 @@ from weakamp.optimize import (
     _loop_bind,
     _Objective,
     _preselection,
-    _pure_entries,
     _theta,
     _u,
     _u1_scan,
@@ -55,11 +55,11 @@ METER = GaussianMeter(1.0)
 
 
 def _dephased_shift_objective(gamma, g, meter, which):
-    return _family_objective(_pure_entries(phase_damping(gamma)), g, meter, which)
+    return _family_objective(phase_damping(gamma), g, meter, which)
 
 
 def _dephased_reading_objective(gamma, g):
-    return _family_objective(_pure_entries(phase_damping(gamma)), g, "qubit", "reading")
+    return _family_objective(phase_damping(gamma), g, "qubit", "reading")
 
 
 #: Preselection family -> (channel on a pure state, shift and reading builders).
@@ -335,6 +335,31 @@ class TestObjectiveBuilders:
                 builder(g)
         assert builder(0.0)(1.0, 2.0, 0.5) == 0.0
 
+    @pytest.mark.parametrize("channel", [depolarizing, phase_damping, amplitude_damping,
+                                         optimize._modulus_channel])
+    def test_entries_keep_their_accuracy_near_the_poles(self, channel):
+        # Each density entry of the family against the exact value of the
+        # same expression on the same float inputs: within 2 ulp, an exact
+        # zero exactly zero, at the strengths' ends and across the u1 box,
+        # its ends included, where the small entries are a few 1e-9.
+        _, _, points = _u1_scan(64)
+        points += tuple(map(_preselection, (-9.99, -3.0, -0.1, 0.7, 9.99)))
+        for strength in (0.0, 1e-9, 0.3, 1.0 - 1e-9, 1.0):
+            family = channel(strength)
+            (t00, t01), (t10, t11) = (map(Fraction, row) for row in family.transfer)
+            coherence = Fraction(family.coherence)
+            objective = _family_objective(family, 0.1, "qubit", "reading")
+            for _, ch, sh in points:
+                c, s = Fraction(ch), Fraction(sh)
+                exact = (t00 * c * c + t01 * s * s, t10 * c * c + t11 * s * s,
+                         coherence * s * c)
+                for got, want in zip(objective._entries(ch, sh), exact):
+                    if want == 0:
+                        assert got == 0.0, (strength, ch, sh)
+                    else:
+                        assert abs(Fraction(got) - want) <= 2 * Fraction(math.ulp(float(want))), (
+                            strength, ch, sh)
+
     def test_family_strength_validated(self):
         with pytest.raises(ValueError, match=r"^kappa must lie in \[0, 1\], got 1\.5$"):
             kappa_shift_objective(1.5, 0.05, METER, "dp")
@@ -351,8 +376,7 @@ def _targets():
         for which in ("dp", "dq"):
             out[f"{family}-{which}"] = lambda f=shift_objective, w=which: f(0.6, 0.05, METER, w)
         out[f"{family}-reading"] = lambda f=reading_objective: f(0.6, 0.1)
-    out["oracle-dq"] = lambda: _oracle_shift_objective(
-        _pure_entries(depolarizing(0.4)), 0.3, METER, "dq")
+    out["oracle-dq"] = lambda: _oracle_shift_objective(depolarizing(0.4), 0.3, METER, "dq")
     return out
 
 
@@ -390,7 +414,7 @@ class TestSlabFace:
 
     @pytest.mark.parametrize("n, m", NONFINITE_BRANCHES.values(), ids=NONFINITE_BRANCHES)
     def test_nonfinite_grid_value_raises_at_the_first_nonfinite_point(self, n, m):
-        objective = _Objective(_pure_entries(depolarizing(0.2)), n, m)
+        objective = _Objective(depolarizing(0.2), n, m)
         grid = _coarse_grid(32)
         first = next((t1, t2, p0) for t1 in grid.theta for t2 in grid.theta
                      for p0 in grid.phi if not math.isfinite(objective(t1, t2, p0)))
@@ -412,7 +436,7 @@ class TestPrunedGrid:
     def test_other_objectives_evaluate_every_grid_point(self, n, m):
         # A ratio of two quadratic forms in the postselection, and one whose
         # forms coincide, so that its value is 1 at every point.
-        objective = _Objective(_pure_entries(depolarizing(0.2)), n, m)
+        objective = _Objective(depolarizing(0.2), n, m)
         calls = []
 
         def plain(*point):
@@ -428,7 +452,7 @@ class TestPrunedGrid:
         # the full scan of a plain callable names the first non-finite grid
         # point, and the theta1 scan of the _Objective raises at its first
         # preselection, whose read-out form is already infinite.
-        objective = _Objective(_pure_entries(depolarizing(0.2)),
+        objective = _Objective(depolarizing(0.2),
                                (1.0, 1.0, 1.0, 0.0, 0.0), (1e308, 8.0, 0.0, 0.0, 0.0))
         grid = _coarse_grid(16)
         first = next((t1, t2, p0) for t1 in grid.theta for t2 in grid.theta
@@ -592,7 +616,7 @@ class TestLineSearch:
                 return objective.scored(u1)
 
             x, _, _, _ = _brent(probe, segment, ts, objective.scan(points), None)
-            return probes, abs(objective.postselected(x)[1])
+            return probes, abs(objective.postselected(_preselection(x))[1])
 
         flat = [traced(objective) for objective in objectives]
         monkeypatch.setattr(optimize, "_FLAT_ULPS", -math.inf)
@@ -621,7 +645,7 @@ class TestLineFace:
     def test_nonfinite_scan_value_raises_where_the_scalar_route_does(self):
         # 8e308 rho11 v2 overflows once rho11 v2 passes 0.2247, mid-way along
         # theta2.
-        objective = _Objective(_pure_entries(depolarizing(0.2)),
+        objective = _Objective(depolarizing(0.2),
                                (1.0, 1.0, 1.0, 0.0, 0.0), (1e308, 0.0, 8.0, 0.0, 0.0))
         origin, direction = (_u(1.0), -_U_MAX, 0.3), (0.0, 1.0, 0.0)
         points = [_angles((origin[0], -_U_MAX + i * (2.0 * _U_MAX / 63), 0.3))
@@ -659,10 +683,9 @@ def _form_objective(family, strength, target, g):
     "oracle-dq") over the depolarized, dephased or damped pure family."""
     channel = {"depolarizing": optimize._modulus_channel, "phase-damping": phase_damping,
                "amplitude-damping": amplitude_damping}[family](strength)
-    entries = _pure_entries(channel)
     if target.startswith("oracle-"):
-        return _oracle_shift_objective(entries, g, METER, target[len("oracle-"):])
-    return _family_objective(entries, g, "qubit" if target == "reading" else METER, target)
+        return _oracle_shift_objective(channel, g, METER, target[len("oracle-"):])
+    return _family_objective(channel, g, "qubit" if target == "reading" else METER, target)
 
 
 
@@ -696,7 +719,8 @@ class TestRowBounds:
             for _ in range(2):
                 objective = _form_objective(family, rng.random(), target,
                                             rng.uniform(0.005, 0.5))
-                angles, value = objective.postselected(_u(rng.uniform(0.05, math.pi - 0.05)))
+                angles, value = objective.postselected(
+                    _preselection(_u(rng.uniform(0.05, math.pi - 0.05))))
                 assert objective(*angles) == value
                 t1, p0 = angles[0], angles[2]
                 # The rows at the probe's phase, a quarter period on, and
@@ -719,7 +743,7 @@ class TestPostselectedProbe:
         us = [-_U_MAX + i * step for i in range(64)] + [-_U_MAX, _U_MAX]
         for objective in objectives:
             for u1 in us:
-                (t1, t2, p0), value = objective.postselected(u1)
+                (t1, t2, p0), value = objective.postselected(_preselection(u1))
                 assert t1 == _theta(u1)
                 assert objective(t1, t2, p0) == value
                 assert 0.0 <= t2 <= math.pi and 0.0 <= p0 < 2.0 * math.pi
@@ -727,14 +751,18 @@ class TestPostselectedProbe:
     def test_rows_tied_in_norm_keep_the_first(self):
         # Rows of a positive semi-definite pencil that tie in norm are
         # parallel and give the same angles, so the rule shows only on an
-        # indefinite B, which no meter gives: B = [[1/2, 1], [1, 1/2]] has
-        # det(B) < 0, and its rows (1/2, 1) and (1, 1/2) tie in norm.  A =
-        # [[1, 0], [0, 0]].
-        objective = _Objective(lambda ch, sh, c, s: (0.5, 0.5, 0.5 * c, 0.5 * s),
+        # indefinite B, which no meter gives.  The noiseless state at theta1
+        # = pi / 2, with both half-angle values the same float sqrt(1/2),
+        # has rho00 = rho11 = rho10 = r exactly, so B = 2r [[1/2, 1], [1,
+        # 1/2]] has det(B) < 0, and its rows tie in norm.  A = 2r [[1, 0],
+        # [0, 0]].
+        objective = _Objective(depolarizing(0.0),
                                (1.0, 1.0, 1.0, 2.0, 0.0), (1.0, 2.0, 0.0, 0.0, 0.0))
-        (t1, t2, p0), value = objective.postselected(0.0)
-        assert (t2, p0) == (2.0 * math.atan2(1.0, 0.5), 0.0)
-        assert objective(t1, t2, p0) == value
+        half = math.sqrt(0.5)
+        (t1, t2, p0), value = objective.postselected((0.5 * math.pi, half, half))
+        assert (t1, t2, p0) == (0.5 * math.pi, 2.0 * math.atan2(1.0, 0.5), 0.0)
+        # The call face at t1 would take sin(pi / 4), 1 ulp below sqrt(1/2).
+        assert objective._value(half, half, t2, p0) == value
 
 
 def _score_objectives():
@@ -775,7 +803,7 @@ class TestScoringProbe:
         us = _score_points()
         for name, objective in _score_objectives().items():
             for u1 in us:
-                angles, value = objective.postselected(u1)
+                angles, value = objective.postselected(_preselection(u1))
                 assert objective(*angles) == value
                 _, score = objective.scored(u1)
                 if value == 0.0:
@@ -804,7 +832,7 @@ class TestScoringProbe:
         for u1 in _score_points():
             if math.isnan(objective._pencils((_preselection(u1),))[0][0]):
                 deferred += 1
-                assert objective.scored(u1) == objective.postselected(u1)
+                assert objective.scored(u1) == objective.postselected(_preselection(u1))
             else:
                 assert objective.scored(u1)[0] is None
         assert deferred > 0, degenerate
@@ -831,7 +859,7 @@ class TestScoringProbe:
     def test_scan_raises_at_the_first_nonfinite_value(self, n, m):
         # Scored one point at a time, the first probe whose value is not
         # finite names the point; the one-pass scan raises there too.
-        objective = _Objective(_pure_entries(depolarizing(0.2)), n, m)
+        objective = _Objective(depolarizing(0.2), n, m)
         _, ts, points = _u1_scan(32)
         first, value = next(found for found in map(objective.scored, ts)
                             if not math.isfinite(found[1]))
@@ -847,9 +875,9 @@ class TestScoringProbe:
         calls = []
         real_postselected = _Objective.postselected
 
-        def counted(self, u1):
-            calls.append(u1)
-            return real_postselected(self, u1)
+        def counted(self, point):
+            calls.append(point)
+            return real_postselected(self, point)
 
         monkeypatch.setattr(_Objective, "postselected", counted)
         searches = []
@@ -880,15 +908,28 @@ class TestScoringProbe:
         # finite, with that read-out's own (theta1, theta2, phi0), NaNs
         # included.  (The squares of the pencil's rows used to overflow into
         # an OverflowError on "nan-from-infinite-probability".)
-        objective = _Objective(_pure_entries(depolarizing(0.2)), n, m)
+        objective = _Objective(depolarizing(0.2), n, m)
         step = 2.0 * _U_MAX / 31
         first, value = next(
-            found for found in (objective.postselected(-_U_MAX + i * step) for i in range(32))
+            found for found in (objective.postselected(_preselection(-_U_MAX + i * step))
+                                for i in range(32))
             if not math.isfinite(found[1]))
         with pytest.raises(OptimizationError) as err:
             maximize(objective, grid_n=32)
         assert repr(err.value.point) == repr(PPSPoint(*first))
         assert repr(err.value.value) == repr(value)
+
+
+def test_verify_never_takes_the_plain_callable_path(monkeypatch):
+    # Every search that verify makes is a theta1 search on an _Objective:
+    # the coarse grid and the cyclic line searches of a plain callable are
+    # never reached.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("plain-callable path reached")
+
+    for name in ("_grid_start", "_line_search", "_loop_bind"):
+        monkeypatch.setattr(optimize, name, unreachable)
+    assert verification.run_verify(7, 50).ok
 
 
 def test_phase_reduction_is_sound():

@@ -26,7 +26,6 @@ from weakamp import (
     pure_state,
     qubit_joint_evolve,
 )
-from weakamp.optimize import _pure_entries
 from weakamp.oracle import (_GENERATOR, _POINTS, _branch_moments, _grid_floats, _grid_indices,
                             _grid_moments, _grid_pass, _grid_shifts, _half_width, _propagator)
 from weakamp.verification import _oracle_shift_objective
@@ -412,7 +411,7 @@ class TestGridOracle:
             except VanishingPostselectionError:
                 continue
             for which, want in (("dp", res.dp_shift), ("dq", res.dq_shift)):
-                got = _oracle_shift_objective(_pure_entries(channel), g, meter, which)(t1, t2, p0)
+                got = _oracle_shift_objective(channel, g, meter, which)(t1, t2, p0)
                 assert abs(got - want) <= 1e-13 * abs(want)
             compared += 1
         assert compared > 250
