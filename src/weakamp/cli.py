@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .channels import amplitude_damping, depolarizing, phase_damping
 from .common import GaussianMeter, VanishingPostselectionError, _check_unit_interval
@@ -38,6 +38,10 @@ CHANNELS = {
     "amplitude-damping": amplitude_damping,
 }
 
+#: ``--delta``, which only the Gaussian meter of ``shift`` and ``fig`` reads.
+DELTA_OPT = ("--delta", dict(type=float, default=1.0,
+                             help="pointer position spread (gaussian meter only)"))
+
 #: (flag, ``add_argument`` keywords) of each subcommand's options; ``shift``
 #: echoes its options in this order.
 SHIFT_OPTS = (
@@ -52,8 +56,7 @@ SHIFT_OPTS = (
     ("--g-over-dp", dict(type=float, help="coupling in units of the momentum spread "
                                           "(gaussian meter only)")),
     ("--g", dict(type=float, help="absolute coupling (qubit meter only)")),
-    ("--delta", dict(type=float, default=1.0,
-                     help="pointer position spread (gaussian meter only)")),
+    DELTA_OPT,
 )
 
 FIG_OPTS = (
@@ -61,8 +64,7 @@ FIG_OPTS = (
     ("--steps", dict(type=int, help="sweep points (default 101; 21 for figs 5-6)")),
     ("--start", dict(type=float, help="sweep start (default 0)")),
     ("--stop", dict(type=float, help="sweep stop (default 1; 0.95 for figs 5-6)")),
-    ("--delta", dict(type=float, default=1.0,
-                     help="pointer position spread (gaussian meter only)")),
+    DELTA_OPT,
 )
 
 VERIFY_OPTS = (
@@ -74,15 +76,13 @@ VERIFY_OPTS = (
                             help="perturb one closed form to self-test the battery")),
 )
 
-_REGISTRY = {"shift": SHIFT_OPTS, "fig": FIG_OPTS, "verify": VERIFY_OPTS}
-
 #: The options only one meter reads, its coupling flag first.
 METER_OPTIONS = {"gaussian": ("--g-over-dp", "--delta"), "qubit": ("--g",)}
 
 
 def _check_meter_options(meter: str, v: dict) -> None:
     """Require ``meter``'s coupling flag, if any, and reject other meters' changed options."""
-    opts = dict(_REGISTRY[v["command"]])
+    opts = dict(COMMANDS[v["command"]][1])
     changed = {flag for flag in opts if v[flag[2:].replace("-", "_")] != opts[flag].get("default")}
     coupling = METER_OPTIONS[meter][0]
     if coupling in opts and coupling not in changed:
@@ -100,16 +100,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Weak-measurement amplification: conditional pointer "
                     "shifts, figure sweeps, and the verification battery.")
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "shift": "compute one conditional shift or reading",
-        "fig": "emit a figure sweep as CSV (1-6)",
-        "verify": "run the oracle/optimizer/adjudication batteries",
-    }
-    for name, opts in _REGISTRY.items():
-        p = sub.add_parser(name, help=descriptions[name])
+    for name, (help_text, opts, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         if name == "fig":
-            p.add_argument("n", type=int, choices=range(1, 7),
-                           help="figure number")
+            p.add_argument("n", type=int, choices=FIGURES, help="figure number")
         p.add_argument("--config", help="key=value file supplying option defaults")
         for flag, kwargs in opts:
             p.add_argument(flag, **kwargs)
@@ -144,9 +138,10 @@ def _with_config(argv: list[str]) -> list[str]:
     '-'.  The file is looked up by a parser that knows the subcommand's
     flags, so an abbreviation resolves as it does in the real parse; that
     parse is skipped when no token can name ``--config``."""
-    opts = _REGISTRY.get(argv[0]) if argv else None
-    if opts is None or not any(a.partition("=")[0] in _CONFIG_PREFIXES for a in argv):
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None or not any(a.partition("=")[0] in _CONFIG_PREFIXES for a in argv):
         return argv
+    opts = command[1]
     lookup = argparse.ArgumentParser(prog=f"weakamp {argv[0]}", add_help=False)
     for flag in ("--config", *(flag for flag, _ in opts)):
         lookup.add_argument(flag)
@@ -217,6 +212,27 @@ SWEEP_COUPLINGS = (0.1, 0.05, 0.03)
 DAMPED_COUPLING = 0.1
 
 
+class Sweep(NamedTuple):
+    """A figure's swept parameter, its default points and stop, and the
+    Bloch modulus kappa of the noisy maxima at each value x (None: the
+    amplitude-damping suprema, taken at damping strength x)."""
+
+    parameter: str
+    steps: int
+    stop: float
+    kappa: Callable[[float], float] | None
+
+
+R_SWEEP = Sweep("r", 101, 1.0, lambda x: x)  # the preselection modulus
+GAMMA_SWEEP = Sweep("gamma", 101, 1.0, lambda x: 1.0 - x)  # depolarizing or dephasing
+DAMPED_SWEEP = Sweep("gamma", 21, 0.95, None)
+
+#: Each figure's meter and sweep.
+FIGURES = {1: ("gaussian", R_SWEEP), 2: ("qubit", R_SWEEP),
+           3: ("gaussian", GAMMA_SWEEP), 4: ("qubit", GAMMA_SWEEP),
+           5: ("gaussian", DAMPED_SWEEP), 6: ("qubit", DAMPED_SWEEP)}
+
+
 def fig_table(n: int, start: float, stop: float, steps: int,
               delta: float) -> tuple[list[tuple], list[str], list[list[float]]]:
     """Comment pairs, column header, and rows for figure ``n``."""
@@ -226,54 +242,41 @@ def fig_table(n: int, start: float, stop: float, steps: int,
         raise ValueError(f"need start < stop, got {start} and {stop}")
     if start < 0.0 or stop > 1.0:
         raise ValueError("sweep range must stay inside [0, 1]")
-    if n % 2:  # figs 1, 3 and 5 read the Gaussian pointer
+    name, sweep = FIGURES[n]
+    # Each meter's targets, coupling scale and coupling unit in column names.
+    if name == "gaussian":
         meter = GaussianMeter(delta)
-    parameter = "r" if n in (1, 2) else "gamma"
-    xs = [start + (stop - start) * i / (steps - 1) for i in range(steps)]
-    pairs = [("fig", n), ("parameter", parameter), ("start", start),
-             ("stop", stop), ("steps", steps), ("delta", delta)]
-    rows = []
-    if n in (1, 3):
-        pairs.append(("g-over-dp-values", ";".join(map(str, SWEEP_COUPLINGS))))
-        header = [parameter]
-        for c in SWEEP_COUPLINGS:
-            header += [f"dp_max_g{c}dp", f"dq_max_g{c}dp"]
-        for x in xs:
-            kappa = x if n == 1 else 1.0 - x
-            row = [x]
-            for c in SWEEP_COUPLINGS:
-                dp_max, dq_max = gaussian_max_shifts(kappa, c * meter.dp, meter)
-                row += [dp_max.value, dq_max.value]
-            rows.append(row)
-    elif n in (2, 4):
-        pairs.append(("g-values", ";".join(map(str, SWEEP_COUPLINGS))))
-        header = [parameter] + [f"reading_max_g{c}" for c in SWEEP_COUPLINGS]
-        for x in xs:
-            kappa = x if n == 2 else 1.0 - x
-            rows.append([x] + [qubit_max_reading(kappa, c).value
-                               for c in SWEEP_COUPLINGS])
-    elif n == 5:
-        pairs.append(("g-over-dp", DAMPED_COUPLING))
-        header = [parameter, "dp_max", "dq_max"]
-        g = DAMPED_COUPLING * meter.dp
-        for x in xs:
-            rows.append([x] + [amplitude_damping_max(meter, x, g, which).value
-                               for which in ("dp", "dq")])
+        targets, scale, unit = ("dp", "dq"), meter.dp, "dp"
+        maxima = lambda kappa, g: gaussian_max_shifts(kappa, g, meter)
     else:
-        pairs.append(("g", DAMPED_COUPLING))
-        header = [parameter, "reading_max"]
-        for x in xs:
-            rows.append([x, amplitude_damping_max("qubit", x, DAMPED_COUPLING,
-                                                  "reading").value])
+        meter, targets, scale, unit = name, ("reading",), 1.0, ""
+        maxima = lambda kappa, g: (qubit_max_reading(kappa, g),)
+    coupling = METER_OPTIONS[name][0][2:]  # "g-over-dp" or "g", the comment key
+    xs = [start + (stop - start) * i / (steps - 1) for i in range(steps)]
+    pairs = [("fig", n), ("parameter", sweep.parameter), ("start", start),
+             ("stop", stop), ("steps", steps), ("delta", delta)]
+    header = [sweep.parameter]
+    if sweep.kappa is None:  # the suprema at one coupling
+        pairs.append((coupling, DAMPED_COUPLING))
+        header += [f"{target}_max" for target in targets]
+        g = DAMPED_COUPLING * scale
+        rows = [[x] + [amplitude_damping_max(meter, x, g, target).value for target in targets]
+                for x in xs]
+    else:  # the noisy maxima at each coupling
+        pairs.append((f"{coupling}-values", ";".join(map(str, SWEEP_COUPLINGS))))
+        header += [f"{target}_max_g{c}{unit}" for c in SWEEP_COUPLINGS for target in targets]
+        rows = [[x] + [m.value for c in SWEEP_COUPLINGS for m in maxima(sweep.kappa(x), c * scale)]
+                for x in xs]
     return pairs, header, rows
 
 
-def cmd_fig(n: int, v: dict) -> int:
-    _check_meter_options("gaussian" if n % 2 else "qubit", v)  # odd figs: Gaussian pointer
-    steps = v["steps"] if v["steps"] is not None else (21 if n in (5, 6) else 101)
+def cmd_fig(v: dict) -> int:
+    meter, sweep = FIGURES[v["n"]]
+    _check_meter_options(meter, v)
+    steps = v["steps"] if v["steps"] is not None else sweep.steps
     start = v["start"] if v["start"] is not None else 0.0
-    stop = v["stop"] if v["stop"] is not None else (0.95 if n in (5, 6) else 1.0)
-    pairs, header, rows = fig_table(n, start, stop, steps, v["delta"])
+    stop = v["stop"] if v["stop"] is not None else sweep.stop
+    pairs, header, rows = fig_table(v["n"], start, stop, steps, v["delta"])
     text = _csv_text(_comment_lines(pairs), header, rows)
     with open(v["output"], "w", newline="\n") as fh:
         fh.write(text)
@@ -295,6 +298,14 @@ def cmd_verify(v: dict) -> int:
     return 0 if report.ok else 1
 
 
+#: Each subcommand's help, options and handler.
+COMMANDS = {
+    "shift": ("compute one conditional shift or reading", SHIFT_OPTS, cmd_shift),
+    "fig": ("emit a figure sweep as CSV (1-6)", FIG_OPTS, cmd_fig),
+    "verify": ("run the oracle/optimizer/adjudication batteries", VERIFY_OPTS, cmd_verify),
+}
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -302,11 +313,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         v = vars(_build_parser().parse_args(_with_config(argv)))
-        if v["command"] == "shift":
-            return cmd_shift(v)
-        if v["command"] == "fig":
-            return cmd_fig(v["n"], v)
-        return cmd_verify(v)
+        return COMMANDS[v["command"]][2](v)
     except SystemExit as exc:  # argparse has printed its usage error or help
         return int(exc.code or 0)
     except VanishingPostselectionError as exc:

@@ -395,6 +395,22 @@ _POINTWISE_SAMPLES = 40
 _OPTIMIZER_GRID_N = 32
 
 
+def _position_max_variants(kappa: float, g: float, meter: GaussianMeter):
+    """Dispute 1's maxima of |dq'| at Bloch modulus kappa, E = exp(-2 delta^2 g^2):
+    attenuated 2 kappa g E / sqrt(1 - kappa^2 E^2) and unattenuated 2 kappa g / (the same root)."""
+    att = meter.coherence_factor(g)
+    root = math.sqrt(1.0 - (kappa * att) ** 2)
+    return 2.0 * kappa * g * att / root, 2.0 * kappa * g / root
+
+
+def _momentum_max_variants(gamma: float, g: float, meter: GaussianMeter):
+    """Dispute 2's maxima of |dp'| under dephasing gamma: squared coherence
+    g / sqrt(1 - ((1 - gamma) E)^2) and unsquared g / sqrt(1 - (1 - gamma) E^2)."""
+    att = meter.coherence_factor(g)
+    coh = (1.0 - gamma) * att
+    return g / math.sqrt(1.0 - coh * coh), g / math.sqrt(1.0 - (1.0 - gamma) * att ** 2)
+
+
 def _point_rows(deviations) -> list[tuple]:
     """(input_id, normative, rejected) rows of pointwise deviation pairs."""
     return [(f"point-{i:03d}", *pair) for i, pair in enumerate(deviations)]
@@ -467,10 +483,7 @@ def adjudicate_variants(seed: int = 7) -> AdjudicationReport:
                                  for _ in range(2)]
     for i, (kappa, g) in enumerate(max_inputs):
         objective = _oracle_shift_objective(_modulus_channel(kappa), g, meter, "dq")
-        att = meter.coherence_factor(g)
-        root = math.sqrt(1.0 - (kappa * att) ** 2)
-        rows.append(max_row(dispute, i, objective, 2.0 * kappa * g * att / root,
-                            2.0 * kappa * g / root))
+        rows.append(max_row(dispute, i, objective, *_position_max_variants(kappa, g, meter)))
     disputes.append((dispute, ("attenuated", "unattenuated"), rows, missing))
 
     # -- dispute 2: coherence power in the dephased momentum maximum --------
@@ -480,10 +493,7 @@ def adjudicate_variants(seed: int = 7) -> AdjudicationReport:
     rows = []
     for i, (gamma, g) in enumerate(max_inputs):
         objective = _oracle_shift_objective(phase_damping(gamma), g, meter, "dp")
-        coh = (1.0 - gamma) * meter.coherence_factor(g)
-        squared = g / math.sqrt(1.0 - coh * coh)
-        unsquared = g / math.sqrt(1.0 - (1.0 - gamma) * meter.coherence_factor(g) ** 2)
-        rows.append(max_row(dispute, i, objective, squared, unsquared))
+        rows.append(max_row(dispute, i, objective, *_momentum_max_variants(gamma, g, meter)))
     disputes.append((dispute, ("squared-coherence", "unsquared-coherence"), rows, 0))
 
     # -- dispute 3: dephased qubit-meter reading numerator -------------------
@@ -542,14 +552,11 @@ def adjudication_battery(seed: int) -> tuple[list[CheckRecord], AdjudicationRepo
     # The shipped closed forms must equal the adjudicated normative variants.
     meter = GaussianMeter(1.0)
     g = 0.3
-    att = meter.coherence_factor(g)
-    root = math.sqrt(1.0 - att * att)
-    dev = abs(gaussian_max_shifts(1.0, g, meter)[1].value - 2.0 * g * att / root)
+    dev = abs(gaussian_max_shifts(1.0, g, meter)[1].value
+              - _position_max_variants(1.0, g, meter)[0])
     records.append(CheckRecord("adjudication", "library-position-max", dev, 1e-12))
-    gamma = 0.5
-    coh = (1.0 - gamma) * att
-    dev = abs(gaussian_max_shifts(1.0 - gamma, g, meter)[0].value
-              - g / math.sqrt(1.0 - coh * coh))
+    dev = abs(gaussian_max_shifts(1.0 - 0.5, g, meter)[0].value
+              - _momentum_max_variants(0.5, g, meter)[0])
     records.append(CheckRecord("adjudication", "library-momentum-max", dev, 1e-12))
     return records, report
 

@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 
@@ -298,10 +300,25 @@ class TestFig:
         assert err.startswith("weakamp: delta^2 must be a normal float") and err.count("\n") == 1
         assert not out.exists()
 
-    def test_delta_on_gaussian_figure_is_echoed(self, tmp_path):
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_delta_on_gaussian_figure_is_echoed(self, tmp_path, n):
         out = tmp_path / "fig.csv"
-        assert main(["fig", "1", "--output", str(out), "--steps", "2", "--delta", "2"]) == 0
+        assert main(["fig", str(n), "--output", str(out), "--steps", "2", "--delta", "2"]) == 0
         assert "# delta=2\n" in out.read_text()
+
+    def test_make_figures_script_writes_each_figure_as_the_cli_does(self, tmp_path, monkeypatch):
+        path = Path(__file__).resolve().parent.parent / "scripts" / "make_figures.py"
+        spec = importlib.util.spec_from_file_location("make_figures", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(script, "OUT_DIR", tmp_path)
+        assert script.run() == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"fig{n}.csv" for n in cli.FIGURES)
+        for n in cli.FIGURES:
+            direct = tmp_path / "direct.csv"
+            assert main(["fig", str(n), "--output", str(direct)]) == 0
+            assert (tmp_path / f"fig{n}.csv").read_bytes() == direct.read_bytes(), n
 
     def test_unwritable_output(self):
         assert main(["fig", "1", "--steps", "3",
