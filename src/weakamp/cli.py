@@ -20,7 +20,7 @@ from .channels import amplitude_damping, depolarizing, phase_damping
 from .common import GaussianMeter, VanishingPostselectionError, _check_unit_interval
 from .gaussian import gaussian_max_shifts, gaussian_shifts
 from .optimize import amplitude_damping_max
-from .qubit import BlochVector, density_from_bloch, pure_state
+from .qubit import _density_at_modulus, pure_state
 from .qubitmeter import postselected_reading, qubit_max_reading
 from .verification import FAULT_NAMES, run_verify
 
@@ -61,9 +61,11 @@ SHIFT_OPTS = (
 
 FIG_OPTS = (
     ("--output", dict(required=True, help="CSV output path")),
-    ("--steps", dict(type=int, help="sweep points (default 101; 21 for figs 5-6)")),
+    ("--steps", dict(type=int, help="sweep points (default: the figure's own, "
+                                    "echoed in the CSV header)")),
     ("--start", dict(type=float, help="sweep start (default 0)")),
-    ("--stop", dict(type=float, help="sweep stop (default 1; 0.95 for figs 5-6)")),
+    ("--stop", dict(type=float, help="sweep stop (default: the figure's own, "
+                                     "echoed in the CSV header)")),
     DELTA_OPT,
 )
 
@@ -171,8 +173,7 @@ def _csv_text(comments: list[str], header: list[str], rows: list[list]) -> str:
 
 def _preselection(theta1: float, phi0: float, r: float, channel: str, gamma: float):
     r = _check_unit_interval("--r", r)
-    b = pure_state(theta1, phi0).bloch()
-    rho = density_from_bloch(BlochVector(r * b.rx, r * b.ry, r * b.rz))
+    rho = _density_at_modulus(pure_state(theta1, phi0), r)
     ctor = CHANNELS[channel]
     if ctor is not None:
         rho = ctor(gamma).apply(rho)
@@ -252,7 +253,8 @@ def fig_table(n: int, start: float, stop: float, steps: int,
         meter, targets, scale, unit = name, ("reading",), 1.0, ""
         maxima = lambda kappa, g: (qubit_max_reading(kappa, g),)
     coupling = METER_OPTIONS[name][0][2:]  # "g-over-dp" or "g", the comment key
-    xs = [start + (stop - start) * i / (steps - 1) for i in range(steps)]
+    # The last point is stop itself: the interpolation can round one ulp past it.
+    xs = [start + (stop - start) * i / (steps - 1) for i in range(steps - 1)] + [stop]
     pairs = [("fig", n), ("parameter", sweep.parameter), ("start", start),
              ("stop", stop), ("steps", steps), ("delta", delta)]
     header = [sweep.parameter]
@@ -301,7 +303,7 @@ def cmd_verify(v: dict) -> int:
 #: Each subcommand's help, options and handler.
 COMMANDS = {
     "shift": ("compute one conditional shift or reading", SHIFT_OPTS, cmd_shift),
-    "fig": ("emit a figure sweep as CSV (1-6)", FIG_OPTS, cmd_fig),
+    "fig": ("emit a figure sweep as CSV", FIG_OPTS, cmd_fig),
     "verify": ("run the oracle/optimizer/adjudication batteries", VERIFY_OPTS, cmd_verify),
 }
 

@@ -1,8 +1,10 @@
 """Shared value types, tolerances, parameter validators and error classes,
-plus the one contraction that reads every meter value off its branch matrices."""
+plus the one contraction that reads every meter value off its branch matrices
+and the branch-pair weights that both meters' read-outs contract."""
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -32,6 +34,26 @@ def _contract(k, c00, c11, c10_re, c10_im):
     """
     scale, k00, k11, k10_re, k10_im = k
     return scale * (c00 * k00 + c11 * k11 + 2.0 * (c10_re * k10_re - c10_im * k10_im))
+
+
+def _postselection_weights(rho_s, psi_f, n):
+    """The branch-pair weights (c00, c11, Re c10, Im c10) of ``_contract`` at
+    preselection ``rho_s`` and postselection ``psi_f``, and the postselection
+    probability, their contraction with the overlaps ``n``, as one 5-tuple.
+
+    Raises VanishingPostselectionError at or below PROB_FLOOR.
+    """
+    half = 0.5 * psi_f.theta
+    alpha = complex(math.cos(half))
+    beta = cmath.exp(1j * psi_f.phi) * math.sin(half)
+    u2 = abs(alpha) ** 2
+    c00, c11 = rho_s.rho00.real * u2, rho_s.rho11.real * (1.0 - u2)
+    c10 = rho_s.rho10 * (alpha * beta.conjugate())
+    c10_re, c10_im = c10.real, c10.imag
+    prob = _contract(n, c00, c11, c10_re, c10_im)
+    if prob <= PROB_FLOOR:
+        raise VanishingPostselectionError(prob)
+    return c00, c11, c10_re, c10_im, prob
 
 
 def _nan_max(a: float, b: float) -> float:

@@ -18,19 +18,17 @@ k10 = -2i g delta^2 E.  ``gaussian_shifts`` and the optimizer's objectives
 
 from __future__ import annotations
 
-import cmath
 import math
 
 from .common import (
-    PROB_FLOOR,
     _check_coupling,
     _check_unit_interval,
     _contract,
+    _postselection_weights,
     GaussianMeter,
     MaxResult,
     ShiftResult,
     SingularLimitError,
-    VanishingPostselectionError,
 )
 from .qubit import PureQubit, QubitDensity
 
@@ -51,16 +49,7 @@ def gaussian_shifts(rho_s: QubitDensity, psi_f: PureQubit, g: float,
     """
     n, m_dp, m_dq = _branches(_check_coupling(g), meter)
     # Positional calls: unpacking an argument tuple costs the scalar API more.
-    half = 0.5 * psi_f.theta
-    alpha = complex(math.cos(half))
-    beta = cmath.exp(1j * psi_f.phi) * math.sin(half)
-    u2 = abs(alpha) ** 2
-    c00, c11 = rho_s.rho00.real * u2, rho_s.rho11.real * (1.0 - u2)
-    c10 = rho_s.rho10 * (alpha * beta.conjugate())
-    c10_re, c10_im = c10.real, c10.imag
-    prob = _contract(n, c00, c11, c10_re, c10_im)
-    if prob <= PROB_FLOOR:
-        raise VanishingPostselectionError(prob)
+    c00, c11, c10_re, c10_im, prob = _postselection_weights(rho_s, psi_f, n)
     return ShiftResult(_contract(m_dp, c00, c11, c10_re, c10_im) / prob,
                        _contract(m_dq, c00, c11, c10_re, c10_im) / prob,
                        prob)

@@ -138,6 +138,12 @@ def density_from_bloch(v: BlochVector) -> QubitDensity:
                         0.5 * (v.rx + 1j * v.ry), 0.5 * (1.0 - v.rz))
 
 
+def _density_at_modulus(psi: PureQubit, r: float) -> QubitDensity:
+    """Density matrix of ``psi``'s Bloch direction shrunk to modulus r in [0, 1]."""
+    b = psi.bloch()
+    return density_from_bloch(BlochVector(r * b.rx, r * b.ry, r * b.rz))
+
+
 def bloch_from_density(rho: QubitDensity) -> BlochVector:
     return BlochVector(2.0 * rho.rho01.real, -2.0 * rho.rho01.imag,
                        rho.rho00.real - rho.rho11.real)

@@ -18,18 +18,16 @@ objectives (``optimize._Objective``) read the same matrices.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 from .common import (
-    PROB_FLOOR,
     _check_coupling,
     _check_unit_interval,
     _contract,
+    _postselection_weights,
     MaxResult,
     QubitMeterReading,
     SingularLimitError,
-    VanishingPostselectionError,
 )
 from .qubit import PureQubit, QubitDensity
 
@@ -49,16 +47,7 @@ def postselected_reading(rho_s: QubitDensity, psi_f: PureQubit,
                          g: float) -> QubitMeterReading:
     """Reading conditioned on postselecting the system onto ``psi_f``."""
     n, m = _branches(_check_coupling(g))
-    half = 0.5 * psi_f.theta
-    alpha = complex(math.cos(half))
-    beta = cmath.exp(1j * psi_f.phi) * math.sin(half)
-    u2 = abs(alpha) ** 2
-    c00, c11 = rho_s.rho00.real * u2, rho_s.rho11.real * (1.0 - u2)
-    c10 = rho_s.rho10 * (alpha * beta.conjugate())
-    c10_re, c10_im = c10.real, c10.imag
-    prob = _contract(n, c00, c11, c10_re, c10_im)
-    if prob <= PROB_FLOOR:
-        raise VanishingPostselectionError(prob)
+    c00, c11, c10_re, c10_im, prob = _postselection_weights(rho_s, psi_f, n)
     return QubitMeterReading(_contract(m, c00, c11, c10_re, c10_im) / prob,
                              prob)
 

@@ -46,7 +46,7 @@ from .optimize import (_modulus_channel, _Objective, kappa_reading_objective,
                        kappa_shift_objective, maximize)
 from .oracle import (_grid_moments, _grid_pass, _grid_shifts, gaussian_grid_evolve,
                      qubit_joint_evolve)
-from .qubit import BlochVector, PureQubit, QubitDensity, density_from_bloch, pure_state
+from .qubit import PureQubit, QubitDensity, _density_at_modulus, pure_state
 from .qubitmeter import postselected_reading, qubit_max_reading
 
 FAULT_NAMES = ("dp-max", "dq-max", "reading-max")
@@ -374,10 +374,8 @@ def _random_pure(rng: random.Random) -> PureQubit:
 def _random_density(rng: random.Random) -> QubitDensity:
     """Uniform in the Bloch ball from three ``rng.random()`` values: the
     direction of ``_random_pure`` (theta, then phi), then the radius u^(1/3)."""
-    direction = _random_pure(rng).bloch()
-    radius = rng.random() ** (1.0 / 3.0)
-    return density_from_bloch(BlochVector(radius * direction.rx, radius * direction.ry,
-                                          radius * direction.rz))
+    direction = _random_pure(rng)
+    return _density_at_modulus(direction, rng.random() ** (1.0 / 3.0))
 
 
 def _oracle_shift_objective(channel: KrausChannel, g: float, meter: GaussianMeter, which: str):

@@ -271,6 +271,27 @@ class TestFig:
         assert main(["fig", "7", "--output", str(out)]) == 2
         assert "argument n: invalid choice: 7" in capsys.readouterr().err
 
+    # start + (stop - start) * i / (steps - 1) rounds one ulp past stop at the
+    # last point of these sweeps, which took gamma or kappa out of [0, 1].
+    @pytest.mark.parametrize("n, start, stop, steps", [
+        (1, "0.0010530266755553463", "1", "21"),
+        (3, "0.24771754354597048", "1", "7"),
+        (5, "0.24771754354597048", "1", "7"),
+        (5, "0.026", "0.95", "29"),
+    ])
+    def test_last_point_is_exactly_stop(self, tmp_path, n, start, stop, steps):
+        out = tmp_path / "fig.csv"
+        args = ["fig", str(n), "--output", str(out), "--start", start,
+                "--stop", stop, "--steps", steps]
+        if n == 5 and stop == "1":  # full amplitude damping collapses the maxima
+            with pytest.warns(UserWarning, match="gamma = 1 maps every state"):
+                assert main(args) == 0
+        else:
+            assert main(args) == 0
+        _, rows = _data_rows(out.read_text())
+        assert len(rows) == int(steps)
+        assert rows[0][0] == float(start) and rows[-1][0] == float(stop)
+
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_delta_on_qubit_meter_is_usage_error(self, capsys, tmp_path, n):
         out = tmp_path / "fig.csv"

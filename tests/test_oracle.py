@@ -444,14 +444,15 @@ class TestGridOracle:
 
 
 def test_oracle_module_does_not_touch_closed_forms():
-    # Nor the closed forms' branch matrices or the contraction they share with
-    # the optimizer: gaussian_grid_evolve sums its own c[j, l] moments, so a
+    # Nor the closed forms' branch matrices and weights, or the contraction they
+    # share with the optimizer: gaussian_grid_evolve sums its own c[j, l] moments, so a
     # contraction bug cannot pass the Gaussian oracle battery unseen.
     source = inspect.getsource(weakamp.oracle)
     for forbidden in ("from .gaussian", "from .qubitmeter", "import gaussian",
                       "import qubitmeter", "gaussian_shifts", "gaussian_max_shifts",
                       "ordinary_reading", "postselected_reading",
-                      "qubit_max_reading", "_branches", "_contract"):
+                      "qubit_max_reading", "_branches", "_contract",
+                      "_postselection_weights"):
         assert forbidden not in source
 
 
