@@ -125,8 +125,16 @@ class GaussianMeter:
         return 1.0 / (2.0 * self.delta)
 
     def coherence_factor(self, g: float) -> float:
-        """Overlap exp(-2 delta^2 g^2) between the two momentum-kicked branches."""
-        return math.exp(-2.0 * (self.delta * g) ** 2)
+        """Overlap exp(-2 delta^2 g^2) between the two momentum-kicked branches.
+
+        It is 1 at g = 0 and exactly 0.0 from delta g of about 19.3 on, where
+        the exponential underflows, up to the largest float g, also past
+        delta g of about 1.34e154, where (delta g)^2 leaves the float range.
+        """
+        try:
+            return math.exp(-2.0 * (self.delta * g) ** 2)
+        except OverflowError:  # (delta g)^2 is past the float range
+            return 0.0
 
 
 @dataclass(frozen=True, init=False)

@@ -36,8 +36,9 @@ from .qubit import PureQubit, QubitDensity
 def _branches(g: float, meter: GaussianMeter):
     """Branch matrices (N, M_dp, M_dq) at coupling g, in ``common._contract``'s form."""
     att = meter.coherence_factor(g)
+    # At E = 0 the position read-out is 0, also where 4 g delta^2 overflows.
     return ((1.0, 1.0, 1.0, att, 0.0), (g, 1.0, -1.0, 0.0, 0.0),
-            (4.0 * g * meter.delta ** 2 * att, 0.0, 0.0, 0.0, -0.5))
+            (4.0 * g * meter.delta ** 2 * att if att else 0.0, 0.0, 0.0, 0.0, -0.5))
 
 
 def gaussian_shifts(rho_s: QubitDensity, psi_f: PureQubit, g: float,
@@ -71,9 +72,12 @@ def gaussian_max_shifts(kappa: float, g: float,
     theta2 -> pi - theta2 negates the shift), the position branch at
     theta1 = theta2 = pi/2, cos(phi0) = -kappa E.
 
-    Limit: 1 - kappa^2 E^2 cancels at kappa = 1 and small delta g: at
-    delta = 1, |dp'|_max is off by 1.4e-9 relative at g = 1e-4, 1.1e-5 at
-    1e-6, 4.0e-4 at 1e-7 and -5.1% at 1e-8; g = 1e-9 raises SingularLimitError.
+    Ends of the coupling range: 1 - kappa^2 E^2 cancels at kappa = 1 and
+    small delta g: at delta = 1, |dp'|_max is off by 1.4e-9 relative at
+    g = 1e-4, 1.1e-5 at 1e-6, 4.0e-4 at 1e-7 and -5.1% at 1e-8; g = 1e-9
+    (and g = 0) raises SingularLimitError.  For kappa < 1, g = 0 gives 0 and
+    0.  From delta g of about 19.3 on, E is 0.0: the maxima are exactly g and
+    0, up to the largest float g.
     """
     kappa = _check_unit_interval("kappa", kappa)
     g = _check_coupling(g)
@@ -88,6 +92,6 @@ def gaussian_max_shifts(kappa: float, g: float,
     # Positional, as (value, theta1, theta2, phi0): keyword arguments cost the
     # scalar API more.
     dp_max = MaxResult(g / root, 0.5 * math.pi, math.asin(ke), math.pi)
-    dq_max = MaxResult(2.0 * kappa * g * meter.delta ** 2 * att / root,
+    dq_max = MaxResult(2.0 * kappa * g * meter.delta ** 2 * att / root if att else 0.0,
                        0.5 * math.pi, 0.5 * math.pi, math.acos(-ke))
     return dp_max, dq_max

@@ -40,7 +40,11 @@ def ordinary_reading(g: float) -> float:
 
 def _branches(g: float):
     """Branch matrices (N, M) at coupling g, in ``common._contract``'s form."""
-    return (1.0, 1.0, 1.0, math.cos(2.0 * g), 0.0), (math.sin(g) ** 2, 1.0, 1.0, -1.0, 0.0)
+    try:
+        overlap = math.cos(2.0 * g)
+    except ValueError:  # 2g overflows, from g of about 9e307 on
+        overlap = 1.0 - 2.0 * math.sin(g) ** 2
+    return (1.0, 1.0, 1.0, overlap, 0.0), (math.sin(g) ** 2, 1.0, 1.0, -1.0, 0.0)
 
 
 def postselected_reading(rho_s: QubitDensity, psi_f: PureQubit,
@@ -61,14 +65,22 @@ def qubit_max_reading(kappa: float, g: float) -> MaxResult:
         max = (1 + kappa) sin^2(g) / ((1 - kappa) + 2 kappa sin^2(g))
 
     attained at orthogonal equatorial states: theta1 = theta2 = pi/2,
-    phi0 = pi.  At kappa = 1 the maximum is 1 for any g > 0.
+    phi0 = pi.  Ends of the coupling range: at kappa = 1 the maximum is 1.0
+    for every g > 0, also below g of about 1.6e-162, where sin^2(g)
+    underflows to 0, and g = 0 raises SingularLimitError; for kappa < 1,
+    g = 0 gives 0.  The maximum is periodic in g, and finite up to the
+    largest float g.
     """
     kappa = _check_unit_interval("kappa", kappa)
     g = _check_coupling(g)
     s2 = math.sin(g) ** 2
     denom = (1.0 - kappa) + 2.0 * kappa * s2
-    if denom == 0.0:
+    if denom != 0.0:
+        value = (1.0 + kappa) * s2 / denom
+    elif g > 0.0:  # kappa = 1 and sin^2(g) underflowed
+        value = 1.0
+    else:
         raise SingularLimitError(
             "maximum reading is undefined at full coherence and zero coupling"
         )
-    return MaxResult((1.0 + kappa) * s2 / denom, 0.5 * math.pi, 0.5 * math.pi, math.pi)
+    return MaxResult(value, 0.5 * math.pi, 0.5 * math.pi, math.pi)

@@ -1,9 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 from hypothesis import strategies as st
 
-from weakamp import BlochVector, PureQubit, QubitDensity, density_from_bloch, pure_state
+from weakamp import (BlochVector, PureQubit, QubitDensity, amplitude_damping, density_from_bloch,
+                     phase_damping, pure_state)
 
 
 def angles():
@@ -45,6 +47,27 @@ def matrix(rho: QubitDensity) -> np.ndarray:
 def amplitudes(psi: PureQubit) -> np.ndarray:
     """``psi``'s amplitudes (alpha, beta) as a complex array."""
     return np.array([psi.alpha, psi.beta], dtype=complex)
+
+
+def half_angle_amplitudes(theta: float, phi: float) -> tuple[float, complex]:
+    """(cos(theta/2), e^{i phi} sin(theta/2)), written from the angles: the
+    reference transcriptions' pure-state amplitudes."""
+    return math.cos(theta / 2), cmath.exp(1j * phi) * math.sin(theta / 2)
+
+
+def modulus_state(kappa: float, theta: float, phi: float) -> QubitDensity:
+    """Preselection of Bloch modulus kappa along the (theta, phi) direction."""
+    b = pure_state(theta, phi).bloch()
+    return density_from_bloch(BlochVector(kappa * b.rx, kappa * b.ry, kappa * b.rz))
+
+
+#: Preselection family -> its state at strength x along (theta, phi): Bloch
+#: modulus x, or the pure state dephased or amplitude-damped at gamma = x.
+FAMILY_STATES = {
+    "modulus": modulus_state,
+    "dephased": lambda x, theta, phi: phase_damping(x).apply(pure_state(theta, phi).density()),
+    "damped": lambda x, theta, phi: amplitude_damping(x).apply(pure_state(theta, phi).density()),
+}
 
 
 def kron_propagator(g: float) -> np.ndarray:

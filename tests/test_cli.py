@@ -130,6 +130,18 @@ class TestShift:
             assert captured.err.startswith("weakamp: delta^2 must be a normal float")
             assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("meter,coupling,value", [("gaussian", "--g-over-dp", "3e154"),
+                                                      ("gaussian", "--g-over-dp", "1e308"),
+                                                      ("qubit", "--g", "1e308")])
+    def test_huge_coupling_prints_a_row(self, capsys, meter, coupling, value):
+        # (delta g)^2 or 2g past the float range ended in a traceback or in a
+        # bare "math domain error".
+        assert main(["shift", "--meter", meter, "--theta1", "1", "--theta2", "2",
+                     coupling, value]) == 0
+        _, rows = _data_rows(capsys.readouterr().out)
+        assert all(math.isfinite(v) for v in rows[0])
+        assert meter == "qubit" or rows[0][1] == 0.0  # no position shift at E = 0
+
     def test_help_exits_zero(self, capsys):
         assert main(["shift", "--help"]) == 0
         assert "--meter {gaussian,qubit}" in capsys.readouterr().out

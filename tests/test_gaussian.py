@@ -1,4 +1,3 @@
-import cmath
 import hashlib
 import math
 import random
@@ -9,16 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import amplitudes, densities, matrix, pure_states
+from conftest import (FAMILY_STATES, amplitudes, densities, half_angle_amplitudes, matrix,
+                      modulus_state, pure_states)
 from weakamp import (
-    BlochVector,
     GaussianMeter,
     SingularLimitError,
     VanishingPostselectionError,
     amplitude_damping,
     amplitude_damping_max,
     bloch_from_density,
-    density_from_bloch,
     depolarizing,
     gaussian_grid_evolve,
     gaussian_max_shifts,
@@ -34,22 +32,12 @@ from weakamp import (
 METER = GaussianMeter(1.0)
 
 
-def _amplitudes(theta, phi):
-    return math.cos(theta / 2), cmath.exp(1j * phi) * math.sin(theta / 2)
-
-
-def _modulus_state(kappa, theta, phi):
-    """Preselection of Bloch modulus kappa along the (theta, phi) direction."""
-    b = pure_state(theta, phi).bloch()
-    return density_from_bloch(BlochVector(kappa * b.rx, kappa * b.ry, kappa * b.rz))
-
-
 # Reference transcriptions, written directly in the pure-state amplitudes and
 # kept independent of the package's unified formula.
 
 def _modulus_reference(r, th1, ph1, th2, ph2, g, delta):
-    a1, b1 = _amplitudes(th1, ph1)
-    a2, b2 = _amplitudes(th2, ph2)
+    a1, b1 = half_angle_amplitudes(th1, ph1)
+    a2, b2 = half_angle_amplitudes(th2, ph2)
     att = math.exp(-2.0 * delta ** 2 * g ** 2)
     cross = a1.conjugate() * b1 * a2 * b2.conjugate()
     aa = abs(a1) ** 2 * abs(a2) ** 2
@@ -61,8 +49,8 @@ def _modulus_reference(r, th1, ph1, th2, ph2, g, delta):
 
 
 def _dephased_reference(gamma, th1, ph1, th2, ph2, g, delta):
-    a1, b1 = _amplitudes(th1, ph1)
-    a2, b2 = _amplitudes(th2, ph2)
+    a1, b1 = half_angle_amplitudes(th1, ph1)
+    a2, b2 = half_angle_amplitudes(th2, ph2)
     att = math.exp(-2.0 * delta ** 2 * g ** 2)
     cross = a1.conjugate() * b1 * a2 * b2.conjugate()
     aa = abs(a1) ** 2 * abs(a2) ** 2
@@ -79,8 +67,8 @@ def _dephased_reference(gamma, th1, ph1, th2, ph2, g, delta):
 
 
 def _damped_reference(gamma, th1, ph1, th2, ph2, g, delta):
-    a1, b1 = _amplitudes(th1, ph1)
-    a2, b2 = _amplitudes(th2, ph2)
+    a1, b1 = half_angle_amplitudes(th1, ph1)
+    a2, b2 = half_angle_amplitudes(th2, ph2)
     att = math.exp(-2.0 * delta ** 2 * g ** 2)
     cross = a1.conjugate() * b1 * a2 * b2.conjugate()
     survive = 1 - gamma
@@ -102,7 +90,7 @@ def _random_case(rng):
 
 class TestShifts:
     def test_zero_coupling(self):
-        rho = _modulus_state(0.7, 1.2, 0.4)
+        rho = modulus_state(0.7, 1.2, 0.4)
         psi_f = pure_state(0.9, 0.0)
         res = gaussian_shifts(rho, psi_f, 0.0, METER)
         assert res.dp_shift == 0.0
@@ -132,6 +120,20 @@ class TestShifts:
         with pytest.raises(VanishingPostselectionError) as err:
             gaussian_shifts(rho, pure_state(math.pi, 0.0), 0.1, METER)
         assert err.value.prob <= 1e-12
+
+    @pytest.mark.parametrize("g,delta", [(3e154, 1.0), (1e308, 1.0), (sys.float_info.max, 1.0),
+                                         (1.0, 1.3e154)])
+    def test_huge_coupling_has_no_coherence(self, g, delta):
+        # E is 0 from delta g of about 19.3 on.  (delta g)^2 past the float
+        # range raised OverflowError, and 4 g delta^2 E overflowed to inf * 0.
+        meter = GaussianMeter(delta)
+        assert meter.coherence_factor(g) == 0.0
+        res = gaussian_shifts(modulus_state(1.0, 1.0, 0.0), pure_state(2.0, 0.0), g, meter)
+        assert math.isfinite(res.dp_shift) and res.dq_shift == 0.0
+        dp_max, dq_max = gaussian_max_shifts(1.0, g, meter)
+        assert (dp_max.value, dq_max.value) == (g, 0.0)
+        assert amplitude_damping_max(meter, 0.5, g, "dq").value == 0.0
+        assert kappa_shift_objective(0.5, g, meter, "dq")(1.0, 2.0, 0.5) == 0.0
 
     def test_negative_coupling_rejected(self):
         with pytest.raises(ValueError):
@@ -166,47 +168,30 @@ class TestShifts:
 
 
 class TestSpecializations:
-    def test_modulus_family(self):
-        rng = np.random.default_rng(101)
+    """Each family's reference transcription at 1000 seeded draws."""
+
+    def _check_family(self, family, seed, reference):
+        rng = np.random.default_rng(seed)
         for _ in range(1000):
             th1, ph1, th2, ph2, g, delta = _random_case(rng)
-            r = rng.uniform(0.0, 1.0)
-            dp, dq, pro = _modulus_reference(r, th1, ph1, th2, ph2, g, delta)
+            x = rng.uniform(0.0, 1.0)
+            dp, dq, pro = reference(x, th1, ph1, th2, ph2, g, delta)
             if pro < 1e-9:
                 continue
-            res = gaussian_shifts(_modulus_state(r, th1, ph1),
+            res = gaussian_shifts(FAMILY_STATES[family](x, th1, ph1),
                                   pure_state(th2, ph2), g, GaussianMeter(delta))
             assert abs(res.dp_shift - dp) < 1e-12
             assert abs(res.dq_shift - dq) < 1e-12
             assert abs(res.prob - pro) < 1e-12
 
+    def test_modulus_family(self):
+        self._check_family("modulus", 101, _modulus_reference)
+
     def test_dephased_family(self):
-        rng = np.random.default_rng(102)
-        for _ in range(1000):
-            th1, ph1, th2, ph2, g, delta = _random_case(rng)
-            gamma = rng.uniform(0.0, 1.0)
-            dp, dq, pro = _dephased_reference(gamma, th1, ph1, th2, ph2, g, delta)
-            if pro < 1e-9:
-                continue
-            rho = phase_damping(gamma).apply(pure_state(th1, ph1).density())
-            res = gaussian_shifts(rho, pure_state(th2, ph2), g, GaussianMeter(delta))
-            assert abs(res.dp_shift - dp) < 1e-12
-            assert abs(res.dq_shift - dq) < 1e-12
-            assert abs(res.prob - pro) < 1e-12
+        self._check_family("dephased", 102, _dephased_reference)
 
     def test_damped_family(self):
-        rng = np.random.default_rng(103)
-        for _ in range(1000):
-            th1, ph1, th2, ph2, g, delta = _random_case(rng)
-            gamma = rng.uniform(0.0, 1.0)
-            dp, dq, pro = _damped_reference(gamma, th1, ph1, th2, ph2, g, delta)
-            if pro < 1e-9:
-                continue
-            rho = amplitude_damping(gamma).apply(pure_state(th1, ph1).density())
-            res = gaussian_shifts(rho, pure_state(th2, ph2), g, GaussianMeter(delta))
-            assert abs(res.dp_shift - dp) < 1e-12
-            assert abs(res.dq_shift - dq) < 1e-12
-            assert abs(res.prob - pro) < 1e-12
+        self._check_family("damped", 103, _damped_reference)
 
 
 class TestMaxShifts:
@@ -279,7 +264,7 @@ class TestMaxShifts:
         g = g_over_dp * METER.dp
         dp_max, dq_max = gaussian_max_shifts(kappa, g, METER)
         for target, which in ((dp_max, "dp"), (dq_max, "dq")):
-            rho = _modulus_state(kappa, target.theta1, target.phi0)
+            rho = modulus_state(kappa, target.theta1, target.phi0)
             res = gaussian_shifts(rho, pure_state(target.theta2, 0.0), g, METER)
             attained = res.dp_shift if which == "dp" else res.dq_shift
             if target.value == 0.0:

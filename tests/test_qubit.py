@@ -146,69 +146,8 @@ CONSTRUCTORS = [
     (GaussianMeter, (0.3,), "GaussianMeter(delta=0.3)", {"delta": 2.0}, {"delta": -1.0},
      r"delta must be positive and finite, got -1\.0"),
 ]
-_IDS = [row[0].__name__ for row in CONSTRUCTORS]
-
-
-def _check_keyword_and_positional_agree(cls, args):
-    names = [f.name for f in dataclasses.fields(cls)]
-    assert vars(cls(**dict(zip(names, args)))) == vars(cls(*args))
-
-
-def _check_arity(cls, args):
-    # As a generated __init__ does: a missing, extra or unknown argument.
-    for call in (lambda: cls(*args[:-1]), lambda: cls(*args, args[-1]),
-                 lambda: cls(*args, extra=args[-1])):
-        with pytest.raises(TypeError):
-            call()
-
-
-@pytest.mark.parametrize("cls,args,text,good,bad,message", CONSTRUCTORS, ids=_IDS)
-class TestConstructorContract:
-    def test_fields_are_frozen(self, cls, args, text, good, bad, message):
-        obj = cls(*args)
-        for f in dataclasses.fields(obj):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(obj, f.name, 0.5)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                delattr(obj, f.name)
-
-    def test_eq_hash_repr(self, cls, args, text, good, bad, message):
-        a, b = cls(*args), cls(*args)
-        assert a == b and a is not b
-        assert hash(a) == hash(b) == hash(dataclasses.astuple(a))
-        assert repr(a) == text
-        assert a != dataclasses.replace(a, **good)
-        assert a != dataclasses.astuple(a)
-
-    def test_replace_revalidates(self, cls, args, text, good, bad, message):
-        obj = cls(*args)
-        assert dataclasses.replace(obj) == obj
-        changed = dataclasses.replace(obj, **good)
-        assert changed == cls(**{**vars(obj), **good})
-        with pytest.raises(ValueError, match=message):
-            dataclasses.replace(obj, **bad)
-
-    @pytest.mark.skipif(not hasattr(copy, "replace"), reason="copy.replace needs Python 3.13")
-    def test_copy_replace_revalidates(self, cls, args, text, good, bad, message):
-        obj = cls(*args)
-        assert copy.replace(obj) == obj
-        assert copy.replace(obj, **good) == dataclasses.replace(obj, **good)
-        with pytest.raises(ValueError, match=message):
-            copy.replace(obj, **bad)
-
-    def test_pickle_round_trip(self, cls, args, text, good, bad, message):
-        obj = cls(*args)
-        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            back = pickle.loads(pickle.dumps(obj, protocol))
-            assert back == obj and hash(back) == hash(obj) and repr(back) == text
-            assert vars(back) == vars(obj)
-
-    def test_keyword_and_positional_agree(self, cls, args, text, good, bad, message):
-        _check_keyword_and_positional_agree(cls, args)
-
-    def test_missing_or_extra_argument_is_a_type_error(self, cls, args, text, good, bad, message):
-        _check_arity(cls, args)
-
+#: Each validating type's replacement that fails validation, and its message.
+INVALID = {row[0]: row[4:] for row in CONSTRUCTORS}
 
 #: (type, valid arguments, their repr, a replacement) for the value types
 #: that store their fields as given.  KrausChannel compares by identity.
@@ -225,8 +164,18 @@ VALUES = [
 ]
 
 
-@pytest.mark.parametrize("cls,args,text,good", VALUES, ids=[row[0].__name__ for row in VALUES])
-class TestValueContract:
+def _over_rows(table):
+    """Parametrize a contract class over ``table``'s (type, args, repr,
+    replacement), one case a type."""
+    return pytest.mark.parametrize("cls,args,text,good", [row[:4] for row in table],
+                                   ids=[row[0].__name__ for row in table])
+
+
+class _ValueTypeContract:
+    """What every value type keeps, whether it validates its fields or not:
+    frozen fields, keyword and positional calls that agree, and a generated
+    __init__'s arity.  Each subclass runs it over its own table's rows."""
+
     def test_fields_are_frozen(self, cls, args, text, good):
         obj = cls(*args)
         for f in dataclasses.fields(obj):
@@ -235,6 +184,56 @@ class TestValueContract:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(obj, f.name)
 
+    def test_keyword_and_positional_agree(self, cls, args, text, good):
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert vars(cls(**dict(zip(names, args)))) == vars(cls(*args))
+
+    def test_missing_or_extra_argument_is_a_type_error(self, cls, args, text, good):
+        # As a generated __init__ does: a missing, extra or unknown argument.
+        for call in (lambda: cls(*args[:-1]), lambda: cls(*args, args[-1]),
+                     lambda: cls(*args, extra=args[-1])):
+            with pytest.raises(TypeError):
+                call()
+
+
+@_over_rows(CONSTRUCTORS)
+class TestConstructorContract(_ValueTypeContract):
+    def test_eq_hash_repr(self, cls, args, text, good):
+        a, b = cls(*args), cls(*args)
+        assert a == b and a is not b
+        assert hash(a) == hash(b) == hash(dataclasses.astuple(a))
+        assert repr(a) == text
+        assert a != dataclasses.replace(a, **good)
+        assert a != dataclasses.astuple(a)
+
+    def test_replace_revalidates(self, cls, args, text, good):
+        obj = cls(*args)
+        assert dataclasses.replace(obj) == obj
+        changed = dataclasses.replace(obj, **good)
+        assert changed == cls(**{**vars(obj), **good})
+        bad, message = INVALID[cls]
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(obj, **bad)
+
+    @pytest.mark.skipif(not hasattr(copy, "replace"), reason="copy.replace needs Python 3.13")
+    def test_copy_replace_revalidates(self, cls, args, text, good):
+        obj = cls(*args)
+        assert copy.replace(obj) == obj
+        assert copy.replace(obj, **good) == dataclasses.replace(obj, **good)
+        bad, message = INVALID[cls]
+        with pytest.raises(ValueError, match=message):
+            copy.replace(obj, **bad)
+
+    def test_pickle_round_trip(self, cls, args, text, good):
+        obj = cls(*args)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(obj, protocol))
+            assert back == obj and hash(back) == hash(obj) and repr(back) == text
+            assert vars(back) == vars(obj)
+
+
+@_over_rows(VALUES)
+class TestValueContract(_ValueTypeContract):
     def test_eq_hash_repr(self, cls, args, text, good):
         a, b = cls(*args), cls(*args)
         assert repr(a) == repr(b) == text
@@ -263,12 +262,6 @@ class TestValueContract:
             back = pickle.loads(pickle.dumps(obj, protocol))
             assert repr(back) == text and vars(back) == vars(obj)
             assert (back == obj) is cls.__dataclass_params__.eq
-
-    def test_keyword_and_positional_agree(self, cls, args, text, good):
-        _check_keyword_and_positional_agree(cls, args)
-
-    def test_missing_or_extra_argument_is_a_type_error(self, cls, args, text, good):
-        _check_arity(cls, args)
 
 
 class TestConstructorInputs:

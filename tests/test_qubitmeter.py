@@ -1,19 +1,17 @@
-import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import densities, pure_states
+from conftest import FAMILY_STATES, densities, half_angle_amplitudes, modulus_state, pure_states
 from weakamp import (
-    BlochVector,
     SingularLimitError,
     VanishingPostselectionError,
     amplitude_damping,
-    density_from_bloch,
+    amplitude_damping_max,
     ordinary_reading,
-    phase_damping,
     postselected_reading,
     pure_state,
     qubit_joint_evolve,
@@ -21,18 +19,9 @@ from weakamp import (
 )
 
 
-def _amplitudes(theta, phi):
-    return math.cos(theta / 2), cmath.exp(1j * phi) * math.sin(theta / 2)
-
-
-def _modulus_state(kappa, theta, phi):
-    b = pure_state(theta, phi).bloch()
-    return density_from_bloch(BlochVector(kappa * b.rx, kappa * b.ry, kappa * b.rz))
-
-
 def _modulus_reference(r, th1, ph1, th2, ph2, g):
-    a1, b1 = _amplitudes(th1, ph1)
-    a2, b2 = _amplitudes(th2, ph2)
+    a1, b1 = half_angle_amplitudes(th1, ph1)
+    a2, b2 = half_angle_amplitudes(th2, ph2)
     cross = (a1.conjugate() * b1 * a2 * b2.conjugate()).real
     aa = abs(a1) ** 2 * abs(a2) ** 2
     bb = abs(b1) ** 2 * abs(b2) ** 2
@@ -44,8 +33,8 @@ def _modulus_reference(r, th1, ph1, th2, ph2, g):
 def _dephased_reference(gamma, th1, ph1, th2, ph2, g):
     # coherence-weighted cross term; the ground-state amplitudes weight the
     # numerator (the adjudicated variant)
-    a1, b1 = _amplitudes(th1, ph1)
-    a2, b2 = _amplitudes(th2, ph2)
+    a1, b1 = half_angle_amplitudes(th1, ph1)
+    a2, b2 = half_angle_amplitudes(th2, ph2)
     cross = (a1.conjugate() * b1 * a2 * b2.conjugate()).real
     aa = abs(a1) ** 2 * abs(a2) ** 2
     bb = abs(b1) ** 2 * abs(b2) ** 2
@@ -55,8 +44,8 @@ def _dephased_reference(gamma, th1, ph1, th2, ph2, g):
 
 
 def _damped_reference(gamma, th1, ph1, th2, ph2, g):
-    a1, b1 = _amplitudes(th1, ph1)
-    a2, b2 = _amplitudes(th2, ph2)
+    a1, b1 = half_angle_amplitudes(th1, ph1)
+    a2, b2 = half_angle_amplitudes(th2, ph2)
     cross = (a1.conjugate() * b1 * a2 * b2.conjugate()).real
     root = math.sqrt(1 - gamma)
     ground = abs(a1) ** 2 + gamma * abs(b1) ** 2
@@ -106,6 +95,15 @@ class TestPostselectedReading:
         assert closed.reading == pytest.approx(exact.reading, abs=1e-12)
         assert closed.prob == pytest.approx(exact.prob, abs=1e-12)
 
+    @pytest.mark.parametrize("g", [9e307, sys.float_info.max])
+    def test_huge_coupling_matches_exact_evolution(self, g):
+        # cos(2g) raised a bare "math domain error" once 2g overflowed.
+        rho, psi_f = modulus_state(0.5, 1.0, 0.0), pure_state(2.0, 0.0)
+        closed = postselected_reading(rho, psi_f, g)
+        exact = qubit_joint_evolve(rho, psi_f, g)
+        assert closed.reading == pytest.approx(exact.reading, abs=1e-12)
+        assert closed.prob == pytest.approx(exact.prob, abs=1e-12)
+
     def test_vanishing_postselection(self):
         with pytest.raises(VanishingPostselectionError):
             postselected_reading(pure_state(0, 0).density(), pure_state(math.pi, 0), 0.3)
@@ -137,55 +135,41 @@ class TestPostselectedReading:
 
 
 class TestSpecializations:
-    def _case(self, rng):
-        th1, th2 = rng.uniform(0, math.pi, size=2)
-        ph1, ph2 = rng.uniform(0, 2 * math.pi, size=2)
-        g = rng.uniform(0.0, 1.2)
-        return th1, ph1, th2, ph2, g
+    """Each family's reference transcription at 1000 seeded draws."""
 
-    def test_modulus_family(self):
-        rng = np.random.default_rng(201)
+    def _check_family(self, family, seed, reference):
+        rng = np.random.default_rng(seed)
         for _ in range(1000):
-            th1, ph1, th2, ph2, g = self._case(rng)
-            r = rng.uniform(0.0, 1.0)
-            reading, pro = _modulus_reference(r, th1, ph1, th2, ph2, g)
+            th1, th2 = rng.uniform(0, math.pi, size=2)
+            ph1, ph2 = rng.uniform(0, 2 * math.pi, size=2)
+            g = rng.uniform(0.0, 1.2)
+            x = rng.uniform(0.0, 1.0)
+            reading, pro = reference(x, th1, ph1, th2, ph2, g)
             if pro < 1e-9:
                 continue
-            res = postselected_reading(_modulus_state(r, th1, ph1),
+            res = postselected_reading(FAMILY_STATES[family](x, th1, ph1),
                                        pure_state(th2, ph2), g)
             assert abs(res.reading - reading) < 1e-12
             assert abs(res.prob - pro) < 1e-12
 
+    def test_modulus_family(self):
+        self._check_family("modulus", 201, _modulus_reference)
+
     def test_dephased_family(self):
-        rng = np.random.default_rng(202)
-        for _ in range(1000):
-            th1, ph1, th2, ph2, g = self._case(rng)
-            gamma = rng.uniform(0.0, 1.0)
-            reading, pro = _dephased_reference(gamma, th1, ph1, th2, ph2, g)
-            if pro < 1e-9:
-                continue
-            rho = phase_damping(gamma).apply(pure_state(th1, ph1).density())
-            res = postselected_reading(rho, pure_state(th2, ph2), g)
-            assert abs(res.reading - reading) < 1e-12
-            assert abs(res.prob - pro) < 1e-12
+        self._check_family("dephased", 202, _dephased_reference)
 
     def test_damped_family(self):
-        rng = np.random.default_rng(203)
-        for _ in range(1000):
-            th1, ph1, th2, ph2, g = self._case(rng)
-            gamma = rng.uniform(0.0, 1.0)
-            reading, pro = _damped_reference(gamma, th1, ph1, th2, ph2, g)
-            if pro < 1e-9:
-                continue
-            rho = amplitude_damping(gamma).apply(pure_state(th1, ph1).density())
-            res = postselected_reading(rho, pure_state(th2, ph2), g)
-            assert abs(res.reading - reading) < 1e-12
-            assert abs(res.prob - pro) < 1e-12
+        self._check_family("damped", 203, _damped_reference)
 
 
 class TestMaxReading:
     def test_pure_preselection_saturates(self):
         assert qubit_max_reading(1.0, 0.1).value == pytest.approx(1.0, abs=1e-15)
+
+    def test_full_coherence_reads_one_where_the_sine_underflows(self):
+        # sin^2(g) underflows to 0 below g of about 1.6e-162; the maximum is still 1.
+        assert qubit_max_reading(1.0, 1e-170).value == 1.0
+        assert amplitude_damping_max("qubit", 0.5, 1e-170, "reading").value == 1.0
 
     def test_no_coherence_reduces_to_ordinary(self):
         for g in (0.03, 0.1, 0.6):
@@ -209,7 +193,7 @@ class TestMaxReading:
     @pytest.mark.parametrize("g", [0.03, 0.1, 0.8])
     def test_argmax_attains_maximum(self, kappa, g):
         target = qubit_max_reading(kappa, g)
-        rho = _modulus_state(kappa, target.theta1, target.phi0)
+        rho = modulus_state(kappa, target.theta1, target.phi0)
         res = postselected_reading(rho, pure_state(target.theta2, 0.0), g)
         assert abs(res.reading - target.value) < 1e-10
 
