@@ -17,7 +17,8 @@ import sys
 from typing import Callable, NamedTuple, Sequence
 
 from .channels import amplitude_damping, depolarizing, phase_damping
-from .common import GaussianMeter, VanishingPostselectionError, _check_unit_interval
+from .common import (GaussianMeter, VanishingPostselectionError, _check_coupling,
+                     _check_unit_interval)
 from .gaussian import gaussian_max_shifts, gaussian_shifts
 from .optimize import amplitude_damping_max
 from .qubit import _density_at_modulus, pure_state
@@ -189,13 +190,19 @@ def cmd_shift(v: dict) -> int:
     psi_f = pure_state(v["theta2"], 0.0)
     echoed = ((flag[2:], v[flag[2:].replace("-", "_")]) for flag, _ in SHIFT_OPTS)
     comments = _comment_lines((key, value) for key, value in echoed if value is not None)
+    # Each coupling flag is checked under its own name, before it is scaled.
     if v["meter"] == "gaussian":
+        g_over_dp = _check_coupling(v["g_over_dp"], "--g-over-dp")
         meter = GaussianMeter(v["delta"])
-        result = gaussian_shifts(rho, psi_f, v["g_over_dp"] * meter.dp, meter)
+        g = g_over_dp * meter.dp
+        if g == math.inf:
+            raise ValueError(f"the coupling --g-over-dp / (2 --delta) overflows at "
+                             f"--g-over-dp {g_over_dp!r}, --delta {v['delta']!r}")
+        result = gaussian_shifts(rho, psi_f, g, meter)
         text = _csv_text(comments, ["dp_shift", "dq_shift", "prob"],
                          [[result.dp_shift, result.dq_shift, result.prob]])
     else:
-        result = postselected_reading(rho, psi_f, v["g"])
+        result = postselected_reading(rho, psi_f, _check_coupling(v["g"], "--g"))
         text = _csv_text(comments, ["reading", "prob"],
                          [[result.reading, result.prob]])
     sys.stdout.write(text)

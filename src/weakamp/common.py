@@ -63,9 +63,9 @@ def _nan_max(a: float, b: float) -> float:
     return a if a != a or a >= b else b
 
 
-def _check_coupling(g: float) -> float:
+def _check_coupling(g: float, name: str = "coupling") -> float:
     if not (math.isfinite(g) and g >= 0.0):
-        raise ValueError(f"coupling must be finite and non-negative, got {g!r}")
+        raise ValueError(f"{name} must be finite and non-negative, got {g!r}")
     return float(g)
 
 

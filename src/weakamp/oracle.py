@@ -5,7 +5,8 @@ Two oracles, both built from the impulse interaction only:
 * ``qubit_joint_evolve``: exact evolution of system x qubit meter.  The
   coupling generator squares to the identity, so the 4x4 propagator is
   cos(g) I + i sin(g) (sigma_z x sigma_x) with no approximation, and the
-  meter is read out through the 2x2 operator (<psi_f| x I) U (I x |0>).
+  meter is read out through the 2x2 operator A = (<psi_f| x I) U (I x |0>),
+  which takes only U's even (meter |0>) columns.
 * ``gaussian_grid_evolve``: the Gaussian pointer on a position grid.  The
   interaction is diagonal in the system basis, so the meter splits into two
   branches Phi(q) exp(+-i g q); position moments come from quadrature and
@@ -18,14 +19,20 @@ Two oracles, both built from the impulse interaction only:
   and a state's three weighted sums over the moments are taken in Python
   scalars by ``_grid_shifts``.
 
-One kernel, ``_moment_kernel``, does the grid arithmetic.  It is
-shape-generic: given one grid's floats it returns one (3, 2, 2) set of
-moments, and given n grids' floats as arrays it evaluates the grids as n rows
-of the same arrays and returns n sets, each equal bit for bit to its one-grid
-call.  ``_branch_moments`` is its one-grid call behind a bounded cache, which
-``gaussian_grid_evolve`` and the verification module's oracle objectives use.
-``_grid_pass`` is its many-grid call, outside the cache: the Gaussian oracle
-battery draws a fresh coupling per sample and evaluates them in passes.
+Each oracle's array arithmetic is one shape-generic kernel: given one input
+it returns one result, and given n inputs as arrays it evaluates them as n
+rows of the same operations and returns n results, each equal bit for bit to
+its one-input call.  A per-input reader then weighs a state against one
+row in Python scalars.  The verification batteries draw a fresh coupling per
+sample and evaluate their accepted inputs in passes, one kernel call a pass.
+
+* ``_readout`` builds the qubit read-out A.  ``qubit_joint_evolve`` is its
+  one-input call and ``_readout_pass`` its many-input call, and both take
+  the reading off A through ``_qubit_reading``.
+* ``_moment_kernel`` does the grid arithmetic.  ``_branch_moments`` is its
+  one-grid call behind a bounded cache, which ``gaussian_grid_evolve`` and
+  the verification module's oracle objectives use.  ``_grid_pass`` is its
+  many-grid call, outside the cache, and ``_grid_shifts`` the reader.
 
 The grid has 256 points on a half-width of 10-14 widths, set by (delta, g).
 The integrands are Gaussians of width delta (times phases), on which the
@@ -46,9 +53,9 @@ its own weighted moments.  Agreement between the two routes is what the
 verification batteries check.
 
 This module is the package's only numpy user.  The value types and channels
-hold plain scalars, so the qubit oracle builds its one state array, the
-postselection bra, from psi_f's two amplitudes and reads rho's four entries
-as scalars.
+hold plain scalars, so the qubit oracle builds its only state arrays, the
+postselection bras (one, or a pass's stacked), from each psi_f's two
+amplitudes and reads rho's four entries as scalars.
 """
 
 from __future__ import annotations
@@ -84,20 +91,31 @@ def _read_only(array):
 #: The coupling generator sigma_z x sigma_x.
 _GENERATOR = np.kron(np.diag([1.0, -1.0]), [[0.0, 1.0], [1.0, 0.0]]).astype(complex)
 _IDENTITY = np.eye(4, dtype=complex)
+#: I's and the generator's even (meter |0>) columns, reshaped row-major from
+#: (4, 2) to (2, 4) and kept contiguous for BLAS: the factor of U that
+#: ``_readout`` contracts with the postselection bra.
+_EVEN_COLUMNS = tuple(np.ascontiguousarray(m[:, ::2].reshape(2, 4))
+                      for m in (_IDENTITY, _GENERATOR))
 
 
-def _propagator(g: float) -> np.ndarray:
-    return math.cos(g) * _IDENTITY + 1j * math.sin(g) * _GENERATOR
+def _readout(bra, cos_g, sin_g):
+    """Row-major 2x2 read-out A = (<psi_f| x I) U (I x |0>) at coupling g,
+    from U = cos(g) I + i sin(g) (sigma_z x sigma_x)'s even columns.
+
+    Shape-generic like ``_moment_kernel``: one bra (2,) at Python floats
+    cos g, sin g gives one (4,) array, and n bras (n, 1, 2) at (n, 1, 1)
+    arrays give (n, 1, 4), whose row i equals the one-input result at the
+    i-th bra and coupling bit for bit.  Each entry of U's even columns, and
+    of A, is one nonzero product plus zero ones, so neither the stacked
+    arithmetic nor the stacked matrix product can round it otherwise.
+    """
+    identity, generator = _EVEN_COLUMNS
+    return bra @ (cos_g * identity + 1j * sin_g * generator)
 
 
-def qubit_joint_evolve(rho_s: QubitDensity, psi_f: PureQubit,
-                       g: float) -> QubitMeterReading:
-    """Meter reading from the exact joint evolution, conditional on
-    projecting the system onto ``psi_f``."""
-    g = _check_coupling(g)
-    # Row-major 2x2 read-out A = (<psi_f| x I) U (I x |0>), from U's even (meter |0>) columns.
-    bra = np.array([psi_f.alpha.conjugate(), psi_f.beta.conjugate()])
-    a = (bra @ _propagator(g)[:, ::2].reshape(2, 4)).tolist()
+def _qubit_reading(rho_s: QubitDensity, a) -> QubitMeterReading:
+    """Meter reading of ``rho_s`` through one read-out A, given as the list of
+    its four entries; VanishingPostselectionError below the probability floor."""
     # The diagonal of the meter state A rho A^dagger: row m of A rho against conj(A[m]).
     m00, m11 = (((x * rho_s.rho00 + y * rho_s.rho10) * x.conjugate()
                  + (x * rho_s.rho01 + y * rho_s.rho11) * y.conjugate()).real
@@ -106,6 +124,27 @@ def qubit_joint_evolve(rho_s: QubitDensity, psi_f: PureQubit,
     if prob <= PROB_FLOOR:
         raise VanishingPostselectionError(prob)
     return QubitMeterReading(m11 / prob, prob)
+
+
+def qubit_joint_evolve(rho_s: QubitDensity, psi_f: PureQubit,
+                       g: float) -> QubitMeterReading:
+    """Meter reading from the exact joint evolution, conditional on
+    projecting the system onto ``psi_f``."""
+    g = _check_coupling(g)
+    bra = np.array([psi_f.alpha.conjugate(), psi_f.beta.conjugate()])
+    return _qubit_reading(rho_s, _readout(bra, math.cos(g), math.sin(g)).tolist())
+
+
+def _readout_pass(inputs):
+    """The read-out of each (psi_f, g) of ``inputs`` from one ``_readout``
+    call, as n lists of four complex: row i equals ``qubit_joint_evolve``'s
+    at the i-th input, bit for bit, with cos g and sin g from ``math`` for
+    every row as there."""
+    couplings = [_check_coupling(g) for _, g in inputs]
+    bras = np.array([[(psi_f.alpha.conjugate(), psi_f.beta.conjugate())] for psi_f, _ in inputs])
+    cos_g, sin_g = (np.array([f(g) for g in couplings])[:, None, None]
+                    for f in (math.cos, math.sin))
+    return _readout(bras, cos_g, sin_g)[:, 0].tolist()
 
 
 # ---------------------------------------------------------------------------

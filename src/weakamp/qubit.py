@@ -5,7 +5,7 @@ system observable, so the measurement axis itself never needs to be stored.
 The types hold plain Python scalars: a pure state its two angles, a density
 matrix its four entries.  Array forms of them are built only where they are
 a brute-force reference: the tests' matrices, and the qubit oracle's
-postselection bra.
+postselection bras.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .common import _store
+from .common import _check_unit_interval, _store
 
 #: Tolerance for algebraic identities (hermiticity, trace, normalization).
 ATOL = 1e-12
@@ -134,14 +134,26 @@ class QubitDensity:
 
 def density_from_bloch(v: BlochVector) -> QubitDensity:
     """Density matrix (I + r . sigma) / 2 for a Bloch vector in the unit ball."""
-    return QubitDensity(0.5 * (1.0 + v.rz), 0.5 * (v.rx - 1j * v.ry),
-                        0.5 * (v.rx + 1j * v.ry), 0.5 * (1.0 - v.rz))
+    return _bloch_density(v.rx, v.ry, v.rz)
+
+
+def _bloch_density(rx: float, ry: float, rz: float) -> QubitDensity:
+    """(I + r . sigma) / 2 from the components; QubitDensity checks |r| <= 1."""
+    return QubitDensity(0.5 * (1.0 + rz), 0.5 * (rx - 1j * ry),
+                        0.5 * (rx + 1j * ry), 0.5 * (1.0 - rz))
 
 
 def _density_at_modulus(psi: PureQubit, r: float) -> QubitDensity:
-    """Density matrix of ``psi``'s Bloch direction shrunk to modulus r in [0, 1]."""
-    b = psi.bloch()
-    return density_from_bloch(BlochVector(r * b.rx, r * b.ry, r * b.rz))
+    """Density matrix of ``psi``'s Bloch direction shrunk to modulus r in [0, 1].
+
+    The components are ``psi.bloch()``'s, each times r, in the same float
+    operations, without building either Bloch vector; an r outside [0, 1]
+    is a ValueError.
+    """
+    r = _check_unit_interval("r", r)
+    s = math.sin(psi.theta)
+    return _bloch_density(r * (s * math.cos(psi.phi)), r * (s * math.sin(psi.phi)),
+                          r * math.cos(psi.theta))
 
 
 def bloch_from_density(rho: QubitDensity) -> BlochVector:

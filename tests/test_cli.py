@@ -142,6 +142,25 @@ class TestShift:
         assert all(math.isfinite(v) for v in rows[0])
         assert meter == "qubit" or rows[0][1] == 0.0  # no position shift at E = 0
 
+    @pytest.mark.parametrize("args,message", [
+        (["--meter", "gaussian", "--g-over-dp", "-1"],
+         "--g-over-dp must be finite and non-negative, got -1.0"),
+        (["--meter", "gaussian", "--g-over-dp", "nan", "--delta", "0.1"],
+         "--g-over-dp must be finite and non-negative, got nan"),
+        (["--meter", "gaussian", "--g-over-dp", "1e308", "--delta", "0.1"],
+         "the coupling --g-over-dp / (2 --delta) overflows at --g-over-dp 1e+308, --delta 0.1"),
+        (["--meter", "qubit", "--g", "-1"], "--g must be finite and non-negative, got -1.0"),
+        (["--meter", "qubit", "--g", "inf"], "--g must be finite and non-negative, got inf"),
+    ], ids=["negative-g-over-dp", "nan-g-over-dp", "overflowing-g-over-dp", "negative-g",
+            "infinite-g"])
+    def test_bad_coupling_is_named_as_given(self, capsys, args, message):
+        # The coupling flag is checked under its own name before dp scales it:
+        # the message names the flags the user gave and their values.
+        assert main(["shift", "--theta1", "1", "--theta2", "2", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"weakamp: {message}\n"
+
     def test_help_exits_zero(self, capsys):
         assert main(["shift", "--help"]) == 0
         assert "--meter {gaussian,qubit}" in capsys.readouterr().out

@@ -27,12 +27,22 @@ from weakamp import (
     qubit_joint_evolve,
 )
 from weakamp.oracle import (_GENERATOR, _POINTS, _branch_moments, _grid_floats, _grid_indices,
-                            _grid_moments, _grid_pass, _grid_shifts, _half_width, _propagator)
-from weakamp.verification import _oracle_shift_objective
+                            _grid_moments, _grid_pass, _grid_shifts, _half_width, _qubit_reading,
+                            _readout, _readout_pass)
+from weakamp.verification import _ORACLE_PASS, _oracle_shift_objective
 from weakamp.verification import _random_density as random_density
 from weakamp.verification import _random_pure as random_pure
 
 METER = GaussianMeter(1.0)
+
+#: Rows of a pass test: one, and on either side of the batteries' pass size.
+PASS_ROWS = [1, _ORACLE_PASS - 1, _ORACLE_PASS, _ORACLE_PASS + 1, 2 * _ORACLE_PASS + 1]
+
+
+def _even_columns(g):
+    """U's even (meter |0>) columns as a (4, 2) array: the oracle's read-out
+    at the bras <0| and <1|."""
+    return _readout(np.eye(2, dtype=complex), math.cos(g), math.sin(g)).reshape(4, 2)
 
 
 class TestQubitOracle:
@@ -72,10 +82,10 @@ class TestQubitOracle:
             assert np.max(np.abs(evolved - evolved.conj().T)) < 1e-15
 
     def test_joint_evolution_matches_kron_reference(self):
-        # The oracle's propagator is the reference's, and its generator
+        # The oracle's propagator columns are the reference's, and its generator
         # squares to the identity exactly, so cos(g) I + i sin(g) G is exact.
         for g in np.random.default_rng(17).uniform(0.0, 1.5, 20):
-            assert np.max(np.abs(_propagator(g) - kron_propagator(g))) < 1e-15
+            assert np.max(np.abs(_even_columns(g) - kron_propagator(g)[:, ::2])) < 1e-15
         assert np.array_equal(_GENERATOR @ _GENERATOR, np.eye(4))
 
     def test_marginal_matches_phase_structure(self):
@@ -279,7 +289,7 @@ def _pass_couplings(rows, seed):
 class TestGridPass:
     # One kernel call over a pass of grids gives each grid's moments exactly as
     # the one-grid call does, on either side of the battery's pass size.
-    @pytest.mark.parametrize("rows", [1, 15, 16, 17, 40])
+    @pytest.mark.parametrize("rows", PASS_ROWS)
     def test_rows_equal_the_per_coupling_moments(self, rows):
         couplings = _pass_couplings(rows, seed=rows)
         moments = _grid_pass(couplings)
@@ -304,6 +314,38 @@ class TestGridPass:
         assert str(batch.value) == str(one.value)
 
 
+class TestReadoutPass:
+    # One read-out call over a pass gives each input's read-out exactly as
+    # the one-input call does, on either side of the battery's pass size, and
+    # the reading the brute-force evolution gives.
+    @pytest.mark.parametrize("rows", PASS_ROWS)
+    def test_rows_equal_the_one_input_readout(self, rows):
+        rng = np.random.default_rng(rows)
+        inputs = [(random_density(rng), random_pure(rng), float(rng.uniform(0.0, 1.5)))
+                  for _ in range(rows)]
+        readouts = _readout_pass([(psi_f, g) for _, psi_f, g in inputs])
+        assert len(readouts) == rows
+        for (rho, psi_f, g), row in zip(inputs, readouts):
+            bra = np.array([psi_f.alpha.conjugate(), psi_f.beta.conjugate()])
+            one = _readout(bra, math.cos(g), math.sin(g))
+            assert np.array(row).tobytes() == one.tobytes()
+            reading = _qubit_reading(rho, row)
+            assert reading == qubit_joint_evolve(rho, psi_f, g)
+            amps = amplitudes(psi_f)
+            meter = np.einsum("s,smtn,t->mn", amps.conj(),
+                              joint_evolved(rho, g).reshape(2, 2, 2, 2), amps)
+            prob = np.trace(meter).real
+            assert abs(reading.prob - prob) < 1e-15
+            if prob >= 1e-4:  # the battery's filter
+                assert abs(reading.reading - meter[1, 1].real / prob) < 1e-15
+
+    def test_invalid_coupling_is_rejected(self):
+        psi_f = pure_state(1.0, 0.5)
+        for g in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="coupling must be finite and non-negative"):
+                _readout_pass([(psi_f, 0.3), (psi_f, g)])
+
+
 def _branch_matrix(k):
     """The 2x2 matrix scale [[k00, conj k10], [k10, k11]] of a branch tuple."""
     scale, k00, k11, k10_re, k10_im = k
@@ -325,12 +367,12 @@ class TestClosedFormBranches:
                 assert np.max(np.abs(_branch_matrix(k) - moments)) <= 1e-14
 
     def test_qubit_branches_are_the_propagator_overlaps(self):
-        # Column 2j of U is |j> x Phi_j, the meter branch that system state
-        # |j> leaves from meter |0>: N[j, l] = <Phi_l|Phi_j> and M[j, l] =
-        # <Phi_l|1><1|Phi_j>.
+        # Column 2j of U, the even columns' column j, is |j> x Phi_j, the
+        # meter branch that system state |j> leaves from meter |0>:
+        # N[j, l] = <Phi_l|Phi_j> and M[j, l] = <Phi_l|1><1|Phi_j>.
         for g in np.random.default_rng(23).uniform(0.0, 1.5, 100):
-            u = _propagator(g)
-            phi = [u[2 * j:2 * j + 2, 2 * j] for j in (0, 1)]
+            columns = _even_columns(g)
+            phi = [columns[2 * j:2 * j + 2, j] for j in (0, 1)]
             overlaps = np.array([[np.vdot(phi[l], phi[j]) for l in (0, 1)] for j in (0, 1)])
             readout = np.array([[phi[l][1].conjugate() * phi[j][1] for l in (0, 1)]
                                 for j in (0, 1)])

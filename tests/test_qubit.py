@@ -2,12 +2,13 @@ import copy
 import dataclasses
 import math
 import pickle
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import amplitudes, bloch_vectors, densities, matrix, pure_states
+from conftest import amplitudes, bloch_vectors, densities, matrix, modulus_state, pure_states
 from weakamp import (
     BlochVector,
     GaussianMeter,
@@ -21,6 +22,7 @@ from weakamp import (
     density_from_bloch,
     pure_state,
 )
+from weakamp.qubit import _density_at_modulus
 
 
 class TestPureState:
@@ -131,6 +133,26 @@ class TestDensity:
         assert eigs.min() >= -1e-12
         assert eigs.max() <= 1.0 + 1e-12
 
+
+class TestDensityAtModulus:
+    # The helper skips both Bloch vectors of the route it replaces, scaling
+    # the components in the same float operations: the result is the same
+    # density, field for field, signed zeros included.
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_the_bloch_vector_route(self, seed):
+        rng = random.Random(seed)
+        directions = [(0.0, 0.0), (math.pi, 0.0), (0.0, 2.5), (math.pi, 4.0)]
+        directions += [(math.acos(1.0 - 2.0 * rng.random()), 2.0 * math.pi * rng.random())
+                       for _ in range(100)]
+        for theta, phi in directions:
+            for r in (0.0, 1.0, rng.random()):
+                got = _density_at_modulus(pure_state(theta, phi), r)
+                assert repr(got) == repr(modulus_state(r, theta, phi))
+
+    @pytest.mark.parametrize("r", [-0.1, 1.0 + 1e-9, math.nan, math.inf])
+    def test_modulus_outside_the_unit_interval_is_rejected(self, r):
+        with pytest.raises(ValueError, match=r"r must lie in \[0, 1\]"):
+            _density_at_modulus(pure_state(1.0, 0.5), r)
 
 #: (type, valid arguments, their repr, a valid replacement, a replacement
 #: that fails validation, the message it fails with).

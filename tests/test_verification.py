@@ -72,7 +72,7 @@ class TestOracleBatteries:
         # probability filter and 1 off its true value: compared with the
         # oracle, it would fail the battery; filtered, another is drawn.
         closed_name, oracle_name, floor, field = {
-            "qubit-oracle": ("postselected_reading", "qubit_joint_evolve", 1e-4, "reading"),
+            "qubit-oracle": ("postselected_reading", "_qubit_reading", 1e-4, "reading"),
             "gaussian-oracle": ("gaussian_shifts", "_grid_shifts", 1e-3, "dq_shift"),
         }[section]
         real_closed, real_oracle = (getattr(verification, closed_name),
@@ -126,13 +126,48 @@ def test_gaussian_battery_reads_each_accepted_input_once_in_draw_order(monkeypat
     monkeypatch.setattr(verification, "gaussian_shifts", closed_form)
     monkeypatch.setattr(verification, "_grid_shifts", contraction)
     before = oracle._branch_moments.cache_info()
-    records = gaussian_oracle_battery(random.Random(3), 3 * verification._GRID_PASS + 1)
+    records = gaussian_oracle_battery(random.Random(3), 3 * verification._ORACLE_PASS + 1)
     assert oracle._branch_moments.cache_info() == before
     assert all(r.ok for r in records)
     accepted = [rho for rho, prob in closed if prob >= 1e-3]
-    assert len(accepted) == 3 * verification._GRID_PASS + 1
+    assert len(accepted) == 3 * verification._ORACLE_PASS + 1
     assert len(contracted) == len(accepted)
     assert all(got is want for got, want in zip(contracted, accepted))
+
+
+def test_qubit_battery_reads_each_accepted_input_once_in_draw_order(monkeypatch):
+    # The read-outs are evaluated in passes, and every accepted input
+    # (prob >= 1e-4 by the closed form) reaches the per-row reader once, in
+    # the order the stream drew it, through one pass call per full or final
+    # pass.
+    real_closed, real_reading = verification.postselected_reading, verification._qubit_reading
+    real_pass = verification._readout_pass
+    closed, read, passes = [], [], []
+
+    def closed_form(rho, *args):
+        result = real_closed(rho, *args)
+        closed.append((rho, result.prob))
+        return result
+
+    def reader(rho, *args):
+        read.append(rho)
+        return real_reading(rho, *args)
+
+    def readout_pass(inputs):
+        passes.append(len(inputs))
+        return real_pass(inputs)
+
+    monkeypatch.setattr(verification, "postselected_reading", closed_form)
+    monkeypatch.setattr(verification, "_qubit_reading", reader)
+    monkeypatch.setattr(verification, "_readout_pass", readout_pass)
+    size = verification._ORACLE_PASS
+    records = qubit_oracle_battery(random.Random(3), 3 * size + 1)
+    assert all(r.ok and r.samples == 3 * size + 1 for r in records)
+    assert passes == [size, size, size, 1]
+    accepted = [rho for rho, prob in closed if prob >= 1e-4]
+    assert len(accepted) == 3 * size + 1
+    assert len(read) == len(accepted)
+    assert all(got is want for got, want in zip(read, accepted))
 
 
 def test_unconverged_search_is_its_own_failure(monkeypatch):
@@ -457,10 +492,10 @@ def test_oracle_results_are_pinned(monkeypatch):
             return result
         return oracle_call
 
-    # Every Gaussian oracle result, the battery's and gaussian_grid_evolve's,
-    # is read through the per-input contraction.
+    # Every oracle result, a battery's and a one-input call's, is read
+    # through the per-input contraction of its oracle.
     for module, name in ((verification, "_grid_shifts"), (oracle, "_grid_shifts"),
-                         (verification, "qubit_joint_evolve")):
+                         (verification, "_qubit_reading"), (oracle, "_qubit_reading")):
         monkeypatch.setattr(module, name, recorded(getattr(module, name)))
     report = run_verify(seed=7, samples=1000)
     assert len(results) == ORACLE_CALLS
