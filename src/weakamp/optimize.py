@@ -4,10 +4,14 @@ The search domain is (theta1, theta2, phi0) in [0, pi]^2 x [0, 2 pi): the two
 polar angles plus the single relative phase the conditional shifts depend on.
 ``maximize`` maximizes |objective| and is derivative-free and deterministic:
 identical inputs give identical outputs.  Its line searches scan a segment,
-then refine its first largest point by Brent's method until further probes
-cannot resolve the peak or the bracket is ``_LINE_WIDTH`` wide, and they
-move polar angles in u = log tan(theta / 2) on the box |u| <= ``_U_MAX``,
-so theta = 2 atan(exp(u)) approaches the poles without reaching them.
+then refine its first largest point by Brent's method (``_brent``) until
+further probes cannot resolve the peak or the bracket is ``_LINE_WIDTH``
+wide, and they move polar angles in u = log tan(theta / 2) on the box |u|
+<= ``_U_MAX``, so theta = 2 atan(exp(u)) approaches the poles without
+reaching them.  Brent's method sees one probe protocol, t -> |value|, the
+value already checked to be finite.  The angles and signed value a search
+reports come from elsewhere: from the probe of a plain callable's line, or
+from one read-out at the end of a theta1 search.
 
 An ``_Objective``, the kind every objective builder here and the grid
 oracle's ``verification._oracle_shift_objective`` return, is searched over
@@ -21,11 +25,12 @@ eigenvector gives theta2 exactly, and its phase folds into phi0.
 ``_Objective._pencils`` reads the two forms and solves the pencil at each
 theta1 it is given.  One line search over u1 then finds the best
 preselection: its scan is the same for every such search (``_u1_scan``) and
-is scored in one pass (``_Objective.scan``), and its probes
-(``_Objective.scored``) compare the Rayleigh quotient x.A x / x.B x
-at the eigenvector, which is the value but for rounding.  The angles and the
-value itself are read once, at the final u1, by the one read-out
-(``_Objective.postselected``), which also stands in for a degenerate score.
+is scored in one pass (``_Objective.scan``), and each Brent probe
+(``_Objective.scored``) is that scan at one point.  Both compare the
+|Rayleigh quotient| x.A x / x.B x at the eigenvector, which is the |value|
+but for rounding.  The angles and the value itself are read once, at the
+final u1, by the one read-out (``_Objective.postselected``), which also
+stands in for a degenerate score.
 The amplitude-damping suprema (``amplitude_damping_max``) are
 approached as theta1 runs into the pole 0, so those searches end at the
 edge of the u1 box, a relative gap of order exp(-2 _U_MAX) below the
@@ -35,10 +40,11 @@ in the tests and the acceptance gate.
 
 Any other callable is probed point by point: a coarse grid of grid_n^3
 points picks a start, then cyclic line searches along the coordinates and
-the polar diagonals refine it.  In u the damped objectives' supremum lies
-along the straight valley u1 + u2 = log x* into a domain corner where the
-objective is discontinuous, which the (1, -1) diagonal follows to the box
-edge.
+the polar diagonals refine it (``_line_search``), each keeping the angles
+and signed value of its own first largest probe.  In u the damped
+objectives' supremum lies along the straight valley u1 + u2 = log x* into a
+domain corner where the objective is discontinuous, which the (1, -1)
+diagonal follows to the box edge.
 
 Objective builders for the standard preselection families live here too.
 Every family is a ``KrausChannel`` applied to pure_state(theta1, phi0): the
@@ -124,12 +130,13 @@ class OptimizationResult:
     ``evaluations`` counts the probes the search made, and splits into the
     probes that locate the start and those that refine it (``grid_probes +
     refine_probes``).  For an ``_Objective`` a probe is one preselection
-    theta1 scored at its exact best postselection by the Rayleigh quotient:
-    ``grid_probes`` is the grid_n points of the theta1 scan and
+    theta1 scored at its exact best postselection by the |Rayleigh
+    quotient|: ``grid_probes`` is the grid_n points of the theta1 scan and
     ``refine_probes`` the Brent steps after it.  ``value`` and ``argmax``
     are read once, at the final theta1, and that read-out is not counted.
-    For any other callable a probe is one objective value:
-    ``grid_probes`` is the grid_n^3 points of the coarse grid and
+    For any other callable a probe is one objective call, and ``value`` and
+    ``argmax`` are those of the first probe after the grid with the largest
+    |value|: ``grid_probes`` is the grid_n^3 points of the coarse grid and
     ``refine_probes`` the probes of the cyclic refinement.
     """
 
@@ -181,15 +188,6 @@ def _along(origin: _Point, direction: _Point, t: float) -> _Point:
             origin[2] + t * direction[2])
 
 
-def _loop_bind(objective: Objective, origin: _Point, direction: _Point):
-    """Any callable objective on the u-line origin + t direction, as the
-    scalar probe t -> (angles, value)."""
-    def probe(t: float):
-        point = _angles(_along(origin, direction, t))
-        return point, objective(*point)
-    return probe
-
-
 #: Line-search directions per refinement cycle, in (u1, u2, phi0): the three
 #: coordinates plus the (u1, u2) diagonals.  (1, -1) runs along the damped
 #: valleys u1 + u2 = const; (1, 1) shortens the searches on the kappa family.
@@ -221,48 +219,52 @@ def _segment(origin: _Point, direction: _Point, n: int) -> tuple[float, float, f
     return t_lo, t_hi, (t_hi - t_lo) / (n - 1)
 
 
-def _line_search(probe, origin: _Point, direction: _Point,
-                 n: int) -> tuple[_Point, float, tuple[_Point | None, float], int]:
-    """Scan the segment of the u-line through ``origin`` inside the box, then
-    refine its first largest point by Brent's method (``_brent``).
+def _line_search(objective: Objective, origin: _Point, direction: _Point,
+                 n: int) -> tuple[_Point, float, tuple[_Point, float], int]:
+    """Scan the segment of the u-line origin + t direction inside the box,
+    then refine its first largest point by Brent's method (``_brent``).
 
-    ``probe`` maps t to the (angles, signed value) of the line's point
-    origin + t direction.  The scan maps it over n evenly spaced points, and
-    a non-finite value raises OptimizationError at the first such point,
-    after the scan (``_checked``).
+    Each probe calls ``objective`` at the angles of the line's point t.  The
+    scan probes n evenly spaced points, and a non-finite value raises
+    OptimizationError at the first point that gives one (``_checked``).
 
-    Returns x in u, its |value|, its probe's (angles, signed value) and the
-    number of probes the line made.
+    Returns x in u, its |value|, the (angles, signed value) of the line's
+    first probe with the largest |value| and the number of probes the line
+    made.
     """
     segment = _segment(origin, direction, n)
     t_lo, _, step = segment
-    ts = [t_lo + i * step for i in range(n)]
-    scan = [probe(t) for t in ts]
-    magnitudes = [_checked(*found) for found in scan]
-    x, fx, best, probes = _brent(probe, segment, ts, magnitudes, scan)
+    best, top = None, -1.0
+
+    def score(t: float) -> float:
+        nonlocal best, top
+        angles = _angles(_along(origin, direction, t))
+        value = objective(*angles)
+        magnitude = _checked(angles, value)
+        if magnitude > top:
+            top, best = magnitude, (angles, value)
+        return magnitude
+
+    x, fx, probes = _brent(score, segment, [score(t_lo + i * step) for i in range(n)])
     return _along(origin, direction, x), fx, best, probes
 
 
-def _brent(probe, segment: tuple[float, float, float], ts, magnitudes: list[float],
-           scan) -> tuple[float, float, tuple[_Point | None, float] | None, int]:
+def _brent(score: Callable[[float], float], segment: tuple[float, float, float],
+           magnitudes: list[float]) -> tuple[float, float, int]:
     """Refine the first largest of a line's scan by Brent's method.
 
-    ``magnitudes`` are the |values| of the scan at ``ts``, the n points of
-    ``segment`` (``_segment``), and ``scan`` holds their probes' results, or
-    is None where only the magnitudes were scored.  ``probe`` maps t to an
-    (angles, signed value); a probe whose values are always finite may give
-    None for the angles (``_Objective.scored``).  Brent's method (Brent
-    1973, ch. 5) keeps the best point x, the second best w and the previous
-    w as v; it steps to the vertex of the parabola through them when that
-    vertex lies inside the bracket and the step is less than half the one
-    before last, and takes a golden-section step into the larger part of the
-    bracket otherwise.  The bracket is the scan step on either side of x;
-    the scan's neighbours of x are the first w and v, so the first parabola
+    ``magnitudes`` are the |values| of the scan at its n points t_lo + i
+    step of ``segment`` (``_segment``), and ``score`` maps t to the |value|
+    there, already checked to be finite.  Brent's method (Brent 1973, ch. 5)
+    keeps the best point x, the second best w and the previous w as v; it
+    steps to the vertex of the parabola through them when that vertex lies
+    inside the bracket and the step is less than half the one before last,
+    and takes a golden-section step into the larger part of the bracket
+    otherwise.  The bracket is the scan step on either side of x; the
+    scan's neighbours of x are the first w and v, so the first parabola
     costs no probe.  A scan maximum at a segment end has no neighbour beyond
-    it and starts with a golden-section step.  A non-finite value raises
-    OptimizationError at its own point (``_checked``).  x moves only to a
-    strictly larger |value|, so it is the first largest of the line's
-    probes.
+    it and starts with a golden-section step.  x moves only to a strictly
+    larger |value|, so it is the first largest of the line's probes.
 
     The method stops at the objective's resolution (Brent 1973, ch. 5):
     once x, w and v are distinct points whose |values| fw and fv lie within
@@ -272,19 +274,17 @@ def _brent(probe, segment: tuple[float, float, float], ts, magnitudes: list[floa
     ``_STEP_TOL`` of both bracket ends, a bracket at most ``_LINE_WIDTH``
     wide.
 
-    Returns x, its |value|, its probe's (angles, signed value) (None for a
-    scan point of a None ``scan``) and the number of probes the line made,
-    the scan's included.
+    Returns x, its |value| and the number of probes the line made, the
+    scan's included.
     """
     t_lo, t_hi, step = segment
-    n = len(ts)
+    n = len(magnitudes)
     i = magnitudes.index(max(magnitudes))
-    x, fx = ts[i], magnitudes[i]
-    best = None if scan is None else scan[i]
+    x, fx = t_lo + i * step, magnitudes[i]
     a, b = max(t_lo, x - step), min(t_hi, x + step)
     if 0 < i < n - 1:
-        (fw, w), (fv, v) = sorted([(magnitudes[i - 1], ts[i - 1]),
-                                   (magnitudes[i + 1], ts[i + 1])], reverse=True)
+        (fw, w), (fv, v) = sorted([(magnitudes[i - 1], t_lo + (i - 1) * step),
+                                   (magnitudes[i + 1], t_lo + (i + 1) * step)], reverse=True)
         # As if the last two steps had spanned the bracket: the first
         # parabolic step is held only to the bracket.
         d = e = b - a
@@ -292,7 +292,7 @@ def _brent(probe, segment: tuple[float, float, float], ts, magnitudes: list[floa
         w, fw, v, fv, d, e = x, fx, x, fx, 0.0, 0.0
 
     probes = n
-    copysign, step_tol, cgold, checked = math.copysign, _STEP_TOL, _CGOLD, _checked
+    copysign, step_tol, cgold = math.copysign, _STEP_TOL, _CGOLD
     two_tol = 2.0 * step_tol
     ulp, flat_ulps = math.ulp, _FLAT_ULPS
     flat = flat_ulps * ulp(fx)
@@ -319,15 +319,13 @@ def _brent(probe, segment: tuple[float, float, float], ts, magnitudes: list[floa
             d = cgold * e
         u = x + (d if abs(d) >= step_tol else copysign(step_tol, d))
         probes += 1
-        angles, value = probe(u)
-        fu = checked(angles, value)
+        fu = score(u)
         if fu > fx:
             if u >= x:
                 a = x
             else:
                 b = x
             v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-            best = angles, value
             flat = flat_ulps * ulp(fx)
         else:
             if u < x:
@@ -338,7 +336,7 @@ def _brent(probe, segment: tuple[float, float, float], ts, magnitudes: list[floa
                 v, fv, w, fw = w, fw, u, fu
             elif fu >= fv or v == x or v == w:
                 v, fv = u, fu
-    return x, fx, best, probes
+    return x, fx, probes
 
 
 #: grid_n values whose theta1 scans are kept; maximize's default is 64.
@@ -348,12 +346,11 @@ _SCAN_CACHE_SIZE = 8
 @functools.lru_cache(maxsize=_SCAN_CACHE_SIZE)
 def _u1_scan(n: int):
     """The n-point scan of a theta1 search, the same for every ``_Objective``:
-    the u1 segment across the box (``_segment``), its points t = u1 and
-    their ``_preselection`` triples, as tuples."""
+    the u1 segment across the box (``_segment``) and the ``_preselection``
+    triples of its points u1 = t_lo + i step, as a tuple."""
     segment = _segment((0.0, 0.0, 0.0), _DIRECTIONS[0], n)
     t_lo, _, step = segment
-    ts = tuple(t_lo + i * step for i in range(n))
-    return segment, ts, tuple(map(_preselection, ts))
+    return segment, tuple(_preselection(t_lo + i * step) for i in range(n))
 
 
 #: The axes of the coarse grid: polar angles over [0, pi], phases over [0, 2 pi).
@@ -386,15 +383,16 @@ def maximize(objective: Objective, grid_n: int = 64) -> OptimizationResult:
     """Maximize |objective| over the angle domain.
 
     An ``_Objective`` is searched over theta1 alone, each probe scoring the
-    exact best postselection at its theta1 by the Rayleigh quotient there
-    (``_Objective.scored``): one line search, a grid_n-point scan of u1 =
-    log tan(theta1 / 2) across |u1| <= ``_U_MAX`` and then Brent's method,
-    which ends once its best three probes agree to within ``_FLAT_ULPS`` ulp
-    or its bracket is ``_LINE_WIDTH`` wide (``_brent``).  The scan is the
-    same for every such search (``_u1_scan``) and is scored in one pass
-    (``_Objective.scan``).  The angles and the value are then read once, at
-    the final u1 (``_Objective.postselected``), so the value reported is the
-    objective's own at the reported point.
+    exact best postselection at its theta1 by the |Rayleigh quotient| there:
+    one line search, a grid_n-point scan of u1 = log tan(theta1 / 2) across
+    |u1| <= ``_U_MAX`` and then Brent's method, which ends once its best
+    three probes agree to within ``_FLAT_ULPS`` ulp or its bracket is
+    ``_LINE_WIDTH`` wide (``_brent``).  The scan is the same for every such
+    search (``_u1_scan``) and is scored in one pass (``_Objective.scan``);
+    each Brent probe is that scan at its one point (``_Objective.scored``).
+    The angles and the value are then read once, at the final u1
+    (``_Objective.postselected``), so the value reported is the objective's
+    own at the reported point.
     Such a search always converges, and theta2 may lie anywhere in [0, pi].
 
     Any other callable is probed point by point.  A coarse grid of grid_n^3
@@ -403,12 +401,13 @@ def maximize(objective: Objective, grid_n: int = 64) -> OptimizationResult:
     |value|, its polar angles moved into the u box), and every value
     reported comes from single probes.  Cyclic refinement (dense rescan plus
     Brent line search along each coordinate and the polar diagonals, in u =
-    log tan(theta / 2) on |u| <= ``_U_MAX``) polishes it until a full cycle
-    improves the best |value| by less than ``_CYCLE_GAIN``, for at most
-    ``_MAX_CYCLES`` cycles.  The best point is the first probe after the
-    grid with the largest |value|: each line search returns the first
-    largest of its own probes, and it replaces the best only if its |value|
-    is strictly larger.  The objective must accept any theta in [0, pi] and
+    log tan(theta / 2) on |u| <= ``_U_MAX``, ``_line_search``) polishes it
+    until a full cycle improves the best |value| by less than
+    ``_CYCLE_GAIN``, for at most ``_MAX_CYCLES`` cycles.  The best point is
+    the first probe after the grid with the largest |value|: each line
+    search keeps the angles and signed value of the first largest of its
+    own probes, and it replaces the best only if its |value| is strictly
+    larger.  The objective must accept any theta in [0, pi] and
     be 2 pi-periodic in phi0.  A non-finite value raises OptimizationError
     at the first grid point that gives one, or at its own point.
 
@@ -422,8 +421,8 @@ def maximize(objective: Objective, grid_n: int = 64) -> OptimizationResult:
         raise ValueError(f"grid_n must be at least 16, got {grid_n}")
     if isinstance(objective, _Objective):
         # The one line: u1 across the box, scored; then one read-out.
-        segment, ts, points = _u1_scan(grid_n)
-        u1, _, _, probes = _brent(objective.scored, segment, ts, objective.scan(points), None)
+        segment, points = _u1_scan(grid_n)
+        u1, _, probes = _brent(objective.scored, segment, objective.scan(points))
         (t1, t2, p0), value = objective.postselected(_preselection(u1))
         return OptimizationResult(value, PPSPoint(t1, t2, p0), probes, True,
                                   grid_n, probes - grid_n)
@@ -438,7 +437,7 @@ def maximize(objective: Objective, grid_n: int = 64) -> OptimizationResult:
         before_abs = current_abs
         for direction in _DIRECTIONS:
             point, line_abs, line_best, probes = _line_search(
-                _loop_bind(objective, current, direction), current, direction, grid_n)
+                objective, current, direction, grid_n)
             refine_probes += probes
             if line_abs > current_abs:
                 current, current_abs, best = point, line_abs, line_best
@@ -610,7 +609,7 @@ class _Objective:
     def scan(self, points) -> list[float]:
         """|score| at each ``_preselection`` point of a theta1 scan, scored in
         one pass (``_pencils``).  A score that is degenerate or not finite
-        defers to the read-out at its point, as ``scored`` does, and a
+        defers to the read-out at its point (``postselected``), and a
         non-finite value there raises OptimizationError at the first such
         point, with its angles."""
         scores, _ = self._pencils(points)
@@ -623,17 +622,10 @@ class _Objective:
                     magnitudes[k] = _checked(*self.postselected(points[k]))
         return magnitudes
 
-    def scored(self, u1: float) -> tuple[_Point | None, float]:
-        """The scoring probe of a theta1 search: u1 -> (None, score), the
-        Rayleigh quotient at the best postselection (``_pencils``), which is
-        the call face's value there but for rounding.  A score that is
-        degenerate or not finite defers to ``postselected``, so that a
-        non-finite value is reported at the probe's own angles."""
-        point = _preselection(u1)
-        (score,), _ = self._pencils((point,))
-        if math.isfinite(score):
-            return None, score
-        return self.postselected(point)
+    def scored(self, u1: float) -> float:
+        """The probe of a theta1 search: the |score| at u1, ``scan`` of its
+        one ``_preselection`` point."""
+        return self.scan((_preselection(u1),))[0]
 
     def postselected(self, point: _Point) -> tuple[_Point, float]:
         """The best postselection at a ``_preselection`` point, (theta1,
@@ -654,15 +646,15 @@ class _Objective:
 
 def _check_target(meter: GaussianMeter | Literal["qubit"],
                   which: Literal["dp", "dq", "reading"]) -> None:
-    """Reject a ``which`` target that ``meter`` does not read out."""
+    """Reject an unknown ``which`` target, then one that ``meter`` does not
+    read out."""
+    if which not in ("dp", "dq", "reading"):
+        raise ValueError(f"which must be 'dp', 'dq' or 'reading', got {which!r}")
     if which == "reading":
         if meter != "qubit":
             raise ValueError("'reading' requires the qubit meter")
-        return
-    if not isinstance(meter, GaussianMeter):
+    elif not isinstance(meter, GaussianMeter):
         raise ValueError(f"'{which}' requires a GaussianMeter")
-    if which not in ("dp", "dq"):
-        raise ValueError(f"which must be 'dp' or 'dq', got {which!r}")
 
 
 def _family_objective(channel: KrausChannel, g: float, meter: GaussianMeter | Literal["qubit"],

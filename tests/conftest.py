@@ -1,11 +1,15 @@
 import cmath
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
 
-from weakamp import (BlochVector, PureQubit, QubitDensity, amplitude_damping, density_from_bloch,
-                     phase_damping, pure_state)
+from weakamp import (BlochVector, PureQubit, QubitDensity, amplitude_damping,
+                     damped_reading_objective, damped_shift_objective, density_from_bloch,
+                     depolarizing, kappa_reading_objective, kappa_shift_objective, phase_damping,
+                     pure_state)
+from weakamp.optimize import _family_objective
 
 
 def angles():
@@ -61,12 +65,34 @@ def modulus_state(kappa: float, theta: float, phi: float) -> QubitDensity:
     return density_from_bloch(BlochVector(kappa * b.rx, kappa * b.ry, kappa * b.rz))
 
 
-#: Preselection family -> its state at strength x along (theta, phi): Bloch
-#: modulus x, or the pure state dephased or amplitude-damped at gamma = x.
-FAMILY_STATES = {
-    "modulus": modulus_state,
-    "dephased": lambda x, theta, phi: phase_damping(x).apply(pure_state(theta, phi).density()),
-    "damped": lambda x, theta, phi: amplitude_damping(x).apply(pure_state(theta, phi).density()),
+class Family(NamedTuple):
+    """A preselection family at strength x: the channel it applies to pure
+    states, its reference state x, theta, phi -> rho, and the optimizer's
+    builders of its shift (x, g, meter, which) and reading (x, g) objectives."""
+
+    channel: Callable
+    state: Callable
+    shift_objective: Callable
+    reading_objective: Callable
+
+
+def _pure_family_state(channel: Callable) -> Callable:
+    """The reference state of ``channel``'s family: channel(x) applied to
+    pure_state(theta, phi)."""
+    return lambda x, theta, phi: channel(x).apply(pure_state(theta, phi).density())
+
+
+#: The preselection families by name: Bloch modulus kappa = x (depolarizing
+#: at 1 - x, its reference state built from the Bloch vector), and the pure
+#: state dephased or amplitude-damped at gamma = x.
+FAMILIES = {
+    "kappa": Family(lambda kappa: depolarizing(1.0 - kappa), modulus_state,
+                    kappa_shift_objective, kappa_reading_objective),
+    "dephased": Family(phase_damping, _pure_family_state(phase_damping),
+                       lambda x, *target: _family_objective(phase_damping(x), *target),
+                       lambda x, g: _family_objective(phase_damping(x), g, "qubit", "reading")),
+    "damped": Family(amplitude_damping, _pure_family_state(amplitude_damping),
+                     damped_shift_objective, damped_reading_objective),
 }
 
 

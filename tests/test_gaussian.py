@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import (FAMILY_STATES, amplitudes, densities, half_angle_amplitudes, matrix,
+from conftest import (FAMILIES, amplitudes, densities, half_angle_amplitudes, matrix,
                       modulus_state, pure_states)
 from weakamp import (
     GaussianMeter,
@@ -178,14 +178,14 @@ class TestSpecializations:
             dp, dq, pro = reference(x, th1, ph1, th2, ph2, g, delta)
             if pro < 1e-9:
                 continue
-            res = gaussian_shifts(FAMILY_STATES[family](x, th1, ph1),
+            res = gaussian_shifts(FAMILIES[family].state(x, th1, ph1),
                                   pure_state(th2, ph2), g, GaussianMeter(delta))
             assert abs(res.dp_shift - dp) < 1e-12
             assert abs(res.dq_shift - dq) < 1e-12
             assert abs(res.prob - pro) < 1e-12
 
     def test_modulus_family(self):
-        self._check_family("modulus", 101, _modulus_reference)
+        self._check_family("kappa", 101, _modulus_reference)
 
     def test_dephased_family(self):
         self._check_family("dephased", 102, _dephased_reference)

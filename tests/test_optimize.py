@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gammas, modulus_state, pure_states
+from conftest import FAMILIES, gammas, modulus_state, pure_states
 from weakamp import (
     GaussianMeter,
     OptimizationError,
@@ -40,7 +40,6 @@ from weakamp.optimize import (
     _coarse_grid,
     _family_objective,
     _line_search,
-    _loop_bind,
     _Objective,
     _preselection,
     _theta,
@@ -50,23 +49,6 @@ from weakamp.optimize import (
 from weakamp.verification import COUPLING_BATTERY, KAPPA_BATTERY, _oracle_shift_objective
 
 METER = GaussianMeter(1.0)
-
-
-def _dephased_shift_objective(gamma, g, meter, which):
-    return _family_objective(phase_damping(gamma), g, meter, which)
-
-
-def _dephased_reading_objective(gamma, g):
-    return _family_objective(phase_damping(gamma), g, "qubit", "reading")
-
-
-#: Preselection family -> (channel on a pure state, shift and reading builders).
-FAMILIES = {
-    "kappa": (lambda kappa: depolarizing(1.0 - kappa),
-              kappa_shift_objective, kappa_reading_objective),
-    "dephased": (phase_damping, _dephased_shift_objective, _dephased_reading_objective),
-    "damped": (amplitude_damping, damped_shift_objective, damped_reading_objective),
-}
 
 
 def _battery_and_damped_objectives():
@@ -291,7 +273,7 @@ class TestObjectiveBuilders:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_damped_builders_match_channel_composition(self, family):
-        channel, shift_objective, reading_objective = FAMILIES[family]
+        channel, _, shift_objective, reading_objective = FAMILIES[family]
         rng = np.random.default_rng(33)
         for _ in range(200):
             strength = rng.uniform(0, 1)
@@ -335,7 +317,7 @@ class TestObjectiveBuilders:
         # same expression on the same float inputs: within 2 ulp, an exact
         # zero exactly zero, at the strengths' ends and across the u1 box,
         # its ends included, where the small entries are a few 1e-9.
-        _, _, points = _u1_scan(64)
+        _, points = _u1_scan(64)
         points += tuple(map(_preselection, (-9.99, -3.0, -0.1, 0.7, 9.99)))
         for strength in (0.0, 1e-9, 0.3, 1.0 - 1e-9, 1.0):
             family = channel(strength)
@@ -365,7 +347,7 @@ class TestObjectiveBuilders:
 def _targets():
     """Every family x target objective, plus the grid oracle's, by name."""
     out = {}
-    for family, (_, shift_objective, reading_objective) in FAMILIES.items():
+    for family, (_, _, shift_objective, reading_objective) in FAMILIES.items():
         for which in ("dp", "dq"):
             out[f"{family}-{which}"] = lambda f=shift_objective, w=which: f(0.6, 0.05, METER, w)
         out[f"{family}-reading"] = lambda f=reading_objective: f(0.6, 0.1)
@@ -475,7 +457,7 @@ def _capped(f, cap=500):
 def _search(objective, origin, direction):
     """The 64-point line search of a plain callable on the u-line origin + t
     direction."""
-    return _line_search(_loop_bind(objective, origin, direction), origin, direction, 64)
+    return _line_search(objective, origin, direction, 64)
 
 
 class TestLineSearch:
@@ -558,15 +540,12 @@ class TestLineSearch:
                 assert all(ts[0] <= t <= ts[63] for t in ts[64:])
 
     def test_scan_point_reports_the_probes_own_angles(self):
-        # A probe may put its point anywhere, as the exact postselection puts
-        # theta2 and phi0: the first of the tied scan points is kept as the
-        # probe reported it.
-        def probe(t):
-            return (_theta(t), 2.0, 1.0), -0.7
-
-        _, value, best, _ = _line_search(probe, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 64)
+        # The first of the tied scan points is kept with the angles it was
+        # probed at and its signed value.
+        _, value, best, _ = _line_search(lambda t1, t2, p0: -0.7, (0.0, 0.0, 1.0),
+                                         (1.0, 0.0, 0.0), 64)
         assert value == 0.7
-        assert best == ((_theta(-_U_MAX), 2.0, 1.0), -0.7)
+        assert best == ((_theta(-_U_MAX), _theta(0.0), 1.0), -0.7)
 
     def test_battery_probe_counts(self):
         # Probe counts are deterministic: a slide back to wasteful line
@@ -599,7 +578,7 @@ class TestLineSearch:
         # value comes from a lone probe 5 ulp above the scores within 1e-8
         # of it in u1, so the bound is 8 ulp rather than the stop's 4.
         objectives = _battery_and_damped_objectives()
-        segment, ts, points = _u1_scan(64)
+        segment, points = _u1_scan(64)
 
         def traced(objective):
             probes = []
@@ -608,7 +587,7 @@ class TestLineSearch:
                 probes.append(u1)
                 return objective.scored(u1)
 
-            x, _, _, _ = _brent(probe, segment, ts, objective.scan(points), None)
+            x, _, _ = _brent(probe, segment, objective.scan(points))
             return probes, abs(objective.postselected(_preselection(x))[1])
 
         flat = [traced(objective) for objective in objectives]
@@ -790,15 +769,21 @@ def _score_points():
 
 
 class TestScoringProbe:
-    # The probe u1 -> (None, score) that a theta1 search compares, and the
-    # one read-out of angles and value at its end.
+    # The probe u1 -> |score| that a theta1 search compares, the signed
+    # scores of the pencil behind it, and the one read-out of angles and
+    # value at its end.
     def test_score_matches_the_call_face(self):
         us = _score_points()
         for name, objective in _score_objectives().items():
             for u1 in us:
                 angles, value = objective.postselected(_preselection(u1))
                 assert objective(*angles) == value
-                _, score = objective.scored(u1)
+                (score,), _ = objective._pencils((_preselection(u1),))
+                if not math.isfinite(score):
+                    # A degenerate score defers to the read-out.
+                    assert objective.scored(u1) == abs(value), (name, u1)
+                    continue
+                assert objective.scored(u1) == abs(score), (name, u1)
                 if value == 0.0:
                     assert score == 0.0, (name, u1)
                 else:
@@ -820,46 +805,70 @@ class TestScoringProbe:
         (kappa_shift_objective(0.0, 0.1 * METER.dp, METER, "dq"), "zero read-out form"),
         (kappa_reading_objective(0.0, 0.1), "A proportional to B"),
     ], ids=["singular-b", "zero-form", "proportional"])
-    def test_degenerate_scores_defer_to_postselected(self, objective, degenerate):
+    def test_degenerate_scores_defer_to_postselected(self, objective, degenerate, monkeypatch):
+        reads = []
+        real_postselected = _Objective.postselected
+
+        def counted(self, point):
+            reads.append(point)
+            return real_postselected(self, point)
+
+        monkeypatch.setattr(_Objective, "postselected", counted)
         deferred = 0
         for u1 in _score_points():
-            if math.isnan(objective._pencils((_preselection(u1),))[0][0]):
+            point = _preselection(u1)
+            (score,), _ = objective._pencils((point,))
+            reads.clear()
+            magnitude = objective.scored(u1)
+            if math.isnan(score):
                 deferred += 1
-                assert objective.scored(u1) == objective.postselected(_preselection(u1))
+                assert reads == [point]
+                assert magnitude == abs(real_postselected(objective, point)[1])
             else:
-                assert objective.scored(u1)[0] is None
+                assert reads == []
+                assert magnitude == abs(score)
         assert deferred > 0, degenerate
 
     @pytest.mark.parametrize("grid_n", [16, 17, 32, 64])
     def test_scan_scores_match_the_scoring_probe(self, grid_n):
         # The one-pass scan of a theta1 search against its scoring probe,
-        # point by point, and the search refined from it against the search
-        # that scans with the probe: bit for bit, on every family and target,
+        # point by point, and the search refined from the probe's scan
+        # against maximize's: bit for bit, on every family and target,
         # grid-oracle forms and degenerate scores included.
-        segment, ts, points = _u1_scan(grid_n)
+        segment, points = _u1_scan(grid_n)
+        t_lo, _, step = segment
+        ts = [t_lo + i * step for i in range(grid_n)]
+        assert [point[0] for point in points] == list(map(_theta, ts))
         objectives = {**_score_objectives(),
                       **{name: build() for name, build in TARGETS.items()}}
         for name, objective in objectives.items():
             magnitudes = objective.scan(points)
-            expected = [abs(objective.scored(t)[1]) for t in ts]
+            expected = [objective.scored(t) for t in ts]
             assert list(map(repr, magnitudes)) == list(map(repr, expected)), name
-            (u1, _, _), value, _, probes = _line_search(
-                objective.scored, (0.0, 0.0, 0.0), _DIRECTIONS[0], grid_n)
-            x, fx, _, one_pass = _brent(objective.scored, segment, ts, magnitudes, None)
-            assert (repr(x), repr(fx), one_pass) == (repr(u1), repr(value), probes), name
+            x, fx, probes = _brent(objective.scored, segment, expected)
+            result = maximize(objective, grid_n)
+            assert (repr(result.argmax.theta1), result.evaluations) == (
+                repr(_theta(x)), probes), name
+            assert repr(fx) == repr(objective.scored(x)), name
 
     @pytest.mark.parametrize("n, m", NONFINITE_BRANCHES.values(), ids=NONFINITE_BRANCHES)
     def test_scan_raises_at_the_first_nonfinite_value(self, n, m):
         # Scored one point at a time, the first probe whose value is not
         # finite names the point; the one-pass scan raises there too.
         objective = _Objective(depolarizing(0.2), n, m)
-        _, ts, points = _u1_scan(32)
-        first, value = next(found for found in map(objective.scored, ts)
-                            if not math.isfinite(found[1]))
+        (t_lo, _, step), points = _u1_scan(32)
+        first = None
+        for i in range(32):
+            try:
+                objective.scored(t_lo + i * step)
+            except OptimizationError as found:
+                first = found
+                break
+        assert first is not None and not math.isfinite(first.value)
         with pytest.raises(OptimizationError) as err:
             objective.scan(points)
-        assert repr(err.value.point) == repr(PPSPoint(*first))
-        assert repr(err.value.value) == repr(value)
+        assert repr(err.value.point) == repr(first.point)
+        assert repr(err.value.value) == repr(first.value)
 
     def test_each_search_reads_its_point_once(self, monkeypatch):
         # The 51 searches of RESULTS_DIGEST: the scan and Brent probes are
@@ -920,7 +929,7 @@ def test_verify_never_takes_the_plain_callable_path(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("plain-callable path reached")
 
-    for name in ("_grid_start", "_line_search", "_loop_bind"):
+    for name in ("_grid_start", "_line_search"):
         monkeypatch.setattr(optimize, name, unreachable)
     assert verification.run_verify(7, 50).ok
 
@@ -963,8 +972,13 @@ class TestAmplitudeDampingMax:
             amplitude_damping_max(METER, 0.5, 0.1, "reading")
         with pytest.raises(ValueError, match="^'dp' requires a GaussianMeter$"):
             amplitude_damping_max("qubit", 0.5, 0.1, "dp")
-        with pytest.raises(ValueError, match="^which must be 'dp' or 'dq', got 'dx'$"):
-            amplitude_damping_max(METER, 0.5, 0.1, "dx")
+        # An unknown target is named as such, whatever the meter.
+        unknown = "^which must be 'dp', 'dq' or 'reading', got '{}'$"
+        for meter, which in ((METER, "dx"), ("qubit", "readng"), (METER, "reading ")):
+            with pytest.raises(ValueError, match=unknown.format(which)):
+                amplitude_damping_max(meter, 0.5, 0.1, which)
+            with pytest.raises(ValueError, match=unknown.format(which)):
+                _family_objective(depolarizing(0.5), 0.1, meter, which)
         with pytest.raises(ValueError, match=r"^gamma must lie in \[0, 1\], got 1\.5$"):
             amplitude_damping_max(METER, 1.5, 0.1, "dp")
 

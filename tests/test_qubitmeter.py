@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import FAMILY_STATES, densities, half_angle_amplitudes, modulus_state, pure_states
+from conftest import FAMILIES, densities, half_angle_amplitudes, modulus_state, pure_states
 from weakamp import (
     SingularLimitError,
     VanishingPostselectionError,
@@ -147,13 +147,13 @@ class TestSpecializations:
             reading, pro = reference(x, th1, ph1, th2, ph2, g)
             if pro < 1e-9:
                 continue
-            res = postselected_reading(FAMILY_STATES[family](x, th1, ph1),
+            res = postselected_reading(FAMILIES[family].state(x, th1, ph1),
                                        pure_state(th2, ph2), g)
             assert abs(res.reading - reading) < 1e-12
             assert abs(res.prob - pro) < 1e-12
 
     def test_modulus_family(self):
-        self._check_family("modulus", 201, _modulus_reference)
+        self._check_family("kappa", 201, _modulus_reference)
 
     def test_dephased_family(self):
         self._check_family("dephased", 202, _dephased_reference)
