@@ -25,11 +25,11 @@ from .common import (
     VanishingPostselectionError,
 )
 from .gaussian import gaussian_max_shifts, gaussian_shifts
+from .maxima import amplitude_damping_max
 from .optimize import (
     OptimizationError,
     OptimizationResult,
     PPSPoint,
-    amplitude_damping_max,
     damped_reading_objective,
     damped_shift_objective,
     kappa_reading_objective,

@@ -16,27 +16,21 @@ from one read-out at the end of a theta1 search.
 An ``_Objective``, the kind every objective builder here and the grid
 oracle's ``verification._oracle_shift_objective`` return, is searched over
 theta1 alone.  It holds a meter's two branch matrices, the overlaps N and a
-read-out M, so at a fixed preselection rho its value is a ratio x.A x / x.B x
-of the Hermitian 2x2 forms A = rho o M and B = rho o N (o the entrywise
-product) in the postselection amplitudes x, B being the probability.  The
-largest |value| at that preselection is the generalized eigenvalue of
-largest modulus, det(A - lambda B) = 0, reached at its eigenvector; the
-eigenvector gives theta2 exactly, and its phase folds into phi0.
-``_Objective._pencils`` reads the two forms and solves the pencil at each
-theta1 it is given.  One line search over u1 then finds the best
-preselection: its scan is the same for every such search (``_u1_scan``) and
-is scored in one pass (``_Objective.scan``), and each Brent probe
-(``_Objective.scored``) is that scan at one point.  Both compare the
-|Rayleigh quotient| x.A x / x.B x at the eigenvector, which is the |value|
-but for rounding.  The angles and the value itself are read once, at the
-final u1, by the one read-out (``_Objective.postselected``), which also
-stands in for a degenerate score.
-The amplitude-damping suprema (``amplitude_damping_max``) are
-approached as theta1 runs into the pole 0, so those searches end at the
-edge of the u1 box, a relative gap of order exp(-2 _U_MAX) below the
-supremum, with theta2 within about 1e-4 of pi.  Those suprema are known in
-closed form, so such searches serve the independent numerical cross-check
-in the tests and the acceptance gate.
+read-out M, and at a fixed preselection its largest |value| is the exact
+best postselection there: the generalized eigenvalue of largest modulus of
+a 2x2 pencil, reached at its eigenvector, which gives theta2 and phi0.  The
+pencil is a closed form and lives in ``maxima`` (``maxima._solve_pencils``);
+``_Objective._pencils`` hands it the channel's entries at each theta1 it is
+given.  One line search over u1 then finds the best preselection: its scan
+is the same for every such search (``_u1_scan``) and is scored in one pass
+(``_Objective.scan``), and each Brent probe (``_Objective.scored``) is that
+scan at one point.  Both compare the pencil's |Rayleigh quotient| at the
+eigenvector, which is the |value| but for rounding.  The angles and the
+value itself are read once, at the final u1, by the one read-out
+(``_Objective.postselected``), which also stands in for a degenerate score.
+The damped families' suprema are approached only along a pole
+(``maxima.amplitude_damping_max``), so those searches end at the edge of the
+u1 box.
 
 Any other callable is probed point by point: a coarse grid of grid_n^3
 points picks a start, then cyclic line searches along the coordinates and
@@ -65,18 +59,18 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Callable, Literal
 
 from .channels import KrausChannel, amplitude_damping, depolarizing
 from . import gaussian, qubitmeter
-from .common import (PROB_FLOOR, GaussianMeter, MaxResult, _check_coupling,
-                     _check_unit_interval, _contract)
-from .gaussian import gaussian_max_shifts
+from .common import PROB_FLOOR, GaussianMeter, _check_coupling, _check_unit_interval, _contract
+from .maxima import _check_target, _pencil_angles, _pencil_branches, _solve_pencils
+# perfbench/tracing.py times the supremum under the name
+# optimize.amplitude_damping_max; the alias keeps that hook until it moves.
+from .maxima import amplitude_damping_max  # noqa: F401
 from .qubit import TWO_PI
-from .qubitmeter import qubit_max_reading
 
 Objective = Callable[[float, float, float], float]
 
@@ -482,18 +476,7 @@ class _Objective:
         self._family = (t00, t01, t10, t11, channel.coherence)
         self.n = n
         self.m = m
-        # M then N as one flat tuple for the pencil, each off-diagonal entry
-        # doubled (exactly) as its q takes it, then the unit 2^e: M's scale
-        # enters the pencil divided by this power of two, so that squares of
-        # a tiny read-out scale (g = 1e-160) cannot underflow, and the score
-        # gets it back in one exact multiply.  e <= 0: a scale of 1 or more
-        # is kept whole (2^1024 is no float), so that its overflows still
-        # surface in the pencil as they do in the call face.
-        e = min(math.frexp(m[0])[1], 0)
-        scaled = (math.ldexp(m[0], -e), *m[1:])
-        self._branches = tuple(x for s, k00, k11, k10_re, k10_im in (scaled, n)
-                               for x in (s, k00, k11, 2.0 * k10_re, 2.0 * k10_im)
-                               ) + (math.ldexp(1.0, e),)
+        self._branches = _pencil_branches(n, m)
 
     def __call__(self, t1: float, t2: float, p0: float) -> float:
         """The value at (theta1, theta2, phi0); 0 at or below the floor."""
@@ -526,85 +509,12 @@ class _Objective:
 
     def _pencils(self, points):
         """The best postselection at each (theta1, cos(theta1 / 2), sin(theta1 /
-        2)) of ``points`` (``_preselection``), in one pass: the list of their
-        scores, and the last point's (lead, pivot, Re v, Im v), where the
-        postselection amplitudes are x = (pivot, v) if lead, else (conj v,
-        pivot).  Every search's scores and read-outs come from this loop.
-
-        At phi0 = 0 the value is x.A x / x.B x in the postselection amplitudes
-        x = (x0, x1), with the Hermitian forms A = rho o M and B = rho o N: the
-        read-out and the branch overlaps weighted entrywise by rho.  A branch
-        matrix (s, k00, k11, Re k10, Im k10) gives the form's entries a00 = s
-        (rho00 k00), a11 = s (rho11 k11) and q = 2 s rho10 k10, twice the lower
-        off-diagonal entry; B, the probability, is positive semi-definite.
-        rho10 is real at phi0 = 0.  M's scale enters divided by the power of
-        two ``unit`` (``__init__``), which scales A, lambda and the rows below
-        exactly and leaves x as it is; only the score is multiplied back.
-
-        The best x is an eigenvector of the root lambda of largest modulus of
-        det(A - lambda B) = det(B) lambda^2 - beta lambda + det(A) = 0, with
-        beta = a00 b11 + a11 b00 - Re(q_A conj(q_B)) / 2: the null vector of
-        the row of A - lambda B whose diagonal entry, the pivot, is the larger
-        in modulus, or 0 where both rows vanish and every x is as good.  A
-        singular B (at gamma = 1 every damped state is |0><0|) gives instead
-        the column of B with the larger diagonal entry, which spans its range:
-        B's null vector has probability 0, so the value is taken on the range.
-        Of two rows or columns that tie (or a NaN) the first is kept.
-
-        The score is the Rayleigh quotient x.A x / x.B x at that x, 0 where
-        x's normalised probability x.B x / |x|^2 is at or below the floor, as
-        the call face's is.  It is taken at x / pivot, (1, z) or (conj z, 1)
-        with z = v / pivot and |z| about 1 or less, so no square of x can
-        overflow or underflow.  Unlike lambda itself, it is second-order in
-        x's rounding: at a double root (A proportional to B) the quadratic
-        gives lambda to only about sqrt(eps).  It is NaN where x is
-        degenerate: a singular B (det B <= 0), or a zero pivot, where both
-        rows of A - lambda B vanish but for rounding.
+        2)) of ``points`` (``_preselection``), in one pass: the channel's
+        entries at each point solved by ``maxima._solve_pencils``, which
+        returns the list of their scores and the last point's (lead, pivot,
+        Re v, Im v).  Every search's scores and read-outs come from this call.
         """
-        entries = self._entries
-        ms, m00, m11, m10_re, m10_im, ns, n00, n11, n10_re, n10_im, unit = self._branches
-        scores = []
-        append, nan, floor = scores.append, math.nan, PROB_FLOOR
-        sqrt, copysign = math.sqrt, math.copysign
-        for _, ch1, sh1 in points:
-            rho00, rho11, rho10 = entries(ch1, sh1)
-            a00, a11 = ms * (rho00 * m00), ms * (rho11 * m11)
-            qa_re, qa_im = ms * (m10_re * rho10), ms * (m10_im * rho10)
-            b00, b11 = ns * (rho00 * n00), ns * (rho11 * n11)
-            qb_re, qb_im = ns * (n10_re * rho10), ns * (n10_im * rho10)
-            det_b = b00 * b11 - 0.25 * (qb_re * qb_re + qb_im * qb_im)
-            if det_b <= 0.0:
-                # The columns (b00, q_B / 2) and (conj q_B / 2, b11).
-                lead = not abs(b11) > abs(b00)
-                pivot, v_re, v_im = b00 if lead else b11, 0.5 * qb_re, 0.5 * qb_im
-                append(nan)
-                continue
-            beta = a00 * b11 + a11 * b00 - 0.5 * (qa_re * qb_re + qa_im * qb_im)
-            det_a = a00 * a11 - 0.25 * (qa_re * qa_re + qa_im * qa_im)
-            root = sqrt(max(beta * beta - 4.0 * det_b * det_a, 0.0))
-            lam = (beta + copysign(root, beta)) / (det_b + det_b)
-            r00, r11 = a00 - lam * b00, a11 - lam * b11
-            r10_re, r10_im = 0.5 * (qa_re - lam * qb_re), 0.5 * (qa_im - lam * qb_im)
-            # The null vectors (conj r10, -r00) and (r11, -r10) of the two rows.
-            lead = abs(r11) > abs(r00)
-            if lead:
-                pivot, v_re, v_im = r11, -r10_re, -r10_im
-            else:
-                pivot, v_re, v_im = -r00, r10_re, r10_im
-            if pivot == 0.0:
-                append(nan)
-                continue
-            z_re, z_im = v_re / pivot, v_im / pivot
-            zz = z_re * z_re + z_im * z_im
-            # |x0|^2 and |x1|^2 over pivot^2; x0 conj(x1) over pivot^2 is conj(z).
-            e0, e1 = (1.0, zz) if lead else (zz, 1.0)
-            prob = b00 * e0 + b11 * e1 + (qb_re * z_re + qb_im * z_im)
-            if prob / (1.0 + zz) <= floor:
-                append(0.0)
-                continue
-            value = a00 * e0 + a11 * e1 + (qa_re * z_re + qa_im * z_im)
-            append(value / prob * unit)
-        return scores, (lead, pivot, v_re, v_im)
+        return _solve_pencils(self._branches, [self._entries(ch, sh) for _, ch, sh in points])
 
     def scan(self, points) -> list[float]:
         """|score| at each ``_preselection`` point of a theta1 scan, scored in
@@ -631,30 +541,12 @@ class _Objective:
         """The best postselection at a ``_preselection`` point, (theta1,
         cos(theta1 / 2), sin(theta1 / 2)), read out as (angles, value).
 
-        x (``_pencils``) gives theta2 = 2 atan2(|x1|, |x0|) (0 for x = 0), and
-        the phase of x0 conj(x1) = pivot conj(v), mod 2 pi, is the relative
-        phase phi0.  The value is the call face's at those angles.
+        x (``_pencils``) gives theta2 and phi0 (``maxima._pencil_angles``),
+        and the value is the call face's at those angles.
         """
-        _, (lead, pivot, v_re, v_im) = self._pencils((point,))
         t1, ch1, sh1 = point
-        near, far = abs(pivot), math.hypot(v_re, v_im)
-        t2 = 2.0 * (math.atan2(far, near) if lead else math.atan2(near, far))
-        sign = math.copysign(1.0, pivot)
-        p0 = math.atan2(-sign * v_im, sign * v_re) % TWO_PI
+        t2, p0 = _pencil_angles(*self._pencils((point,))[1])
         return (t1, t2, p0), self._value(ch1, sh1, t2, p0)
-
-
-def _check_target(meter: GaussianMeter | Literal["qubit"],
-                  which: Literal["dp", "dq", "reading"]) -> None:
-    """Reject an unknown ``which`` target, then one that ``meter`` does not
-    read out."""
-    if which not in ("dp", "dq", "reading"):
-        raise ValueError(f"which must be 'dp', 'dq' or 'reading', got {which!r}")
-    if which == "reading":
-        if meter != "qubit":
-            raise ValueError("'reading' requires the qubit meter")
-    elif not isinstance(meter, GaussianMeter):
-        raise ValueError(f"'{which}' requires a GaussianMeter")
 
 
 def _family_objective(channel: KrausChannel, g: float, meter: GaussianMeter | Literal["qubit"],
@@ -689,68 +581,3 @@ def damped_reading_objective(gamma: float, g: float) -> Objective:
     """Qubit-meter reading objective with an amplitude-damped pure preselection."""
     return _family_objective(amplitude_damping(gamma), g, "qubit", "reading")
 
-
-#: Half-angle theta1 / 2 of the point ``amplitude_damping_max`` returns: the
-#: relative gap grows as gamma eps^2 and the postselection probability
-#: shrinks as (1 - gamma) eps^2, so eps trades closeness against the floor.
-_APPROACH_HALF_ANGLE = 1e-3
-
-
-def _approach_point(gamma: float, closed: MaxResult,
-                    eps: float = _APPROACH_HALF_ANGLE) -> tuple[float, float, float]:
-    """(theta1, theta2, phi0) at half-angle ``eps`` on the path to the noiseless
-    maximum ``closed`` under amplitude damping at ``gamma`` < 1.
-
-    Amplitude damping maps pure_state(2 eps, phi0) to a nearly pure state
-    whose populations have ratio rho11 / rho00 = tan(a)^2; the postselection
-    angle puts tan(a) tan(theta2 / 2) on the noiseless optimum's
-    x* = tan(theta1* / 2) tan(theta2* / 2).
-    """
-    x = math.tan(0.5 * closed.theta1) * math.tan(0.5 * closed.theta2)
-    s, c = math.sin(eps), math.cos(eps)
-    tan_a = math.sqrt(1.0 - gamma) * s / math.sqrt(c * c + gamma * s * s)
-    return 2.0 * eps, 2.0 * math.atan2(x, tan_a), closed.phi0
-
-
-def amplitude_damping_max(meter: GaussianMeter | Literal["qubit"], gamma: float,
-                          g: float, which: Literal["dp", "dq", "reading"]) -> MaxResult:
-    """Supremum of |dp'|, |dq'| or the qubit reading over amplitude-damped
-    pure preselections and pure postselections, in closed form.
-
-    For gamma < 1 it is the noiseless maximum, ``gaussian_max_shifts(1, g,
-    meter)`` or ``qubit_max_reading(1, g)``: the amplification is immune to
-    amplitude damping.  This is the mathematical supremum, not attained for
-    0 < gamma < 1; the returned angles lie on an explicit path that
-    approaches it (``_approach_point``), with a relative gap of at most
-    about 5e-5 gamma at the figures' coupling.  For gamma within about 5e-5
-    of 1 that point's postselection probability falls below ``PROB_FLOOR``.
-    At gamma = 1 every state decays to |0>, which has no coherence, so the
-    values are the kappa = 0 closed forms (g, 0 and sin^2(g)), attained at
-    theta1 = theta2 = phi0 = 0; this degenerate case warns.
-
-    Proof.  Upper bound: every qubit state is kappa |psi><psi| + (1 - kappa)
-    I / 2 with Bloch length kappa <= 1, so no damped state beats the
-    modulus-kappa maximum, and each of those closed forms increases with
-    kappa (for the reading, d/dkappa = 2 sin^2 g cos^2 g / den^2 >= 0).
-    Lower bound: for pure states each meter value depends on (theta1,
-    theta2) only through x = tan(theta1 / 2) tan(theta2 / 2), so the
-    noiseless maximum holds on the whole curve x = x*, phi0 = phi0*, which
-    runs into the corner (0, pi).  Damping pure_state(2 eps, phi0) gives
-    populations with rho11 / rho00 = tan(a)^2 and a coherence |rho10| =
-    lambda sqrt(rho00 rho11), lambda = cos(eps) / sqrt(cos^2 eps + gamma
-    sin^2 eps).  Postselecting at tan(theta2 / 2) = x* / tan(a) gives the
-    noiseless formula at (x*, phi0*) with every coherence term scaled by
-    lambda = 1 - gamma eps^2 / 2 + O(eps^4): the gap is O(eps^2).
-    """
-    gamma = _check_unit_interval("gamma", gamma)
-    _check_target(meter, which)
-    if gamma == 1.0:
-        warnings.warn("amplitude damping at gamma = 1 maps every state to |0>; "
-                      "the amplification maxima collapse", stacklevel=2)
-    kappa = 0.0 if gamma == 1.0 else 1.0
-    if which == "reading":
-        closed = qubit_max_reading(kappa, g)
-    else:
-        closed = gaussian_max_shifts(kappa, g, meter)[("dp", "dq").index(which)]
-    point = (0.0, 0.0, 0.0) if gamma == 1.0 else _approach_point(gamma, closed)
-    return MaxResult(closed.value, *point)

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from weakamp import (BlochVector, PureQubit, QubitDensity, amplitude_damping,
                      damped_reading_objective, damped_shift_objective, density_from_bloch,
-                     depolarizing, kappa_reading_objective, kappa_shift_objective, phase_damping,
-                     pure_state)
-from weakamp.optimize import _family_objective
+                     kappa_reading_objective, kappa_shift_objective, phase_damping, pure_state)
+from weakamp.optimize import _family_objective, _modulus_channel
 
 
 def angles():
@@ -83,10 +82,12 @@ def _pure_family_state(channel: Callable) -> Callable:
 
 
 #: The preselection families by name: Bloch modulus kappa = x (depolarizing
-#: at 1 - x, its reference state built from the Bloch vector), and the pure
-#: state dephased or amplitude-damped at gamma = x.
+#: at 1 - x with coherence exactly x, as the optimizer's kappa objectives
+#: build it, its reference state built from the Bloch vector), and the pure
+#: state dephased or amplitude-damped at gamma = x.  This is the one table of
+#: families; a new family is added here.
 FAMILIES = {
-    "kappa": Family(lambda kappa: depolarizing(1.0 - kappa), modulus_state,
+    "kappa": Family(_modulus_channel, modulus_state,
                     kappa_shift_objective, kappa_reading_objective),
     "dephased": Family(phase_damping, _pure_family_state(phase_damping),
                        lambda x, *target: _family_objective(phase_damping(x), *target),

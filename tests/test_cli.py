@@ -293,6 +293,9 @@ class TestFig:
             (["1", "--start", "0.5", "--stop", "0.2"],
              "weakamp: need start < stop, got 0.5 and 0.2"),
             (["1", "--steps", "1"], "weakamp: --steps must be at least 2, got 1"),
+            # Rejected before a point is computed.
+            (["1", "--steps", str(cli.MAX_STEPS + 1)],
+             f"weakamp: --steps must be at most {cli.MAX_STEPS}, got {cli.MAX_STEPS + 1}"),
             (["3", "--start", "-0.5"], "weakamp: sweep range must stay inside [0, 1]"),
             (["5", "--stop", "1.5"], "weakamp: sweep range must stay inside [0, 1]"),
         ]:

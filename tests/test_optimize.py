@@ -35,7 +35,6 @@ from weakamp.optimize import (
     _LINE_WIDTH,
     _U_MAX,
     _angles,
-    _approach_point,
     _brent,
     _coarse_grid,
     _family_objective,
@@ -46,6 +45,7 @@ from weakamp.optimize import (
     _u,
     _u1_scan,
 )
+from weakamp.maxima import _approach_point
 from weakamp.verification import COUPLING_BATTERY, KAPPA_BATTERY, _oracle_shift_objective
 
 METER = GaussianMeter(1.0)
@@ -652,13 +652,11 @@ class TestBoundLine:
 
 def _form_objective(family, strength, target, g):
     """A form objective: ``target`` ("dp", "dq", "reading", "oracle-dp" or
-    "oracle-dq") over the depolarized, dephased or damped pure family."""
-    channel = {"depolarizing": optimize._modulus_channel, "phase-damping": phase_damping,
-               "amplitude-damping": amplitude_damping}[family](strength)
+    "oracle-dq") over the pure family of ``FAMILIES[family]``."""
+    channel = FAMILIES[family].channel(strength)
     if target.startswith("oracle-"):
         return _oracle_shift_objective(channel, g, METER, target[len("oracle-"):])
     return _family_objective(channel, g, "qubit" if target == "reading" else METER, target)
-
 
 
 def _scan_max(objective, t1, p0):
@@ -678,7 +676,6 @@ def _scan_max(objective, t1, p0):
 
 
 FORM_TARGETS = ["dp", "dq", "reading", "oracle-dp", "oracle-dq"]
-FORM_FAMILIES = ["depolarizing", "phase-damping", "amplitude-damping"]
 
 
 class TestRowBounds:
@@ -687,7 +684,7 @@ class TestRowBounds:
     @pytest.mark.parametrize("target", FORM_TARGETS)
     def test_bound_covers_a_dense_scan_of_both_mirror_rows(self, target):
         rng = np.random.default_rng(42)
-        for family in FORM_FAMILIES:
+        for family in FAMILIES:
             for _ in range(2):
                 objective = _form_objective(family, rng.random(), target,
                                             rng.uniform(0.005, 0.5))
@@ -710,7 +707,7 @@ class TestPostselectedProbe:
         # 64 scan points of a search and at both box edges.
         objectives = _battery_and_damped_objectives()[:36]
         objectives += [damped_shift_objective(1.0, 0.1 * METER.dp, METER, "dp"),
-                       _form_objective("amplitude-damping", 0.5, "oracle-dq", 0.3)]
+                       _form_objective("damped", 0.5, "oracle-dq", 0.3)]
         step = 2.0 * _U_MAX / 63
         us = [-_U_MAX + i * step for i in range(64)] + [-_U_MAX, _U_MAX]
         for objective in objectives:
@@ -754,8 +751,8 @@ def _score_objectives():
             out[f"{family}-{strength}-dp"] = shift(strength, g, METER, "dp")
             out[f"{family}-{strength}-dq"] = shift(strength, g, METER, "dq")
             out[f"{family}-{strength}-reading"] = reading(strength, 0.1)
-    out["oracle-damped-dq"] = _form_objective("amplitude-damping", 0.5, "oracle-dq", 0.3)
-    out["oracle-depolarized-dp"] = _form_objective("depolarizing", 0.6, "oracle-dp", 0.2)
+    out["oracle-damped-dq"] = _form_objective("damped", 0.5, "oracle-dq", 0.3)
+    out["oracle-depolarized-dp"] = _form_objective("kappa", 0.6, "oracle-dp", 0.2)
     out["tiny-coupling-dp"] = kappa_shift_objective(0.5, 1e-160, METER, "dp")
     return out
 

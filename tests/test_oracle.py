@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 
 from conftest import amplitudes, joint_evolved, kron_propagator, matrix
+import weakamp.cli
+import weakamp.maxima
+import weakamp.optimize
 import weakamp.oracle
 from weakamp import gaussian, qubitmeter
 from weakamp import (
@@ -538,13 +541,30 @@ def _imports_numpy(module):
 
 
 @pytest.mark.parametrize("name", ["common", "qubit", "channels", "gaussian", "qubitmeter",
-                                  "optimize"])
+                                  "maxima", "optimize"])
 def test_checked_modules_do_not_import_the_checks(name):
     # Nor numpy: the value types, channels, closed forms and optimizer are
-    # scalar code, and arrays belong to the brute-force references.
+    # scalar code, and arrays belong to the brute-force references.  The
+    # optimizer is a check of the others too, so none of them imports it.
     module = importlib.import_module(f"weakamp.{name}")
-    assert not _package_imports(module) & {"oracle", "verification"}
+    assert not _package_imports(module) & ({"oracle", "verification", "optimize"} - {name})
     assert not _imports_numpy(module)
+
+
+def test_the_cli_takes_its_suprema_from_the_closed_forms():
+    # fig 5 and 6 read amplitude_damping_max from maxima; verify reaches the
+    # optimizer through the verification module only.
+    imports = _package_imports(weakamp.cli)
+    assert "maxima" in imports and "optimize" not in imports
+    assert weakamp.cli.amplitude_damping_max is weakamp.maxima.amplitude_damping_max
+
+
+def test_optimizer_does_not_touch_the_closed_form_maxima():
+    # The optimizer battery checks the searches against these closed forms,
+    # so the searches may not read them.
+    source = inspect.getsource(weakamp.optimize)
+    for forbidden in ("gaussian_max_shifts", "qubit_max_reading"):
+        assert forbidden not in source
 
 
 def test_only_the_oracle_imports_numpy():
